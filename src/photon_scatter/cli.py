@@ -6,7 +6,6 @@ Outputs are deterministic: identical inputs give byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-tolerance
 failure.  Errors are reported as a single-line JSON record on stderr.
-The env var PHOTON_SCATTER_THREADS caps grid-evaluation parallelism.
 """
 
 from __future__ import annotations
@@ -298,16 +297,7 @@ def _cmd_three_photon_wf(args) -> int:
     grid = _parse_grid(args.grid, "x")
     x1 = np.repeat(grid, grid.size)
     x2 = np.tile(grid, grid.size)
-    psi = np.empty(x1.size, dtype=complex)
-    for i in range(x1.size):
-        psi[i] = twg.three_photon_out_wavefunction(
-            params,
-            k,
-            (x1[i], x2[i], args.x3),
-            rtol=args.rtol,
-            window=args.window,
-            max_panels=args.max_panels,
-        )
+    psi = twg.three_photon_out_wavefunction(params, k, (x1, x2, args.x3))
     return _emit_table(
         args,
         [
@@ -550,9 +540,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k2", type=float, help="incident momentum 2")
     p.add_argument("--k3", type=float, help="incident momentum 3")
     p.add_argument("--x3", type=float, default=0.0, help="fixed third coordinate")
-    p.add_argument("--rtol", type=float, default=1e-5, help="quadrature tolerance")
-    p.add_argument("--window", type=float, help="quadrature momentum window")
-    p.add_argument("--max-panels", type=int, default=60000, help="quadrature panel cap")
     p.add_argument("--grid", help="x:start:stop:points (applied to x1 and x2)")
     _add_common(p)
     _add_format(p)

@@ -10,10 +10,8 @@ density, see :class:`ScatteringAmplitudeSet`.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +27,6 @@ __all__ = [
     "ScatteringAmplitudeSet",
     "ToleranceError",
     "eo_mixing_matrix",
-    "thread_count",
-    "parallel_map",
 ]
 
 
@@ -305,27 +301,3 @@ class ScatteringAmplitudeSet:
             return 0.0j
         return self.connected(*momenta)
 
-
-# ---------------------------------------------------------------------------
-# parallel-map contract
-
-
-def thread_count() -> int:
-    """Worker count from PHOTON_SCATTER_THREADS, defaulting to 1."""
-    raw = os.environ.get("PHOTON_SCATTER_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"PHOTON_SCATTER_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:
-    """Map with optional threading; results in input order regardless of workers."""
-    if workers is None:
-        workers = thread_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -17,6 +17,7 @@ epsilon(q) = Omega - v cos(q) directly the waveguide momentum variable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +37,7 @@ _GUARD_MASS_LIMIT = 1e-5
 
 _MIN_PAIR_WIDTH = 6.0
 
-_PERMS3 = (
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 0, 2),
-    (1, 2, 0),
-    (2, 0, 1),
-    (2, 1, 0),
-)
+_PERMS3 = tuple(itertools.permutations(range(3)))
 
 
 @dataclass(frozen=True)
@@ -647,16 +641,19 @@ def ring_three_photon_wavefunction(
     k,
     x,
     size: int,
-    window: float,
+    window: float | None = None,
     pair_window: float | None = None,
 ):
     """Ring image of the three-photon spatial out-state.
 
-    Mirrors the tier structure of
-    :func:`photon_scatter.twg.three_photon_out_wavefunction` with the same
-    connected-tier window (pass the identical ``window`` to both for a
-    like-for-like comparison); the pinned-pair sums use their own, much
-    wider, ``pair_window``.  Returns ``(snapped momenta, value)``.
+    Rebuilds the tiers of :func:`photon_scatter.twg.three_photon_out_wavefunction`
+    from the S-matrix as quantized momentum sums: the connected density is
+    summed over the square of half-width ``window`` (default 32 gamma_t)
+    around the symmetric shell point, averaged over the three choices of
+    eliminated slot; the pinned-pair sums use their own, much wider,
+    ``pair_window`` (default 1000 gamma_t).  Truncating the connected sum
+    leaves a relative deviation from the exact out-state of up to about
+    1.5 gamma_t / window.  Returns ``(snapped momenta, value)``.
     """
     dk = _ring_grid(size)
     ks = tuple(_snap(v, dk) for v in k)
@@ -684,9 +681,10 @@ def ring_three_photon_wavefunction(
             kernel = (2.0 * np.pi / size) * np.sum(dens * np.exp(1j * (pa * xa + pb * xb)))
             tier_b += t[i] * np.exp(1j * ks[i] * xs[j]) * kernel
 
+    w = window if window is not None else 32.0 * g
     tier_c = 0.0j
     n0 = round((e / 3.0) / dk)
-    steps = np.arange(n0 - int(window / dk), n0 + int(window / dk) + 1) * dk
+    steps = np.arange(n0 - int(w / dk), n0 + int(w / dk) + 1) * dk
     pa, pb = np.meshgrid(steps, steps, indexing="ij")
     for s in range(3):
         xa, xb = (xs[a] for a in range(3) if a != s)

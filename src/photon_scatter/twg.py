@@ -22,7 +22,6 @@ from photon_scatter.core import (
     DeltaTerm,
     PinnedPairTerm,
     ScatteringAmplitudeSet,
-    ToleranceError,
     TWGParams,
 )
 
@@ -51,6 +50,15 @@ _SPLIT_STEP = 1e-5
 _SPLIT_DIR = np.array([1.0, -3.0, 2.0]) / np.sqrt(14.0)
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
+
+# three-photon out-state: the real poles q = k_i of individual permutation
+# terms are displaced as k -> k + i0 * _POLE_DIR.  The direction has zero
+# component sum, so the total energy stays real and every choice of
+# eliminated shell slot integrates over the same real plane, and no zero
+# component, so every pole leaves the axis.  The real poles cancel in the
+# full sum, so the limit does not depend on the direction; a uniform +i0
+# on all k_i would move E off the real axis and is not such a limit.
+_POLE_DIR = (1.0, -3.0, 2.0)
 
 
 def transmission_amplitude(params: TWGParams, k):
@@ -358,109 +366,86 @@ def _pair_kernel(params: TWGParams, ka: float, kb: float, xa, xb):
     return 2.0 * g**2 * phase / ((ka - a) * (kb - a))
 
 
-def _gl_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def _line_integral(y, w, w_upper: bool, b):
+    """int dq e^{iqy} / ((q - w)(q - b)) over the real line, by residues.
 
-
-_GL_COARSE = _gl_rule(8)
-_GL_FINE = _gl_rule(16)
-
-
-def _panel_integrals(f, panels: np.ndarray):
-    """Coarse and fine tensor Gauss-Legendre estimates on each panel.
-
-    panels has rows (u0, u1, v0, v1); f maps flat (u, v) arrays to complex.
-    Returns (fine integrals, error estimates) per panel.
+    w lies in the upper half plane when ``w_upper`` and in the lower one
+    otherwise, a real w being displaced infinitesimally to that side; b
+    lies off the real axis.  The contour
+    closes above for y >= 0 and below for y < 0; at y = 0 both closures
+    agree because the integrand falls off as 1/q^2.
     """
-    out = []
-    for nodes, weights in (_GL_FINE, _GL_COARSE):
-        n = len(nodes)
-        cu = 0.5 * (panels[:, 0] + panels[:, 1])
-        hu = 0.5 * (panels[:, 1] - panels[:, 0])
-        cv = 0.5 * (panels[:, 2] + panels[:, 3])
-        hv = 0.5 * (panels[:, 3] - panels[:, 2])
-        u = cu[:, None, None] + hu[:, None, None] * nodes[None, :, None]
-        v = cv[:, None, None] + hv[:, None, None] * nodes[None, None, :]
-        u, v = np.broadcast_arrays(u, v)
-        vals = f(u.ravel(), v.ravel()).reshape(len(panels), n, n)
-        out.append(hu * hv * np.einsum("i,j,pij->p", weights, weights, vals))
-    fine, coarse = out
-    return fine, np.abs(fine - coarse)
+    above = y >= 0.0
+    # each exponential is evaluated only where its pole is enclosed, where
+    # it decays, so no overflow reaches the masked branch
+    res_w = np.where(above == w_upper, np.exp(1j * w * y), 0.0) / (w - b)
+    res_b = np.where(
+        above == (b.imag > 0.0), np.exp(1j * b.real * y - abs(b.imag) * np.abs(y)), 0.0
+    ) / (b - w)
+    return np.where(above, 2j * np.pi, -2j * np.pi) * (res_w + res_b)
 
 
-def _adaptive_quad_2d(f, half_window: float, rtol: float, atol: float, max_panels: int):
-    """Adaptive panel quadrature of f over the square [-W, W]^2.
+def _connected_out(params: TWGParams, k, x):
+    """Fourier transform of the connected density over the energy shell.
 
-    Panels with the largest coarse/fine disagreement are quadrisected until
-    the summed error estimate meets max(atol, rtol * |integral|).
+    Equals int dp1 dp2 iT3(p; k) e^{i p.x} with p3 = E - p1 - p2.  Each
+    family of each (P, Q) term of _fsum, with one shell slot eliminated,
+    factorizes into two one-variable rational factors, so the integral is a
+    product of two _line_integral values times the phase of the eliminated
+    slot.  The real poles q = k_i cancel in the full sum but not term by
+    term; each is displaced off the axis along _POLE_DIR (see there).  The
+    minus signs come from writing each family's last denominator factor,
+    (w + w' - q - alpha) or (E - q - w - alpha), as -(q - b).
     """
-    n0 = 12
-    edges = np.linspace(-half_window, half_window, n0 + 1)
-    panels = np.array(
-        [
-            (edges[i], edges[i + 1], edges[j], edges[j + 1])
-            for i in range(n0)
-            for j in range(n0)
-        ]
-    )
-    vals, errs = _panel_integrals(f, panels)
-    while True:
-        total = vals.sum()
-        err = errs.sum()
-        if err <= max(atol, rtol * abs(total)):
-            return total, err, len(panels)
-        if len(panels) > max_panels:
-            raise ToleranceError(
-                f"quadrature stalled at {len(panels)} panels: "
-                f"error {err:.3e} vs target {max(atol, rtol * abs(total)):.3e}"
+    a = params.alpha
+    e = sum(k)
+    total = 0.0j
+    for perm_in in _PERMS3:
+        w0, w1, w2 = (k[i] for i in perm_in)
+        up0, up1, up2 = (_POLE_DIR[i] > 0.0 for i in perm_in)
+        for perm_out in _PERMS3:
+            y0, y1, y2 = (x[j] for j in perm_out)
+            # family 1: free in (q0, q2), q1 eliminated
+            total -= (
+                np.exp(1j * e * y1)
+                * _line_integral(y0 - y1, w0, up0, w0 + w1 - a)
+                * _line_integral(y2 - y1, w2, up2, a)
+                / (w0 - a)
             )
-        # quadrisect the worst eighth of the panels in one batch
-        nsplit = max(1, len(panels) // 8)
-        worst = np.argpartition(errs, -nsplit)[-nsplit:]
-        keep = np.ones(len(panels), dtype=bool)
-        keep[worst] = False
-        children = []
-        for u0, u1, v0, v1 in panels[worst]:
-            um, vm = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
-            children += [
-                (u0, um, v0, vm),
-                (um, u1, v0, vm),
-                (u0, um, vm, v1),
-                (um, u1, vm, v1),
-            ]
-        children = np.array(children)
-        child_vals, child_errs = _panel_integrals(f, children)
-        panels = np.concatenate([panels[keep], children])
-        vals = np.concatenate([vals[keep], child_vals])
-        errs = np.concatenate([errs[keep], child_errs])
+            # family 2: free in (q1, q2), q0 eliminated
+            total -= (
+                np.exp(1j * e * y0)
+                * _line_integral(y1 - y0, w1, up1, a)
+                * _line_integral(y2 - y0, w2, up2, e - w1 - a)
+                / (w2 - a)
+            )
+            # family 3: free in (q1, q0), q2 eliminated
+            total -= (
+                np.exp(1j * e * y2)
+                * _line_integral(y1 - y2, w1, up1, w1 + w2 - a)
+                * _line_integral(y0 - y2, w0, up0, a)
+                / (w1 - a)
+            )
+    return _t3_prefactor(params) * total
 
 
-def three_photon_out_wavefunction(
-    params: TWGParams,
-    k,
-    x,
-    rtol: float = 1e-8,
-    window: float | None = None,
-    max_panels: int = 60000,
-) -> complex:
+def three_photon_out_wavefunction(params: TWGParams, k, x):
     """Spatial out-state amplitude of three photons at positions x.
 
-    Three analytic tiers share the prefactor 1/(6 (2 pi)^{3/2}): the fully
+    Three tiers share the prefactor 1/(6 (2 pi)^{3/2}): the fully
     disconnected symmetrized plane waves, the nine one-leg-transmitted terms
-    with a pair bound/plane structure, and the fully connected part obtained
-    by integrating the connected density over the two momentum degrees of
-    freedom left by energy conservation (adaptive quadrature on a window of
-    half-width ``window``, default 40 gamma_t, around the symmetric point).
+    with a pair bound/plane structure, and the fully connected part, the
+    Fourier transform of the connected density over the energy shell.  All
+    three are closed forms; the connected one is a finite sum of residues,
+    exact up to rounding, with each real pole q = k_i placed on the side
+    k_i -> k_i + i0 d_i for a fixed shell-preserving d (the limit does not
+    depend on d because the real poles cancel in the full sum).
 
-    Raises
-    ------
-    ToleranceError
-        If the quadrature cannot reach rtol within ``max_panels`` panels.
+    x is a sequence of three floats or broadcastable arrays; the result is
+    a complex scalar or an array of their broadcast shape.
     """
     k = [float(v) for v in k]
-    x = [float(v) for v in x]
-    e = sum(k)
+    x = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in x))
     t = [complex(transmission_amplitude(params, v)) for v in k]
 
     tier_a = 0.0j
@@ -475,29 +460,5 @@ def three_photon_out_wavefunction(
             xa, xb = (x[m] for m in range(3) if m != j)
             tier_b += t[i] * np.exp(1j * k[i] * x[j]) * _pair_kernel(params, ka, kb, xa, xb)
 
-    if window is None:
-        window = 40.0 * params.gamma_t
-
-    # The square window constrains the two integration slots to E/3 +- W
-    # while the eliminated slot roams twice as far; averaging over the three
-    # choices of eliminated slot makes the truncated region permutation
-    # symmetric, so the wavefunction is exactly bosonic up to rtol.
-    tier_c = 0.0j
-    for s in range(3):
-        xa, xb = (x[m] for m in range(3) if m != s)
-        xs = x[s]
-
-        def integrand(u, v, xa=xa, xb=xb, xs=xs):
-            pa = e / 3.0 + u
-            pb = e / 3.0 + v
-            ps = e / 3.0 - u - v
-            dens = three_photon_t(params, k, (pa, pb, ps))
-            return dens * np.exp(1j * (pa * xa + pb * xb + ps * xs))
-
-        val, _, _ = _adaptive_quad_2d(
-            integrand, window, rtol=rtol, atol=1e-300, max_panels=max_panels
-        )
-        tier_c += val
-    tier_c /= 3.0
-
-    return complex((tier_a + tier_b + tier_c) / (6.0 * (2.0 * np.pi) ** 1.5))
+    out = (tier_a + tier_b + _connected_out(params, k, x)) / (6.0 * (2.0 * np.pi) ** 1.5)
+    return out if out.ndim else complex(out)

@@ -201,21 +201,14 @@ def _criterion_three_photon_spatial():
     params = TWGParams(omega_atom=1.0, gamma_t=1.0)
     k = (1.0, 1.0, 1.0)
     # mirror ridge points carry identical probability here, so sample one side
-    ridge = {}
-    for s in (2.0, 3.0, 4.0, 5.0, 6.0):
-        ridge[s] = (
-            abs(twg.three_photon_out_wavefunction(params, k, (s, s, 0.0), rtol=1e-5))
-            ** 2
-        )
-    origin = (
-        abs(twg.three_photon_out_wavefunction(params, k, (0.0, 0.0, 0.0), rtol=1e-5))
-        ** 2
-    )
-    best = max(ridge.values())
+    s = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
+    ridge = np.abs(twg.three_photon_out_wavefunction(params, k, (s, s, 0.0))) ** 2
+    origin = abs(twg.three_photon_out_wavefunction(params, k, (0.0, 0.0, 0.0))) ** 2
+    best = float(ridge.max())
     passed = best > origin
     return passed, (
         f"ridge max {best:.4g} over x1=x2, |x1| in [2,6] vs origin {origin:.4g};"
-        f" ridge profile {[round(v, 5) for v in ridge.values()]}"
+        f" ridge profile {[round(float(v), 5) for v in ridge]}"
     )
 
 

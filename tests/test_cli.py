@@ -149,8 +149,7 @@ def test_fluorescence3_default_slice(capsys):
 def test_three_photon_wf_plane(capsys):
     code, out, _ = _run(
         capsys,
-        ["three-photon-wf", "--k1", "1", "--k2", "1", "--k3", "1", "--rtol", "1e-3",
-         "--window", "12", "--grid", "x:0:1:2"],
+        ["three-photon-wf", "--k1", "1", "--k2", "1", "--k3", "1", "--grid", "x:0:1:2"],
     )
     assert code == 0
     header, rows = _rows(out)
@@ -257,10 +256,11 @@ def test_config_errors_exit_2_with_json_record(capsys, argv):
 
 
 def test_tolerance_error_exits_3(capsys):
+    # a run long enough for the packet to reach the boundary guard zone
     code, _, err = _run(
         capsys,
-        ["three-photon-wf", "--k1", "1", "--k2", "1", "--k3", "1",
-         "--grid", "x:0:1:2", "--max-panels", "4"],
+        ["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0",
+         "--carrier", "1.0472", "--L", "801", "--duration", "323"],
     )
     assert code == 3
     record = json.loads(err)

@@ -11,7 +11,6 @@ from photon_scatter.core import (
     TWGParams,
     TwoPhotonKinematics,
     eo_mixing_matrix,
-    parallel_map,
 )
 
 
@@ -91,10 +90,3 @@ def test_eo_mixing_unitary():
     with pytest.raises(ValueError):
         eo_mixing_matrix(-1.0)
 
-
-def test_parallel_map_order(monkeypatch):
-    monkeypatch.setenv("PHOTON_SCATTER_THREADS", "4")
-    out = parallel_map(lambda x: x * x, range(20))
-    assert out == [x * x for x in range(20)]
-    monkeypatch.setenv("PHOTON_SCATTER_THREADS", "1")
-    assert parallel_map(lambda x: -x, [3, 1]) == [-3, -1]
