@@ -5,7 +5,13 @@ precision 12, LF endings) or a single JSON object with snake_case keys.
 Outputs are deterministic: identical inputs give byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-tolerance
-failure.  Errors are reported as a single-line JSON record on stderr.
+failure (any ``RuntimeError``, which includes ARPACK non-convergence in
+the lattice bound-state solve).  Errors are reported as a single-line JSON
+record on stderr.
+
+The lattice oracle and the acceptance suite, the only users of scipy, are
+imported by their subcommands alone, so the analytic subcommands start
+without loading it.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import sys
 
 import numpy as np
 
-from . import hwg, lattice_oracle, tcra, twg, validation
-from .core import HWGParams, TCRAParams, TWGParams, ToleranceError
+from . import hwg, tcra, twg
+from .core import HWGParams, TCRAParams, TWGParams
 
 __all__ = ["main"]
 
@@ -363,20 +369,22 @@ def _cmd_correlation(args) -> int:
 
 
 def _cmd_oracle_bound(args) -> int:
-    model = lattice_oracle.LatticeModel(
-        params=_tcra_params(args), size=args.L, boundary=args.boundary
-    )
+    from . import lattice_oracle
+
+    model = lattice_oracle.LatticeModel(params=_tcra_params(args), size=args.L)
     report = lattice_oracle.bound_state_check(model)
     return _emit_json(args, dataclasses.asdict(report))
 
 
 def _cmd_oracle_scatter(args) -> int:
+    from . import lattice_oracle
+
     _require_choice(args, "kind", ("t", "h"))
     if args.kind == "t":
         params = _tcra_params(args)
     else:
         params = _hwg_params(args)
-    model = lattice_oracle.LatticeModel(params=params, size=args.L, boundary=args.boundary)
+    model = lattice_oracle.LatticeModel(params=params, size=args.L)
     _require(args, "carrier")
     result = lattice_oracle.wavepacket_scatter(
         model, args.carrier, args.width, duration=args.duration
@@ -385,9 +393,9 @@ def _cmd_oracle_scatter(args) -> int:
 
 
 def _cmd_oracle_pair(args) -> int:
-    model = lattice_oracle.LatticeModel(
-        params=_tcra_params(args), size=args.L, boundary=args.boundary
-    )
+    from . import lattice_oracle
+
+    model = lattice_oracle.LatticeModel(params=_tcra_params(args), size=args.L)
     _require(args, "k1", "k2")
     report = lattice_oracle.two_excitation_check(
         model,
@@ -402,6 +410,8 @@ def _cmd_oracle_pair(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validation
+
     numbers = None
     if args.only:
         try:
@@ -580,7 +590,6 @@ def _build_parser() -> _Parser:
     p = osub.add_parser("bound", help="bound states vs exact diagonalization")
     _add_tcra_flags(p)
     p.add_argument("--L", type=int, default=601, help="lattice size (odd)")
-    p.add_argument("--boundary", default="open", choices=("open", "ring"))
     _add_common(p)
     p.set_defaults(format="json")
     _finish(p, _cmd_oracle_bound)
@@ -596,7 +605,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--width", type=float, default=40.0, help="packet width (sites)")
     p.add_argument("--duration", type=float, help="evolution time (default auto)")
     p.add_argument("--L", type=int, default=801, help="lattice size (odd)")
-    p.add_argument("--boundary", default="open", choices=("open", "ring"))
     _add_common(p)
     p.set_defaults(format="json")
     _finish(p, _cmd_oracle_scatter)
@@ -610,7 +618,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--window", type=int, default=9, help="coincidence window (sites)")
     p.add_argument("--duration", type=float, help="evolution time (default auto)")
     p.add_argument("--L", type=int, default=281, help="lattice size (odd)")
-    p.add_argument("--boundary", default="open", choices=("open", "ring"))
     _add_common(p)
     p.set_defaults(format="json")
     _finish(p, _cmd_oracle_pair)
@@ -631,15 +638,9 @@ def main(argv=None) -> int:
         if "grid" in args._coerce and getattr(args, "grid", None) is None:
             raise _CliError("missing required parameter: --grid")
         return args._handler(args)
-    except _CliError as exc:
+    except (_CliError, ValueError, TypeError) as exc:
         _error_record("config", exc)
         return 2
-    except (ValueError, TypeError) as exc:
-        _error_record("config", exc)
-        return 2
-    except ToleranceError as exc:
-        _error_record("numerical-tolerance", exc)
-        return 3
     except RuntimeError as exc:
         _error_record("numerical-tolerance", exc)
         return 3

@@ -202,6 +202,15 @@ class HWGParams:
 # ---------------------------------------------------------------------------
 # kinematics
 
+# relative tolerance on total-energy conservation of outgoing momenta
+_ONSHELL_RTOL = 1e-10
+
+
+def _require_on_shell(e_in, e_out) -> None:
+    tol = _ONSHELL_RTOL * max(1.0, abs(e_in))
+    if np.any(np.abs(np.asarray(e_out) - e_in) > tol):
+        raise ValueError("outgoing momenta violate total-energy conservation")
+
 
 @dataclass(frozen=True)
 class TwoPhotonKinematics:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from photon_scatter.core import DeltaTerm, HWGParams, ScatteringAmplitudeSet
+from photon_scatter.core import DeltaTerm, HWGParams, ScatteringAmplitudeSet, _require_on_shell
 
 __all__ = [
     "ChannelAmplitudes",
@@ -24,8 +24,6 @@ __all__ = [
     "pair_wavefunctions",
     "second_order_correlation",
 ]
-
-_ONSHELL_RTOL = 1e-10
 
 
 def _require_unit_velocities(params: HWGParams) -> None:
@@ -79,9 +77,7 @@ def two_photon_t_h(params: HWGParams, channels, k1: float, k2: float, p1, p2):
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     e = k1 + k2
-    tol = _ONSHELL_RTOL * max(1.0, abs(e))
-    if np.any(np.abs(p1 + p2 - e) > tol):
-        raise ValueError("outgoing momenta violate total-energy conservation")
+    _require_on_shell(e, p1 + p2)
     a = params.alpha_h
     pref = np.prod([params.vbar[c - 1] for c in channels])
     out = 1j * pref / np.pi * (e - 2.0 * a) / ((p2 - a) * (k1 - a) * (p1 - a) * (k2 - a))

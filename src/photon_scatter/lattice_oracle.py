@@ -1,12 +1,14 @@
 """Finite-lattice oracle: exact diagonalization, wavepackets, ring sums.
 
 Everything here validates the closed-form modules from first principles.
-Dense single-excitation matrices realize the resonator chains exactly;
-Gaussian wavepacket runs measure transmission probabilities against the
-analytic amplitudes; a Chebyshev-propagated two-excitation sector probes
-photon-photon correlations; and quantized-momentum ring sums check the
-continuum delta conventions of the analytic S-matrices (a momentum delta
-maps to (L / 2 pi) times a Kronecker delta on the ring).
+Sparse operators realize the open resonator chains exactly, in the single-
+and the two-excitation sector; one Chebyshev propagator evolves both, and
+the bound states are the extremal eigenpairs of the single-excitation
+operator.  Gaussian wavepacket runs measure transmission probabilities
+against the analytic amplitudes; two-packet runs probe photon-photon
+correlations; and quantized-momentum ring sums check the continuum delta
+conventions of the analytic S-matrices (a momentum delta maps to
+(L / 2 pi) times a Kronecker delta on the ring).
 
 H-type lattice realization: each chain uses hopping J_s = v_s / 2, so the
 band-center group velocity equals the waveguide velocity, and site coupling
@@ -21,12 +23,12 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
 from . import hwg, tcra, twg
 from .core import HWGParams, TCRAParams, ToleranceError
-
-_BOUNDARIES = ("open", "ring")
 
 # accuracy contract for single-excitation wavepacket runs
 _MIN_PACKET_WIDTH = 40.0
@@ -46,15 +48,12 @@ class LatticeModel:
 
     params: TCRAParams | HWGParams
     size: int
-    boundary: str = "open"
 
     def __post_init__(self) -> None:
         if not isinstance(self.params, (TCRAParams, HWGParams)):
             raise TypeError("params must be TCRAParams or HWGParams")
         if self.size < 3 or self.size % 2 == 0:
             raise ValueError("size must be odd and at least 3")
-        if self.boundary not in _BOUNDARIES:
-            raise ValueError(f"boundary must be one of {_BOUNDARIES}")
 
     @property
     def kind(self) -> str:
@@ -69,46 +68,71 @@ class LatticeModel:
         return np.arange(self.size) - (self.size - 1) // 2
 
 
-def _fill_chain(h, offset, length, omega, hopping, ring):
-    idx = np.arange(offset, offset + length)
-    h[idx, idx] = omega
-    h[idx[:-1], idx[1:]] = -hopping
-    h[idx[1:], idx[:-1]] = -hopping
-    if ring:
-        h[idx[0], idx[-1]] = h[idx[-1], idx[0]] = -hopping
+def _chain(length: int, omega: float, hopping: float) -> sparse.csr_matrix:
+    """Open tight-binding chain: ``omega`` on the diagonal, ``-hopping`` beside it."""
+    off = np.full(length - 1, -hopping)
+    diagonals = [off, np.full(length, omega), off]
+    return sparse.diags(diagonals, [-1, 0, 1], format="csr", dtype=float)
 
 
-def build_single_excitation(model: LatticeModel) -> np.ndarray:
-    """Dense symmetric single-excitation Hamiltonian.
+def build_single_excitation(model: LatticeModel) -> sparse.csr_matrix:
+    """Sparse (CSR) symmetric single-excitation Hamiltonian, open chains.
 
     T-type layout: sites 0..L-1 then the atom.  H-type layout: chain 1,
     chain 2, then the atom; see the module docstring for the effective
     lattice scales.
     """
-    n = model.dimension
-    h = np.zeros((n, n))
-    ring = model.boundary == "ring"
+    p = model.params
     center = (model.size - 1) // 2
     if model.kind == "t":
-        p = model.params
-        _fill_chain(h, 0, model.size, p.omega_cavity, p.hopping, ring)
-        h[n - 1, n - 1] = p.omega_atom
-        h[center, n - 1] = h[n - 1, center] = p.coupling
+        chains = [_chain(model.size, p.omega_cavity, p.hopping)]
+        couplings = [p.coupling]
     else:
-        p = model.params
-        for s in range(2):
-            _fill_chain(
-                h,
-                s * model.size,
-                model.size,
-                p.omega_atom,
-                0.5 * p.group_velocity[s],
-                ring,
-            )
-            site = s * model.size + center
-            h[site, n - 1] = h[n - 1, site] = p.vbar[s] / np.sqrt(2.0)
-        h[n - 1, n - 1] = p.omega_atom
-    return h
+        chains = [_chain(model.size, p.omega_atom, 0.5 * v) for v in p.group_velocity]
+        couplings = [v / np.sqrt(2.0) for v in p.vbar]
+    sites = [s * model.size + center for s in range(len(chains))]
+    column = sparse.csr_matrix(
+        (couplings, (sites, [0] * len(sites))), shape=(model.dimension - 1, 1)
+    )
+    atom = sparse.csr_matrix([[p.omega_atom]])
+    return sparse.bmat(
+        [[sparse.block_diag(chains), column], [column.T, atom]], format="csr"
+    )
+
+
+def _gershgorin(h) -> tuple[float, float]:
+    """Gershgorin interval: contains every eigenvalue of the sparse ``h``."""
+    diag = h.diagonal()
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+def _chebyshev_evolve(apply_h, state: np.ndarray, t: float, bounds: tuple[float, float]):
+    """Propagate e^{-i H t} with a Chebyshev polynomial expansion.
+
+    ``bounds`` must contain the full (real) spectrum of the operator; the
+    Bessel coefficient tail then decays superexponentially.
+    """
+    emin, emax = bounds
+    if not emax > emin:
+        raise ValueError("bounds must satisfy emax > emin")
+    a = 0.5 * (emax - emin)
+    b = 0.5 * (emax + emin)
+    z = a * t
+    order = int(z + 25.0 + 12.0 * z ** (1.0 / 3.0))
+    bess = jv(np.arange(order + 1), z)
+    tail = np.nonzero(np.abs(bess) > 1e-16)[0]
+    order = int(tail[-1]) if len(tail) else 1
+    coef = bess[: order + 1] * (-1j) ** np.arange(order + 1)
+    coef[1:] *= 2.0
+
+    t0 = state
+    t1 = (apply_h(t0) - b * t0) / a
+    acc = coef[0] * t0 + coef[1] * t1
+    for c in coef[2:]:
+        t0, t1 = t1, 2.0 * (apply_h(t1) - b * t1) / a - t0
+        acc += c * t1
+    return np.exp(-1j * b * t) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +179,26 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
     """Compare out-of-band lattice eigenpairs with the analytic bound states."""
     if model.kind != "t":
         raise ValueError("bound-state check is defined for T-type models")
-    if model.boundary != "open":
-        raise ValueError("bound-state check uses open boundaries")
     p = model.params
-    evals, evecs = np.linalg.eigh(build_single_excitation(model))
     top = p.omega_cavity + 2.0 * p.hopping
     bottom = p.omega_cavity - 2.0 * p.hopping
     edge = 1e-12 * max(1.0, abs(top), abs(bottom))
-    below = np.where(evals < bottom - edge)[0]
-    above = np.where(evals > top + edge)[0]
+    # the chain is a principal submatrix, so by Cauchy interlacing at most
+    # one level lies on each side of the band: the extremal eigenpair is
+    # the only candidate.  A fixed start vector keeps the reports
+    # reproducible (ARPACK's default one is random).
+    h = build_single_excitation(model)
+    v0 = np.ones(h.shape[0])
+    (e_low,), vec_low = eigsh(h, k=1, which="SA", v0=v0)
+    (e_high,), vec_high = eigsh(h, k=1, which="LA", v0=v0)
+    below = e_low < bottom - edge
+    above = e_high > top + edge
 
     warnings = []
-    if len(below) != 1 or len(above) != 1:
+    if not (below and above):
         warnings.append(
-            f"expected one out-of-band level per side, found {len(below)} below"
-            f" and {len(above)} above; the lattice may not resolve weak binding"
+            f"expected one out-of-band level per side, found {int(below)} below"
+            f" and {int(above)} above; the lattice may not resolve weak binding"
         )
 
     lower, upper = tcra.bound_state_energies(p)
@@ -177,14 +206,16 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
     energies = []
     slopes = []
     patterns = []
-    for idx, analytic in ((below, lower), (above, upper)):
-        if len(idx) != 1:
+    for found, energy, vec, analytic in (
+        (below, e_low, vec_low[:, 0], lower),
+        (above, e_high, vec_high[:, 0], upper),
+    ):
+        if not found:
             energies.append(np.nan)
             slopes.append(np.nan)
             patterns.append(False)
             continue
-        vec = evecs[:, idx[0]]
-        energies.append(float(evals[idx[0]]))
+        energies.append(float(energy))
         slopes.append(_envelope_slope(vec[: model.size], x))
         patterns.append(_sign_pattern(vec[: model.size], x, analytic.sign_alternating))
 
@@ -233,11 +264,6 @@ def _gaussian(x, center, width):
     return np.exp(-((x - center) ** 2) / (4.0 * width**2))
 
 
-def _eig_evolve(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(h)
-    return evecs @ (np.exp(-1j * evals * t) * (evecs.T @ psi0))
-
-
 def _check_guard_mass(weights: np.ndarray, x: np.ndarray, half: int, guard: int, t: float):
     mass = float(weights[np.abs(x) >= half - guard].sum()) / float(weights.sum())
     if mass > _GUARD_MASS_LIMIT:
@@ -257,8 +283,6 @@ def wavepacket_scatter(
     linewidth (width >= 40 sites, lattice >= 20 widths) for the measured
     probabilities to track the analytic values at the percent level.
     """
-    if model.boundary != "open":
-        raise ValueError("wavepacket runs use open boundaries")
     if width < _MIN_PACKET_WIDTH:
         raise ValueError(f"packet width must be at least {_MIN_PACKET_WIDTH} sites")
     if model.size < _SIZE_PER_WIDTH * width:
@@ -292,7 +316,8 @@ def wavepacket_scatter(
         ) + np.exp(-1j * carrier * x) * _gaussian(x, offset, width)
     psi0 /= np.linalg.norm(psi0)
 
-    psi_t = _eig_evolve(build_single_excitation(model), psi0, t_end)
+    h = build_single_excitation(model)
+    psi_t = _chebyshev_evolve(h.dot, psi0, t_end, _gershgorin(h))
     dens = np.abs(psi_t) ** 2
     atom = float(dens[-1])
 
@@ -333,34 +358,6 @@ def wavepacket_scatter(
 # two-excitation sector
 
 
-def _chebyshev_evolve(apply_h, state: np.ndarray, t: float, bounds: tuple[float, float]):
-    """Propagate e^{-i H t} with a Chebyshev polynomial expansion.
-
-    ``bounds`` must contain the full (real) spectrum of the operator; the
-    Bessel coefficient tail then decays superexponentially.
-    """
-    emin, emax = bounds
-    if not emax > emin:
-        raise ValueError("bounds must satisfy emax > emin")
-    a = 0.5 * (emax - emin)
-    b = 0.5 * (emax + emin)
-    z = a * t
-    order = int(z + 25.0 + 12.0 * z ** (1.0 / 3.0))
-    bess = jv(np.arange(order + 1), z)
-    tail = np.nonzero(np.abs(bess) > 1e-16)[0]
-    order = int(tail[-1]) if len(tail) else 1
-    coef = bess[: order + 1] * (-1j) ** np.arange(order + 1)
-    coef[1:] *= 2.0
-
-    t0 = state
-    t1 = (apply_h(t0) - b * t0) / a
-    acc = coef[0] * t0 + coef[1] * t1
-    for c in coef[2:]:
-        t0, t1 = t1, 2.0 * (apply_h(t1) - b * t1) / a - t0
-        acc += c * t1
-    return np.exp(-1j * b * t) * acc
-
-
 @dataclass(frozen=True)
 class TwoExcitationReport:
     """Transmitted-pair statistics from a two-packet lattice run.
@@ -382,29 +379,24 @@ class TwoExcitationReport:
     duration: float
 
 
-def _pair_action(params: TCRAParams, size: int, center: int, buf: np.ndarray):
-    w0 = params.omega_cavity
-    j = params.hopping
+def _pair_operator(params: TCRAParams, size: int) -> sparse.csr_matrix:
+    """Two-excitation operator on the stacked (photon pair, photon + atom) state.
+
+    The pair block acts on the full size x size amplitude psi[a, b] (row
+    major), the second block on chi[a], a photon at site a with the atom
+    excited.  The state norm is 0.5 |psi|^2 + |chi|^2, which makes the
+    operator self-adjoint on symmetric pair amplitudes.
+    """
+    chain = _chain(size, params.omega_cavity, params.hopping)
+    eye = sparse.identity(size, format="csr")
+    site = sparse.csr_matrix(([1.0], ([(size - 1) // 2], [0])), shape=(size, 1))
     v = params.coupling
-    psi = buf[: size * size].reshape(size, size)
-    chi = buf[size * size :]
-    out = np.empty_like(buf)
-    opsi = out[: size * size].reshape(size, size)
-    ochi = out[size * size :]
-
-    np.multiply(psi, 2.0 * w0, out=opsi)
-    opsi[1:, :] -= j * psi[:-1, :]
-    opsi[:-1, :] -= j * psi[1:, :]
-    opsi[:, 1:] -= j * psi[:, :-1]
-    opsi[:, :-1] -= j * psi[:, 1:]
-    opsi[center, :] += v * chi
-    opsi[:, center] += v * chi
-
-    np.multiply(chi, w0 + params.omega_atom, out=ochi)
-    ochi[1:] -= j * chi[:-1]
-    ochi[:-1] -= j * chi[1:]
-    ochi += v * psi[center, :]
-    return out
+    pairs = sparse.kron(chain, eye) + sparse.kron(eye, chain)
+    # the atom absorbs either photon of the pair and emits into either slot
+    emit = v * (sparse.kron(site, eye) + sparse.kron(eye, site))
+    absorb = v * sparse.kron(site.T, eye)
+    dressed = chain + params.omega_atom * eye
+    return sparse.bmat([[pairs, emit], [absorb, dressed]], format="csr")
 
 
 def _pair_norm_sq(buf: np.ndarray, size: int) -> float:
@@ -442,8 +434,6 @@ def two_excitation_check(
     """
     if model.kind != "t":
         raise ValueError("the two-excitation check is defined for T-type models")
-    if model.boundary != "open":
-        raise ValueError("two-excitation runs use open boundaries")
     if model.size > 401:
         raise ValueError("two-excitation lattices are capped at 401 sites")
     if width < _MIN_PAIR_WIDTH:
@@ -475,14 +465,8 @@ def two_excitation_check(
     state = np.concatenate([psi0.ravel(), np.zeros(size, dtype=complex)])
     state /= np.sqrt(_pair_norm_sq(state, size))
 
-    w0, j, v = p.omega_cavity, p.hopping, p.coupling
-    lo = min(2.0 * (w0 - 2.0 * j) - 2.0 * v, w0 + p.omega_atom - 2.0 * j - v) - 0.5
-    hi = max(2.0 * (w0 + 2.0 * j) + 2.0 * v, w0 + p.omega_atom + 2.0 * j + v) + 0.5
-    center = half
-
-    state_t = _chebyshev_evolve(
-        lambda buf: _pair_action(p, size, center, buf), state, t_end, (lo, hi)
-    )
+    h_pair = _pair_operator(p, size)
+    state_t = _chebyshev_evolve(h_pair.dot, state, t_end, _gershgorin(h_pair))
     norm_drift = abs(_pair_norm_sq(state_t, size) - 1.0)
 
     psi_t = state_t[: size * size].reshape(size, size)
@@ -491,10 +475,10 @@ def two_excitation_check(
     _check_guard_mass(marg, x, half, guard, t_end)
 
     # free reference: bare-chain product evolution of the same packets
-    h_free = np.zeros((size, size))
-    _fill_chain(h_free, 0, size, w0, j, False)
-    fronts = _eig_evolve(h_free, phi_front.astype(complex), t_end)
-    backs = _eig_evolve(h_free, phi_back.astype(complex), t_end)
+    h_free = _chain(size, p.omega_cavity, p.hopping)
+    bounds = _gershgorin(h_free)
+    fronts = _chebyshev_evolve(h_free.dot, phi_front.astype(complex), t_end, bounds)
+    backs = _chebyshev_evolve(h_free.dot, phi_back.astype(complex), t_end, bounds)
     psi_free = np.outer(fronts, backs) + np.outer(backs, fronts)
     psi_free /= np.sqrt(0.5 * np.sum(np.abs(psi_free) ** 2))
 
@@ -535,6 +519,60 @@ def _snap(value: float, dk: float) -> float:
     return round(value / dk) * dk
 
 
+def _ring_pair_rows(params, width, k1, k2, size, half_window, default_window, channels):
+    """Pair S-matrix rows on the ring energy shell p1 + p2 = k1 + k2.
+
+    Snaps k1, k2 to the ring grid and samples p1 over a window of half-width
+    ``half_window`` (default ``default_window`` times the line scale set by
+    ``width``) around the symmetric shell point.  ``channels(params, k1s, k2s,
+    p1, p2)`` lists, per outgoing channel, the connected density and the
+    Kronecker weights pinned at p1 = k1s and at p1 = k2s; each row is
+    (2 pi / L) times the density plus its pins.  Returns
+    ``((k1s, k2s), p1, p2, rows)``.
+    """
+    dk = _ring_grid(size)
+    k1s, k2s = _snap(k1, dk), _snap(k2, dk)
+    e = k1s + k2s
+    scale = max(width, abs(0.5 * e - params.omega_atom) + width)
+    w = half_window if half_window is not None else default_window * scale
+    n0 = round((0.5 * e) / dk)
+    steps = np.arange(n0 - int(w / dk), n0 + int(w / dk) + 1)
+    p1 = steps * dk
+    p2 = e - p1
+
+    at_k1 = np.isclose(p1, k1s, atol=0.25 * dk)
+    at_k2 = np.isclose(p1, k2s, atol=0.25 * dk)
+    rows = []
+    for density, pin_k1, pin_k2 in channels(params, k1s, k2s, p1, p2):
+        m = (2.0 * np.pi / size) * density
+        m[at_k1] += pin_k1
+        m[at_k2] += pin_k2
+        rows.append(m)
+    return (k1s, k2s), p1, p2, rows
+
+
+def _twg_pair_channel(params, k1s, k2s, p1, p2):
+    tt = complex(
+        twg.transmission_amplitude(params, k1s) * twg.transmission_amplitude(params, k2s)
+    )
+    return [(twg.two_photon_t(params, k1s, k2s, p1, p2), tt, tt)]
+
+
+def _hwg_pair_channels(params, k1s, k2s, p1, p2):
+    # incident k1 in waveguide 1, k2 in waveguide 2; outgoing (1,1), (2,2), (1,2)
+    a1 = hwg.channel_amplitudes(params, k1s)
+    a2 = hwg.channel_amplitudes(params, k2s)
+
+    def density(j1, j2):
+        return hwg.two_photon_t_h(params, (1, 2, j1, j2), k1s, k2s, p1, p2)
+
+    return [
+        (density(1, 1), a1.t11 * a2.t21, a1.t11 * a2.t21),
+        (density(2, 2), a1.t21 * a2.t22, a1.t21 * a2.t22),
+        (density(1, 2), a1.t11 * a2.t22, a1.t21 * a2.t21),
+    ]
+
+
 def ring_two_photon_wavefunction(
     params, k1: float, k2: float, x_center, x_relative, size: int, half_window=None
 ):
@@ -546,49 +584,20 @@ def ring_two_photon_wavefunction(
     :func:`photon_scatter.twg.two_photon_out_wavefunction` as the window and
     ring grow; the slowly decaying connected tail needs a wide window.
     """
-    dk = _ring_grid(size)
-    k1s, k2s = _snap(k1, dk), _snap(k2, dk)
-    e = k1s + k2s
-    g = params.gamma_t
-    scale = max(g, abs(0.5 * e - params.omega_atom) + g)
-    w = half_window if half_window is not None else 1500.0 * scale
-    n0 = round((0.5 * e) / dk)
-    steps = np.arange(n0 - int(w / dk), n0 + int(w / dk) + 1)
-    p1 = steps * dk
-    p2 = e - p1
-
-    m = (2.0 * np.pi / size) * twg.two_photon_t(params, k1s, k2s, p1, p2)
-    tt = complex(
-        twg.transmission_amplitude(params, k1s) * twg.transmission_amplitude(params, k2s)
+    snapped, p1, p2, (m,) = _ring_pair_rows(
+        params, params.gamma_t, k1, k2, size, half_window, 1500.0, _twg_pair_channel
     )
-    m[np.isclose(p1, k1s, atol=0.25 * dk)] += tt
-    m[np.isclose(p1, k2s, atol=0.25 * dk)] += tt
-
     x1 = float(x_center) + 0.5 * float(x_relative)
     x2 = float(x_center) - 0.5 * float(x_relative)
     value = np.sum(m * np.exp(1j * (p1 * x1 + p2 * x2))) / (4.0 * np.pi)
-    return (k1s, k2s), complex(value)
+    return snapped, complex(value)
 
 
 def ring_two_photon_norm(params, k1: float, k2: float, size: int, half_window=None):
     """Out-state norm of the two-photon S-matrix on the ring (exact value 1)."""
-    dk = _ring_grid(size)
-    k1s, k2s = _snap(k1, dk), _snap(k2, dk)
-    e = k1s + k2s
-    g = params.gamma_t
-    scale = max(g, abs(0.5 * e - params.omega_atom) + g)
-    w = half_window if half_window is not None else 25.0 * scale
-    n0 = round((0.5 * e) / dk)
-    steps = np.arange(n0 - int(w / dk), n0 + int(w / dk) + 1)
-    p1 = steps * dk
-    p2 = e - p1
-
-    m = (2.0 * np.pi / size) * twg.two_photon_t(params, k1s, k2s, p1, p2)
-    tt = complex(
-        twg.transmission_amplitude(params, k1s) * twg.transmission_amplitude(params, k2s)
+    _, _, _, (m,) = _ring_pair_rows(
+        params, params.gamma_t, k1, k2, size, half_window, 25.0, _twg_pair_channel
     )
-    m[np.isclose(p1, k1s, atol=0.25 * dk)] += tt
-    m[np.isclose(p1, k2s, atol=0.25 * dk)] += tt
     return float(0.5 * np.sum(np.abs(m) ** 2))
 
 
@@ -705,35 +714,9 @@ def ring_h_pair_norm(params, k1: float, k2: float, size: int, half_window=None):
     Incident pair (k1 in waveguide 1, k2 in waveguide 2); sums the (1,1),
     (1,2) and (2,2) outgoing channels with their Kronecker pairings.
     """
-    dk = _ring_grid(size)
-    k1s, k2s = _snap(k1, dk), _snap(k2, dk)
-    e = k1s + k2s
-    ge = params.gamma_e
-    scale = max(ge, abs(0.5 * e - params.omega_atom) + ge)
-    w = half_window if half_window is not None else 25.0 * scale
-    n0 = round((0.5 * e) / dk)
-    steps = np.arange(n0 - int(w / dk), n0 + int(w / dk) + 1)
-    p1 = steps * dk
-    p2 = e - p1
-
-    a1 = hwg.channel_amplitudes(params, k1s)
-    a2 = hwg.channel_amplitudes(params, k2s)
-    at_k1 = np.isclose(p1, k1s, atol=0.25 * dk)
-    at_k2 = np.isclose(p1, k2s, atol=0.25 * dk)
-    pref = 2.0 * np.pi / size
-
-    m11 = pref * hwg.two_photon_t_h(params, (1, 2, 1, 1), k1s, k2s, p1, p2)
-    m11[at_k1] += a1.t11 * a2.t21
-    m11[at_k2] += a1.t11 * a2.t21
-
-    m22 = pref * hwg.two_photon_t_h(params, (1, 2, 2, 2), k1s, k2s, p1, p2)
-    m22[at_k1] += a1.t21 * a2.t22
-    m22[at_k2] += a1.t21 * a2.t22
-
-    m12 = pref * hwg.two_photon_t_h(params, (1, 2, 1, 2), k1s, k2s, p1, p2)
-    m12[at_k1] += a1.t11 * a2.t22
-    m12[at_k2] += a1.t21 * a2.t21
-
+    _, _, _, (m11, m22, m12) = _ring_pair_rows(
+        params, params.gamma_e, k1, k2, size, half_window, 25.0, _hwg_pair_channels
+    )
     return float(
         0.5 * np.sum(np.abs(m11) ** 2)
         + 0.5 * np.sum(np.abs(m22) ** 2)

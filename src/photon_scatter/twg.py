@@ -23,6 +23,7 @@ from photon_scatter.core import (
     PinnedPairTerm,
     ScatteringAmplitudeSet,
     TWGParams,
+    _require_on_shell,
 )
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "three_photon_fluorescence",
     "three_photon_out_wavefunction",
 ]
-
-_ONSHELL_RTOL = 1e-10
 
 # three-photon evaluator: outgoing momenta closer than _COINCIDENCE_RTOL
 # (times the momentum scale) to an incoming one sit on a cancelled-pole
@@ -70,12 +69,6 @@ def transmission_amplitude(params: TWGParams, k):
     a = params.alpha
     t = (k - np.conj(a)) / (k - a)
     return t if t.ndim else complex(t)
-
-
-def _require_on_shell(e_in, e_out) -> None:
-    tol = _ONSHELL_RTOL * max(1.0, abs(e_in))
-    if np.any(np.abs(np.asarray(e_out) - e_in) > tol):
-        raise ValueError("outgoing momenta violate total-energy conservation")
 
 
 def two_photon_t(params: TWGParams, k1: float, k2: float, p1, p2):

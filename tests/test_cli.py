@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import photon_scatter
 from photon_scatter.cli import main
 
 
@@ -244,6 +248,8 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
          "--E", "2", "--grid", "x:0:1:5"],
         ["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0",
          "--carrier", "0.01"],
+        # the lattices are open chains; there is no boundary flag
+        ["oracle", "bound", "--omega", "0", "--omega0", "0", "--boundary", "open"],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, argv):
@@ -303,3 +309,18 @@ def test_validate_rejects_unknown_criterion(capsys):
     code, _, err = _run(capsys, ["validate", "--only", "1,99"])
     assert code == 2
     assert json.loads(err)["error"] == "config"
+
+
+def test_cli_import_loads_no_scipy():
+    # only the oracle and validate subcommands need scipy; they import it
+    # themselves, so the analytic subcommands start without it
+    src = os.path.dirname(os.path.dirname(photon_scatter.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, photon_scatter.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

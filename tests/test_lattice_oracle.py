@@ -8,6 +8,8 @@ it is meant to validate.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def _out_of_band(evals, bottom, top):
 
 def test_decoupled_atom_gives_block_diagonal_matrix():
     p = _t_params(coupling=0.0)
-    h = lo.build_single_excitation(lo.LatticeModel(params=p, size=3))
+    h = lo.build_single_excitation(lo.LatticeModel(params=p, size=3)).toarray()
     chain = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
     assert np.array_equal(h[:3, :3], chain)
     assert np.array_equal(h[3, :], np.zeros(4))
@@ -50,7 +52,7 @@ def test_h_model_layout():
     assert m.kind == "h"
     assert m.dimension == 11
     assert np.array_equal(m.positions(), np.array([-2, -1, 0, 1, 2]))
-    h = lo.build_single_excitation(m)
+    h = lo.build_single_excitation(m).toarray()
     assert np.allclose(np.diag(h), 1.5)
     assert h[0, 1] == -0.5  # chain 1 hopping v1 / 2
     assert h[5, 6] == -1.0  # chain 2 hopping v2 / 2
@@ -64,8 +66,6 @@ def test_model_validation():
         lo.LatticeModel(params=_t_params(), size=4)
     with pytest.raises(ValueError):
         lo.LatticeModel(params=_t_params(), size=1)
-    with pytest.raises(ValueError):
-        lo.LatticeModel(params=_t_params(), size=5, boundary="torus")
     with pytest.raises(TypeError):
         lo.LatticeModel(params=TWGParams(omega_atom=0.0, gamma_t=1.0), size=5)
 
@@ -86,11 +86,15 @@ def test_spectrum_respects_gershgorin_bounds():
         ),
     ]
     for m in models:
-        h = lo.build_single_excitation(m)
+        h = lo.build_single_excitation(m).toarray()
         radius = np.abs(h).sum(axis=1) - np.abs(np.diag(h))
+        lo_bound, hi_bound = (np.diag(h) - radius).min(), (np.diag(h) + radius).max()
         evals = np.linalg.eigvalsh(h)
-        assert evals.min() >= (np.diag(h) - radius).min() - 1e-12
-        assert evals.max() <= (np.diag(h) + radius).max() + 1e-12
+        assert evals.min() >= lo_bound - 1e-12
+        assert evals.max() <= hi_bound + 1e-12
+        # the propagator's bound is the same interval, read off the CSR matrix
+        bounds = lo._gershgorin(lo.build_single_excitation(m))
+        assert bounds == pytest.approx((lo_bound, hi_bound), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def test_spectrum_respects_gershgorin_bounds():
 def test_two_out_of_band_levels_at_unit_coupling():
     # large lattice pins the detached levels to the infinite-chain values
     m = lo.LatticeModel(params=_t_params(), size=2001)
-    evals = np.linalg.eigvalsh(lo.build_single_excitation(m))
+    evals = np.linalg.eigvalsh(lo.build_single_excitation(m).toarray())
     out = _out_of_band(evals, -2.0, 2.0)
     assert len(out) == 2
     assert out.min() == pytest.approx(-BOUND_ENERGY, abs=1e-6)
@@ -114,7 +118,7 @@ def test_bound_energy_error_decreases_with_lattice_size():
     errors = []
     for size in (201, 601, 2001):
         m = lo.LatticeModel(params=p, size=size)
-        evals = np.linalg.eigvalsh(lo.build_single_excitation(m))
+        evals = np.linalg.eigvalsh(lo.build_single_excitation(m).toarray())
         out = _out_of_band(evals, -2.0, 2.0)
         assert len(out) == 2
         errors.append(
@@ -137,7 +141,7 @@ def test_bound_report_matches_closed_forms():
 def test_out_of_band_energies_mirror_about_cavity_frequency():
     p = TCRAParams(omega_atom=0.7, omega_cavity=0.7, hopping=1.0, coupling=1.0)
     m = lo.LatticeModel(params=p, size=301)
-    evals = np.linalg.eigvalsh(lo.build_single_excitation(m))
+    evals = np.linalg.eigvalsh(lo.build_single_excitation(m).toarray())
     out = _out_of_band(evals, 0.7 - 2.0, 0.7 + 2.0)
     assert len(out) == 2
     assert out.min() + out.max() == pytest.approx(2 * 0.7, abs=1e-10)
@@ -152,12 +156,23 @@ def test_unresolved_weak_binding_reports_warning():
     assert np.isnan(report.energies).all()
 
 
-def test_bound_check_rejects_wrong_kind_and_boundary():
+def test_bound_check_rejects_wrong_kind():
     with pytest.raises(ValueError):
         lo.bound_state_check(lo.LatticeModel(params=_h_params((1.0, 1.0)), size=41))
-    with pytest.raises(ValueError):
-        lo.bound_state_check(
-            lo.LatticeModel(params=_t_params(), size=41, boundary="ring")
+
+
+def test_bound_report_is_reproducible_and_matches_dense_reference():
+    p = TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=1.0, coupling=0.8)
+    m = lo.LatticeModel(params=p, size=201)
+    first = dataclasses.asdict(lo.bound_state_check(m))
+    assert dataclasses.asdict(lo.bound_state_check(m)) == first
+    assert first["warnings"] == ()
+    evals, evecs = np.linalg.eigh(lo.build_single_excitation(m).toarray())
+    assert first["energies"] == pytest.approx((evals[0], evals[-1]), abs=1e-12)
+    x = m.positions()
+    for vec, slope in ((evecs[: m.size, 0], 0), (evecs[: m.size, -1], 1)):
+        assert lo._envelope_slope(vec, x) == pytest.approx(
+            first["envelope_slopes"][slope], abs=1e-6
         )
 
 
@@ -209,12 +224,6 @@ def test_packet_run_rejections():
         lo.wavepacket_scatter(lo.LatticeModel(params=_t_params(), size=401), np.pi / 3.0, 40.0)
     with pytest.raises(ValueError):
         lo.wavepacket_scatter(m, 0.05, 40.0)
-    with pytest.raises(ValueError):
-        lo.wavepacket_scatter(
-            lo.LatticeModel(params=_t_params(), size=801, boundary="ring"),
-            np.pi / 3.0,
-            40.0,
-        )
     vu = HWGParams(omega_atom=1.0, vbar=(0.5, 0.5), group_velocity=(1.0, 2.0))
     with pytest.raises(ValueError):
         lo.wavepacket_scatter(lo.LatticeModel(params=vu, size=801), np.pi / 2.0, 40.0)
@@ -227,18 +236,14 @@ def test_packet_reaching_boundary_is_rejected():
         lo.wavepacket_scatter(m, np.pi / 3.0, 40.0, duration=323.0)
 
 
-def test_eigenbasis_propagation_is_unitary():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(60, 60))
-    h = 0.5 * (a + a.T)
-    psi0 = rng.normal(size=60) + 1j * rng.normal(size=60)
-    psi0 /= np.linalg.norm(psi0)
-    psi_t = lo._eig_evolve(h, psi0, 37.5)
-    assert abs(np.linalg.norm(psi_t) - 1.0) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # two-excitation sector
+
+
+def _eig_evolve(h, psi0, t):
+    """Dense eigenbasis reference for e^{-i H t} psi0."""
+    evals, evecs = np.linalg.eigh(h)
+    return evecs @ (np.exp(-1j * evals * t) * (evecs.T @ psi0))
 
 
 def test_chebyshev_propagator_matches_eigenbasis():
@@ -251,13 +256,68 @@ def test_chebyshev_propagator_matches_eigenbasis():
     via_cheb = lo._chebyshev_evolve(
         lambda v: h @ v, psi0, 7.3, (evals[0] - 0.1, evals[-1] + 0.1)
     )
-    via_eig = lo._eig_evolve(h, psi0, 7.3)
+    via_eig = _eig_evolve(h, psi0, 7.3)
+    assert np.max(np.abs(via_cheb - via_eig)) < 1e-11
+
+    # the sparse H-type lattice operator with its Gershgorin bounds
+    h_lat = lo.build_single_excitation(
+        lo.LatticeModel(
+            params=HWGParams(omega_atom=0.9, vbar=(0.4, 0.7), group_velocity=(1.2, 0.9)),
+            size=41,
+        )
+    )
+    psi0 = rng.normal(size=83) + 1j * rng.normal(size=83)
+    psi0 /= np.linalg.norm(psi0)
+    via_cheb = lo._chebyshev_evolve(h_lat.dot, psi0, 37.5, lo._gershgorin(h_lat))
+    via_eig = _eig_evolve(h_lat.toarray(), psi0, 37.5)
     assert np.max(np.abs(via_cheb - via_eig)) < 1e-11
 
 
 def test_chebyshev_rejects_empty_bounds():
     with pytest.raises(ValueError):
         lo._chebyshev_evolve(lambda v: v, np.ones(3, dtype=complex), 1.0, (2.0, 2.0))
+
+
+def _pair_stencil(params, size, buf):
+    """Hand-written two-excitation matvec: the reference for the sparse operator."""
+    w0, j, v = params.omega_cavity, params.hopping, params.coupling
+    center = (size - 1) // 2
+    psi = buf[: size * size].reshape(size, size)
+    chi = buf[size * size :]
+    out = np.empty_like(buf)
+    opsi = out[: size * size].reshape(size, size)
+    ochi = out[size * size :]
+
+    np.multiply(psi, 2.0 * w0, out=opsi)
+    opsi[1:, :] -= j * psi[:-1, :]
+    opsi[:-1, :] -= j * psi[1:, :]
+    opsi[:, 1:] -= j * psi[:, :-1]
+    opsi[:, :-1] -= j * psi[:, 1:]
+    opsi[center, :] += v * chi
+    opsi[:, center] += v * chi
+
+    np.multiply(chi, w0 + params.omega_atom, out=ochi)
+    ochi[1:] -= j * chi[:-1]
+    ochi[:-1] -= j * chi[1:]
+    ochi += v * psi[center, :]
+    return out
+
+
+def test_pair_operator_matches_stencil():
+    p = TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7)
+    rng = np.random.default_rng(5)
+    state = rng.normal(size=7 * 7 + 7) + 1j * rng.normal(size=7 * 7 + 7)
+    h = lo._pair_operator(p, 7)
+    assert np.max(np.abs(h @ state - _pair_stencil(p, 7, state))) < 1e-14
+    # same spectral interval as the hand-derived band-plus-coupling bound
+    w0, j, v = p.omega_cavity, p.hopping, p.coupling
+    assert lo._gershgorin(h) == pytest.approx(
+        (
+            min(2.0 * (w0 - 2.0 * j) - 2.0 * v, w0 + p.omega_atom - 2.0 * j - v),
+            max(2.0 * (w0 + 2.0 * j) + 2.0 * v, w0 + p.omega_atom + 2.0 * j + v),
+        ),
+        abs=1e-14,
+    )
 
 
 def test_free_pair_reproduces_product_packets():
