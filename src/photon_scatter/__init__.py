@@ -9,11 +9,9 @@ from photon_scatter.core import (
     CosineBand,
     DeltaTerm,
     HWGParams,
-    LinearBand,
     ScatteringAmplitudeSet,
     TCRAParams,
     TWGParams,
-    TwoPhotonKinematics,
 )
 
 __version__ = "0.1.0"
@@ -22,10 +20,8 @@ __all__ = [
     "CosineBand",
     "DeltaTerm",
     "HWGParams",
-    "LinearBand",
     "ScatteringAmplitudeSet",
     "TCRAParams",
     "TWGParams",
-    "TwoPhotonKinematics",
     "__version__",
 ]

@@ -17,16 +17,13 @@ import numpy as np
 
 __all__ = [
     "CosineBand",
-    "LinearBand",
     "TCRAParams",
     "TWGParams",
     "HWGParams",
-    "TwoPhotonKinematics",
     "DeltaTerm",
     "PinnedPairTerm",
     "ScatteringAmplitudeSet",
     "ToleranceError",
-    "eo_mixing_matrix",
 ]
 
 
@@ -76,20 +73,6 @@ class CosineBand:
         """d eps / d k = 2 J sin k."""
         k = np.asarray(k, dtype=float)
         return 2.0 * self.hopping * np.sin(k)
-
-
-@dataclass(frozen=True)
-class LinearBand:
-    """Linearized high-energy dispersion eps_k = v_g |k|."""
-
-    group_velocity: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.group_velocity > 0.0:
-            raise ValueError("group velocity must be positive")
-
-    def energy(self, k):
-        return self.group_velocity * np.abs(np.asarray(k, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -210,49 +193,6 @@ def _require_on_shell(e_in, e_out) -> None:
     tol = _ONSHELL_RTOL * max(1.0, abs(e_in))
     if np.any(np.abs(np.asarray(e_out) - e_in) > tol):
         raise ValueError("outgoing momenta violate total-energy conservation")
-
-
-@dataclass(frozen=True)
-class TwoPhotonKinematics:
-    """Total/relative parametrization of a photon pair.
-
-    ``total_energy = k1 + k2`` and ``relative_momentum = (k1 - k2)/2``; the
-    conjugate positions are ``center = (x1 + x2)/2`` and
-    ``relative = x1 - x2``.  Round-trips with the individual coordinates are
-    exact up to floating rounding.
-    """
-
-    total_energy: float
-    relative_momentum: float
-
-    @classmethod
-    def from_momenta(cls, k1: float, k2: float) -> "TwoPhotonKinematics":
-        return cls(k1 + k2, 0.5 * (k1 - k2))
-
-    @property
-    def momenta(self) -> tuple[float, float]:
-        e, dk = self.total_energy, self.relative_momentum
-        return (0.5 * e + dk, 0.5 * e - dk)
-
-    @staticmethod
-    def positions_to_pair(x1: float, x2: float) -> tuple[float, float]:
-        return (0.5 * (x1 + x2), x1 - x2)
-
-    @staticmethod
-    def pair_to_positions(center: float, relative: float) -> tuple[float, float]:
-        return (center + 0.5 * relative, center - 0.5 * relative)
-
-
-def eo_mixing_matrix(k: float) -> np.ndarray:
-    """Even/odd mixing of the (a_k, a_{-k}) pair for k > 0.
-
-    Rows are the (even, odd) combinations; the matrix is its own inverse
-    up to transposition (real orthogonal).
-    """
-    if not k > 0.0:
-        raise ValueError("parity decomposition is defined for k > 0")
-    s = 1.0 / np.sqrt(2.0)
-    return np.array([[s, s], [s, -s]])
 
 
 # ---------------------------------------------------------------------------

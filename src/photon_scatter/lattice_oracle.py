@@ -1,14 +1,15 @@
 """Finite-lattice oracle: exact diagonalization, wavepackets, ring sums.
 
 Everything here validates the closed-form modules from first principles.
-Sparse operators realize the open resonator chains exactly, in the single-
-and the two-excitation sector; one Chebyshev propagator evolves both, and
-the bound states are the extremal eigenpairs of the single-excitation
-operator.  Gaussian wavepacket runs measure transmission probabilities
-against the analytic amplitudes; two-packet runs probe photon-photon
-correlations; and quantized-momentum ring sums check the continuum delta
-conventions of the analytic S-matrices (a momentum delta maps to
-(L / 2 pi) times a Kronecker delta on the ring).
+Real sparse operators realize the open resonator chains exactly, in the
+single- and the two-excitation sector (the latter on its bosonic sector,
+photon pairs packed as a <= b); one Chebyshev propagator evolves both in
+real arithmetic, and the bound states are the extremal eigenpairs of the
+single-excitation operator.  Gaussian wavepacket runs measure transmission
+probabilities against the analytic amplitudes; two-packet runs probe
+photon-photon correlations; and quantized-momentum ring sums check the
+continuum delta conventions of the analytic S-matrices (a momentum delta
+maps to (L / 2 pi) times a Kronecker delta on the ring).
 
 H-type lattice realization: each chain uses hopping J_s = v_s / 2, so the
 band-center group velocity equals the waveguide velocity, and site coupling
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
 from . import hwg, tcra, twg
@@ -107,12 +107,20 @@ def _gershgorin(h) -> tuple[float, float]:
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
-def _chebyshev_evolve(apply_h, state: np.ndarray, t: float, bounds: tuple[float, float]):
-    """Propagate e^{-i H t} with a Chebyshev polynomial expansion.
+def _chebyshev_evolve(h, state: np.ndarray, t: float, bounds: tuple[float, float]):
+    """Propagate e^{-i h t} state with a Chebyshev polynomial expansion.
 
-    ``bounds`` must contain the full (real) spectrum of the operator; the
-    Bessel coefficient tail then decays superexponentially.
+    ``h`` is a real operator (sparse or dense) with a real spectrum, which
+    ``bounds`` must contain; the Bessel coefficient tail then decays
+    superexponentially (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+    The shift and scale fold into one real matrix X = 2 (h - b) / a, so the
+    recursion t_{k+1} = X t_k - t_{k-1} is real and carries the real and the
+    imaginary part of the state stacked as one real vector.  The even terms
+    sum to cos(a t X / 2), the odd terms to sin(a t X / 2), and the result is
+    e^{-i b t} (cos - i sin) state.
     """
+    if np.iscomplexobj(h):
+        raise ValueError("the Chebyshev propagator needs a real operator")
     emin, emax = bounds
     if not emax > emin:
         raise ValueError("bounds must satisfy emax > emin")
@@ -123,16 +131,28 @@ def _chebyshev_evolve(apply_h, state: np.ndarray, t: float, bounds: tuple[float,
     bess = jv(np.arange(order + 1), z)
     tail = np.nonzero(np.abs(bess) > 1e-16)[0]
     order = int(tail[-1]) if len(tail) else 1
-    coef = bess[: order + 1] * (-1j) ** np.arange(order + 1)
+    # (-i)^k runs +1, -i, -1, +i: the real weight of T_k in the cos (even k)
+    # or the sin (odd k) part is +1, +1, -1, -1
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(order + 1) % 4]
+    coef = bess[: order + 1] * sign
     coef[1:] *= 2.0
 
-    t0 = state
-    t1 = (apply_h(t0) - b * t0) / a
-    acc = coef[0] * t0 + coef[1] * t1
-    for c in coef[2:]:
-        t0, t1 = t1, 2.0 * (apply_h(t1) - b * t1) / a - t0
-        acc += c * t1
-    return np.exp(-1j * b * t) * acc
+    n = h.shape[0]
+    x = (sparse.csr_matrix(h) - b * sparse.identity(n)) * (2.0 / a)
+    x = sparse.block_diag([x, x], format="csr")
+    state = np.asarray(state)
+    t0 = np.concatenate([state.real, state.imag]).astype(float, copy=False)
+    t1 = 0.5 * (x @ t0)
+    acc = [coef[0] * t0, coef[1] * t1]
+    for k in range(2, order + 1):
+        t2 = x @ t1
+        t2 -= t0
+        # t0 is spent: it holds the weighted term
+        np.multiply(t2, coef[k], out=t0)
+        acc[k % 2] += t0
+        t0, t1 = t1, t2
+    cos, sin = acc
+    return np.exp(-1j * b * t) * ((cos[:n] + sin[n:]) + 1j * (cos[n:] - sin[:n]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +197,8 @@ def _sign_pattern(site_vec: np.ndarray, x: np.ndarray, alternating: bool) -> boo
 
 def bound_state_check(model: LatticeModel) -> BoundStateReport:
     """Compare out-of-band lattice eigenpairs with the analytic bound states."""
+    from scipy.sparse.linalg import eigsh
+
     if model.kind != "t":
         raise ValueError("bound-state check is defined for T-type models")
     p = model.params
@@ -317,7 +339,7 @@ def wavepacket_scatter(
     psi0 /= np.linalg.norm(psi0)
 
     h = build_single_excitation(model)
-    psi_t = _chebyshev_evolve(h.dot, psi0, t_end, _gershgorin(h))
+    psi_t = _chebyshev_evolve(h, psi0, t_end, _gershgorin(h))
     dens = np.abs(psi_t) ** 2
     atom = float(dens[-1])
 
@@ -379,30 +401,56 @@ class TwoExcitationReport:
     duration: float
 
 
-def _pair_operator(params: TCRAParams, size: int) -> sparse.csr_matrix:
-    """Two-excitation operator on the stacked (photon pair, photon + atom) state.
+def _pair_index(a, b, size: int):
+    """Position of the pair (a, b), a <= b, in the packed upper triangle."""
+    return a * size - a * (a - 1) // 2 + (b - a)
 
-    The pair block acts on the full size x size amplitude psi[a, b] (row
-    major), the second block on chi[a], a photon at site a with the atom
-    excited.  The state norm is 0.5 |psi|^2 + |chi|^2, which makes the
-    operator self-adjoint on symmetric pair amplitudes.
+
+def _pair_operator(params: TCRAParams, size: int) -> sparse.csr_matrix:
+    """Two-excitation operator on the bosonic sector: packed pairs, then photon + atom.
+
+    The pair block acts on the packed upper triangle u = psi[a, b], a <= b
+    (row major, the order of ``np.triu_indices``), of the symmetric pair
+    amplitude; the second block on chi[a], a photon at site a with the atom
+    excited.  It is the full-square operator kron(H_c, 1) + kron(1, H_c)
+    plus the atom coupling, restricted to its invariant symmetric subspace:
+    a hop out of the upper triangle lands on the mirror entry, and a
+    diagonal pair at the atom site emits into both slots.  The state norm is
+    sum_{a<b} |u|^2 + 0.5 sum_a |u[a, a]|^2 + |chi|^2, under which the real
+    matrix is self-adjoint; its Gershgorin interval is the full-square one.
     """
-    chain = _chain(size, params.omega_cavity, params.hopping)
-    eye = sparse.identity(size, format="csr")
-    site = sparse.csr_matrix(([1.0], ([(size - 1) // 2], [0])), shape=(size, 1))
+    a, b = np.triu_indices(size)
+    npairs = len(a)
+    pairs = np.arange(npairs)
+    rows, cols, vals = [pairs], [pairs], [np.full(npairs, 2.0 * params.omega_cavity)]
+    for na, nb in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
+        lo, hi = np.minimum(na, nb), np.maximum(na, nb)
+        inside = (lo >= 0) & (hi < size)
+        rows.append(pairs[inside])
+        cols.append(_pair_index(lo[inside], hi[inside], size))
+        vals.append(np.full(np.count_nonzero(inside), -params.hopping))
+    hop = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(npairs, npairs),
+    )
+
+    center = (size - 1) // 2
+    sites = np.arange(size)
+    touch = _pair_index(np.minimum(sites, center), np.maximum(sites, center), size)
     v = params.coupling
-    pairs = sparse.kron(chain, eye) + sparse.kron(eye, chain)
-    # the atom absorbs either photon of the pair and emits into either slot
-    emit = v * (sparse.kron(site, eye) + sparse.kron(eye, site))
-    absorb = v * sparse.kron(site.T, eye)
-    dressed = chain + params.omega_atom * eye
-    return sparse.bmat([[pairs, emit], [absorb, dressed]], format="csr")
+    emit = sparse.csr_matrix(
+        (v * (1.0 + (sites == center)), (touch, sites)), shape=(npairs, size)
+    )
+    absorb = sparse.csr_matrix((np.full(size, v), (sites, touch)), shape=(size, npairs))
+    dressed = _chain(size, params.omega_cavity + params.omega_atom, params.hopping)
+    return sparse.bmat([[hop, emit], [absorb, dressed]], format="csr")
 
 
 def _pair_norm_sq(buf: np.ndarray, size: int) -> float:
-    psi = buf[: size * size]
-    chi = buf[size * size :]
-    return float(0.5 * np.sum(np.abs(psi) ** 2) + np.sum(np.abs(chi) ** 2))
+    """Norm of a packed pair state: a diagonal pair counts half, chi fully."""
+    sites = np.arange(size)
+    diagonal = buf[_pair_index(sites, sites, size)]
+    return float(np.sum(np.abs(buf) ** 2) - 0.5 * np.sum(np.abs(diagonal) ** 2))
 
 
 def _relative_density(block: np.ndarray) -> np.ndarray:
@@ -461,24 +509,27 @@ def two_excitation_check(
 
     phi_front = np.exp(1j * k1 * x) * _gaussian(x, c_front, width)
     phi_back = np.exp(1j * k2 * x) * _gaussian(x, c_back, width)
+    upper = np.triu_indices(size)
     psi0 = np.outer(phi_front, phi_back) + np.outer(phi_back, phi_front)
-    state = np.concatenate([psi0.ravel(), np.zeros(size, dtype=complex)])
+    state = np.concatenate([psi0[upper], np.zeros(size, dtype=complex)])
     state /= np.sqrt(_pair_norm_sq(state, size))
 
     h_pair = _pair_operator(p, size)
-    state_t = _chebyshev_evolve(h_pair.dot, state, t_end, _gershgorin(h_pair))
+    state_t = _chebyshev_evolve(h_pair, state, t_end, _gershgorin(h_pair))
     norm_drift = abs(_pair_norm_sq(state_t, size) - 1.0)
 
-    psi_t = state_t[: size * size].reshape(size, size)
-    chi_t = state_t[size * size :]
+    npairs = len(upper[0])
+    psi_t = np.empty((size, size), dtype=complex)
+    psi_t[upper] = psi_t[upper[::-1]] = state_t[:npairs]
+    chi_t = state_t[npairs:]
     marg = np.sum(np.abs(psi_t) ** 2, axis=1) + np.abs(chi_t) ** 2
     _check_guard_mass(marg, x, half, guard, t_end)
 
     # free reference: bare-chain product evolution of the same packets
     h_free = _chain(size, p.omega_cavity, p.hopping)
     bounds = _gershgorin(h_free)
-    fronts = _chebyshev_evolve(h_free.dot, phi_front.astype(complex), t_end, bounds)
-    backs = _chebyshev_evolve(h_free.dot, phi_back.astype(complex), t_end, bounds)
+    fronts = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
+    backs = _chebyshev_evolve(h_free, phi_back, t_end, bounds)
     psi_free = np.outer(fronts, backs) + np.outer(backs, fronts)
     psi_free /= np.sqrt(0.5 * np.sum(np.abs(psi_free) ** 2))
 

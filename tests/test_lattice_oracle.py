@@ -9,9 +9,14 @@ it is meant to validate.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import expm
 
 from photon_scatter import lattice_oracle as lo
 from photon_scatter import tcra, twg
@@ -253,9 +258,7 @@ def test_chebyshev_propagator_matches_eigenbasis():
     psi0 = rng.normal(size=48) + 1j * rng.normal(size=48)
     psi0 /= np.linalg.norm(psi0)
     evals = np.linalg.eigvalsh(h)
-    via_cheb = lo._chebyshev_evolve(
-        lambda v: h @ v, psi0, 7.3, (evals[0] - 0.1, evals[-1] + 0.1)
-    )
+    via_cheb = lo._chebyshev_evolve(h, psi0, 7.3, (evals[0] - 0.1, evals[-1] + 0.1))
     via_eig = _eig_evolve(h, psi0, 7.3)
     assert np.max(np.abs(via_cheb - via_eig)) < 1e-11
 
@@ -268,18 +271,25 @@ def test_chebyshev_propagator_matches_eigenbasis():
     )
     psi0 = rng.normal(size=83) + 1j * rng.normal(size=83)
     psi0 /= np.linalg.norm(psi0)
-    via_cheb = lo._chebyshev_evolve(h_lat.dot, psi0, 37.5, lo._gershgorin(h_lat))
+    via_cheb = lo._chebyshev_evolve(h_lat, psi0, 37.5, lo._gershgorin(h_lat))
     via_eig = _eig_evolve(h_lat.toarray(), psi0, 37.5)
     assert np.max(np.abs(via_cheb - via_eig)) < 1e-11
 
 
 def test_chebyshev_rejects_empty_bounds():
     with pytest.raises(ValueError):
-        lo._chebyshev_evolve(lambda v: v, np.ones(3, dtype=complex), 1.0, (2.0, 2.0))
+        lo._chebyshev_evolve(np.eye(3), np.ones(3, dtype=complex), 1.0, (2.0, 2.0))
+
+
+def test_chebyshev_rejects_complex_operator():
+    # the real recursion would silently drop the imaginary part
+    h = sparse.csr_matrix(np.diag([1.0, 2.0, 3.0]) + 0.5j * np.eye(3, k=1))
+    with pytest.raises(ValueError):
+        lo._chebyshev_evolve(h, np.ones(3, dtype=complex), 1.0, (0.0, 4.0))
 
 
 def _pair_stencil(params, size, buf):
-    """Hand-written two-excitation matvec: the reference for the sparse operator."""
+    """Hand-written full-square two-excitation matvec: the reference operator."""
     w0, j, v = params.omega_cavity, params.hopping, params.coupling
     center = (size - 1) // 2
     psi = buf[: size * size].reshape(size, size)
@@ -303,12 +313,35 @@ def _pair_stencil(params, size, buf):
     return out
 
 
+def _pack(buf, size):
+    """Full-square (psi, chi) state to the packed bosonic layout."""
+    psi = buf[: size * size].reshape(size, size)
+    return np.concatenate([psi[np.triu_indices(size)], buf[size * size :]])
+
+
+def _unpack(buf, size):
+    """Packed bosonic state to the full-square (psi, chi) layout."""
+    upper = np.triu_indices(size)
+    psi = np.empty((size, size), dtype=buf.dtype)
+    psi[upper] = buf[: len(upper[0])]
+    psi[upper[::-1]] = buf[: len(upper[0])]
+    return np.concatenate([psi.ravel(), buf[len(upper[0]) :]])
+
+
 def test_pair_operator_matches_stencil():
     p = TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7)
     rng = np.random.default_rng(5)
-    state = rng.normal(size=7 * 7 + 7) + 1j * rng.normal(size=7 * 7 + 7)
     h = lo._pair_operator(p, 7)
-    assert np.max(np.abs(h @ state - _pair_stencil(p, 7, state))) < 1e-14
+    assert h.shape == (7 * 8 // 2 + 7,) * 2
+    for _ in range(5):
+        state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+        full = _unpack(state, 7)
+        assert np.max(np.abs(h @ state - _pack(_pair_stencil(p, 7, full), 7))) < 1e-14
+        # the bosonic norm counts each unordered pair once
+        assert lo._pair_norm_sq(state, 7) == pytest.approx(
+            0.5 * np.sum(np.abs(full[:49]) ** 2) + np.sum(np.abs(full[49:]) ** 2),
+            rel=1e-14,
+        )
     # same spectral interval as the hand-derived band-plus-coupling bound
     w0, j, v = p.omega_cavity, p.hopping, p.coupling
     assert lo._gershgorin(h) == pytest.approx(
@@ -318,6 +351,39 @@ def test_pair_operator_matches_stencil():
         ),
         abs=1e-14,
     )
+
+
+def test_packed_pair_evolution_matches_full_square():
+    # the full-square operator, column by column from the stencil, evolved
+    # exactly by a dense matrix exponential
+    p = TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7)
+    size = 21
+    dim = size * size + size
+    full = np.column_stack([_pair_stencil(p, size, e) for e in np.eye(dim)])
+    rng = np.random.default_rng(17)
+    h = lo._pair_operator(p, size)
+    state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+    state /= np.sqrt(lo._pair_norm_sq(state, size))
+    exact = expm(-1j * 6.3 * full) @ _unpack(state, size)
+    packed = lo._chebyshev_evolve(h, state, 6.3, lo._gershgorin(h))
+    assert np.max(np.abs(packed - _pack(exact, size))) < 1e-12
+    assert lo._pair_norm_sq(packed, size) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_oracle_import_loads_no_scipy_linalg():
+    # only the bound-state check needs ARPACK; it imports it itself, so the
+    # scatter and pair runs start without scipy.linalg
+    src = os.path.dirname(os.path.dirname(lo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, photon_scatter.lattice_oracle; "
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_free_pair_reproduces_product_packets():
