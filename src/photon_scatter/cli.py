@@ -4,6 +4,10 @@ Every subcommand emits either a CSV table (header row with units, decimal
 precision 12, LF endings) or a single JSON object with snake_case keys.
 Outputs are deterministic: identical inputs give byte-identical files.
 
+The parser is built from one table of subcommands and their flags,
+``_COMMANDS``; required flags and allowed values are checked after
+``--config`` is applied, so a config file may supply but not bypass them.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical-tolerance
 failure (any ``RuntimeError``, which includes ARPACK non-convergence in
 the lattice bound-state solve).  Errors are reported as a single-line JSON
@@ -56,7 +60,7 @@ def _apply_config(args) -> None:
             lines = fh.readlines()
     except OSError as exc:
         raise _CliError(f"cannot read config file: {exc}") from exc
-    coerce = args._coerce
+    coerce = {flag[2:]: kind or str for flag, kind, _, _ in args._flags}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,7 +69,7 @@ def _apply_config(args) -> None:
         if not sep:
             raise _CliError(f"config line {lineno}: expected key=value, got {raw.strip()!r}")
         dest = key.strip().replace("-", "_")
-        if dest == "config" or dest.startswith("_") or dest not in coerce:
+        if dest == "config" or dest not in coerce:
             raise _CliError(f"config line {lineno}: unknown key {key.strip()!r}")
         try:
             setattr(args, dest, coerce[dest](value.strip()))
@@ -158,7 +162,6 @@ def _error_record(kind: str, message) -> None:
 
 
 def _tcra_params(args) -> TCRAParams:
-    _require(args, "omega", "omega0")
     return TCRAParams(
         omega_atom=args.omega,
         omega_cavity=args.omega0,
@@ -172,17 +175,10 @@ def _twg_params(args) -> TWGParams:
 
 
 def _hwg_params(args) -> HWGParams:
-    _require(args, "omega", "vbar1", "vbar2")
     velocities = (getattr(args, "v1", 1.0), getattr(args, "v2", 1.0))
     return HWGParams(
         omega_atom=args.omega, vbar=(args.vbar1, args.vbar2), group_velocity=velocities
     )
-
-
-def _require_choice(args, name: str, allowed) -> None:
-    # config files bypass argparse choices, so leaf handlers recheck
-    if getattr(args, name) not in allowed:
-        raise _CliError(f"--{name} must be one of {', '.join(allowed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +215,6 @@ def _cmd_bound_states(args) -> int:
 
 
 def _cmd_bound_wavefunction(args) -> int:
-    _require_choice(args, "branch", ("lower", "upper"))
     lower, upper = tcra.bound_state_energies(_tcra_params(args))
     state = lower if args.branch == "lower" else upper
     x = _parse_grid(args.grid, "x")
@@ -248,7 +243,6 @@ def _cmd_wg_transmit(args) -> int:
 
 def _cmd_two_photon_wf(args) -> int:
     params = _twg_params(args)
-    _require(args, "k1", "k2")
     x = _parse_grid(args.grid, "x")
     psi = twg.two_photon_out_wavefunction(params, args.k1, args.k2, args.xc, x)
     return _emit_table(
@@ -264,7 +258,6 @@ def _cmd_two_photon_wf(args) -> int:
 
 def _cmd_fluorescence2(args) -> int:
     params = _twg_params(args)
-    _require(args, "k1", "k2")
     p1 = _parse_grid(args.grid, "p1")
     val = twg.two_photon_fluorescence(params, args.k1, args.k2, p1)
     return _emit_table(
@@ -279,7 +272,6 @@ def _cmd_fluorescence2(args) -> int:
 
 def _cmd_fluorescence3(args) -> int:
     params = _twg_params(args)
-    _require(args, "k1", "k2", "k3")
     k = (args.k1, args.k2, args.k3)
     e = sum(k)
     p3 = e / 3.0 if args.p3 is None else args.p3
@@ -298,7 +290,6 @@ def _cmd_fluorescence3(args) -> int:
 
 def _cmd_three_photon_wf(args) -> int:
     params = _twg_params(args)
-    _require(args, "k1", "k2", "k3")
     k = (args.k1, args.k2, args.k3)
     grid = _parse_grid(args.grid, "x")
     x1 = np.repeat(grid, grid.size)
@@ -333,7 +324,6 @@ def _cmd_h_single(args) -> int:
 
 def _cmd_h_two_photon(args) -> int:
     params = _hwg_params(args)
-    _require(args, "k1", "k2")
     table = hwg.two_photon_s_h(params, args.k1, args.k2)
     channels = {}
     for pair, amp_set in table.items():
@@ -351,9 +341,6 @@ def _cmd_h_two_photon(args) -> int:
 
 def _cmd_correlation(args) -> int:
     params = _hwg_params(args)
-    _require(args, "E")
-    if args.pair not in _PAIR_LABELS:
-        raise _CliError(f"--pair must be one of 11, 12, 22, got {args.pair!r}")
     pair = _PAIR_LABELS[args.pair]
     k1 = 0.5 * args.E + args.dk
     k2 = 0.5 * args.E - args.dk
@@ -379,13 +366,14 @@ def _cmd_oracle_bound(args) -> int:
 def _cmd_oracle_scatter(args) -> int:
     from . import lattice_oracle
 
-    _require_choice(args, "kind", ("t", "h"))
+    # a requirement the table cannot state: it depends on --kind
     if args.kind == "t":
+        _require(args, "omega0")
         params = _tcra_params(args)
     else:
+        _require(args, "vbar1", "vbar2")
         params = _hwg_params(args)
     model = lattice_oracle.LatticeModel(params=params, size=args.L)
-    _require(args, "carrier")
     result = lattice_oracle.wavepacket_scatter(
         model, args.carrier, args.width, duration=args.duration
     )
@@ -396,7 +384,6 @@ def _cmd_oracle_pair(args) -> int:
     from . import lattice_oracle
 
     model = lattice_oracle.LatticeModel(params=_tcra_params(args), size=args.L)
-    _require(args, "k1", "k2")
     report = lattice_oracle.two_excitation_check(
         model,
         args.k1,
@@ -427,45 +414,107 @@ def _cmd_validate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
+#
+# A flag row is (flag, type, default, help).  The dest is the flag without
+# its dashes; the type also coerces config values (None keeps the text); a
+# _REQUIRED default marks a required flag, and a tuple default lists the
+# allowed values, the first of them being the default.
+
+_REQUIRED = object()
+
+_COMMON = (
+    ("--config", None, None, "key=value file overriding the flags"),
+    ("--out", None, "-", "output path (default stdout)"),
+    ("--precision", int, 12, "CSV significant digits"),
+)
+_FORMAT = ("--format", None, "csv", "output format: csv or json")
+
+_OMEGA = ("--omega", float, _REQUIRED, "atom transition frequency")
+_HOPPING = (
+    ("--J", float, 1.0, "inter-cavity hopping"),
+    ("--V", float, 1.0, "atom-cavity coupling"),
+)
+_T_TYPE = (_OMEGA, ("--omega0", float, _REQUIRED, "cavity frequency"), *_HOPPING)
+_WAVEGUIDE = (
+    ("--omega", float, 1.0, "atom frequency"),
+    ("--gamma", float, 1.0, "decay rate"),
+)
+_H_TYPE = (
+    ("--omega", float, 1.0, "atom frequency"),
+    ("--vbar1", float, _REQUIRED, "guide-1 even-channel coupling"),
+    ("--vbar2", float, _REQUIRED, "guide-2 even-channel coupling"),
+)
+_K12 = (
+    ("--k1", float, _REQUIRED, "incident momentum 1"),
+    ("--k2", float, _REQUIRED, "incident momentum 2"),
+)
+_K123 = (*_K12, ("--k3", float, _REQUIRED, "incident momentum 3"))
+_DURATION = ("--duration", float, None, "evolution time (default auto)")
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--config", help="key=value file overriding the flags")
-    parser.add_argument("--out", default="-", help="output path (default stdout)")
-    parser.add_argument(
-        "--precision", type=int, default=12, help="CSV significant digits"
-    )
+def _grid(help_text: str):
+    return ("--grid", None, _REQUIRED, help_text)
 
 
-def _add_format(parser, default="csv") -> None:
-    parser.add_argument("--format", default=default, help="output format: csv or json")
-
-
-def _add_tcra_flags(parser) -> None:
-    parser.add_argument("--omega", type=float, help="atom transition frequency")
-    parser.add_argument("--omega0", type=float, help="cavity frequency")
-    parser.add_argument("--J", type=float, default=1.0, help="inter-cavity hopping")
-    parser.add_argument("--V", type=float, default=1.0, help="atom-cavity coupling")
-
-
-def _add_twg_flags(parser) -> None:
-    parser.add_argument("--omega", type=float, default=1.0, help="atom frequency")
-    parser.add_argument("--gamma", type=float, default=1.0, help="decay rate")
-
-
-def _add_hwg_flags(parser) -> None:
-    parser.add_argument("--omega", type=float, default=1.0, help="atom frequency")
-    parser.add_argument("--vbar1", type=float, help="guide-1 even-channel coupling")
-    parser.add_argument("--vbar2", type=float, help="guide-2 even-channel coupling")
-
-
-def _finish(parser, handler) -> None:
-    skip = {"help"}
-    coerce = {
-        a.dest: (a.type or str) for a in parser._actions if a.dest not in skip
-    }
-    parser.set_defaults(_handler=handler, _coerce=coerce)
+# (path, help, handler, output format, flags); a row without a handler
+# opens a group of subcommands.  A csv command also takes --format, and
+# every command takes the _COMMON flags.
+_COMMANDS = (
+    (("t-reflect",), "reflection amplitude curve", _cmd_t_reflect, "csv",
+     (*_T_TYPE, _grid("k:start:stop:points"))),
+    (("bound-states",), "bound-state energies", _cmd_bound_states, "json", _T_TYPE),
+    (("bound-wavefunction",), "bound-state site amplitudes", _cmd_bound_wavefunction, "csv",
+     (*_T_TYPE, ("--branch", None, ("lower", "upper"), None),
+      _grid("x:start:stop:points (integer sites)"))),
+    (("wg-transmit",), "transmission amplitude curve", _cmd_wg_transmit, "csv",
+     (*_WAVEGUIDE, _grid("k:start:stop:points"))),
+    (("two-photon-wf",), "two-photon out-state wavefunction", _cmd_two_photon_wf, "csv",
+     (*_WAVEGUIDE, *_K12, ("--xc", float, 0.0, "center of mass coordinate"),
+      _grid("x:start:stop:points (relative coordinate)"))),
+    (("fluorescence2",), "two-photon background fluorescence", _cmd_fluorescence2, "csv",
+     (*_WAVEGUIDE, *_K12, _grid("p1:start:stop:points"))),
+    (("fluorescence3",), "three-photon background fluorescence slice", _cmd_fluorescence3,
+     "csv",
+     (*_WAVEGUIDE, *_K123, ("--p3", float, None, "fixed outgoing momentum (default E/3)"),
+      _grid("p1:start:stop:points"))),
+    (("three-photon-wf",), "three-photon out-state on an x3 plane", _cmd_three_photon_wf,
+     "csv",
+     (*_WAVEGUIDE, *_K123, ("--x3", float, 0.0, "fixed third coordinate"),
+      _grid("x:start:stop:points (applied to x1 and x2)"))),
+    (("h-single",), "two-channel amplitude curves", _cmd_h_single, "csv",
+     (*_H_TYPE, _grid("k:start:stop:points"))),
+    (("h-two-photon",), "two-photon S-matrix element table", _cmd_h_two_photon, "json",
+     (*_H_TYPE, ("--k1", float, _REQUIRED, "incident momentum in waveguide 1"),
+      ("--k2", float, _REQUIRED, "incident momentum in waveguide 2"))),
+    (("correlation",), "second-order correlation |g_ij|^2", _cmd_correlation, "csv",
+     (*_H_TYPE, ("--pair", None, tuple(_PAIR_LABELS), "detection channels: 11, 12 or 22"),
+      ("--E", float, _REQUIRED, "total pair energy"),
+      ("--dk", float, 0.0, "half momentum difference"),
+      _grid("x:start:stop:points (relative coordinate)"))),
+    (("oracle",), "finite-lattice validators", None, None, ()),
+    (("oracle", "bound"), "bound states vs exact diagonalization", _cmd_oracle_bound, "json",
+     (*_T_TYPE, ("--L", int, 601, "lattice size (odd)"))),
+    (("oracle", "scatter"), "single-photon wavepacket run", _cmd_oracle_scatter, "json",
+     (("--kind", None, ("t", "h"), "lattice family"), _OMEGA,
+      ("--omega0", float, None, "cavity frequency (kind t)"), *_HOPPING,
+      ("--vbar1", float, None, "guide-1 coupling (kind h)"),
+      ("--vbar2", float, None, "guide-2 coupling (kind h)"),
+      ("--v1", float, 1.0, "guide-1 velocity (kind h)"),
+      ("--v2", float, 1.0, "guide-2 velocity (kind h)"),
+      ("--carrier", float, _REQUIRED, "carrier momentum in (0, pi)"),
+      ("--width", float, 40.0, "packet width (sites)"), _DURATION,
+      ("--L", int, 801, "lattice size (odd)"))),
+    (("oracle", "pair"), "two-excitation bunching run", _cmd_oracle_pair, "json",
+     (*_T_TYPE, ("--k1", float, _REQUIRED, "carrier momentum of packet 1"),
+      ("--k2", float, _REQUIRED, "carrier momentum of packet 2"),
+      ("--width", float, 10.0, "packet width (sites)"),
+      ("--separation", float, None, "packet separation (default 2.5 width)"),
+      ("--window", int, 9, "coincidence window (sites)"), _DURATION,
+      ("--L", int, 281, "lattice size (odd)"))),
+    (("validate",), "run the acceptance suite", _cmd_validate, "text",
+     (("--only", None, None, "comma-separated criterion numbers (default all)"),)),
+)
 
 
 def _build_parser() -> _Parser:
@@ -474,160 +523,31 @@ def _build_parser() -> _Parser:
         description="Photon scattering on coupled-resonator arrays: "
         "S-matrix curves, bound states, correlations, lattice oracles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("t-reflect", help="reflection amplitude curve")
-    _add_tcra_flags(p)
-    p.add_argument("--grid", help="k:start:stop:points")
-    _add_common(p)
-    _add_format(p)
-    _finish(p, _cmd_t_reflect)
-
-    p = sub.add_parser("bound-states", help="bound-state energies")
-    _add_tcra_flags(p)
-    _add_common(p)
-    p.set_defaults(format="json")
-    _finish(p, _cmd_bound_states)
-
-    p = sub.add_parser(
-        "bound-wavefunction", help="bound-state site amplitudes"
-    )
-    _add_tcra_flags(p)
-    p.add_argument("--branch", default="lower", choices=("lower", "upper"))
-    p.add_argument("--grid", help="x:start:stop:points (integer sites)")
-    _add_common(p)
-    _add_format(p)
-    _finish(p, _cmd_bound_wavefunction)
-
-    p = sub.add_parser("wg-transmit", help="transmission amplitude curve")
-    _add_twg_flags(p)
-    p.add_argument("--grid", help="k:start:stop:points")
-    _add_common(p)
-    _add_format(p)
-    _finish(p, _cmd_wg_transmit)
-
-    p = sub.add_parser(
-        "two-photon-wf", help="two-photon out-state wavefunction"
-    )
-    _add_twg_flags(p)
-    p.add_argument("--k1", type=float, help="incident momentum 1")
-    p.add_argument("--k2", type=float, help="incident momentum 2")
-    p.add_argument("--xc", type=float, default=0.0, help="center of mass coordinate")
-    p.add_argument("--grid", help="x:start:stop:points (relative coordinate)")
-    _add_common(p)
-    _add_format(p)
-    _finish(p, _cmd_two_photon_wf)
-
-    p = sub.add_parser(
-        "fluorescence2", help="two-photon background fluorescence"
-    )
-    _add_twg_flags(p)
-    p.add_argument("--k1", type=float, help="incident momentum 1")
-    p.add_argument("--k2", type=float, help="incident momentum 2")
-    p.add_argument("--grid", help="p1:start:stop:points")
-    _add_common(p)
-    _add_format(p)
-    _finish(p, _cmd_fluorescence2)
-
-    p = sub.add_parser(
-        "fluorescence3", help="three-photon background fluorescence slice"
-    )
-    _add_twg_flags(p)
-    p.add_argument("--k1", type=float, help="incident momentum 1")
-    p.add_argument("--k2", type=float, help="incident momentum 2")
-    p.add_argument("--k3", type=float, help="incident momentum 3")
-    p.add_argument("--p3", type=float, help="fixed outgoing momentum (default E/3)")
-    p.add_argument("--grid", help="p1:start:stop:points")
-    _add_common(p)
-    _add_format(p)
-    _finish(p, _cmd_fluorescence3)
-
-    p = sub.add_parser(
-        "three-photon-wf", help="three-photon out-state on an x3 plane"
-    )
-    _add_twg_flags(p)
-    p.add_argument("--k1", type=float, help="incident momentum 1")
-    p.add_argument("--k2", type=float, help="incident momentum 2")
-    p.add_argument("--k3", type=float, help="incident momentum 3")
-    p.add_argument("--x3", type=float, default=0.0, help="fixed third coordinate")
-    p.add_argument("--grid", help="x:start:stop:points (applied to x1 and x2)")
-    _add_common(p)
-    _add_format(p)
-    _finish(p, _cmd_three_photon_wf)
-
-    p = sub.add_parser("h-single", help="two-channel amplitude curves")
-    _add_hwg_flags(p)
-    p.add_argument("--grid", help="k:start:stop:points")
-    _add_common(p)
-    _add_format(p)
-    _finish(p, _cmd_h_single)
-
-    p = sub.add_parser(
-        "h-two-photon", help="two-photon S-matrix element table"
-    )
-    _add_hwg_flags(p)
-    p.add_argument("--k1", type=float, help="incident momentum in waveguide 1")
-    p.add_argument("--k2", type=float, help="incident momentum in waveguide 2")
-    _add_common(p)
-    p.set_defaults(format="json")
-    _finish(p, _cmd_h_two_photon)
-
-    p = sub.add_parser(
-        "correlation", help="second-order correlation |g_ij|^2"
-    )
-    _add_hwg_flags(p)
-    p.add_argument("--pair", default="11", help="detection channels: 11, 12 or 22")
-    p.add_argument("--E", type=float, help="total pair energy")
-    p.add_argument("--dk", type=float, default=0.0, help="half momentum difference")
-    p.add_argument("--grid", help="x:start:stop:points (relative coordinate)")
-    _add_common(p)
-    _add_format(p)
-    _finish(p, _cmd_correlation)
-
-    oracle = sub.add_parser("oracle", help="finite-lattice validators")
-    osub = oracle.add_subparsers(dest="mode", required=True, parser_class=_Parser)
-
-    p = osub.add_parser("bound", help="bound states vs exact diagonalization")
-    _add_tcra_flags(p)
-    p.add_argument("--L", type=int, default=601, help="lattice size (odd)")
-    _add_common(p)
-    p.set_defaults(format="json")
-    _finish(p, _cmd_oracle_bound)
-
-    p = osub.add_parser("scatter", help="single-photon wavepacket run")
-    p.add_argument("--kind", default="t", choices=("t", "h"), help="lattice family")
-    _add_tcra_flags(p)
-    p.add_argument("--vbar1", type=float, help="guide-1 coupling (kind h)")
-    p.add_argument("--vbar2", type=float, help="guide-2 coupling (kind h)")
-    p.add_argument("--v1", type=float, default=1.0, help="guide-1 velocity (kind h)")
-    p.add_argument("--v2", type=float, default=1.0, help="guide-2 velocity (kind h)")
-    p.add_argument("--carrier", type=float, help="carrier momentum in (0, pi)")
-    p.add_argument("--width", type=float, default=40.0, help="packet width (sites)")
-    p.add_argument("--duration", type=float, help="evolution time (default auto)")
-    p.add_argument("--L", type=int, default=801, help="lattice size (odd)")
-    _add_common(p)
-    p.set_defaults(format="json")
-    _finish(p, _cmd_oracle_scatter)
-
-    p = osub.add_parser("pair", help="two-excitation bunching run")
-    _add_tcra_flags(p)
-    p.add_argument("--k1", type=float, help="carrier momentum of packet 1")
-    p.add_argument("--k2", type=float, help="carrier momentum of packet 2")
-    p.add_argument("--width", type=float, default=10.0, help="packet width (sites)")
-    p.add_argument("--separation", type=float, help="packet separation (default 2.5 width)")
-    p.add_argument("--window", type=int, default=9, help="coincidence window (sites)")
-    p.add_argument("--duration", type=float, help="evolution time (default auto)")
-    p.add_argument("--L", type=int, default=281, help="lattice size (odd)")
-    _add_common(p)
-    p.set_defaults(format="json")
-    _finish(p, _cmd_oracle_pair)
-
-    p = sub.add_parser("validate", help="run the acceptance suite")
-    p.add_argument("--only", help="comma-separated criterion numbers (default all)")
-    _add_common(p)
-    _finish(p, _cmd_validate)
-
+    subs = {(): parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
+    for path, help_text, handler, fmt, flags in _COMMANDS:
+        p = subs[path[:-1]].add_parser(path[-1], help=help_text)
+        if handler is None:
+            subs[path] = p.add_subparsers(dest="mode", required=True, parser_class=_Parser)
+            continue
+        flags = (*flags, *_COMMON, *((_FORMAT,) if fmt == "csv" else ()))
+        for flag, kind, default, flag_help in flags:
+            if default is _REQUIRED:
+                default = None
+            elif isinstance(default, tuple):
+                default = default[0]
+            p.add_argument(flag, type=kind, default=default, help=flag_help)
+        p.set_defaults(_handler=handler, _flags=flags)
     return parser
+
+
+def _check_flags(args) -> None:
+    """Enforce the table's required flags and allowed values."""
+    for flag, _, default, _ in args._flags:
+        value = getattr(args, flag[2:])
+        if default is _REQUIRED:
+            _require(args, flag[2:])
+        elif isinstance(default, tuple) and value not in default:
+            raise _CliError(f"{flag} must be one of {', '.join(default)}, got {value!r}")
 
 
 def main(argv=None) -> int:
@@ -635,8 +555,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config(args)
-        if "grid" in args._coerce and getattr(args, "grid", None) is None:
-            raise _CliError("missing required parameter: --grid")
+        _check_flags(args)
         return args._handler(args)
     except (_CliError, ValueError, TypeError) as exc:
         _error_record("config", exc)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from photon_scatter.core import DeltaTerm, HWGParams, ScatteringAmplitudeSet, _require_on_shell
+from photon_scatter.core import DeltaTerm, HWGParams, ScatteringAmplitudeSet
+from photon_scatter.twg import _pair_bound, _pair_t
 
 __all__ = [
     "ChannelAmplitudes",
@@ -74,14 +75,8 @@ def two_photon_t_h(params: HWGParams, channels, k1: float, k2: float, p1, p2):
     _require_unit_velocities(params)
     if len(channels) != 4 or any(c not in (1, 2) for c in channels):
         raise ValueError("channels must be four waveguide labels 1 or 2")
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    e = k1 + k2
-    _require_on_shell(e, p1 + p2)
-    a = params.alpha_h
     pref = np.prod([params.vbar[c - 1] for c in channels])
-    out = 1j * pref / np.pi * (e - 2.0 * a) / ((p2 - a) * (k1 - a) * (p1 - a) * (k2 - a))
-    return out if out.ndim else complex(out)
+    return _pair_t(params.alpha_h, pref, k1, k2, p1, p2)
 
 
 def two_photon_s_h(params: HWGParams, k1: float, k2: float) -> dict:
@@ -154,27 +149,23 @@ class PairWavefunctions:
     def relative_momentum(self) -> float:
         return 0.5 * (self.k1 - self.k2)
 
-    def _bound(self, x, pref: float):
-        a = self.params.alpha_h
-        e = self.total_energy
-        dk = self.relative_momentum
-        w = e - 2.0 * a
-        phase = np.exp(1j * (0.5 * e - a) * np.abs(np.asarray(x, dtype=float)))
-        return -pref * phase / (4.0 * dk**2 - w**2)
+    def _bound(self, x, coupling: float):
+        # the connected term of the channel whose T density carries coupling
+        return _pair_bound(self.params.alpha_h, coupling, self.k1, self.k2, x)
 
     def g11(self, x):
         v1, v2 = self.params.vbar
         c1 = channel_amplitudes(self.params, self.k1)
         c2 = channel_amplitudes(self.params, self.k2)
         plane = c1.t11 * c2.t21 * np.cos(self.relative_momentum * np.asarray(x))
-        return (plane + self._bound(x, 4.0 * v2 * v1**3)) / (2.0 * np.pi)
+        return (plane + self._bound(x, v2 * v1**3)) / (2.0 * np.pi)
 
     def g22(self, x):
         v1, v2 = self.params.vbar
         c1 = channel_amplitudes(self.params, self.k1)
         c2 = channel_amplitudes(self.params, self.k2)
         plane = c1.t21 * c2.t22 * np.cos(self.relative_momentum * np.asarray(x))
-        return (plane + self._bound(x, 4.0 * v1 * v2**3)) / (2.0 * np.pi)
+        return (plane + self._bound(x, v1 * v2**3)) / (2.0 * np.pi)
 
     def g12(self, x):
         v1, v2 = self.params.vbar
@@ -185,7 +176,7 @@ class PairWavefunctions:
         exchange = c1.t21 * c2.t21
         dk = self.relative_momentum
         plane = (direct + exchange) * np.cos(dk * x) + 1j * (direct - exchange) * np.sin(dk * x)
-        return (plane + self._bound(x, 8.0 * v1**2 * v2**2)) / (2.0 * np.pi)
+        return (plane + self._bound(x, 2.0 * v1**2 * v2**2)) / (2.0 * np.pi)
 
     def channel(self, pair):
         table = {(1, 1): self.g11, (1, 2): self.g12, (2, 2): self.g22}

@@ -20,7 +20,6 @@ epsilon(q) = Omega - v cos(q) directly the waveguide momentum variable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,6 @@ _GUARD_FRACTION = 0.05
 _GUARD_MASS_LIMIT = 1e-5
 
 _MIN_PAIR_WIDTH = 6.0
-
-_PERMS3 = tuple(itertools.permutations(range(3)))
 
 
 @dataclass(frozen=True)
@@ -124,6 +121,8 @@ def _chebyshev_evolve(h, state: np.ndarray, t: float, bounds: tuple[float, float
     emin, emax = bounds
     if not emax > emin:
         raise ValueError("bounds must satisfy emax > emin")
+    if not 0.0 < t < np.inf:
+        raise ValueError("the evolution time must be positive and finite")
     a = 0.5 * (emax - emin)
     b = 0.5 * (emax + emin)
     z = a * t
@@ -313,6 +312,8 @@ def wavepacket_scatter(
         raise ValueError("carrier must sit inside the band, away from the edges")
     if model.kind == "h" and model.params.group_velocity[0] != model.params.group_velocity[1]:
         raise ValueError("packet runs need equal group velocities in both waveguides")
+    if duration is not None and not 0.0 < duration < np.inf:
+        raise ValueError("duration must be positive and finite")
 
     p = model.params
     x = model.positions()
@@ -489,6 +490,8 @@ def two_excitation_check(
     for k in (k1, k2):
         if not 0.0 < k < np.pi or np.sin(k) < 0.2:
             raise ValueError("carriers must sit inside the band, away from edges")
+    if duration is not None and not 0.0 < duration < np.inf:
+        raise ValueError("duration must be positive and finite")
 
     p = model.params
     size = model.size
@@ -686,7 +689,7 @@ def ring_three_photon_norm(params, k, size: int, half_window=None):
                 * (2.0 * np.pi / size)
                 * twg.two_photon_t(params, ka, kb, slots[la][match], slots[lb][match])
             )
-    for tau in _PERMS3:
+    for tau in twg._PERMS3:
         match = (
             np.isclose(p1, ks[tau[0]], atol=0.25 * dk)
             & np.isclose(p2, ks[tau[1]], atol=0.25 * dk)
@@ -723,7 +726,7 @@ def ring_three_photon_wavefunction(
     t = [complex(twg.transmission_amplitude(params, v)) for v in ks]
 
     tier_a = 0.0j
-    for q in _PERMS3:
+    for q in twg._PERMS3:
         tier_a += np.exp(1j * (ks[q[0]] * xs[0] + ks[q[1]] * xs[1] + ks[q[2]] * xs[2]))
     tier_a *= t[0] * t[1] * t[2]
 

@@ -81,16 +81,36 @@ def two_photon_t(params: TWGParams, k1: float, k2: float, p1, p2):
 
     p1, p2 may be arrays (elementwise on shell with k1 + k2).
     """
+    return _pair_t(params.alpha, params.gamma_t**2, k1, k2, p1, p2)
+
+
+def _pair_t(alpha, coupling, k1: float, k2: float, p1, p2):
+    """The connected pair density of two_photon_t with gamma_t^2 -> coupling.
+
+    The pole structure is that of one atom with complex frequency alpha;
+    the H-type geometry shares it, with the product of the four channel
+    couplings as ``coupling``.
+    """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     e = k1 + k2
     _require_on_shell(e, p1 + p2)
-    a = params.alpha
-    g = params.gamma_t
-    num = 1j * g**2 / np.pi * (e - 2.0 * a)
-    den = (p2 - a) * (k1 - a) * (p1 - a) * (k2 - a)
-    out = num / den
+    a = alpha
+    out = 1j * coupling / np.pi * (e - 2.0 * a) / ((p2 - a) * (k1 - a) * (p1 - a) * (k2 - a))
     return out if out.ndim else complex(out)
+
+
+def _pair_bound(alpha, coupling, k1: float, k2: float, x):
+    """Connected pair term of the out-state in the relative coordinate x.
+
+    coupling e^{i(E/2 - alpha)|x|} / ((k1 - alpha)(k2 - alpha)), decaying at
+    the rate -Im(alpha) in |x|.  The Fourier transform of ``_pair_t`` over
+    its shell is 2 e^{i E x_c} times this; the out-state envelope carries it
+    over 2 pi.
+    """
+    beta = 0.5 * (k1 + k2) - alpha
+    phase = np.exp(1j * beta * np.abs(np.asarray(x, dtype=float)))
+    return coupling * phase / ((k1 - alpha) * (k2 - alpha))
 
 
 def two_photon_s(params: TWGParams, k1: float, k2: float) -> ScatteringAmplitudeSet:
@@ -135,13 +155,8 @@ class TwoPhotonOutState:
         return t12 * np.cos(self.relative_momentum * np.asarray(x)) / (2.0 * np.pi)
 
     def bound_envelope(self, x):
-        x = np.asarray(x, dtype=float)
-        g = self.params.gamma_t
-        # E - 2 alpha = E - 2 Omega + i gamma_t
-        w = self.total_energy - 2.0 * self.params.alpha
-        dk = self.relative_momentum
-        num = -4.0 * g**2 * np.exp(0.5j * w * np.abs(x))
-        return num / (4.0 * dk**2 - w**2) / (2.0 * np.pi)
+        p = self.params
+        return _pair_bound(p.alpha, p.gamma_t**2, self.k1, self.k2, x) / (2.0 * np.pi)
 
     def envelope(self, x):
         return self.plane_envelope(x) + self.bound_envelope(x)
@@ -343,22 +358,6 @@ def three_photon_fluorescence(params: TWGParams, k, p1, p2):
 # three-photon spatial out-state
 
 
-def _pair_kernel(params: TWGParams, ka: float, kb: float, xa, xb):
-    """Fourier transform of the connected pair density over its shell.
-
-    Equals int dpa dpb  iT2(pa, pb; ka, kb) delta(pa + pb - ka - kb)
-    e^{i(pa xa + pb xb)}, evaluated by contour integration.
-    """
-    a = params.alpha
-    g = params.gamma_t
-    e_pair = ka + kb
-    beta = 0.5 * e_pair - a
-    xa = np.asarray(xa, dtype=float)
-    xb = np.asarray(xb, dtype=float)
-    phase = np.exp(0.5j * e_pair * (xa + xb) + 1j * beta * np.abs(xa - xb))
-    return 2.0 * g**2 * phase / ((ka - a) * (kb - a))
-
-
 def _line_integral(y, w, w_upper: bool, b):
     """int dq e^{iqy} / ((q - w)(q - b)) over the real line, by residues.
 
@@ -446,12 +445,17 @@ def three_photon_out_wavefunction(params: TWGParams, k, x):
         tier_a += np.exp(1j * (k[q[0]] * x[0] + k[q[1]] * x[1] + k[q[2]] * x[2]))
     tier_a *= t[0] * t[1] * t[2]
 
+    # the connected pair density on photons a, b, Fourier transformed over
+    # its shell, is 2 e^{i E_ab x_c} _pair_bound(x_a - x_b)
     tier_b = 0.0j
     for i in range(3):
         ka, kb = (k[m] for m in range(3) if m != i)
         for j in range(3):
             xa, xb = (x[m] for m in range(3) if m != j)
-            tier_b += t[i] * np.exp(1j * k[i] * x[j]) * _pair_kernel(params, ka, kb, xa, xb)
+            pair = np.exp(0.5j * (ka + kb) * (xa + xb)) * _pair_bound(
+                params.alpha, params.gamma_t**2, ka, kb, xa - xb
+            )
+            tier_b += 2.0 * t[i] * np.exp(1j * k[i] * x[j]) * pair
 
     out = (tier_a + tier_b + _connected_out(params, k, x)) / (6.0 * (2.0 * np.pi) ** 1.5)
     return out if out.ndim else complex(out)

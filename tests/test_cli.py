@@ -250,6 +250,17 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
          "--carrier", "0.01"],
         # the lattices are open chains; there is no boundary flag
         ["oracle", "bound", "--omega", "0", "--omega0", "0", "--boundary", "open"],
+        # a run needs a positive duration
+        ["oracle", "scatter", "--omega", "0", "--omega0", "0", "--carrier", "1.0472",
+         "--duration", "0"],
+        ["oracle", "scatter", "--omega", "0", "--omega0", "0", "--carrier", "1.0472",
+         "--duration", "-5"],
+        ["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.5708",
+         "--k2", "1.5708", "--duration", "0"],
+        ["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.5708",
+         "--k2", "1.5708", "--duration", "-5"],
+        ["oracle", "scatter", "--omega", "0", "--omega0", "0", "--carrier", "1.0472",
+         "--duration", "inf"],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, argv):
@@ -259,6 +270,34 @@ def test_config_errors_exit_2_with_json_record(capsys, argv):
     record = json.loads(err)
     assert record["error"] == "config"
     assert "\n" not in err.strip()
+
+
+def test_config_supplies_required_flags_and_grid(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega = 0.3\nomega0 = 0\ngrid = k:0.2:2.9:25\n")
+    code, from_config, err = _run(capsys, ["t-reflect", "--config", str(cfg)])
+    assert code == 0 and err == ""
+    flags = ["t-reflect", "--omega", "0.3", "--omega0", "0", "--grid", "k:0.2:2.9:25"]
+    assert _run(capsys, flags) == (0, from_config, "")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["bound-wavefunction", "--omega", "0", "--omega0", "0", "--grid", "x:0:3:4"],
+         "branch = sideways"),
+        (["oracle", "scatter", "--omega", "0", "--omega0", "0", "--carrier", "1.0472"],
+         "kind = q"),
+    ],
+)
+def test_config_value_outside_choices_exits_2(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "config"
+    assert line.split(" = ")[1] in record["message"]
 
 
 def test_tolerance_error_exits_3(capsys):

@@ -229,6 +229,8 @@ def test_packet_run_rejections():
         lo.wavepacket_scatter(lo.LatticeModel(params=_t_params(), size=401), np.pi / 3.0, 40.0)
     with pytest.raises(ValueError):
         lo.wavepacket_scatter(m, 0.05, 40.0)
+    with pytest.raises(ValueError, match="duration"):
+        lo.wavepacket_scatter(m, np.pi / 3.0, 40.0, duration=0.0)
     vu = HWGParams(omega_atom=1.0, vbar=(0.5, 0.5), group_velocity=(1.0, 2.0))
     with pytest.raises(ValueError):
         lo.wavepacket_scatter(lo.LatticeModel(params=vu, size=801), np.pi / 2.0, 40.0)
@@ -279,6 +281,12 @@ def test_chebyshev_propagator_matches_eigenbasis():
 def test_chebyshev_rejects_empty_bounds():
     with pytest.raises(ValueError):
         lo._chebyshev_evolve(np.eye(3), np.ones(3, dtype=complex), 1.0, (2.0, 2.0))
+
+
+@pytest.mark.parametrize("t", [0.0, -5.0, np.inf])
+def test_chebyshev_rejects_non_positive_time(t):
+    with pytest.raises(ValueError):
+        lo._chebyshev_evolve(np.eye(3), np.ones(3, dtype=complex), t, (0.0, 2.0))
 
 
 def test_chebyshev_rejects_complex_operator():
@@ -430,6 +438,10 @@ def test_pair_run_rejections():
         )
     with pytest.raises(ValueError):
         lo.two_excitation_check(lo.LatticeModel(params=_t_params(), size=281), 0.05, 1.5)
+    with pytest.raises(ValueError, match="duration"):
+        lo.two_excitation_check(
+            lo.LatticeModel(params=_t_params(), size=281), 1.5, 1.5, duration=-5.0
+        )
 
 
 # ---------------------------------------------------------------------------
