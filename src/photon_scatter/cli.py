@@ -109,8 +109,11 @@ def _write_text(path, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write output file: {exc}") from exc
 
 
 def _jsonify(value):
@@ -132,8 +135,6 @@ def _jsonify(value):
 
 
 def _emit_json(args, obj) -> int:
-    if getattr(args, "format", "json") != "json":
-        raise _CliError("this subcommand only supports --format json")
     _write_text(args.out, json.dumps(_jsonify(obj), indent=2, allow_nan=False) + "\n")
     return 0
 
@@ -143,8 +144,6 @@ def _emit_table(args, columns) -> int:
     arrays = [np.asarray(col[2], dtype=float) for col in columns]
     if args.format == "json":
         return _emit_json(args, {col[1]: arr for (col, arr) in zip(columns, arrays)})
-    if args.format != "csv":
-        raise _CliError(f"unknown output format {args.format!r}")
     p = args.precision
     lines = [",".join(col[0] for col in columns)]
     for row in zip(*arrays):
@@ -426,9 +425,11 @@ _REQUIRED = object()
 _COMMON = (
     ("--config", None, None, "key=value file overriding the flags"),
     ("--out", None, "-", "output path (default stdout)"),
-    ("--precision", int, 12, "CSV significant digits"),
 )
-_FORMAT = ("--format", None, "csv", "output format: csv or json")
+_CSV = (
+    ("--precision", int, 12, "CSV significant digits"),
+    ("--format", None, ("csv", "json"), "output format: csv or json"),
+)
 
 _OMEGA = ("--omega", float, _REQUIRED, "atom transition frequency")
 _HOPPING = (
@@ -458,8 +459,8 @@ def _grid(help_text: str):
 
 
 # (path, help, handler, output format, flags); a row without a handler
-# opens a group of subcommands.  A csv command also takes --format, and
-# every command takes the _COMMON flags.
+# opens a group of subcommands.  A csv command also takes the _CSV flags,
+# and every command takes the _COMMON flags.
 _COMMANDS = (
     (("t-reflect",), "reflection amplitude curve", _cmd_t_reflect, "csv",
      (*_T_TYPE, _grid("k:start:stop:points"))),
@@ -529,7 +530,7 @@ def _build_parser() -> _Parser:
         if handler is None:
             subs[path] = p.add_subparsers(dest="mode", required=True, parser_class=_Parser)
             continue
-        flags = (*flags, *_COMMON, *((_FORMAT,) if fmt == "csv" else ()))
+        flags = (*flags, *_COMMON, *(_CSV if fmt == "csv" else ()))
         for flag, kind, default, flag_help in flags:
             if default is _REQUIRED:
                 default = None

@@ -261,9 +261,15 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
          "--k2", "1.5708", "--duration", "-5"],
         ["oracle", "scatter", "--omega", "0", "--omega0", "0", "--carrier", "1.0472",
          "--duration", "inf"],
+        # an output path in a directory that does not exist ({tmp} is tmp_path)
+        ["bound-states", "--omega", "0", "--omega0", "0", "--out", "{tmp}/missing/x.json"],
+        # --precision and --format belong to the CSV subcommands only
+        ["bound-states", "--omega", "0", "--omega0", "0", "--precision", "3"],
+        ["wg-transmit", "--grid", "k:0:1:2", "--format", "xml"],
     ],
 )
-def test_config_errors_exit_2_with_json_record(capsys, argv):
+def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
+    argv = [part.replace("{tmp}", str(tmp_path)) for part in argv]
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""

@@ -2,6 +2,7 @@
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -51,9 +52,37 @@ def test_full_relabeling_symmetry():
                 assert abs(val - base) <= 1e-12 * max(1.0, abs(base))
 
 
+def _literal_limit(k, p, h):
+    """The literal 108-term sum at 120 digits, averaged over p +- h (1, -3, 2).
+
+    The direction has zero sum, so both points stay exactly on shell; their
+    mean is the limit of the literal sum at p up to O(h^2).
+    """
+    a = mpmath.mpf(P.omega_atom) - mpmath.mpf(P.gamma_t) / 2 * 1j
+    total = 0
+    for sign in (1, -1):
+        q = [c + sign * h * d for c, d in zip(p, (1, -3, 2))]
+        for pi in itertools.permutations(k):
+            w = [mpmath.mpf(v) for v in pi]
+            for pq in itertools.permutations(q):
+                total += 1 / (
+                    (pq[0] - w[0]) * (pq[2] - w[2]) * (w[0] - a) * (pq[2] - a)
+                    * (w[0] + w[1] - pq[0] - a)
+                )
+                total += 1 / (
+                    (pq[1] - w[1]) * (pq[2] - w[2]) * (pq[1] - a) * (w[2] - a)
+                    * (pq[1] + pq[0] - w[1] - a)
+                )
+                total += 1 / (
+                    (pq[1] - w[1]) * (pq[0] - w[0]) * (pq[0] - a) * (w[1] - a)
+                    * (w[1] + w[2] - pq[1] - a)
+                )
+    return 1j * mpmath.mpf(P.gamma_t) ** 3 / (12 * mpmath.pi**2) * total / 2
+
+
 def test_pole_line_cancellation():
     # an outgoing leg exactly on an incoming one: the permutation sum stays
-    # finite; the regularized value matches the off-line limit
+    # finite; the closed form matches the off-line limit
     k = (1.0, 1.0, 1.0)
     q = 0.3
     on_line = three_photon_t(P, k, (1.0 + q, 1.0, 1.0 - q))
@@ -61,6 +90,27 @@ def test_pole_line_cancellation():
     near = three_photon_t_reference(P, k, (1.0 + q - eps / 2, 1.0 + eps, 1.0 - q - eps / 2))
     assert abs(on_line - near) <= 1e-5 * abs(near)
     assert np.isfinite(on_line.real) and np.isfinite(on_line.imag)
+
+    # a single line, a double crossing, the triple crossing, and 1e-5 from
+    # it on the p3 = 1 slice; the free outgoing leg is formed in mpmath, so
+    # the literal sum is evaluated exactly on shell
+    cases = (
+        ((1.0, 1.0, 1.0), (1.3, 1.0), 2),
+        ((1.25, 0.5, 0.75), (0.5, 1.25), 2),
+        ((1.0, 1.0, 1.0), (1.0, 1.0), 2),
+        ((1.0, 1.0, 1.0), (1.0 + 1e-5, 1.0), 1),
+        ((1.0, 1.0, 1.0), (1.0 - 1e-5, 1.0), 1),
+    )
+    with mpmath.workdps(120):
+        for k, given, free in cases:
+            p = [mpmath.mpf(v) for v in given]
+            p.insert(free, sum(mpmath.mpf(v) for v in k) - p[0] - p[1])
+            limit = _literal_limit(k, p, mpmath.mpf("1e-30"))
+            # the limit does not depend on the step
+            coarse = _literal_limit(k, p, mpmath.mpf("1e-25"))
+            assert abs(coarse - limit) <= 1e-20 * abs(limit)
+            value = three_photon_t(P, k, [float(c) for c in p])
+            assert abs(value - complex(limit)) <= 1e-14 * abs(complex(limit))
 
 
 def test_vectorized_matches_scalar():
