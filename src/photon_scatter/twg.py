@@ -42,16 +42,6 @@ __all__ = [
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
 
-# three-photon out-state: the real poles q = k_i of individual permutation
-# terms are displaced as k -> k + i0 * _POLE_DIR.  The direction has zero
-# component sum, so the total energy stays real and every choice of
-# eliminated shell slot integrates over the same real plane, and no zero
-# component, so every pole leaves the axis.  The real poles cancel in the
-# full sum, so the limit does not depend on the direction; a uniform +i0
-# on all k_i would move E off the real axis and is not such a limit.
-_POLE_DIR = (1.0, -3.0, 2.0)
-
-
 def transmission_amplitude(params: TWGParams, k):
     """Single-photon transmission phase t_k = (k - alpha*)/(k - alpha).
 
@@ -175,10 +165,6 @@ def two_photon_fluorescence(params: TWGParams, k1: float, k2: float, p1):
 # three photons
 
 
-def _t3_prefactor(params: TWGParams) -> complex:
-    return 1j * params.gamma_t**3 / (3.0 * (2.0 * np.pi) ** 2)
-
-
 def three_photon_t(params: TWGParams, k, p):
     """Connected three-photon T density (with the leading i) on the shell.
 
@@ -251,7 +237,7 @@ def three_photon_t_reference(params: TWGParams, k, p) -> complex:
                 * (w[1] + w[2] - wp[1] - a)
             )
             total += f1 + f2 + f3
-    return complex(_t3_prefactor(params) * total)
+    return complex(1j * params.gamma_t**3 / (3.0 * (2.0 * np.pi) ** 2) * total)
 
 
 def three_photon_s(params: TWGParams, k) -> ScatteringAmplitudeSet:
@@ -317,68 +303,37 @@ def three_photon_fluorescence(params: TWGParams, k, p1, p2):
 # three-photon spatial out-state
 
 
-def _line_integral(y, w, w_upper: bool, b):
-    """int dq e^{iqy} / ((q - w)(q - b)) over the real line, by residues.
-
-    w lies in the upper half plane when ``w_upper`` and in the lower one
-    otherwise, a real w being displaced infinitesimally to that side; b
-    lies off the real axis.  The contour
-    closes above for y >= 0 and below for y < 0; at y = 0 both closures
-    agree because the integrand falls off as 1/q^2.
-    """
-    above = y >= 0.0
-    # each exponential is evaluated only where its pole is enclosed, where
-    # it decays, so no overflow reaches the masked branch
-    res_w = np.where(above == w_upper, np.exp(1j * w * y), 0.0) / (w - b)
-    res_b = np.where(
-        above == (b.imag > 0.0), np.exp(1j * b.real * y - abs(b.imag) * np.abs(y)), 0.0
-    ) / (b - w)
-    return np.where(above, 2j * np.pi, -2j * np.pi) * (res_w + res_b)
-
-
-def _connected_out(params: TWGParams, k, x):
+def _connected_tier(params: TWGParams, k, x):
     """Fourier transform of the connected density over the energy shell.
 
-    Equals int dp1 dp2 iT3(p; k) e^{i p.x} with p3 = E - p1 - p2.  Each
-    family of each (P, Q) term of the literal sum of
-    three_photon_t_reference, with one shell slot eliminated,
-    factorizes into two one-variable rational factors, so the integral is a
-    product of two _line_integral values times the phase of the eliminated
-    slot.  The real poles q = k_i cancel in the full sum but not term by
-    term; each is displaced off the axis along _POLE_DIR (see there).  The
-    minus signs come from writing each family's last denominator factor,
-    (w + w' - q - alpha) or (E - q - w - alpha), as -(q - b).
+    Equals int dp1 dp2 iT3(p; k) e^{i p.x} with p3 = E - p1 - p2.  Each of
+    the nine terms of three_photon_t is split by partial fractions in p_j,
+    1/((p_j - alpha)(E - k_i - alpha - p_j))
+        = [1/(p_j - alpha) + 1/(E - k_i - alpha - p_j)] / (E - k_i - 2 alpha),
+    and the shell delta is written as int dt e^{it(E - sum p)} / 2 pi, so
+    every momentum integral is a one-pole transform: a step function times
+    an exponential.  The 1/prod(p - alpha) part integrates t over [m, inf),
+    m the largest coordinate; the other part over [m2, x_j], m2 the middle
+    coordinate, which is non-empty only when x_j = m.  With X the sum of
+    the coordinates, the exponents phi = i alpha X + i (E - 3 alpha) m and
+    phi + i mu_i (m2 - m) have real parts (gamma_t/2)(X - 3m) and
+    (gamma_t/2)(min x - m), both <= 0, and each is exponentiated whole, so
+    nothing overflows; phi is formed from coordinate differences, so its
+    real part cannot round above 0.
     """
+    lo, m2, m = np.sort(np.stack(x), axis=0)
     a = params.alpha
     e = sum(k)
+    phi = 1j * e * m + 1j * a * ((lo - m) + (m2 - m))
     total = 0.0j
-    for perm_in in _PERMS3:
-        w0, w1, w2 = (k[i] for i in perm_in)
-        up0, up1, up2 = (_POLE_DIR[i] > 0.0 for i in perm_in)
-        for perm_out in _PERMS3:
-            y0, y1, y2 = (x[j] for j in perm_out)
-            # family 1: free in (q0, q2), q1 eliminated
-            total -= (
-                np.exp(1j * e * y1)
-                * _line_integral(y0 - y1, w0, up0, w0 + w1 - a)
-                * _line_integral(y2 - y1, w2, up2, a)
-                / (w0 - a)
-            )
-            # family 2: free in (q1, q2), q0 eliminated
-            total -= (
-                np.exp(1j * e * y0)
-                * _line_integral(y1 - y0, w1, up1, a)
-                * _line_integral(y2 - y0, w2, up2, e - w1 - a)
-                / (w2 - a)
-            )
-            # family 3: free in (q1, q0), q2 eliminated
-            total -= (
-                np.exp(1j * e * y2)
-                * _line_integral(y1 - y2, w1, up1, w1 + w2 - a)
-                * _line_integral(y0 - y2, w0, up0, a)
-                / (w1 - a)
-            )
-    return _t3_prefactor(params) * total
+    for i, v in enumerate(k):
+        mu = v - a
+        c = 1.0 / (k[i - 1] - a) + 1.0 / (k[i - 2] - a)
+        total = total + c / (e - v - 2.0 * a) * (
+            (1.0 / mu - 3.0 / (e - 3.0 * a)) * np.exp(phi)
+            - np.exp(phi + 1j * mu * (m2 - m)) / mu
+        )
+    return -4j * params.gamma_t**3 * total
 
 
 def three_photon_out_wavefunction(params: TWGParams, k, x):
@@ -388,10 +343,9 @@ def three_photon_out_wavefunction(params: TWGParams, k, x):
     disconnected symmetrized plane waves, the nine one-leg-transmitted terms
     with a pair bound/plane structure, and the fully connected part, the
     Fourier transform of the connected density over the energy shell.  All
-    three are closed forms; the connected one is a finite sum of residues,
-    exact up to rounding, with each real pole q = k_i placed on the side
-    k_i -> k_i + i0 d_i for a fixed shell-preserving d (the limit does not
-    depend on d because the real poles cancel in the full sum).
+    three are closed forms; the connected one is a sum over the three
+    incoming legs of two exponentials in the sorted coordinates (their
+    sum, the largest and the middle one), exact up to rounding.
 
     x is a sequence of three floats or broadcastable arrays; the result is
     a complex scalar or an array of their broadcast shape.
@@ -417,5 +371,5 @@ def three_photon_out_wavefunction(params: TWGParams, k, x):
             )
             tier_b += 2.0 * t[i] * np.exp(1j * k[i] * x[j]) * pair
 
-    out = (tier_a + tier_b + _connected_out(params, k, x)) / (6.0 * (2.0 * np.pi) ** 1.5)
+    out = (tier_a + tier_b + _connected_tier(params, k, x)) / (6.0 * (2.0 * np.pi) ** 1.5)
     return out if out.ndim else complex(out)

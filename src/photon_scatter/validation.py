@@ -155,11 +155,16 @@ def _criterion_three_photon_t():
     params = TWGParams(omega_atom=1.0, gamma_t=1.0)
     rng = np.random.default_rng(106)
 
+    # momenta are rounded to multiples of 2^-30, so e and p3 are exact and
+    # the literal sum is evaluated exactly on shell
+    def dyadic(v):
+        return np.round(v * 2.0**30) / 2.0**30
+
     dev_ref = 0.0
     for _ in range(100):
-        k = tuple(1.0 + rng.uniform(-1.5, 1.5, 3))
+        k = tuple(dyadic(1.0 + rng.uniform(-1.5, 1.5, 3)))
         e = sum(k)
-        p1, p2 = e / 3.0 + rng.uniform(-2.0, 2.0, 2)
+        p1, p2 = dyadic(e / 3.0 + rng.uniform(-2.0, 2.0, 2))
         p = (float(p1), float(p2), e - float(p1) - float(p2))
         lit = twg.three_photon_t_reference(params, k, p)
         opt = complex(twg.three_photon_t(params, k, p))

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from photon_scatter.core import TWGParams
 from photon_scatter.twg import (
-    _line_integral,
+    _PERMS3,
+    _connected_tier,
     three_photon_fluorescence,
     three_photon_out_wavefunction,
     three_photon_s,
@@ -20,6 +21,85 @@ from photon_scatter.twg import (
 )
 
 P = TWGParams(1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the connected out-state as a sum of residues over the 108
+# literal families of three_photon_t_reference, kept to check the closed
+# form of twg._connected_tier
+
+# three-photon out-state: the real poles q = k_i of individual permutation
+# terms are displaced as k -> k + i0 * _POLE_DIR.  The direction has zero
+# component sum, so the total energy stays real and every choice of
+# eliminated shell slot integrates over the same real plane, and no zero
+# component, so every pole leaves the axis.  The real poles cancel in the
+# full sum, so the limit does not depend on the direction; a uniform +i0
+# on all k_i would move E off the real axis and is not such a limit.
+_POLE_DIR = (1.0, -3.0, 2.0)
+
+
+def _line_integral(y, w, w_upper: bool, b):
+    """int dq e^{iqy} / ((q - w)(q - b)) over the real line, by residues.
+
+    w lies in the upper half plane when ``w_upper`` and in the lower one
+    otherwise, a real w being displaced infinitesimally to that side; b
+    lies off the real axis.  The contour
+    closes above for y >= 0 and below for y < 0; at y = 0 both closures
+    agree because the integrand falls off as 1/q^2.
+    """
+    above = y >= 0.0
+    # each exponential is evaluated only where its pole is enclosed, where
+    # it decays, so no overflow reaches the masked branch
+    res_w = np.where(above == w_upper, np.exp(1j * w * y), 0.0) / (w - b)
+    res_b = np.where(
+        above == (b.imag > 0.0), np.exp(1j * b.real * y - abs(b.imag) * np.abs(y)), 0.0
+    ) / (b - w)
+    return np.where(above, 2j * np.pi, -2j * np.pi) * (res_w + res_b)
+
+
+def _connected_out(params: TWGParams, k, x):
+    """Fourier transform of the connected density over the energy shell.
+
+    Equals int dp1 dp2 iT3(p; k) e^{i p.x} with p3 = E - p1 - p2.  Each
+    family of each (P, Q) term of the literal sum of
+    three_photon_t_reference, with one shell slot eliminated,
+    factorizes into two one-variable rational factors, so the integral is a
+    product of two _line_integral values times the phase of the eliminated
+    slot.  The real poles q = k_i cancel in the full sum but not term by
+    term; each is displaced off the axis along _POLE_DIR (see there).  The
+    minus signs come from writing each family's last denominator factor,
+    (w + w' - q - alpha) or (E - q - w - alpha), as -(q - b).
+    """
+    a = params.alpha
+    e = sum(k)
+    total = 0.0j
+    for perm_in in _PERMS3:
+        w0, w1, w2 = (k[i] for i in perm_in)
+        up0, up1, up2 = (_POLE_DIR[i] > 0.0 for i in perm_in)
+        for perm_out in _PERMS3:
+            y0, y1, y2 = (x[j] for j in perm_out)
+            # family 1: free in (q0, q2), q1 eliminated
+            total -= (
+                np.exp(1j * e * y1)
+                * _line_integral(y0 - y1, w0, up0, w0 + w1 - a)
+                * _line_integral(y2 - y1, w2, up2, a)
+                / (w0 - a)
+            )
+            # family 2: free in (q1, q2), q0 eliminated
+            total -= (
+                np.exp(1j * e * y0)
+                * _line_integral(y1 - y0, w1, up1, a)
+                * _line_integral(y2 - y0, w2, up2, e - w1 - a)
+                / (w2 - a)
+            )
+            # family 3: free in (q1, q0), q2 eliminated
+            total -= (
+                np.exp(1j * e * y2)
+                * _line_integral(y1 - y2, w1, up1, w1 + w2 - a)
+                * _line_integral(y0 - y2, w0, up0, a)
+                / (w1 - a)
+            )
+    return 1j * params.gamma_t**3 / (3.0 * (2.0 * np.pi) ** 2) * total
 
 
 def _random_on_shell(rng, spread=3.0, min_gap=1e-2):
@@ -204,6 +284,57 @@ def test_line_integral_matches_quadrature():
                 assert abs(exact - direct(y, w, b)) <= 1e-7 * max(1.0, abs(exact))
 
 
+def _mp_connected_tier(params, k, x):
+    """The closed form of twg._connected_tier at 50 digits, at one point."""
+    with mpmath.workdps(50):
+        g = mpmath.mpf(params.gamma_t)
+        a = mpmath.mpf(params.omega_atom) - g / 2 * 1j
+        k = [mpmath.mpf(v) for v in k]
+        lo, m2, m = sorted(mpmath.mpf(v) for v in x)
+        e = sum(k)
+        phi = 1j * a * (lo + m2 + m) + 1j * (e - 3 * a) * m
+        total = 0
+        for i, v in enumerate(k):
+            mu = v - a
+            c = 1 / (k[i - 1] - a) + 1 / (k[i - 2] - a)
+            total += c / (e - v - 2 * a) * (
+                (1 / mu - 3 / (e - 3 * a)) * mpmath.exp(phi)
+                - mpmath.exp(phi + 1j * mu * (m2 - m)) / mu
+            )
+        return complex(-4j * g**3 * total)
+
+
+def test_connected_tier_matches_residue_sum():
+    # the closed form over sorted coordinates against the family-by-family
+    # residue sum, 400 points: gamma_t log-uniform in [0.01, 10], |x| up to
+    # 8/gamma_t, with two-way ties (at the largest coordinate or not) and
+    # three-way ties
+    rng = np.random.default_rng(16)
+    points = []
+    for _ in range(40):
+        gamma = 10.0 ** rng.uniform(-2.0, 1.0)
+        params = TWGParams(rng.uniform(-2.0, 2.0), gamma)
+        k = tuple(params.omega_atom + gamma * rng.uniform(-3.0, 3.0, 3))
+        x = rng.uniform(-8.0 / gamma, 8.0 / gamma, size=(3, 10))
+        x[1, :4] = x[0, :4]
+        x[2, 2:6] = x[0, 2:6]
+        ref = _connected_out(params, k, tuple(x))
+        new = _connected_tier(params, k, tuple(x))
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(new - ref)) <= 1e-11 * scale
+        points.extend(
+            (abs(new[j] - ref[j]) / scale, scale, params, k, x[:, j], new[j], ref[j])
+            for j in range(x.shape[1])
+        )
+    # both sides against a 50-digit evaluation of the closed form where
+    # they differ most
+    points.sort(key=lambda pt: pt[0])
+    for _, scale, params, k, x, new, ref in points[-3:]:
+        exact = _mp_connected_tier(params, k, x)
+        assert abs(new - exact) <= 1e-11 * scale
+        assert abs(ref - exact) <= 1e-11 * scale
+
+
 def test_out_state_origin_reference():
     # 0.1007864: Richardson extrapolation in the momentum window W (80, 160,
     # 320 gamma_t) of the adaptive 2-D shell quadrature this closed form
@@ -214,15 +345,24 @@ def test_out_state_origin_reference():
 
 def test_out_state_far_field_is_plane_part():
     # with every pair separated by >= 40/gamma the bound and connected tiers
-    # have decayed, leaving the symmetrized transmitted plane waves
+    # have decayed, leaving the symmetrized transmitted plane waves; at
+    # >= 1e3/gamma they are below 1e-200, so no rounding residue may be left
     k = (1.3, 0.9, 0.6)
     t = np.prod([transmission_amplitude(P, v) for v in k])
-    for x in ((-40.0, 0.0, 40.0), (55.0, -30.0, 12.0), (0.0, 90.0, 45.0)):
+    cases = (
+        ((-40.0, 0.0, 40.0), 1e-8),
+        ((55.0, -30.0, 12.0), 1e-8),
+        ((0.0, 90.0, 45.0), 1e-8),
+        ((1e4, -1e4, 3.0), 1e-15),
+        ((-2000.0, 0.0, 2000.0), 1e-15),
+        ((3000.0, -1000.0, 1000.0), 1e-15),
+    )
+    for x, tol in cases:
         plane = sum(
             np.exp(1j * (k[q[0]] * x[0] + k[q[1]] * x[1] + k[q[2]] * x[2]))
             for q in itertools.permutations(range(3))
         ) * t / (6.0 * (2.0 * np.pi) ** 1.5)
-        assert abs(three_photon_out_wavefunction(P, k, x) - plane) < 1e-8
+        assert abs(three_photon_out_wavefunction(P, k, x) - plane) < tol
 
 
 def test_out_state_position_symmetry():
