@@ -8,14 +8,14 @@ The parser is built from one table of subcommands and their flags,
 ``_COMMANDS``; required flags and allowed values are checked after
 ``--config`` is applied, so a config file may supply but not bypass them.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-tolerance
-failure (any ``RuntimeError``, which includes ARPACK non-convergence in
-the lattice bound-state solve).  Errors are reported as a single-line JSON
-record on stderr.
+Exit codes: 0 success, 2 configuration error (a non-finite number
+included), 3 numerical-tolerance failure (any ``RuntimeError``, which
+includes Lanczos non-convergence in the lattice bound-state solve).  Errors
+are reported as a single-line JSON record on stderr.
 
-The lattice oracle and the acceptance suite, the only users of scipy, are
-imported by their subcommands alone, so the analytic subcommands start
-without loading it.
+The package needs numpy alone.  The lattice oracle and the acceptance
+suite are imported by their subcommands alone, so the analytic subcommands
+start without loading them.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _apply_config(args) -> None:
             raise _CliError(f"config line {lineno}: unknown key {key.strip()!r}")
         try:
             setattr(args, dest, coerce[dest](value.strip()))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise _CliError(f"config line {lineno}: bad value for {key.strip()!r}: {exc}") from exc
 
 
@@ -93,6 +93,14 @@ def _parse_grid(spec: str, expected: str):
     if points < 2:
         raise _CliError("grid needs at least 2 points")
     return np.linspace(start, stop, points)
+
+
+def _finite(text: str) -> float:
+    """Float type of the flag rows: nan and inf are configuration errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _require(args, *names) -> None:
@@ -416,9 +424,10 @@ def _cmd_validate(args) -> int:
 # the command table
 #
 # A flag row is (flag, type, default, help).  The dest is the flag without
-# its dashes; the type also coerces config values (None keeps the text); a
-# _REQUIRED default marks a required flag, and a tuple default lists the
-# allowed values, the first of them being the default.
+# its dashes; the type also coerces config values (None keeps the text, and
+# _finite is float without nan and inf); a _REQUIRED default marks a
+# required flag, and a tuple default lists the allowed values, the first of
+# them being the default.
 
 _REQUIRED = object()
 
@@ -431,27 +440,27 @@ _CSV = (
     ("--format", None, ("csv", "json"), "output format: csv or json"),
 )
 
-_OMEGA = ("--omega", float, _REQUIRED, "atom transition frequency")
+_OMEGA = ("--omega", _finite, _REQUIRED, "atom transition frequency")
 _HOPPING = (
-    ("--J", float, 1.0, "inter-cavity hopping"),
-    ("--V", float, 1.0, "atom-cavity coupling"),
+    ("--J", _finite, 1.0, "inter-cavity hopping"),
+    ("--V", _finite, 1.0, "atom-cavity coupling"),
 )
-_T_TYPE = (_OMEGA, ("--omega0", float, _REQUIRED, "cavity frequency"), *_HOPPING)
+_T_TYPE = (_OMEGA, ("--omega0", _finite, _REQUIRED, "cavity frequency"), *_HOPPING)
 _WAVEGUIDE = (
-    ("--omega", float, 1.0, "atom frequency"),
-    ("--gamma", float, 1.0, "decay rate"),
+    ("--omega", _finite, 1.0, "atom frequency"),
+    ("--gamma", _finite, 1.0, "decay rate"),
 )
 _H_TYPE = (
-    ("--omega", float, 1.0, "atom frequency"),
-    ("--vbar1", float, _REQUIRED, "guide-1 even-channel coupling"),
-    ("--vbar2", float, _REQUIRED, "guide-2 even-channel coupling"),
+    ("--omega", _finite, 1.0, "atom frequency"),
+    ("--vbar1", _finite, _REQUIRED, "guide-1 even-channel coupling"),
+    ("--vbar2", _finite, _REQUIRED, "guide-2 even-channel coupling"),
 )
 _K12 = (
-    ("--k1", float, _REQUIRED, "incident momentum 1"),
-    ("--k2", float, _REQUIRED, "incident momentum 2"),
+    ("--k1", _finite, _REQUIRED, "incident momentum 1"),
+    ("--k2", _finite, _REQUIRED, "incident momentum 2"),
 )
-_K123 = (*_K12, ("--k3", float, _REQUIRED, "incident momentum 3"))
-_DURATION = ("--duration", float, None, "evolution time (default auto)")
+_K123 = (*_K12, ("--k3", _finite, _REQUIRED, "incident momentum 3"))
+_DURATION = ("--duration", _finite, None, "evolution time (default auto)")
 
 
 def _grid(help_text: str):
@@ -471,46 +480,46 @@ _COMMANDS = (
     (("wg-transmit",), "transmission amplitude curve", _cmd_wg_transmit, "csv",
      (*_WAVEGUIDE, _grid("k:start:stop:points"))),
     (("two-photon-wf",), "two-photon out-state wavefunction", _cmd_two_photon_wf, "csv",
-     (*_WAVEGUIDE, *_K12, ("--xc", float, 0.0, "center of mass coordinate"),
+     (*_WAVEGUIDE, *_K12, ("--xc", _finite, 0.0, "center of mass coordinate"),
       _grid("x:start:stop:points (relative coordinate)"))),
     (("fluorescence2",), "two-photon background fluorescence", _cmd_fluorescence2, "csv",
      (*_WAVEGUIDE, *_K12, _grid("p1:start:stop:points"))),
     (("fluorescence3",), "three-photon background fluorescence slice", _cmd_fluorescence3,
      "csv",
-     (*_WAVEGUIDE, *_K123, ("--p3", float, None, "fixed outgoing momentum (default E/3)"),
+     (*_WAVEGUIDE, *_K123, ("--p3", _finite, None, "fixed outgoing momentum (default E/3)"),
       _grid("p1:start:stop:points"))),
     (("three-photon-wf",), "three-photon out-state on an x3 plane", _cmd_three_photon_wf,
      "csv",
-     (*_WAVEGUIDE, *_K123, ("--x3", float, 0.0, "fixed third coordinate"),
+     (*_WAVEGUIDE, *_K123, ("--x3", _finite, 0.0, "fixed third coordinate"),
       _grid("x:start:stop:points (applied to x1 and x2)"))),
     (("h-single",), "two-channel amplitude curves", _cmd_h_single, "csv",
      (*_H_TYPE, _grid("k:start:stop:points"))),
     (("h-two-photon",), "two-photon S-matrix element table", _cmd_h_two_photon, "json",
-     (*_H_TYPE, ("--k1", float, _REQUIRED, "incident momentum in waveguide 1"),
-      ("--k2", float, _REQUIRED, "incident momentum in waveguide 2"))),
+     (*_H_TYPE, ("--k1", _finite, _REQUIRED, "incident momentum in waveguide 1"),
+      ("--k2", _finite, _REQUIRED, "incident momentum in waveguide 2"))),
     (("correlation",), "second-order correlation |g_ij|^2", _cmd_correlation, "csv",
      (*_H_TYPE, ("--pair", None, tuple(_PAIR_LABELS), "detection channels: 11, 12 or 22"),
-      ("--E", float, _REQUIRED, "total pair energy"),
-      ("--dk", float, 0.0, "half momentum difference"),
+      ("--E", _finite, _REQUIRED, "total pair energy"),
+      ("--dk", _finite, 0.0, "half momentum difference"),
       _grid("x:start:stop:points (relative coordinate)"))),
     (("oracle",), "finite-lattice validators", None, None, ()),
     (("oracle", "bound"), "bound states vs exact diagonalization", _cmd_oracle_bound, "json",
      (*_T_TYPE, ("--L", int, 601, "lattice size (odd)"))),
     (("oracle", "scatter"), "single-photon wavepacket run", _cmd_oracle_scatter, "json",
      (("--kind", None, ("t", "h"), "lattice family"), _OMEGA,
-      ("--omega0", float, None, "cavity frequency (kind t)"), *_HOPPING,
-      ("--vbar1", float, None, "guide-1 coupling (kind h)"),
-      ("--vbar2", float, None, "guide-2 coupling (kind h)"),
-      ("--v1", float, 1.0, "guide-1 velocity (kind h)"),
-      ("--v2", float, 1.0, "guide-2 velocity (kind h)"),
-      ("--carrier", float, _REQUIRED, "carrier momentum in (0, pi)"),
-      ("--width", float, 40.0, "packet width (sites)"), _DURATION,
+      ("--omega0", _finite, None, "cavity frequency (kind t)"), *_HOPPING,
+      ("--vbar1", _finite, None, "guide-1 coupling (kind h)"),
+      ("--vbar2", _finite, None, "guide-2 coupling (kind h)"),
+      ("--v1", _finite, 1.0, "guide-1 velocity (kind h)"),
+      ("--v2", _finite, 1.0, "guide-2 velocity (kind h)"),
+      ("--carrier", _finite, _REQUIRED, "carrier momentum in (0, pi)"),
+      ("--width", _finite, 40.0, "packet width (sites)"), _DURATION,
       ("--L", int, 801, "lattice size (odd)"))),
     (("oracle", "pair"), "two-excitation bunching run", _cmd_oracle_pair, "json",
-     (*_T_TYPE, ("--k1", float, _REQUIRED, "carrier momentum of packet 1"),
-      ("--k2", float, _REQUIRED, "carrier momentum of packet 2"),
-      ("--width", float, 10.0, "packet width (sites)"),
-      ("--separation", float, None, "packet separation (default 2.5 width)"),
+     (*_T_TYPE, ("--k1", _finite, _REQUIRED, "carrier momentum of packet 1"),
+      ("--k2", _finite, _REQUIRED, "carrier momentum of packet 2"),
+      ("--width", _finite, 10.0, "packet width (sites)"),
+      ("--separation", _finite, None, "packet separation (default 2.5 width)"),
       ("--window", int, 9, "coincidence window (sites)"), _DURATION,
       ("--L", int, 281, "lattice size (odd)"))),
     (("validate",), "run the acceptance suite", _cmd_validate, "text",

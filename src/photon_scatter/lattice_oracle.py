@@ -1,15 +1,17 @@
 """Finite-lattice oracle: exact diagonalization, wavepackets, ring sums.
 
-Everything here validates the closed-form modules from first principles.
-Real sparse operators realize the open resonator chains exactly, in the
-single- and the two-excitation sector (the latter on its bosonic sector,
-photon pairs packed as a <= b); one Chebyshev propagator evolves both in
-real arithmetic, and the bound states are the extremal eigenpairs of the
-single-excitation operator.  Gaussian wavepacket runs measure transmission
-probabilities against the analytic amplitudes; two-packet runs probe
-photon-photon correlations; and quantized-momentum ring sums check the
-continuum delta conventions of the analytic S-matrices (a momentum delta
-maps to (L / 2 pi) times a Kronecker delta on the ring).
+Everything here validates the closed-form modules from first principles,
+on numpy alone.  One real sparse operator type, ``SparseOperator``,
+realizes the open resonator chains exactly, in the single- and the
+two-excitation sector (the latter on its bosonic sector, photon pairs
+packed as a <= b).  One Chebyshev propagator, its Bessel coefficients from
+Miller's backward recurrence, evolves both; the bound states are the
+extremal eigenpairs of the single-excitation operator, both from one
+Lanczos run with full reorthogonalisation.  Gaussian wavepacket runs
+measure transmission probabilities against the analytic amplitudes;
+two-packet runs probe photon-photon correlations; and quantized-momentum
+ring sums check the continuum delta conventions of the analytic S-matrices
+(a momentum delta maps to (L / 2 pi) times a Kronecker delta on the ring).
 
 H-type lattice realization: each chain uses hopping J_s = v_s / 2, so the
 band-center group velocity equals the waveguide velocity, and site coupling
@@ -20,11 +22,10 @@ epsilon(q) = Omega - v cos(q) directly the waveguide momentum variable.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import jv
 
 from . import hwg, tcra, twg
 from .core import HWGParams, TCRAParams, ToleranceError
@@ -37,6 +38,13 @@ _GUARD_FRACTION = 0.05
 _GUARD_MASS_LIMIT = 1e-5
 
 _MIN_PAIR_WIDTH = 6.0
+
+# Lanczos stops when both extremal Ritz residuals are this fraction of the
+# operator's Gershgorin scale: the envelope fit reads amplitudes down to
+# 1e-11 of the peak, which a looser stop leaves visibly perturbed
+_LANCZOS_RTOL = 1e-15
+# one dense eigh of the tridiagonal matrix per check outweighs a step
+_LANCZOS_CHECK_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -65,15 +73,106 @@ class LatticeModel:
         return np.arange(self.size) - (self.size - 1) // 2
 
 
-def _chain(length: int, omega: float, hopping: float) -> sparse.csr_matrix:
-    """Open tight-binding chain: ``omega`` on the diagonal, ``-hopping`` beside it."""
-    off = np.full(length - 1, -hopping)
-    diagonals = [off, np.full(length, omega), off]
-    return sparse.diags(diagonals, [-1, 0, 1], format="csr", dtype=float)
+class SparseOperator:
+    """Real square sparse matrix, built for repeated matrix-vector products.
+
+    Assembled from (row, column, value) triplets; repeated positions add up.
+    A lattice operator repeats one hopping value over most of its
+    off-diagonal entries, so the commonest off-diagonal value u is factored
+    out: h = D + u A + R, with D the diagonal, A the 0/1 pattern of the
+    entries equal to u and R the rest.  The entries of A in each row, in
+    column order, fill numbered slots.  A slot that at least half the rows
+    fill is stored as one column per row, a row without an entry there
+    pointing at its own column and D taking back the u this adds; a product
+    then costs one gather and one add per slot and a single scaling by u.
+    The entries of sparser slots join R, which is kept in groups whose rows
+    do not repeat.  ``gershgorin`` is an interval holding every eigenvalue.
+    """
+
+    def __init__(self, size: int, entries):
+        parts = [np.broadcast_arrays(*(np.ravel(a) for a in part)) for part in entries]
+        rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+        if np.iscomplexobj(vals):
+            raise ValueError("operator entries must be real")
+        key, position = np.unique(rows.astype(np.intp) * size + cols, return_inverse=True)
+        vals = np.bincount(position, weights=vals, minlength=len(key))
+        rows, cols = np.divmod(key, size)
+        on_diag = rows == cols
+        self.shape = (size, size)
+        self.diag = np.zeros(size)
+        self.diag[rows[on_diag]] = vals[on_diag]
+        rows, cols, vals = rows[~on_diag], cols[~on_diag], vals[~on_diag]
+        radius = np.bincount(rows, weights=np.abs(vals), minlength=size)
+        self.gershgorin = (
+            float(np.min(self.diag - radius)),
+            float(np.max(self.diag + radius)),
+        )
+
+        distinct, counts = np.unique(vals, return_counts=True)
+        self.common = float(distinct[np.argmax(counts)]) if len(vals) else 0.0
+        common = vals == self.common
+        self.pattern = []
+        # key order is row major, so a row's entries sit together
+        self.rest = _row_groups(rows[~common], cols[~common], vals[~common])
+        for r, c, _ in _row_groups(rows[common], cols[common], vals[common]):
+            if 2 * len(r) < size:
+                self.rest.append((r, c, np.full(len(r), self.common)))
+                continue
+            full = np.arange(size)
+            full[r] = c
+            self.pattern.append(full)
+            missing = np.ones(size, dtype=bool)
+            missing[r] = False
+            self.diag[missing] -= self.common
+
+    def affine(self, scale: float, shift: float) -> SparseOperator:
+        """The operator scale * (self - shift), sharing this one's columns."""
+        out = copy.copy(self)
+        out.diag = scale * (self.diag - shift)
+        out.common = scale * self.common
+        out.rest = [(r, c, scale * v) for r, c, v in self.rest]
+        out.gershgorin = tuple(sorted(scale * (e - shift) for e in self.gershgorin))
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.diag * x
+        if self.pattern:
+            acc = np.take(x, self.pattern[0], mode="clip")
+            buf = np.empty_like(acc)
+            for cols in self.pattern[1:]:
+                np.take(x, cols, mode="clip", out=buf)
+                acc += buf
+            acc *= self.common
+            y += acc
+        for rows, cols, vals in self.rest:
+            y[rows] += vals * x[cols]
+        return y
 
 
-def build_single_excitation(model: LatticeModel) -> sparse.csr_matrix:
-    """Sparse (CSR) symmetric single-excitation Hamiltonian, open chains.
+def _row_groups(rows, cols, vals):
+    """Split row-sorted entries into groups in which no row repeats: group s
+    holds the s-th entry of every row that has one."""
+    counts = np.bincount(rows)
+    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    return [
+        (rows[rank == s], cols[rank == s], vals[rank == s])
+        for s in range(counts.max(initial=0))
+    ]
+
+
+def _chain_entries(length: int, omega: float, hopping: float, first: int = 0):
+    """Open tight-binding chain on sites first..first+length-1: ``omega`` on the
+    diagonal, ``-hopping`` beside it, as (rows, columns, values) triplets."""
+    sites = np.arange(first, first + length)
+    return (
+        (sites, sites, omega),
+        (sites[:-1], sites[1:], -hopping),
+        (sites[1:], sites[:-1], -hopping),
+    )
+
+
+def build_single_excitation(model: LatticeModel) -> SparseOperator:
+    """Sparse symmetric single-excitation Hamiltonian, open chains.
 
     T-type layout: sites 0..L-1 then the atom.  H-type layout: chain 1,
     chain 2, then the atom; see the module docstring for the effective
@@ -82,42 +181,55 @@ def build_single_excitation(model: LatticeModel) -> sparse.csr_matrix:
     p = model.params
     center = (model.size - 1) // 2
     if model.kind == "t":
-        chains = [_chain(model.size, p.omega_cavity, p.hopping)]
+        chains = [(p.omega_cavity, p.hopping)]
         couplings = [p.coupling]
     else:
-        chains = [_chain(model.size, p.omega_atom, 0.5 * v) for v in p.group_velocity]
+        chains = [(p.omega_atom, 0.5 * v) for v in p.group_velocity]
         couplings = [v / np.sqrt(2.0) for v in p.vbar]
-    sites = [s * model.size + center for s in range(len(chains))]
-    column = sparse.csr_matrix(
-        (couplings, (sites, [0] * len(sites))), shape=(model.dimension - 1, 1)
-    )
-    atom = sparse.csr_matrix([[p.omega_atom]])
-    return sparse.bmat(
-        [[sparse.block_diag(chains), column], [column.T, atom]], format="csr"
-    )
+    atom = model.dimension - 1
+    entries = [(atom, atom, p.omega_atom)]
+    for s, ((omega, hopping), v) in enumerate(zip(chains, couplings)):
+        entries += _chain_entries(model.size, omega, hopping, first=s * model.size)
+        site = s * model.size + center
+        entries += [(site, atom, v), (atom, site, v)]
+    return SparseOperator(model.dimension, entries)
 
 
-def _gershgorin(h) -> tuple[float, float]:
-    """Gershgorin interval: contains every eigenvalue of the sparse ``h``."""
-    diag = h.diagonal()
-    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
+def _bessel_j(order: int, z: float) -> np.ndarray:
+    """J_0(z) ... J_order(z) for z > 0, by Miller's backward recurrence.
+
+    J_{n-1} = (2n / z) J_n - J_{n+1} runs down from a zero and a unit seed
+    above ``order``, where the decaying solution J dominates the growing
+    one; the sequence is then normalised by J_0 + 2 sum_k J_2k = 1.  The
+    start is meant for orders past the Bessel tail, where J_order(z) is far
+    below double precision.  A term beyond 1e100 rescales every term so far
+    to bring it back to 1, so nothing overflows while one step grows by
+    2n / z < 1e300: z is held at 1e-200 or above, below which every J_n
+    past J_0 = 1 is under 1e-200 anyway.
+    """
+    z = max(z, 1e-200)
+    start = order + 20
+    terms = [0.0, 1.0]  # J_{start+1}, J_start, then downward
+    for n in range(start, 0, -1):
+        terms.append((2.0 * n / z) * terms[-1] - terms[-2])
+        if abs(terms[-1]) > 1e100:
+            scale = 1.0 / abs(terms[-1])
+            terms = [t * scale for t in terms]
+    j = np.array(terms[::-1])
+    return j[: order + 1] / (j[0] + 2.0 * np.sum(j[2::2]))
 
 
-def _chebyshev_evolve(h, state: np.ndarray, t: float, bounds: tuple[float, float]):
+def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     """Propagate e^{-i h t} state with a Chebyshev polynomial expansion.
 
-    ``h`` is a real operator (sparse or dense) with a real spectrum, which
-    ``bounds`` must contain; the Bessel coefficient tail then decays
-    superexponentially (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
-    The shift and scale fold into one real matrix X = 2 (h - b) / a, so the
-    recursion t_{k+1} = X t_k - t_{k-1} is real and carries the real and the
-    imaginary part of the state stacked as one real vector.  The even terms
-    sum to cos(a t X / 2), the odd terms to sin(a t X / 2), and the result is
-    e^{-i b t} (cos - i sin) state.
+    ``h`` is a real operator with a real spectrum, which ``bounds`` must
+    contain; the Bessel coefficient tail then decays superexponentially
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The shift and
+    scale fold into one operator X = 2 (h - b) / a, so the recursion
+    t_{k+1} = X t_k - t_{k-1} has real coefficients: the even terms sum to
+    cos(a t X / 2) state, the odd terms to sin(a t X / 2) state, and the
+    result is e^{-i b t} (cos - i sin) state.
     """
-    if np.iscomplexobj(h):
-        raise ValueError("the Chebyshev propagator needs a real operator")
     emin, emax = bounds
     if not emax > emin:
         raise ValueError("bounds must satisfy emax > emin")
@@ -127,20 +239,18 @@ def _chebyshev_evolve(h, state: np.ndarray, t: float, bounds: tuple[float, float
     b = 0.5 * (emax + emin)
     z = a * t
     order = int(z + 25.0 + 12.0 * z ** (1.0 / 3.0))
-    bess = jv(np.arange(order + 1), z)
+    bess = _bessel_j(order, z)
     tail = np.nonzero(np.abs(bess) > 1e-16)[0]
-    order = int(tail[-1]) if len(tail) else 1
+    # a run so short that J_1 drops below the cut still takes one odd term
+    order = max(1, int(tail[-1]))
     # (-i)^k runs +1, -i, -1, +i: the real weight of T_k in the cos (even k)
     # or the sin (odd k) part is +1, +1, -1, -1
     sign = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(order + 1) % 4]
     coef = bess[: order + 1] * sign
     coef[1:] *= 2.0
 
-    n = h.shape[0]
-    x = (sparse.csr_matrix(h) - b * sparse.identity(n)) * (2.0 / a)
-    x = sparse.block_diag([x, x], format="csr")
-    state = np.asarray(state)
-    t0 = np.concatenate([state.real, state.imag]).astype(float, copy=False)
+    x = h.affine(2.0 / a, b)
+    t0 = np.array(state, dtype=complex)
     t1 = 0.5 * (x @ t0)
     acc = [coef[0] * t0, coef[1] * t1]
     for k in range(2, order + 1):
@@ -151,7 +261,7 @@ def _chebyshev_evolve(h, state: np.ndarray, t: float, bounds: tuple[float, float
         acc[k % 2] += t0
         t0, t1 = t1, t2
     cos, sin = acc
-    return np.exp(-1j * b * t) * ((cos[:n] + sin[n:]) + 1j * (cos[n:] - sin[:n]))
+    return np.exp(-1j * b * t) * (cos - 1j * sin)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +270,12 @@ def _chebyshev_evolve(h, state: np.ndarray, t: float, bounds: tuple[float, float
 
 @dataclass(frozen=True)
 class BoundStateReport:
-    """Out-of-band eigenpairs compared with the closed-form bound states."""
+    """Out-of-band eigenpairs compared with the closed-form bound states.
+
+    ``lanczos_steps`` is the size of the Krylov space the eigenpairs came
+    from, and ``ritz_residuals`` bound |h x - e x| for the (lower, upper)
+    pair, unit x.
+    """
 
     energies: tuple[float, float]
     analytic_energies: tuple[float, float]
@@ -170,7 +285,48 @@ class BoundStateReport:
     slope_residuals: tuple[float, float]
     upper_sign_alternating: bool
     lower_sign_uniform: bool
+    lanczos_steps: int
+    ritz_residuals: tuple[float, float]
     warnings: tuple[str, ...]
+
+
+def _lanczos_extremes(h: SparseOperator, tol: float):
+    """Lowest and highest eigenpairs of the symmetric ``h`` from one Krylov space.
+
+    Lanczos from the fixed start vector ones(n), so reports repeat exactly,
+    with full reorthogonalisation (twice per step) against every basis
+    vector.  Stops once both extremal Ritz residuals beta_m |s_m| are at
+    most ``tol`` (checked every few steps and at a breakdown); a space that
+    fills all n dimensions first raises ToleranceError.  Returns (energies,
+    vectors as columns, steps, residuals), lowest first.
+    """
+    n = h.shape[0]
+    basis = np.empty((min(n, 64), n))
+    basis[0] = 1.0 / np.sqrt(n)
+    alpha, beta = [], []
+    for m in range(1, n + 1):
+        w = h @ basis[m - 1]
+        alpha.append(float(basis[m - 1] @ w))
+        for _ in range(2):
+            w -= basis[:m].T @ (basis[:m] @ w)
+        norm = float(np.linalg.norm(w))
+        if m % _LANCZOS_CHECK_EVERY == 0 or m == n or norm <= tol:
+            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, s = np.linalg.eigh(tri)
+            residuals = norm * np.abs(s[-1, [0, -1]])
+            if residuals.max() <= tol:
+                vectors = basis[:m].T @ s[:, [0, -1]]
+                return theta[[0, -1]], vectors, m, tuple(float(r) for r in residuals)
+        if m == n:
+            break
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty((min(m, n - m), n))])
+        beta.append(norm)
+        basis[m] = w / norm
+    raise ToleranceError(
+        f"Lanczos did not converge in {n} steps: Ritz residuals"
+        f" {residuals[0]:.2e}, {residuals[1]:.2e} above {tol:.2e}"
+    )
 
 
 def _envelope_slope(site_amp: np.ndarray, x: np.ndarray) -> float:
@@ -196,8 +352,6 @@ def _sign_pattern(site_vec: np.ndarray, x: np.ndarray, alternating: bool) -> boo
 
 def bound_state_check(model: LatticeModel) -> BoundStateReport:
     """Compare out-of-band lattice eigenpairs with the analytic bound states."""
-    from scipy.sparse.linalg import eigsh
-
     if model.kind != "t":
         raise ValueError("bound-state check is defined for T-type models")
     p = model.params
@@ -206,12 +360,10 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
     edge = 1e-12 * max(1.0, abs(top), abs(bottom))
     # the chain is a principal submatrix, so by Cauchy interlacing at most
     # one level lies on each side of the band: the extremal eigenpair is
-    # the only candidate.  A fixed start vector keeps the reports
-    # reproducible (ARPACK's default one is random).
+    # the only candidate
     h = build_single_excitation(model)
-    v0 = np.ones(h.shape[0])
-    (e_low,), vec_low = eigsh(h, k=1, which="SA", v0=v0)
-    (e_high,), vec_high = eigsh(h, k=1, which="LA", v0=v0)
+    tol = _LANCZOS_RTOL * max(abs(e) for e in h.gershgorin)
+    (e_low, e_high), vecs, steps, residuals = _lanczos_extremes(h, tol)
     below = e_low < bottom - edge
     above = e_high > top + edge
 
@@ -228,8 +380,8 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
     slopes = []
     patterns = []
     for found, energy, vec, analytic in (
-        (below, e_low, vec_low[:, 0], lower),
-        (above, e_high, vec_high[:, 0], upper),
+        (below, e_low, vecs[:, 0], lower),
+        (above, e_high, vecs[:, 1], upper),
     ):
         if not found:
             energies.append(np.nan)
@@ -251,6 +403,8 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
         slope_residuals=tuple(abs(a - b) for a, b in zip(slopes, analytic_s)),
         upper_sign_alternating=patterns[1],
         lower_sign_uniform=patterns[0],
+        lanczos_steps=steps,
+        ritz_residuals=residuals,
         warnings=tuple(warnings),
     )
 
@@ -340,7 +494,7 @@ def wavepacket_scatter(
     psi0 /= np.linalg.norm(psi0)
 
     h = build_single_excitation(model)
-    psi_t = _chebyshev_evolve(h, psi0, t_end, _gershgorin(h))
+    psi_t = _chebyshev_evolve(h, psi0, t_end, h.gershgorin)
     dens = np.abs(psi_t) ** 2
     atom = float(dens[-1])
 
@@ -407,7 +561,7 @@ def _pair_index(a, b, size: int):
     return a * size - a * (a - 1) // 2 + (b - a)
 
 
-def _pair_operator(params: TCRAParams, size: int) -> sparse.csr_matrix:
+def _pair_operator(params: TCRAParams, size: int) -> SparseOperator:
     """Two-excitation operator on the bosonic sector: packed pairs, then photon + atom.
 
     The pair block acts on the packed upper triangle u = psi[a, b], a <= b
@@ -423,28 +577,25 @@ def _pair_operator(params: TCRAParams, size: int) -> sparse.csr_matrix:
     a, b = np.triu_indices(size)
     npairs = len(a)
     pairs = np.arange(npairs)
-    rows, cols, vals = [pairs], [pairs], [np.full(npairs, 2.0 * params.omega_cavity)]
+    entries = [(pairs, pairs, 2.0 * params.omega_cavity)]
     for na, nb in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
         lo, hi = np.minimum(na, nb), np.maximum(na, nb)
         inside = (lo >= 0) & (hi < size)
-        rows.append(pairs[inside])
-        cols.append(_pair_index(lo[inside], hi[inside], size))
-        vals.append(np.full(np.count_nonzero(inside), -params.hopping))
-    hop = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(npairs, npairs),
-    )
+        entries.append(
+            (pairs[inside], _pair_index(lo[inside], hi[inside], size), -params.hopping)
+        )
 
     center = (size - 1) // 2
     sites = np.arange(size)
     touch = _pair_index(np.minimum(sites, center), np.maximum(sites, center), size)
     v = params.coupling
-    emit = sparse.csr_matrix(
-        (v * (1.0 + (sites == center)), (touch, sites)), shape=(npairs, size)
+    chi = npairs + sites
+    entries.append((touch, chi, v * (1.0 + (sites == center))))  # emission
+    entries.append((chi, touch, v))  # absorption
+    entries += _chain_entries(
+        size, params.omega_cavity + params.omega_atom, params.hopping, first=npairs
     )
-    absorb = sparse.csr_matrix((np.full(size, v), (sites, touch)), shape=(size, npairs))
-    dressed = _chain(size, params.omega_cavity + params.omega_atom, params.hopping)
-    return sparse.bmat([[hop, emit], [absorb, dressed]], format="csr")
+    return SparseOperator(npairs + size, entries)
 
 
 def _pair_norm_sq(buf: np.ndarray, size: int) -> float:
@@ -518,7 +669,7 @@ def two_excitation_check(
     state /= np.sqrt(_pair_norm_sq(state, size))
 
     h_pair = _pair_operator(p, size)
-    state_t = _chebyshev_evolve(h_pair, state, t_end, _gershgorin(h_pair))
+    state_t = _chebyshev_evolve(h_pair, state, t_end, h_pair.gershgorin)
     norm_drift = abs(_pair_norm_sq(state_t, size) - 1.0)
 
     npairs = len(upper[0])
@@ -529,8 +680,8 @@ def two_excitation_check(
     _check_guard_mass(marg, x, half, guard, t_end)
 
     # free reference: bare-chain product evolution of the same packets
-    h_free = _chain(size, p.omega_cavity, p.hopping)
-    bounds = _gershgorin(h_free)
+    h_free = SparseOperator(size, _chain_entries(size, p.omega_cavity, p.hopping))
+    bounds = h_free.gershgorin
     fronts = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
     backs = _chebyshev_evolve(h_free, phi_back, t_end, bounds)
     psi_free = np.outer(fronts, backs) + np.outer(backs, fronts)

@@ -266,6 +266,16 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
         # --precision and --format belong to the CSV subcommands only
         ["bound-states", "--omega", "0", "--omega0", "0", "--precision", "3"],
         ["wg-transmit", "--grid", "k:0:1:2", "--format", "xml"],
+        # numeric flags must be finite
+        ["t-reflect", "--omega", "nan", "--omega0", "0", "--V", "1",
+         "--grid", "k:0.2:2.9:3"],
+        ["wg-transmit", "--omega", "1", "--gamma", "inf", "--grid", "k:-3:5:3"],
+        ["three-photon-wf", "--omega", "1", "--gamma", "1", "--k1", "nan", "--k2", "1",
+         "--k3", "1", "--x3", "0", "--grid", "x:-1:1:2"],
+        ["bound-states", "--omega", "inf", "--omega0", "0", "--V", "1"],
+        ["oracle", "bound", "--omega", "nan", "--omega0", "0", "--V", "1", "--L", "201"],
+        ["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0", "--V", "inf",
+         "--carrier", "1.2", "--L", "801"],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
@@ -294,6 +304,8 @@ def test_config_supplies_required_flags_and_grid(tmp_path, capsys):
          "branch = sideways"),
         (["oracle", "scatter", "--omega", "0", "--omega0", "0", "--carrier", "1.0472"],
          "kind = q"),
+        (["t-reflect", "--omega", "0", "--omega0", "0", "--grid", "k:0.2:2.9:3"],
+         "V = nan"),
     ],
 )
 def test_config_value_outside_choices_exits_2(tmp_path, capsys, argv, line):
@@ -357,8 +369,8 @@ def test_validate_rejects_unknown_criterion(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # only the oracle and validate subcommands need scipy; they import it
-    # themselves, so the analytic subcommands start without it
+    # the package runs on numpy alone, so starting the CLI loads no scipy;
+    # test_oracle_runs_without_scipy covers the oracle subcommands' code
     src = os.path.dirname(os.path.dirname(photon_scatter.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (

@@ -13,10 +13,11 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.linalg import expm
+from scipy.special import jv
 
 from photon_scatter import lattice_oracle as lo
 from photon_scatter import tcra, twg
@@ -33,6 +34,17 @@ def _h_params(vbar):
     return HWGParams(omega_atom=1.0, vbar=vbar)
 
 
+def _dense(h):
+    """Dense copy of a lattice operator, one product per unit vector."""
+    return np.column_stack([h @ e for e in np.eye(h.shape[0])])
+
+
+def _operator(matrix):
+    """The sparse operator of a dense matrix, from its nonzero entries."""
+    rows, cols = np.nonzero(matrix)
+    return lo.SparseOperator(matrix.shape[0], [(rows, cols, matrix[rows, cols])])
+
+
 def _out_of_band(evals, bottom, top):
     edge = 1e-12 * max(1.0, abs(top), abs(bottom))
     return evals[(evals < bottom - edge) | (evals > top + edge)]
@@ -44,7 +56,7 @@ def _out_of_band(evals, bottom, top):
 
 def test_decoupled_atom_gives_block_diagonal_matrix():
     p = _t_params(coupling=0.0)
-    h = lo.build_single_excitation(lo.LatticeModel(params=p, size=3)).toarray()
+    h = _dense(lo.build_single_excitation(lo.LatticeModel(params=p, size=3)))
     chain = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
     assert np.array_equal(h[:3, :3], chain)
     assert np.array_equal(h[3, :], np.zeros(4))
@@ -57,7 +69,7 @@ def test_h_model_layout():
     assert m.kind == "h"
     assert m.dimension == 11
     assert np.array_equal(m.positions(), np.array([-2, -1, 0, 1, 2]))
-    h = lo.build_single_excitation(m).toarray()
+    h = _dense(lo.build_single_excitation(m))
     assert np.allclose(np.diag(h), 1.5)
     assert h[0, 1] == -0.5  # chain 1 hopping v1 / 2
     assert h[5, 6] == -1.0  # chain 2 hopping v2 / 2
@@ -91,14 +103,14 @@ def test_spectrum_respects_gershgorin_bounds():
         ),
     ]
     for m in models:
-        h = lo.build_single_excitation(m).toarray()
+        h = _dense(lo.build_single_excitation(m))
         radius = np.abs(h).sum(axis=1) - np.abs(np.diag(h))
         lo_bound, hi_bound = (np.diag(h) - radius).min(), (np.diag(h) + radius).max()
         evals = np.linalg.eigvalsh(h)
         assert evals.min() >= lo_bound - 1e-12
         assert evals.max() <= hi_bound + 1e-12
-        # the propagator's bound is the same interval, read off the CSR matrix
-        bounds = lo._gershgorin(lo.build_single_excitation(m))
+        # the propagator's bound is the same interval, read off the entries
+        bounds = lo.build_single_excitation(m).gershgorin
         assert bounds == pytest.approx((lo_bound, hi_bound), abs=1e-14)
 
 
@@ -109,7 +121,7 @@ def test_spectrum_respects_gershgorin_bounds():
 def test_two_out_of_band_levels_at_unit_coupling():
     # large lattice pins the detached levels to the infinite-chain values
     m = lo.LatticeModel(params=_t_params(), size=2001)
-    evals = np.linalg.eigvalsh(lo.build_single_excitation(m).toarray())
+    evals = np.linalg.eigvalsh(_dense(lo.build_single_excitation(m)))
     out = _out_of_band(evals, -2.0, 2.0)
     assert len(out) == 2
     assert out.min() == pytest.approx(-BOUND_ENERGY, abs=1e-6)
@@ -123,7 +135,7 @@ def test_bound_energy_error_decreases_with_lattice_size():
     errors = []
     for size in (201, 601, 2001):
         m = lo.LatticeModel(params=p, size=size)
-        evals = np.linalg.eigvalsh(lo.build_single_excitation(m).toarray())
+        evals = np.linalg.eigvalsh(_dense(lo.build_single_excitation(m)))
         out = _out_of_band(evals, -2.0, 2.0)
         assert len(out) == 2
         errors.append(
@@ -146,7 +158,7 @@ def test_bound_report_matches_closed_forms():
 def test_out_of_band_energies_mirror_about_cavity_frequency():
     p = TCRAParams(omega_atom=0.7, omega_cavity=0.7, hopping=1.0, coupling=1.0)
     m = lo.LatticeModel(params=p, size=301)
-    evals = np.linalg.eigvalsh(lo.build_single_excitation(m).toarray())
+    evals = np.linalg.eigvalsh(_dense(lo.build_single_excitation(m)))
     out = _out_of_band(evals, 0.7 - 2.0, 0.7 + 2.0)
     assert len(out) == 2
     assert out.min() + out.max() == pytest.approx(2 * 0.7, abs=1e-10)
@@ -172,7 +184,13 @@ def test_bound_report_is_reproducible_and_matches_dense_reference():
     first = dataclasses.asdict(lo.bound_state_check(m))
     assert dataclasses.asdict(lo.bound_state_check(m)) == first
     assert first["warnings"] == ()
-    evals, evecs = np.linalg.eigh(lo.build_single_excitation(m).toarray())
+    # the Lanczos run reports how it stopped: both Ritz residuals under
+    # the stopping tolerance, within a Krylov space smaller than the lattice
+    h = lo.build_single_excitation(m)
+    tol = lo._LANCZOS_RTOL * max(abs(e) for e in h.gershgorin)
+    assert max(first["ritz_residuals"]) <= tol
+    assert 0 < first["lanczos_steps"] < h.shape[0]
+    evals, evecs = np.linalg.eigh(_dense(lo.build_single_excitation(m)))
     assert first["energies"] == pytest.approx((evals[0], evals[-1]), abs=1e-12)
     x = m.positions()
     for vec, slope in ((evecs[: m.size, 0], 0), (evecs[: m.size, -1], 1)):
@@ -260,7 +278,9 @@ def test_chebyshev_propagator_matches_eigenbasis():
     psi0 = rng.normal(size=48) + 1j * rng.normal(size=48)
     psi0 /= np.linalg.norm(psi0)
     evals = np.linalg.eigvalsh(h)
-    via_cheb = lo._chebyshev_evolve(h, psi0, 7.3, (evals[0] - 0.1, evals[-1] + 0.1))
+    via_cheb = lo._chebyshev_evolve(
+        _operator(h), psi0, 7.3, (evals[0] - 0.1, evals[-1] + 0.1)
+    )
     via_eig = _eig_evolve(h, psi0, 7.3)
     assert np.max(np.abs(via_cheb - via_eig)) < 1e-11
 
@@ -273,27 +293,79 @@ def test_chebyshev_propagator_matches_eigenbasis():
     )
     psi0 = rng.normal(size=83) + 1j * rng.normal(size=83)
     psi0 /= np.linalg.norm(psi0)
-    via_cheb = lo._chebyshev_evolve(h_lat, psi0, 37.5, lo._gershgorin(h_lat))
-    via_eig = _eig_evolve(h_lat.toarray(), psi0, 37.5)
+    via_cheb = lo._chebyshev_evolve(h_lat, psi0, 37.5, h_lat.gershgorin)
+    via_eig = _eig_evolve(_dense(h_lat), psi0, 37.5)
     assert np.max(np.abs(via_cheb - via_eig)) < 1e-11
 
 
 def test_chebyshev_rejects_empty_bounds():
     with pytest.raises(ValueError):
-        lo._chebyshev_evolve(np.eye(3), np.ones(3, dtype=complex), 1.0, (2.0, 2.0))
+        lo._chebyshev_evolve(_operator(np.eye(3)), np.ones(3, dtype=complex), 1.0, (2.0, 2.0))
 
 
 @pytest.mark.parametrize("t", [0.0, -5.0, np.inf])
 def test_chebyshev_rejects_non_positive_time(t):
     with pytest.raises(ValueError):
-        lo._chebyshev_evolve(np.eye(3), np.ones(3, dtype=complex), t, (0.0, 2.0))
+        lo._chebyshev_evolve(_operator(np.eye(3)), np.ones(3, dtype=complex), t, (0.0, 2.0))
 
 
 def test_chebyshev_rejects_complex_operator():
     # the real recursion would silently drop the imaginary part
-    h = sparse.csr_matrix(np.diag([1.0, 2.0, 3.0]) + 0.5j * np.eye(3, k=1))
+    h = np.diag([1.0, 2.0, 3.0]) + 0.5j * np.eye(3, k=1)
     with pytest.raises(ValueError):
-        lo._chebyshev_evolve(h, np.ones(3, dtype=complex), 1.0, (0.0, 4.0))
+        lo._chebyshev_evolve(_operator(h), np.ones(3, dtype=complex), 1.0, (0.0, 4.0))
+
+
+def _tail_order(bess):
+    """The propagator's expansion order: the last coefficient above 1e-16."""
+    return int(np.nonzero(np.abs(bess) > 1e-16)[0][-1])
+
+
+@pytest.mark.parametrize("z", [0.5, 3.0, 107.0, 501.0, 2000.0])
+def test_bessel_coefficients_match_mpmath_and_jv_tail(z):
+    order = int(z + 25.0 + 12.0 * z ** (1.0 / 3.0))
+    bess = lo._bessel_j(order, z)
+    assert bess.shape == (order + 1,)
+    # mpmath is slow at large z: a spread of orders, the tail included
+    picks = np.unique(np.concatenate([np.linspace(0, order, 9).astype(int),
+                                      _tail_order(bess) + np.arange(-2, 3)]))
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.besselj(int(n), z)) for n in picks])
+    assert np.max(np.abs(bess[picks] - exact)) <= 1e-15
+    assert _tail_order(bess) == _tail_order(jv(np.arange(order + 1), z))
+
+
+def test_chebyshev_short_time_is_the_identity():
+    # J_1 below the coefficient cut still leaves one odd term to sum
+    h = _operator(np.diag([1.0, 2.0, 3.0]) - np.eye(3, k=1) - np.eye(3, k=-1))
+    psi0 = np.array([1.0, 0.5j, -0.25])
+    for t in (1e-17, 1e-300):
+        psi_t = lo._chebyshev_evolve(h, psi0, t, h.gershgorin)
+        assert np.max(np.abs(psi_t - psi0)) <= 1e-15
+
+
+def _assert_lanczos_matches_dense(h):
+    tol = 1e-15 * max(abs(e) for e in h.gershgorin)
+    energies, vectors, steps, residuals = lo._lanczos_extremes(h, tol)
+    evals, evecs = np.linalg.eigh(_dense(h))
+    assert energies == pytest.approx((evals[0], evals[-1]), abs=1e-12)
+    for found, exact in ((vectors[:, 0], evecs[:, 0]), (vectors[:, 1], evecs[:, -1])):
+        sign = np.sign(found @ exact)
+        assert np.max(np.abs(found - sign * exact)) <= 1e-12
+    assert max(residuals) <= tol
+    assert steps <= h.shape[0]
+
+
+def test_lanczos_matches_dense_eigh_on_lattice_operator():
+    p = TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=1.0, coupling=0.8)
+    _assert_lanczos_matches_dense(
+        lo.build_single_excitation(lo.LatticeModel(params=p, size=201))
+    )
+
+
+def test_lanczos_matches_dense_eigh_on_random_symmetric_matrix():
+    a = np.random.default_rng(23).normal(size=(80, 80))
+    _assert_lanczos_matches_dense(_operator(0.5 * (a + a.T)))
 
 
 def _pair_stencil(params, size, buf):
@@ -352,7 +424,7 @@ def test_pair_operator_matches_stencil():
         )
     # same spectral interval as the hand-derived band-plus-coupling bound
     w0, j, v = p.omega_cavity, p.hopping, p.coupling
-    assert lo._gershgorin(h) == pytest.approx(
+    assert h.gershgorin == pytest.approx(
         (
             min(2.0 * (w0 - 2.0 * j) - 2.0 * v, w0 + p.omega_atom - 2.0 * j - v),
             max(2.0 * (w0 + 2.0 * j) + 2.0 * v, w0 + p.omega_atom + 2.0 * j + v),
@@ -373,25 +445,34 @@ def test_packed_pair_evolution_matches_full_square():
     state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
     state /= np.sqrt(lo._pair_norm_sq(state, size))
     exact = expm(-1j * 6.3 * full) @ _unpack(state, size)
-    packed = lo._chebyshev_evolve(h, state, 6.3, lo._gershgorin(h))
+    packed = lo._chebyshev_evolve(h, state, 6.3, h.gershgorin)
     assert np.max(np.abs(packed - _pack(exact, size))) < 1e-12
     assert lo._pair_norm_sq(packed, size) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_oracle_import_loads_no_scipy_linalg():
-    # only the bound-state check needs ARPACK; it imports it itself, so the
-    # scatter and pair runs start without scipy.linalg
+def test_oracle_runs_without_scipy():
+    # every oracle run, and the acceptance suite that calls them, needs
+    # numpy alone: a child with scipy made unimportable still runs them
     src = os.path.dirname(os.path.dirname(lo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = (
-        "import sys, photon_scatter.lattice_oracle; "
-        "print(sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))"
-    )
+    probe = """
+import sys
+sys.modules["scipy"] = None
+from photon_scatter import validation
+from photon_scatter import lattice_oracle as lo
+from photon_scatter.core import HWGParams, TCRAParams
+t = TCRAParams(omega_atom=0.0, omega_cavity=0.0, hopping=1.0, coupling=1.0)
+assert not lo.bound_state_check(lo.LatticeModel(params=t, size=201)).warnings
+lo.wavepacket_scatter(lo.LatticeModel(params=t, size=801), 1.2, 40.0)
+h = HWGParams(omega_atom=1.0, vbar=(0.5, 0.5))
+lo.wavepacket_scatter(lo.LatticeModel(params=h, size=801), 1.5, 40.0)
+lo.two_excitation_check(lo.LatticeModel(params=t, size=161), 1.2, 1.9, width=6.0,
+                        separation=15.0)
+"""
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
     )
-    assert result.stdout.strip() == "[]"
+    assert result.returncode == 0, result.stderr
 
 
 def test_free_pair_reproduces_product_packets():
