@@ -10,8 +10,10 @@ The parser is built from one table of subcommands and their flags,
 
 Exit codes: 0 success, 2 configuration error (a non-finite number
 included), 3 numerical-tolerance failure (any ``RuntimeError``, which
-includes Lanczos non-convergence in the lattice bound-state solve).  Errors
-are reported as a single-line JSON record on stderr.
+includes Lanczos non-convergence in the lattice bound-state solve), 4
+internal error (any other exception, a ``MemoryError`` from an oversized
+grid included).  Errors are reported as a single-line JSON record on
+stderr.
 
 The package needs numpy alone.  The lattice oracle and the acceptance
 suite are imported by their subcommands alone, so the analytic subcommands
@@ -573,6 +575,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         _error_record("numerical-tolerance", exc)
         return 3
+    except Exception as exc:
+        _error_record("internal", f"{type(exc).__name__}: {exc}")
+        return 4
 
 
 if __name__ == "__main__":

@@ -134,11 +134,6 @@ class TWGParams:
         if not self.gamma_t > 0.0:
             raise ValueError("gamma_t must be positive")
 
-    @classmethod
-    def from_coupling(cls, omega_atom: float, coupling: float) -> "TWGParams":
-        # even-channel coupling is sqrt(2) V, so the rate is 2 V^2
-        return cls(omega_atom, 2.0 * coupling**2)
-
     @property
     def alpha(self) -> complex:
         return self.omega_atom - 0.5j * self.gamma_t

@@ -2,7 +2,9 @@
 
 Single-photon channel amplitudes, the two-photon S-matrix elements for the
 cross-channel incident pair, spatial pair wavefunctions g_ij, and the
-second-order correlation.  The spatial formulas follow the equal-velocity
+second-order correlation.  One table, ``_channel_products``, states each
+outgoing channel's single-photon weights; the S-matrix and the pair
+wavefunctions both read it.  The spatial formulas follow the equal-velocity
 convention v1 = v2 = 1; the parameter record carries general velocities for
 the decay rate only.
 """
@@ -10,6 +12,7 @@ the decay rate only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,6 +67,10 @@ def channel_amplitudes(params: HWGParams, k) -> ChannelAmplitudes:
     return ChannelAmplitudes(complex(t11), complex(t21), complex(t22))
 
 
+def _coupling(params: HWGParams, channels) -> float:
+    return np.prod([params.vbar[c - 1] for c in channels])
+
+
 def two_photon_t_h(params: HWGParams, channels, k1: float, k2: float, p1, p2):
     """Connected two-photon T density (with the leading i) between channels.
 
@@ -75,8 +82,25 @@ def two_photon_t_h(params: HWGParams, channels, k1: float, k2: float, p1, p2):
     _require_unit_velocities(params)
     if len(channels) != 4 or any(c not in (1, 2) for c in channels):
         raise ValueError("channels must be four waveguide labels 1 or 2")
-    pref = np.prod([params.vbar[c - 1] for c in channels])
-    return _pair_t(params.alpha_h, pref, k1, k2, p1, p2)
+    return _pair_t(params.alpha_h, _coupling(params, channels), k1, k2, p1, p2)
+
+
+def _channel_products(params: HWGParams, k1: float, k2: float) -> dict:
+    """Single-photon products of the incident pair (k1 in wg 1, k2 in wg 2).
+
+    Keyed by outgoing channel (j1, j2), slot-ordered; each value is the
+    (direct, exchange) pair of weights pinned at (p1, p2) = (k1, k2) and at
+    (k2, k1).  A same-guide channel carries one product on both pinnings;
+    the mixed one has both photons keep their waveguide (direct) or both
+    switch (exchange).
+    """
+    c1 = channel_amplitudes(params, k1)
+    c2 = channel_amplitudes(params, k2)
+    return {
+        (1, 1): (c1.t11 * c2.t21, c1.t11 * c2.t21),
+        (1, 2): (c1.t11 * c2.t22, c1.t21 * c2.t21),
+        (2, 2): (c1.t21 * c2.t22, c1.t21 * c2.t22),
+    }
 
 
 def two_photon_s_h(params: HWGParams, k1: float, k2: float) -> dict:
@@ -84,47 +108,16 @@ def two_photon_s_h(params: HWGParams, k1: float, k2: float) -> dict:
 
     Returns the three outgoing-channel elements keyed by (1, 1), (1, 2) and
     (2, 2).  The (1, 2) key is slot-ordered: first momentum in waveguide 1.
-    Both same-channel elements carry one amplitude product on both delta
-    pairings; the mixed element distinguishes direct (both photons keep
-    their waveguide) from exchange (both switch).
     """
     _require_unit_velocities(params)
-    c1 = channel_amplitudes(params, k1)
-    c2 = channel_amplitudes(params, k2)
-    e = k1 + k2
-
-    def density(j1, j2):
-        def conn(p1, p2):
-            return two_photon_t_h(params, (1, 2, j1, j2), k1, k2, p1, p2)
-
-        return conn
-
-    out = {}
-    out[(1, 1)] = ScatteringAmplitudeSet(
-        total_energy=e,
-        disconnected=(
-            DeltaTerm((k1, k2), c1.t11 * c2.t21),
-            DeltaTerm((k2, k1), c1.t11 * c2.t21),
-        ),
-        connected=density(1, 1),
-    )
-    out[(1, 2)] = ScatteringAmplitudeSet(
-        total_energy=e,
-        disconnected=(
-            DeltaTerm((k1, k2), c1.t11 * c2.t22),  # both stay
-            DeltaTerm((k2, k1), c1.t21 * c2.t21),  # both switch
-        ),
-        connected=density(1, 2),
-    )
-    out[(2, 2)] = ScatteringAmplitudeSet(
-        total_energy=e,
-        disconnected=(
-            DeltaTerm((k1, k2), c1.t21 * c2.t22),
-            DeltaTerm((k2, k1), c1.t21 * c2.t22),
-        ),
-        connected=density(2, 2),
-    )
-    return out
+    return {
+        pair: ScatteringAmplitudeSet(
+            total_energy=k1 + k2,
+            disconnected=(DeltaTerm((k1, k2), direct), DeltaTerm((k2, k1), exchange)),
+            connected=partial(two_photon_t_h, params, (1, 2, *pair), k1, k2),
+        )
+        for pair, (direct, exchange) in _channel_products(params, k1, k2).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -149,40 +142,29 @@ class PairWavefunctions:
     def relative_momentum(self) -> float:
         return 0.5 * (self.k1 - self.k2)
 
-    def _bound(self, x, coupling: float):
-        # the connected term of the channel whose T density carries coupling
-        return _pair_bound(self.params.alpha_h, coupling, self.k1, self.k2, x)
-
-    def g11(self, x):
-        v1, v2 = self.params.vbar
-        c1 = channel_amplitudes(self.params, self.k1)
-        c2 = channel_amplitudes(self.params, self.k2)
-        plane = c1.t11 * c2.t21 * np.cos(self.relative_momentum * np.asarray(x))
-        return (plane + self._bound(x, v2 * v1**3)) / (2.0 * np.pi)
-
-    def g22(self, x):
-        v1, v2 = self.params.vbar
-        c1 = channel_amplitudes(self.params, self.k1)
-        c2 = channel_amplitudes(self.params, self.k2)
-        plane = c1.t21 * c2.t22 * np.cos(self.relative_momentum * np.asarray(x))
-        return (plane + self._bound(x, v1 * v2**3)) / (2.0 * np.pi)
-
-    def g12(self, x):
-        v1, v2 = self.params.vbar
-        x = np.asarray(x, dtype=float)
-        c1 = channel_amplitudes(self.params, self.k1)
-        c2 = channel_amplitudes(self.params, self.k2)
-        direct = c1.t11 * c2.t22
-        exchange = c1.t21 * c2.t21
-        dk = self.relative_momentum
-        plane = (direct + exchange) * np.cos(dk * x) + 1j * (direct - exchange) * np.sin(dk * x)
-        return (plane + self._bound(x, 2.0 * v1**2 * v2**2)) / (2.0 * np.pi)
-
     def channel(self, pair):
-        table = {(1, 1): self.g11, (1, 2): self.g12, (2, 2): self.g22}
-        if tuple(pair) not in table:
+        """g_{j1 j2}(x) of the outgoing channel ``pair`` = (j1, j2).
+
+        The shell transform of :func:`two_photon_s_h`'s element: both delta
+        pinnings as plane waves plus twice the pair bound term, shared
+        equally by the two slots of a same-guide channel.
+        """
+        pair = tuple(pair)
+        products = _channel_products(self.params, self.k1, self.k2)
+        if pair not in products:
             raise ValueError("channel pair must be (1,1), (1,2) or (2,2)")
-        return table[tuple(pair)]
+        direct, exchange = products[pair]
+        share = 0.5 if pair[0] == pair[1] else 1.0
+        coupling = _coupling(self.params, (1, 2, *pair))
+
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            dkx = self.relative_momentum * x
+            plane = (direct + exchange) * np.cos(dkx) + 1j * (direct - exchange) * np.sin(dkx)
+            bound = _pair_bound(self.params.alpha_h, coupling, self.k1, self.k2, x)
+            return share * (plane + 2.0 * bound) / (2.0 * np.pi)
+
+        return g
 
 
 def pair_wavefunctions(params: HWGParams, k1: float, k2: float) -> PairWavefunctions:

@@ -12,6 +12,11 @@ measure transmission probabilities against the analytic amplitudes;
 two-packet runs probe photon-photon correlations; and quantized-momentum
 ring sums check the continuum delta conventions of the analytic S-matrices
 (a momentum delta maps to (L / 2 pi) times a Kronecker delta on the ring).
+Each ring sum snaps the incident momenta to the ring grid, builds the
+S-matrix with the library's own constructor (``twg.two_photon_s``,
+``twg.three_photon_s``, ``hwg.two_photon_s_h``), lays its tiers on one
+energy-shell grid and reduces, so a wrong slot or weight in the S-matrix
+shows in the unitarity sums.
 
 H-type lattice realization: each chain uses hopping J_s = v_s / 2, so the
 band-center group velocity equals the waveguide velocity, and site coupling
@@ -643,6 +648,8 @@ def two_excitation_check(
             raise ValueError("carriers must sit inside the band, away from edges")
     if duration is not None and not 0.0 < duration < np.inf:
         raise ValueError("duration must be positive and finite")
+    if window < 0:
+        raise ValueError("coincidence window must be nonnegative")
 
     p = model.params
     size = model.size
@@ -716,214 +723,160 @@ def two_excitation_check(
 # ring-quantized momentum sums
 
 
-def _ring_grid(size: int):
-    return 2.0 * np.pi / size
+# shell half-widths of the ring sums: the pair sums in units of the line
+# scale |E/2 - Omega| + width, the three-photon out-state in units of gamma_t;
+# the connected pair tail of an out-state decays slowly and needs the widest
+_PAIR_NORM_WINDOW = 25.0
+_PAIR_WF_WINDOW = 1500.0
+_PSI3_WINDOW = 32.0
+_PSI3_PAIR_WINDOW = 1000.0
 
 
 def _snap(value: float, dk: float) -> float:
     return round(value / dk) * dk
 
 
-def _ring_pair_rows(params, width, k1, k2, size, half_window, default_window, channels):
-    """Pair S-matrix rows on the ring energy shell p1 + p2 = k1 + k2.
+def _shell(e: float, n: int, size: int, half_window: float):
+    """Ring momenta on the shell p_1 + ... + p_n = e.
 
-    Snaps k1, k2 to the ring grid and samples p1 over a window of half-width
-    ``half_window`` (default ``default_window`` times the line scale set by
-    ``width``) around the symmetric shell point.  ``channels(params, k1s, k2s,
-    p1, p2)`` lists, per outgoing channel, the connected density and the
-    Kronecker weights pinned at p1 = k1s and at p1 = k2s; each row is
-    (2 pi / L) times the density plus its pins.  Returns
-    ``((k1s, k2s), p1, p2, rows)``.
+    The first n - 1 slots each run over the grid axis of half-width
+    ``half_window`` centred on e / n; the last slot closes the shell.
     """
-    dk = _ring_grid(size)
+    dk = 2.0 * np.pi / size
+    n0 = round((e / n) / dk)
+    axis = np.arange(n0 - int(half_window / dk), n0 + int(half_window / dk) + 1) * dk
+    p = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
+    last = e
+    for q in p:
+        last = last - q
+    return [*p, last]
+
+
+def _ring_image(s, p, size: int) -> np.ndarray:
+    """Lay the S-matrix element ``s`` on the shell momenta ``p`` of :func:`_shell`.
+
+    A momentum delta is (L / 2 pi) times a Kronecker delta on the ring, so
+    the connected density carries (2 pi / L)^(n - 1), a pinned pair
+    (2 pi / L) and a fully pinned term its bare weight.  The shell fixes
+    the last slot, so a fully pinned term matches on the others alone.
+    """
+    dk = 2.0 * np.pi / size
+
+    def at(q, value):
+        return np.isclose(q, value, atol=0.25 * dk)
+
+    m = dk ** (len(p) - 1) * s.connected_density(*p)
+    for term in s.pinned_pairs:
+        match = at(p[term.slot], term.value)
+        if not match.any():
+            continue
+        pa, pb = (q[match] for j, q in enumerate(p) if j != term.slot)
+        m[match] += term.amplitude * dk * term.density(pa, pb)
+    for term in s.disconnected:
+        m[np.logical_and.reduce([at(q, v) for q, v in zip(p[:-1], term.pinned)])] += term.weight
+    return m
+
+
+def _pair_shell(params, width: float, k1: float, k2: float, size: int, windows: float):
+    """Snapped incident pair and its ring shell, ``windows`` line scales wide."""
+    dk = 2.0 * np.pi / size
     k1s, k2s = _snap(k1, dk), _snap(k2, dk)
     e = k1s + k2s
-    scale = max(width, abs(0.5 * e - params.omega_atom) + width)
-    w = half_window if half_window is not None else default_window * scale
-    n0 = round((0.5 * e) / dk)
-    steps = np.arange(n0 - int(w / dk), n0 + int(w / dk) + 1)
-    p1 = steps * dk
-    p2 = e - p1
-
-    at_k1 = np.isclose(p1, k1s, atol=0.25 * dk)
-    at_k2 = np.isclose(p1, k2s, atol=0.25 * dk)
-    rows = []
-    for density, pin_k1, pin_k2 in channels(params, k1s, k2s, p1, p2):
-        m = (2.0 * np.pi / size) * density
-        m[at_k1] += pin_k1
-        m[at_k2] += pin_k2
-        rows.append(m)
-    return (k1s, k2s), p1, p2, rows
+    scale = abs(0.5 * e - params.omega_atom) + width
+    return (k1s, k2s), _shell(e, 2, size, windows * scale)
 
 
-def _twg_pair_channel(params, k1s, k2s, p1, p2):
-    tt = complex(
-        twg.transmission_amplitude(params, k1s) * twg.transmission_amplitude(params, k2s)
-    )
-    return [(twg.two_photon_t(params, k1s, k2s, p1, p2), tt, tt)]
-
-
-def _hwg_pair_channels(params, k1s, k2s, p1, p2):
-    # incident k1 in waveguide 1, k2 in waveguide 2; outgoing (1,1), (2,2), (1,2)
-    a1 = hwg.channel_amplitudes(params, k1s)
-    a2 = hwg.channel_amplitudes(params, k2s)
-
-    def density(j1, j2):
-        return hwg.two_photon_t_h(params, (1, 2, j1, j2), k1s, k2s, p1, p2)
-
-    return [
-        (density(1, 1), a1.t11 * a2.t21, a1.t11 * a2.t21),
-        (density(2, 2), a1.t21 * a2.t22, a1.t21 * a2.t22),
-        (density(1, 2), a1.t11 * a2.t22, a1.t21 * a2.t21),
-    ]
-
-
-def ring_two_photon_wavefunction(
-    params, k1: float, k2: float, x_center, x_relative, size: int, half_window=None
-):
+def ring_two_photon_wavefunction(params, k1: float, k2: float, x_center, x_relative, size: int):
     """Quantized-momentum image of the analytic two-photon out-state.
 
-    Snaps the incident momenta to the ring grid, sums the disconnected
-    Kronecker terms plus (2 pi / L) times the connected density over the
-    energy shell, and returns ``(snapped momenta, value)``.  Converges to
-    :func:`photon_scatter.twg.two_photon_out_wavefunction` as the window and
-    ring grow; the slowly decaying connected tail needs a wide window.
+    Snaps the incident momenta to the ring grid, lays
+    :func:`photon_scatter.twg.two_photon_s` on the energy shell and sums its
+    plane waves; returns ``(snapped momenta, value)``.  Converges to
+    :func:`photon_scatter.twg.two_photon_out_wavefunction` as the ring
+    grows; the slowly decaying connected tail needs the wide shell.
     """
-    snapped, p1, p2, (m,) = _ring_pair_rows(
-        params, params.gamma_t, k1, k2, size, half_window, 1500.0, _twg_pair_channel
-    )
+    ks, p = _pair_shell(params, params.gamma_t, k1, k2, size, _PAIR_WF_WINDOW)
+    m = _ring_image(twg.two_photon_s(params, *ks), p, size)
     x1 = float(x_center) + 0.5 * float(x_relative)
     x2 = float(x_center) - 0.5 * float(x_relative)
-    value = np.sum(m * np.exp(1j * (p1 * x1 + p2 * x2))) / (4.0 * np.pi)
-    return snapped, complex(value)
+    value = np.sum(m * np.exp(1j * (p[0] * x1 + p[1] * x2))) / (4.0 * np.pi)
+    return ks, complex(value)
 
 
-def ring_two_photon_norm(params, k1: float, k2: float, size: int, half_window=None):
+def ring_two_photon_norm(params, k1: float, k2: float, size: int):
     """Out-state norm of the two-photon S-matrix on the ring (exact value 1)."""
-    _, _, _, (m,) = _ring_pair_rows(
-        params, params.gamma_t, k1, k2, size, half_window, 25.0, _twg_pair_channel
-    )
+    ks, p = _pair_shell(params, params.gamma_t, k1, k2, size, _PAIR_NORM_WINDOW)
+    m = _ring_image(twg.two_photon_s(params, *ks), p, size)
     return float(0.5 * np.sum(np.abs(m) ** 2))
 
 
-def ring_three_photon_norm(params, k, size: int, half_window=None):
+def ring_three_photon_norm(params, k, size: int, half_window: float):
     """Out-state norm of the three-photon S-matrix on the ring (exact value 1).
 
-    Sums |M|^2 / 6 over the on-shell momentum plane, where M collects the six
-    disconnected permutations, the nine single-transmission terms pinned by a
-    Kronecker delta, and the fully connected density.
+    Sums |M|^2 / 6 over the square of half-width ``half_window`` on the
+    shell plane, M the ring image of :func:`photon_scatter.twg.three_photon_s`.
     """
-    dk = _ring_grid(size)
+    dk = 2.0 * np.pi / size
     ks = tuple(_snap(v, dk) for v in k)
-    e = sum(ks)
-    g = params.gamma_t
-    scale = max(g, max(abs(v - e / 3.0) for v in ks) + g)
-    w = half_window if half_window is not None else 16.0 * scale
-    n0 = round((e / 3.0) / dk)
-    steps = np.arange(n0 - int(w / dk), n0 + int(w / dk) + 1) * dk
-    p1, p2 = np.meshgrid(steps, steps, indexing="ij")
-    p3 = e - p1 - p2
-
-    t = [complex(twg.transmission_amplitude(params, v)) for v in ks]
-    m = (2.0 * np.pi / size) ** 2 * twg.three_photon_t(params, ks, (p1, p2, p3))
-
-    slots = {0: p1, 1: p2, 2: p3}
-    for i in range(3):
-        ka, kb = (ks[a] for a in range(3) if a != i)
-        for j in range(3):
-            la, lb = (s for s in range(3) if s != j)
-            match = np.isclose(slots[j], ks[i], atol=0.25 * dk)
-            if not match.any():
-                continue
-            m[match] += (
-                t[i]
-                * (2.0 * np.pi / size)
-                * twg.two_photon_t(params, ka, kb, slots[la][match], slots[lb][match])
-            )
-    for tau in twg._PERMS3:
-        match = (
-            np.isclose(p1, ks[tau[0]], atol=0.25 * dk)
-            & np.isclose(p2, ks[tau[1]], atol=0.25 * dk)
-            & np.isclose(p3, ks[tau[2]], atol=0.25 * dk)
-        )
-        m[match] += t[0] * t[1] * t[2]
+    m = _ring_image(twg.three_photon_s(params, ks), _shell(sum(ks), 3, size, half_window), size)
     return float(np.sum(np.abs(m) ** 2) / 6.0)
 
 
-def ring_three_photon_wavefunction(
-    params,
-    k,
-    x,
-    size: int,
-    window: float | None = None,
-    pair_window: float | None = None,
-):
+def ring_three_photon_wavefunction(params, k, x, size: int):
     """Ring image of the three-photon spatial out-state.
 
-    Rebuilds the tiers of :func:`photon_scatter.twg.three_photon_out_wavefunction`
-    from the S-matrix as quantized momentum sums: the connected density is
-    summed over the square of half-width ``window`` (default 32 gamma_t)
-    around the symmetric shell point, averaged over the three choices of
-    eliminated slot; the pinned-pair sums use their own, much wider,
-    ``pair_window`` (default 1000 gamma_t).  Truncating the connected sum
-    leaves a relative deviation from the exact out-state of up to about
-    1.5 gamma_t / window.  Returns ``(snapped momenta, value)``.
+    Sums the tiers of :func:`photon_scatter.twg.three_photon_s` as quantized
+    plane waves: the pinned permutations directly, each pinned pair over its
+    own pair shell of half-width 1000 gamma_t, and the connected density
+    over the square of half-width 32 gamma_t on the shell plane, averaged
+    over the three choices of the slot that closes the shell.  Truncating
+    the connected sum leaves a relative deviation from the exact out-state
+    of up to about 1.5 gamma_t / 32 gamma_t.  Returns
+    ``(snapped momenta, value)``.
     """
-    dk = _ring_grid(size)
+    dk = 2.0 * np.pi / size
     ks = tuple(_snap(v, dk) for v in k)
     xs = [float(v) for v in x]
-    e = sum(ks)
     g = params.gamma_t
-    t = [complex(twg.transmission_amplitude(params, v)) for v in ks]
+    s = twg.three_photon_s(params, ks)
 
     tier_a = 0.0j
-    for q in twg._PERMS3:
-        tier_a += np.exp(1j * (ks[q[0]] * xs[0] + ks[q[1]] * xs[1] + ks[q[2]] * xs[2]))
-    tier_a *= t[0] * t[1] * t[2]
+    for term in s.disconnected:
+        tier_a += term.weight * np.exp(1j * sum(q * v for q, v in zip(term.pinned, xs)))
 
-    wb = pair_window if pair_window is not None else 1000.0 * g
     tier_b = 0.0j
-    for i in range(3):
-        ka, kb = (ks[a] for a in range(3) if a != i)
-        e_pair = ka + kb
-        n0 = round((0.5 * e_pair) / dk)
-        pa = np.arange(n0 - int(wb / dk), n0 + int(wb / dk) + 1) * dk
-        pb = e_pair - pa
-        dens = twg.two_photon_t(params, ka, kb, pa, pb)
-        for j in range(3):
-            xa, xb = (xs[a] for a in range(3) if a != j)
-            kernel = (2.0 * np.pi / size) * np.sum(dens * np.exp(1j * (pa * xa + pb * xb)))
-            tier_b += t[i] * np.exp(1j * ks[i] * xs[j]) * kernel
+    for term in s.pinned_pairs:
+        pa, pb = _shell(term.pair_energy, 2, size, _PSI3_PAIR_WINDOW * g)
+        xa, xb = (v for j, v in enumerate(xs) if j != term.slot)
+        kernel = dk * np.sum(term.density(pa, pb) * np.exp(1j * (pa * xa + pb * xb)))
+        tier_b += term.amplitude * np.exp(1j * term.value * xs[term.slot]) * kernel
 
-    w = window if window is not None else 32.0 * g
+    # T3 is symmetric in p, so the density serves every choice of the
+    # closing slot; only the plane waves move
+    pa, pb, ps = _shell(sum(ks), 3, size, _PSI3_WINDOW * g)
+    dens = s.connected_density(pa, pb, ps)
     tier_c = 0.0j
-    n0 = round((e / 3.0) / dk)
-    steps = np.arange(n0 - int(w / dk), n0 + int(w / dk) + 1) * dk
-    pa, pb = np.meshgrid(steps, steps, indexing="ij")
-    for s in range(3):
-        xa, xb = (xs[a] for a in range(3) if a != s)
-        ps = e - pa - pb
-        dens = twg.three_photon_t(params, ks, (pa, pb, ps))
-        tier_c += (2.0 * np.pi / size) ** 2 * np.sum(
-            dens * np.exp(1j * (pa * xa + pb * xb + ps * xs[s]))
-        )
+    for j in range(3):
+        xa, xb = (v for i, v in enumerate(xs) if i != j)
+        tier_c += dk**2 * np.sum(dens * np.exp(1j * (pa * xa + pb * xb + ps * xs[j])))
     tier_c /= 3.0
 
     value = (tier_a + tier_b + tier_c) / (6.0 * (2.0 * np.pi) ** 1.5)
     return ks, complex(value)
 
 
-def ring_h_pair_norm(params, k1: float, k2: float, size: int, half_window=None):
+def ring_h_pair_norm(params, k1: float, k2: float, size: int):
     """Out-state norm of the H-type pair S-matrix on the ring (exact value 1).
 
-    Incident pair (k1 in waveguide 1, k2 in waveguide 2); sums the (1,1),
-    (1,2) and (2,2) outgoing channels with their Kronecker pairings.
+    Incident pair (k1 in waveguide 1, k2 in waveguide 2); sums the ring
+    images of the three outgoing channels of
+    :func:`photon_scatter.hwg.two_photon_s_h`, a same-guide channel with
+    weight 1/2 for its identical photons.
     """
-    _, _, _, (m11, m22, m12) = _ring_pair_rows(
-        params, params.gamma_e, k1, k2, size, half_window, 25.0, _hwg_pair_channels
-    )
+    ks, p = _pair_shell(params, params.gamma_e, k1, k2, size, _PAIR_NORM_WINDOW)
     return float(
-        0.5 * np.sum(np.abs(m11) ** 2)
-        + 0.5 * np.sum(np.abs(m22) ** 2)
-        + np.sum(np.abs(m12) ** 2)
+        sum(
+            (0.5 if j1 == j2 else 1.0) * np.sum(np.abs(_ring_image(s, p, size)) ** 2)
+            for (j1, j2), s in hwg.two_photon_s_h(params, *ks).items()
+        )
     )

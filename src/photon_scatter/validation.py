@@ -224,12 +224,7 @@ def _criterion_h_unitarity():
         v1, v2 = rng.uniform(0.2, 2.5, 2)
         params = HWGParams(omega_atom=float(rng.uniform(0.0, 2.0)), vbar=(v1, v2))
         k = params.omega_atom + float(rng.uniform(-5.0, 5.0)) * params.gamma_e
-        c = hwg.channel_amplitudes(params, k)
-        worst = max(
-            worst,
-            abs(abs(c.t11) ** 2 + abs(c.t21) ** 2 - 1.0),
-            abs(abs(c.t22) ** 2 + abs(c.t21) ** 2 - 1.0),
-        )
+        worst = max(worst, hwg.channel_amplitudes(params, k).unitarity_defect())
 
     equal = hwg.channel_amplitudes(HWGParams(omega_atom=1.0, vbar=(2.0, 2.0)), 1.0)
     res_ok = equal.t11 == 0.0 and abs(abs(equal.t21) - 1.0) <= 1e-15
@@ -280,7 +275,7 @@ def _criterion_correlations():
 
     def indicator(vbar):
         p = HWGParams(omega_atom=1.0, vbar=vbar)
-        g11 = hwg.pair_wavefunctions(p, 1.0, 1.0).g11
+        g11 = hwg.pair_wavefunctions(p, 1.0, 1.0).channel((1, 1))
         return abs(g11(0.0)) ** 2 / abs(g11(10.0 / p.gamma_e)) ** 2
 
     bunching = indicator((2.0, 2.0))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import photon_scatter
+from photon_scatter import tcra
 from photon_scatter.cli import main
 
 
@@ -276,6 +277,9 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
         ["oracle", "bound", "--omega", "nan", "--omega0", "0", "--V", "1", "--L", "201"],
         ["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0", "--V", "inf",
          "--carrier", "1.2", "--L", "801"],
+        # a coincidence window counts sites, so it cannot be negative
+        ["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.5708",
+         "--k2", "1.5708", "--L", "281", "--window", "-1"],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
@@ -328,6 +332,20 @@ def test_tolerance_error_exits_3(capsys):
     assert code == 3
     record = json.loads(err)
     assert record["error"] == "numerical-tolerance"
+
+
+def test_internal_error_exits_4_with_json_record(capsys, monkeypatch):
+    # any exception that is neither a configuration nor a tolerance error
+    def broken(params):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(tcra, "bound_state_energies", broken)
+    code, out, err = _run(capsys, ["bound-states", "--omega", "0", "--omega0", "0"])
+    assert code == 4 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "internal"
+    assert "KeyError" in record["message"]
+    assert "\n" not in err.strip()
 
 
 def test_oracle_bound_report_json(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from photon_scatter import tcra, twg
 from photon_scatter.core import CosineBand, HWGParams, TCRAParams, TWGParams
 
 
@@ -48,6 +49,15 @@ def test_parameter_validation():
         HWGParams(1.0, (1.0, 1.0), (1.0, -2.0))
 
 
-def test_twg_from_coupling():
-    w = TWGParams.from_coupling(1.0, 1.0)
-    assert w.gamma_t == 2.0
+def test_lattice_to_waveguide_mapping():
+    # the even-channel phase 1 + 2 r_k of the lattice is the waveguide t at
+    # the band energy, with gamma_t = 2 V^2 / v_g at the carrier's velocity
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        w0, omega, j, v = rng.uniform((-2, -2, 0.2, 0.1), (2, 2, 3, 3))
+        p = TCRAParams(omega, w0, j, v)
+        k = rng.uniform(0.1, np.pi - 0.1)
+        v_g = float(p.band.group_velocity(k))
+        w = TWGParams(p.omega_atom, 2.0 * p.coupling**2 / v_g)
+        even = 1.0 + 2.0 * tcra.reflection_amplitude(p, k)
+        assert abs(even - twg.transmission_amplitude(w, float(p.band.energy(k)))) <= 1e-14

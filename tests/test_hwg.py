@@ -114,10 +114,10 @@ def test_pair_wavefunction_parity():
     p = HWGParams(1.0, (1.0, 2.0))
     g = pair_wavefunctions(p, 1.3, 0.9)
     x = np.linspace(0.1, 9.0, 40)
-    assert np.max(np.abs(g.g11(x) - g.g11(-x))) < 1e-12
-    assert np.max(np.abs(g.g22(x) - g.g22(-x))) < 1e-12
+    assert np.max(np.abs(g.channel((1, 1))(x) - g.channel((1, 1))(-x))) < 1e-12
+    assert np.max(np.abs(g.channel((2, 2))(x) - g.channel((2, 2))(-x))) < 1e-12
     # mixed channel keeps direct/exchange distinction: parity is broken
-    assert np.max(np.abs(g.g12(x) - g.g12(-x))) > 1e-6
+    assert np.max(np.abs(g.channel((1, 2))(x) - g.channel((1, 2))(-x))) > 1e-6
 
 
 def test_pair_wavefunction_resonant_closed_forms():
@@ -126,27 +126,40 @@ def test_pair_wavefunction_resonant_closed_forms():
     p = HWGParams(1.0, (2.0, 2.0))
     g = pair_wavefunctions(p, 1.0, 1.0)
     x = np.linspace(-3, 3, 101)
-    assert np.max(np.abs(g.g11(x) + np.exp(-4 * np.abs(x)) / (2 * np.pi))) < 1e-14
+    assert np.max(np.abs(g.channel((1, 1))(x) + np.exp(-4 * np.abs(x)) / (2 * np.pi))) < 1e-14
     expected12 = (1.0 - 2.0 * np.exp(-4 * np.abs(x))) / (2 * np.pi)
-    assert np.max(np.abs(g.g12(x) - expected12)) < 1e-14
+    assert np.max(np.abs(g.channel((1, 2))(x) - expected12)) < 1e-14
     # balanced couplings: |g11| = |g22| on resonance
-    assert np.max(np.abs(np.abs(g.g11(x)) - np.abs(g.g22(x)))) < 1e-14
+    assert np.max(np.abs(np.abs(g.channel((1, 1))(x)) - np.abs(g.channel((2, 2))(x)))) < 1e-14
 
 
 def test_bound_decay_rate():
-    # on two-photon resonance every bound term decays at gamma_e/2
+    # on two-photon resonance every bound term decays at gamma_e/2; the bound
+    # term is what a channel keeps once its two plane waves are taken off
     p = HWGParams(1.0, (0.8, 1.7))
-    g = pair_wavefunctions(p, 1.4, 0.6)  # E = 2 Omega
+    k1, k2 = 1.4, 0.6  # E = 2 Omega
+    g = pair_wavefunctions(p, k1, k2)
+    c1 = channel_amplitudes(p, k1)
+    c2 = channel_amplitudes(p, k2)
     x = np.linspace(1.0, 6.0 / p.gamma_e + 1.0, 80)
-    slope = np.polyfit(x, np.log(np.abs(g._bound(x, 1.0))), 1)[0]
-    assert slope == pytest.approx(-0.5 * p.gamma_e, abs=1e-6)
+    dk = 0.5 * (k1 - k2)
+    planes = {
+        (1, 1): c1.t11 * c2.t21 * np.cos(dk * x),
+        (2, 2): c1.t21 * c2.t22 * np.cos(dk * x),
+        (1, 2): c1.t11 * c2.t22 * np.exp(1j * dk * x) + c1.t21 * c2.t21 * np.exp(-1j * dk * x),
+    }
+    for pair, plane in planes.items():
+        bound = g.channel(pair)(x) - plane / (2.0 * np.pi)
+        slope = np.polyfit(x, np.log(np.abs(bound)), 1)[0]
+        assert slope == pytest.approx(-0.5 * p.gamma_e, abs=1e-6)
 
 
 def test_correlation_identity_and_bunching():
     p = HWGParams(1.0, (2.0, 2.0))
     g = pair_wavefunctions(p, 1.0, 1.0)
     x = np.linspace(-4, 4, 81)
-    assert np.array_equal(second_order_correlation(p, (1, 1), 1.0, 1.0, x), np.abs(g.g11(x)) ** 2)
+    g11 = g.channel((1, 1))
+    assert np.array_equal(second_order_correlation(p, (1, 1), 1.0, 1.0, x), np.abs(g11(x)) ** 2)
     # bunching: center value exceeds the plateau
     center = second_order_correlation(p, (1, 1), 1.0, 1.0, 0.0)
     plateau = second_order_correlation(p, (1, 1), 1.0, 1.0, 60.0)
@@ -167,7 +180,7 @@ def test_oscillation_at_nonzero_relative_momentum():
     p = HWGParams(1.0, (1.0, 1.0))
     g = pair_wavefunctions(p, 1.5, 0.5)  # E = 2 Omega, dk = 0.5
     x = np.linspace(0.0, 20.0, 400)
-    vals = np.abs(g.g11(x)) ** 2
+    vals = np.abs(g.channel((1, 1))(x)) ** 2
     inner = vals[1:-1]
     # interior local maximum exists
     assert np.any((inner > vals[:-2]) & (inner > vals[2:]))

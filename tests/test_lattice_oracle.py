@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 from photon_scatter import lattice_oracle as lo
-from photon_scatter import tcra, twg
+from photon_scatter import hwg, tcra, twg
 from photon_scatter.core import HWGParams, TCRAParams, ToleranceError, TWGParams
 
 BOUND_ENERGY = 2.0581710272714924
@@ -523,6 +523,10 @@ def test_pair_run_rejections():
         lo.two_excitation_check(
             lo.LatticeModel(params=_t_params(), size=281), 1.5, 1.5, duration=-5.0
         )
+    with pytest.raises(ValueError, match="window"):
+        lo.two_excitation_check(
+            lo.LatticeModel(params=_t_params(), size=281), 1.5, 1.5, window=-1
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +562,7 @@ def test_ring_three_photon_wavefunction_matches_analytic():
     positions = (-1.2, 0.4, 1.7)
     snapped, value = lo.ring_three_photon_wavefunction(params, momenta, positions, 61)
     reference = twg.three_photon_out_wavefunction(params, snapped, positions)
-    # the ring truncates its connected sum at the default window of 32
+    # the ring truncates its connected sum at its window of 32
     # gamma_t, which leaves a relative deviation of up to ~1.5 gamma_t / window
     assert abs(value - reference) < 1.5 / 32.0 * abs(reference)
 
@@ -568,3 +572,40 @@ def test_ring_h_pair_norm_is_unit():
     assert lo.ring_h_pair_norm(params, 1.05, 0.95, 601) == pytest.approx(
         1.0, abs=1e-3
     )
+
+
+def _drop_first_pinned_pair(s):
+    return dataclasses.replace(s, pinned_pairs=s.pinned_pairs[1:])
+
+
+def _double_connected(s):
+    return dataclasses.replace(s, connected=lambda *p: 2.0 * s.connected(*p))
+
+
+def _double_mixed_channel(table):
+    return {**table, (1, 2): _double_connected(table[(1, 2)])}
+
+
+@pytest.mark.parametrize(
+    "module, constructor, damage, norm, tol",
+    [
+        (twg, "three_photon_s", _drop_first_pinned_pair,
+         lambda: lo.ring_three_photon_norm(
+             TWGParams(omega_atom=0.0, gamma_t=1.0), (-0.3, 0.1, 0.5), 201, half_window=10.0
+         ), 2e-3),
+        (twg, "two_photon_s", _double_connected,
+         lambda: lo.ring_two_photon_norm(
+             TWGParams(omega_atom=0.2, gamma_t=0.3), 0.15, 0.25, 601
+         ), 1e-3),
+        (hwg, "two_photon_s_h", _double_mixed_channel,
+         lambda: lo.ring_h_pair_norm(_h_params((0.2, 0.4)), 1.05, 0.95, 601), 1e-3),
+    ],
+    ids=["three_photon_s", "two_photon_s", "two_photon_s_h"],
+)
+def test_ring_norms_read_the_library_s_matrix(monkeypatch, module, constructor, damage, norm, tol):
+    # the unitarity sums are built from the S-matrix constructors, so a
+    # damaged tier in the library's S-matrix moves them off 1
+    assert norm() == pytest.approx(1.0, abs=tol)
+    build = getattr(module, constructor)
+    monkeypatch.setattr(module, constructor, lambda *args: damage(build(*args)))
+    assert abs(norm() - 1.0) > tol
