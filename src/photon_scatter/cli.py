@@ -184,10 +184,7 @@ def _twg_params(args) -> TWGParams:
 
 
 def _hwg_params(args) -> HWGParams:
-    velocities = (getattr(args, "v1", 1.0), getattr(args, "v2", 1.0))
-    return HWGParams(
-        omega_atom=args.omega, vbar=(args.vbar1, args.vbar2), group_velocity=velocities
-    )
+    return HWGParams(omega_atom=args.omega, vbar=(args.vbar1, args.vbar2))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +509,6 @@ _COMMANDS = (
       ("--omega0", _finite, None, "cavity frequency (kind t)"), *_HOPPING,
       ("--vbar1", _finite, None, "guide-1 coupling (kind h)"),
       ("--vbar2", _finite, None, "guide-2 coupling (kind h)"),
-      ("--v1", _finite, 1.0, "guide-1 velocity (kind h)"),
-      ("--v2", _finite, 1.0, "guide-2 velocity (kind h)"),
       ("--carrier", _finite, _REQUIRED, "carrier momentum in (0, pi)"),
       ("--width", _finite, 40.0, "packet width (sites)"), _DURATION,
       ("--L", int, 801, "lattice size (odd)"))),
@@ -560,6 +555,8 @@ def _check_flags(args) -> None:
             _require(args, flag[2:])
         elif isinstance(default, tuple) and value not in default:
             raise _CliError(f"{flag} must be one of {', '.join(default)}, got {value!r}")
+    if getattr(args, "precision", 1) < 1:
+        raise _CliError(f"--precision must be at least 1, got {args.precision}")
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,12 @@
 """Shared parameter records, dispersions, kinematics, and amplitude containers.
 
 Conventions used throughout the package: the lattice spacing is 1, hbar = 1,
-and in the linearized waveguide modules the group velocity is 1 so that
-momentum and energy coincide for a right-moving photon.  Dirac deltas are
-never sampled on a grid; scattering matrices are returned as a structured
-split into delta-supported (disconnected) terms and a smooth connected
-density, see :class:`ScatteringAmplitudeSet`.
+and in the linearized waveguide modules the group velocity is 1, a
+convention and not a parameter, so that momentum and energy coincide for a
+right-moving photon.  Dirac deltas are never sampled on a grid; scattering
+matrices are returned as a structured split into delta-supported
+(disconnected) terms and a smooth connected density, see
+:class:`ScatteringAmplitudeSet`.
 """
 
 from __future__ import annotations
@@ -143,34 +144,31 @@ class TWGParams:
 class HWGParams:
     """Two linearized waveguides sharing one two-level atom.
 
+    Both waveguides have unit group velocity, the package convention, so the
+    total decay rate is ``gamma_e = vbar1**2 + vbar2**2``.
+
     Parameters
     ----------
     omega_atom : float
         Atom splitting.
     vbar : (float, float)
         Even-channel couplings of the two waveguides.
-    group_velocity : (float, float), optional
-        Group velocities (v1, v2); the spatial pair formulas require (1, 1).
     """
 
     omega_atom: float
     vbar: tuple[float, float]
-    group_velocity: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if len(self.vbar) != 2 or len(self.group_velocity) != 2:
-            raise ValueError("vbar and group_velocity must be pairs")
+        if len(self.vbar) != 2:
+            raise ValueError("vbar must be a pair")
         if not (self.vbar[0] >= 0.0 and self.vbar[1] >= 0.0):
             raise ValueError("couplings must be nonnegative")
-        if not (self.group_velocity[0] > 0.0 and self.group_velocity[1] > 0.0):
-            raise ValueError("group velocities must be positive")
         if self.vbar[0] == 0.0 and self.vbar[1] == 0.0:
             raise ValueError("at least one coupling must be nonzero")
 
     @property
     def gamma_e(self) -> float:
-        v1, v2 = self.group_velocity
-        return self.vbar[0] ** 2 / v1 + self.vbar[1] ** 2 / v2
+        return self.vbar[0] ** 2 + self.vbar[1] ** 2
 
     @property
     def alpha_h(self) -> complex:

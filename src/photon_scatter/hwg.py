@@ -4,9 +4,8 @@ Single-photon channel amplitudes, the two-photon S-matrix elements for the
 cross-channel incident pair, spatial pair wavefunctions g_ij, and the
 second-order correlation.  One table, ``_channel_products``, states each
 outgoing channel's single-photon weights; the S-matrix and the pair
-wavefunctions both read it.  The spatial formulas follow the equal-velocity
-convention v1 = v2 = 1; the parameter record carries general velocities for
-the decay rate only.
+wavefunctions both read it.  Both waveguides have unit group velocity, the
+package convention, so momentum and energy coincide in each.
 """
 
 from __future__ import annotations
@@ -17,22 +16,16 @@ from functools import partial
 import numpy as np
 
 from photon_scatter.core import DeltaTerm, HWGParams, ScatteringAmplitudeSet
-from photon_scatter.twg import _pair_bound, _pair_t
+from photon_scatter.twg import _pair_envelope, _pair_t
 
 __all__ = [
     "ChannelAmplitudes",
     "channel_amplitudes",
     "two_photon_t_h",
     "two_photon_s_h",
-    "PairWavefunctions",
-    "pair_wavefunctions",
+    "pair_wavefunction",
     "second_order_correlation",
 ]
-
-
-def _require_unit_velocities(params: HWGParams) -> None:
-    if params.group_velocity != (1.0, 1.0):
-        raise ValueError("channel formulas are defined for group velocities (1, 1)")
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,6 @@ class ChannelAmplitudes:
 
 def channel_amplitudes(params: HWGParams, k) -> ChannelAmplitudes:
     """Evaluate t11, t21, t22 at momentum k (scalar or array)."""
-    _require_unit_velocities(params)
     k = np.asarray(k, dtype=float)
     v1, v2 = params.vbar
     pole = k - params.omega_atom + 0.5j * (v1**2 + v2**2)
@@ -79,7 +71,6 @@ def two_photon_t_h(params: HWGParams, channels, k1: float, k2: float, p1, p2):
     coupling prefactor vbar_i1 vbar_i2 vbar_j1 vbar_j2; the pole structure
     is channel-blind.
     """
-    _require_unit_velocities(params)
     if len(channels) != 4 or any(c not in (1, 2) for c in channels):
         raise ValueError("channels must be four waveguide labels 1 or 2")
     return _pair_t(params.alpha_h, _coupling(params, channels), k1, k2, p1, p2)
@@ -109,7 +100,6 @@ def two_photon_s_h(params: HWGParams, k1: float, k2: float) -> dict:
     Returns the three outgoing-channel elements keyed by (1, 1), (1, 2) and
     (2, 2).  The (1, 2) key is slot-ordered: first momentum in waveguide 1.
     """
-    _require_unit_velocities(params)
     return {
         pair: ScatteringAmplitudeSet(
             total_energy=k1 + k2,
@@ -120,61 +110,29 @@ def two_photon_s_h(params: HWGParams, k1: float, k2: float) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PairWavefunctions:
-    """Relative-coordinate pair wavefunctions of the three outgoing channels.
+def pair_wavefunction(params: HWGParams, pair, k1: float, k2: float, x):
+    """g_{j1 j2}(x) of the outgoing channel ``pair`` = (j1, j2).
 
-    Each g_ij multiplies exp(i E x_c); the same-channel functions are even
-    in x while g12 mixes direct and exchange paths with different weights
-    and is not parity symmetric.  All bound terms share the decay constant
-    Im(E/2 - alpha_h), which equals gamma_e/2 on two-photon resonance.
+    Relative-coordinate pair wavefunction for the (1, 2) incident pair; it
+    multiplies exp(i E x_c).  The shell transform of :func:`two_photon_s_h`'s
+    element: both delta pinnings as plane waves plus twice the pair bound
+    term, shared equally by the two slots of a same-guide channel.  The
+    same-channel functions are even in x, while g12 mixes direct and
+    exchange paths with different weights and is not parity symmetric.  All
+    bound terms share the decay constant Im(E/2 - alpha_h), which equals
+    gamma_e/2 on two-photon resonance.
     """
-
-    params: HWGParams
-    k1: float
-    k2: float
-
-    @property
-    def total_energy(self) -> float:
-        return self.k1 + self.k2
-
-    @property
-    def relative_momentum(self) -> float:
-        return 0.5 * (self.k1 - self.k2)
-
-    def channel(self, pair):
-        """g_{j1 j2}(x) of the outgoing channel ``pair`` = (j1, j2).
-
-        The shell transform of :func:`two_photon_s_h`'s element: both delta
-        pinnings as plane waves plus twice the pair bound term, shared
-        equally by the two slots of a same-guide channel.
-        """
-        pair = tuple(pair)
-        products = _channel_products(self.params, self.k1, self.k2)
-        if pair not in products:
-            raise ValueError("channel pair must be (1,1), (1,2) or (2,2)")
-        direct, exchange = products[pair]
-        share = 0.5 if pair[0] == pair[1] else 1.0
-        coupling = _coupling(self.params, (1, 2, *pair))
-
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            dkx = self.relative_momentum * x
-            plane = (direct + exchange) * np.cos(dkx) + 1j * (direct - exchange) * np.sin(dkx)
-            bound = _pair_bound(self.params.alpha_h, coupling, self.k1, self.k2, x)
-            return share * (plane + 2.0 * bound) / (2.0 * np.pi)
-
-        return g
-
-
-def pair_wavefunctions(params: HWGParams, k1: float, k2: float) -> PairWavefunctions:
-    """Spatial pair wavefunctions for the (1, 2) incident pair."""
-    _require_unit_velocities(params)
-    return PairWavefunctions(params, k1, k2)
+    pair = tuple(pair)
+    products = _channel_products(params, k1, k2)
+    if pair not in products:
+        raise ValueError("channel pair must be (1,1), (1,2) or (2,2)")
+    direct, exchange = products[pair]
+    share = 0.5 if pair[0] == pair[1] else 1.0
+    coupling = _coupling(params, (1, 2, *pair))
+    return share * _pair_envelope(params.alpha_h, coupling, k1, k2, direct, exchange, x)
 
 
 def second_order_correlation(params: HWGParams, pair, k1: float, k2: float, x):
     """G2 of the outgoing pair in the given channel pair: |g_ij(x)|^2."""
-    g = pair_wavefunctions(params, k1, k2).channel(pair)
-    val = np.abs(g(x)) ** 2
+    val = np.abs(pair_wavefunction(params, pair, k1, k2, x)) ** 2
     return val if np.ndim(val) else float(val)

@@ -18,11 +18,12 @@ S-matrix with the library's own constructor (``twg.two_photon_s``,
 energy-shell grid and reduces, so a wrong slot or weight in the S-matrix
 shows in the unitarity sums.
 
-H-type lattice realization: each chain uses hopping J_s = v_s / 2, so the
-band-center group velocity equals the waveguide velocity, and site coupling
-V_s = vbar_s / sqrt(2), the even-mode enhancement at the shared site.  Chain
-frequencies sit at the atom frequency, which makes the lattice band energy
-epsilon(q) = Omega - v cos(q) directly the waveguide momentum variable.
+H-type lattice realization: each chain uses hopping J = 1/2, so the
+band-center group velocity equals the unit waveguide velocity, and site
+coupling V_s = vbar_s / sqrt(2), the even-mode enhancement at the shared
+site.  Chain frequencies sit at the atom frequency, which makes the lattice
+band energy epsilon(q) = Omega - cos(q) directly the waveguide momentum
+variable.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def build_single_excitation(model: LatticeModel) -> SparseOperator:
         chains = [(p.omega_cavity, p.hopping)]
         couplings = [p.coupling]
     else:
-        chains = [(p.omega_atom, 0.5 * v) for v in p.group_velocity]
+        chains = [(p.omega_atom, 0.5)] * 2
         couplings = [v / np.sqrt(2.0) for v in p.vbar]
     atom = model.dimension - 1
     entries = [(atom, atom, p.omega_atom)]
@@ -296,7 +297,7 @@ class BoundStateReport:
 
 
 def _lanczos_extremes(h: SparseOperator, tol: float):
-    """Lowest and highest eigenpairs of the symmetric ``h`` from one Krylov space.
+    """Lowest and highest eigenpairs of ``h`` in the Krylov space of ones(n).
 
     Lanczos from the fixed start vector ones(n), so reports repeat exactly,
     with full reorthogonalisation (twice per step) against every basis
@@ -304,6 +305,14 @@ def _lanczos_extremes(h: SparseOperator, tol: float):
     most ``tol`` (checked every few steps and at a breakdown); a space that
     fills all n dimensions first raises ToleranceError.  Returns (energies,
     vectors as columns, steps, residuals), lowest first.
+
+    The extremes are those of the part of ``h`` that the start vector
+    reaches, not always of ``h``: on the T-type chain ones(n) is even under
+    reflection about the center site, so the space holds only the even
+    sector (at L = 3 it breaks down after 3 steps on a 4-dimensional
+    operator).  That is enough for the bound states, which are both even;
+    the odd sector vanishes at the center site and leaves the atom alone,
+    so its levels are those of the bare chain, inside the band.
     """
     n = h.shape[0]
     basis = np.empty((min(n, 64), n))
@@ -360,8 +369,7 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
     if model.kind != "t":
         raise ValueError("bound-state check is defined for T-type models")
     p = model.params
-    top = p.omega_cavity + 2.0 * p.hopping
-    bottom = p.omega_cavity - 2.0 * p.hopping
+    top, bottom = p.band.band_top, p.band.band_bottom
     edge = 1e-12 * max(1.0, abs(top), abs(bottom))
     # the chain is a principal submatrix, so by Cauchy interlacing at most
     # one level lies on each side of the band: the extremal eigenpair is
@@ -469,8 +477,6 @@ def wavepacket_scatter(
         raise ValueError("lattice must span at least 20 packet widths")
     if not 0.0 < carrier < np.pi or np.sin(carrier) < 0.2:
         raise ValueError("carrier must sit inside the band, away from the edges")
-    if model.kind == "h" and model.params.group_velocity[0] != model.params.group_velocity[1]:
-        raise ValueError("packet runs need equal group velocities in both waveguides")
     if duration is not None and not 0.0 < duration < np.inf:
         raise ValueError("duration must be positive and finite")
 
@@ -481,9 +487,9 @@ def wavepacket_scatter(
     offset = max(4.0 * width, min(half - guard - 5.0 * width, 6.0 * width))
 
     if model.kind == "t":
-        v_g = 2.0 * p.hopping * np.sin(carrier)
+        v_g = float(p.band.group_velocity(carrier))
     else:
-        v_g = p.group_velocity[0] * np.sin(carrier)
+        v_g = np.sin(carrier)
     t_end = duration if duration is not None else (offset + 3.0 * width) / v_g
 
     n = model.dimension
@@ -521,7 +527,7 @@ def wavepacket_scatter(
     chain1 = dens[: model.size]
     chain2 = dens[model.size : 2 * model.size]
     _check_guard_mass(chain1 + chain2, x, half, guard, t_end)
-    k_eff = p.omega_atom - p.group_velocity[0] * np.cos(carrier)
+    k_eff = p.omega_atom - np.cos(carrier)
     amps = hwg.channel_amplitudes(p, k_eff)
     return WavepacketResult(
         transmission=None,
@@ -665,7 +671,7 @@ def two_excitation_check(
             " would start on top of the atom"
         )
 
-    v_g = 2.0 * p.hopping * min(np.sin(k1), np.sin(k2))
+    v_g = float(min(p.band.group_velocity(k1), p.band.group_velocity(k2)))
     t_end = duration if duration is not None else (abs(c_back) + 3.0 * width) / v_g
 
     phi_front = np.exp(1j * k1 * x) * _gaussian(x, c_front, width)

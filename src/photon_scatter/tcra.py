@@ -67,10 +67,15 @@ def single_photon_s_matrix(params: TCRAParams, k: float) -> ScatteringAmplitudeS
 
 @dataclass(frozen=True)
 class SelfEnergy:
-    """Atom self-energy at frequency omega.
+    """Atom self-energy at frequency omega, with the sign that enters E - Omega.
 
-    Inside the band the real part vanishes and ``imag_part = gamma * dos / 2``;
-    outside, the self-energy is real and ``dos = 0``.
+    ``value`` is -Sigma(omega + i0), where Sigma(z) = V^2 / sqrt((z - omega0)^2
+    - 4 J^2) (the branch that falls off like V^2 / z) is the self-energy of
+    the atom propagator G(z) = 1 / (z - Omega - Sigma(z)).  A bound state
+    therefore solves E - Omega + value = 0: at omega0 + 3J with J = V = 1,
+    ``value`` is -1/sqrt(5).  Inside the band the real part vanishes and
+    ``imag_part = gamma * dos / 2 > 0``; outside, the self-energy is real and
+    ``dos = 0``.
     """
 
     omega: float

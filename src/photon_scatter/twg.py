@@ -14,7 +14,6 @@ through :class:`~photon_scatter.core.ScatteringAmplitudeSet`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "transmission_amplitude",
     "two_photon_t",
     "two_photon_s",
-    "TwoPhotonOutState",
     "two_photon_out_wavefunction",
     "two_photon_fluorescence",
     "three_photon_t",
@@ -109,48 +107,32 @@ def two_photon_s(params: TWGParams, k1: float, k2: float) -> ScatteringAmplitude
     )
 
 
-@dataclass(frozen=True)
-class TwoPhotonOutState:
-    """Spatial out-state of a scattered photon pair.
+def _pair_envelope(alpha, coupling, k1: float, k2: float, direct, exchange, x):
+    """Relative-coordinate pair out-state of one outgoing channel.
 
-    The full amplitude factorizes as ``exp(i E x_c) * envelope(x)`` in the
-    center/relative coordinates; the envelope is the plane-wave part plus a
-    bound term decaying in |x|.
+    The shell transform of a pair S-matrix element, without its e^{i E x_c}:
+    the delta pinning at (k1, k2) with weight ``direct`` and the one at
+    (k2, k1) with weight ``exchange`` as plane waves e^{+-i dk x}, dk =
+    (k1 - k2)/2, plus twice the connected pair term ``_pair_bound``, all
+    over 2 pi.
     """
-
-    params: TWGParams
-    k1: float
-    k2: float
-
-    @property
-    def total_energy(self) -> float:
-        return self.k1 + self.k2
-
-    @property
-    def relative_momentum(self) -> float:
-        return 0.5 * (self.k1 - self.k2)
-
-    def plane_envelope(self, x):
-        t12 = transmission_amplitude(self.params, self.k1) * transmission_amplitude(
-            self.params, self.k2
-        )
-        return t12 * np.cos(self.relative_momentum * np.asarray(x)) / (2.0 * np.pi)
-
-    def bound_envelope(self, x):
-        p = self.params
-        return _pair_bound(p.alpha, p.gamma_t**2, self.k1, self.k2, x) / (2.0 * np.pi)
-
-    def envelope(self, x):
-        return self.plane_envelope(x) + self.bound_envelope(x)
-
-    def __call__(self, x_center, x_relative):
-        phase = np.exp(1j * self.total_energy * np.asarray(x_center))
-        return phase * self.envelope(x_relative)
+    x = np.asarray(x, dtype=float)
+    dkx = 0.5 * (k1 - k2) * x
+    plane = (direct + exchange) * np.cos(dkx) + 1j * (direct - exchange) * np.sin(dkx)
+    return (plane + 2.0 * _pair_bound(alpha, coupling, k1, k2, x)) / (2.0 * np.pi)
 
 
 def two_photon_out_wavefunction(params: TWGParams, k1: float, k2: float, x_center, x_relative):
-    """Out-state amplitude <x_c, x|out> for an incident (k1, k2) pair."""
-    return TwoPhotonOutState(params, k1, k2)(x_center, x_relative)
+    """Out-state amplitude <x_c, x|out> for an incident (k1, k2) pair.
+
+    e^{i E x_c} times an envelope in the relative coordinate x: the plane
+    part t_k1 t_k2 cos(dk x) / 2 pi plus a bound term decaying in |x|.  The
+    envelope is half the pair envelope of :func:`two_photon_s`, whose two
+    pinnings both carry t_k1 t_k2.
+    """
+    t12 = transmission_amplitude(params, k1) * transmission_amplitude(params, k2)
+    envelope = _pair_envelope(params.alpha, params.gamma_t**2, k1, k2, t12, t12, x_relative)
+    return np.exp(1j * (k1 + k2) * np.asarray(x_center)) * (0.5 * envelope)
 
 
 def two_photon_fluorescence(params: TWGParams, k1: float, k2: float, p1):

@@ -246,17 +246,17 @@ def _criterion_correlations():
     x = np.linspace(-6.0, 6.0, 241)
 
     params = HWGParams(omega_atom=1.0, vbar=(1.0, 2.0))
-    wf = hwg.pair_wavefunctions(params, 1.0, 1.0)
+
+    def g(pair, x):
+        return hwg.pair_wavefunction(params, pair, 1.0, 1.0, x)
+
     dev_identity = 0.0
     dev_even = 0.0
     for pair in ((1, 1), (1, 2), (2, 2)):
-        g = wf.channel(pair)(x)
         soc = hwg.second_order_correlation(params, pair, 1.0, 1.0, x)
-        dev_identity = max(dev_identity, float(np.max(np.abs(np.abs(g) ** 2 - soc))))
+        dev_identity = max(dev_identity, float(np.max(np.abs(np.abs(g(pair, x)) ** 2 - soc))))
         if pair != (1, 2):
-            dev_even = max(
-                dev_even, float(np.max(np.abs(wf.channel(pair)(x) - wf.channel(pair)(-x))))
-            )
+            dev_even = max(dev_even, float(np.max(np.abs(g(pair, x) - g(pair, -x)))))
 
     c1 = hwg.channel_amplitudes(params, 1.0)
     planes = {
@@ -267,16 +267,15 @@ def _criterion_correlations():
     dev_decay = 0.0
     xa, xb = 0.4, 1.1
     for pair, plane in planes.items():
-        g = wf.channel(pair)
-        b1 = g(xa) - plane / (2.0 * np.pi)
-        b2 = g(xb) - plane / (2.0 * np.pi)
+        b1 = g(pair, xa) - plane / (2.0 * np.pi)
+        b2 = g(pair, xb) - plane / (2.0 * np.pi)
         rate = -(np.log(abs(b2)) - np.log(abs(b1))) / (xb - xa)
         dev_decay = max(dev_decay, abs(rate - 0.5 * params.gamma_e))
 
     def indicator(vbar):
         p = HWGParams(omega_atom=1.0, vbar=vbar)
-        g11 = hwg.pair_wavefunctions(p, 1.0, 1.0).channel((1, 1))
-        return abs(g11(0.0)) ** 2 / abs(g11(10.0 / p.gamma_e)) ** 2
+        center = hwg.second_order_correlation(p, (1, 1), 1.0, 1.0, 0.0)
+        return center / hwg.second_order_correlation(p, (1, 1), 1.0, 1.0, 10.0 / p.gamma_e)
 
     bunching = indicator((2.0, 2.0))
     flat = indicator((1.0, 50.0))
@@ -460,6 +459,8 @@ def run(numbers=None) -> list[CriterionResult]:
     """
     if numbers is not None:
         wanted = set(int(n) for n in numbers)
+        if not wanted:
+            raise ValueError("no criteria selected")
         unknown = wanted - {num for num, _, _ in CRITERIA}
         if unknown:
             raise ValueError(f"unknown criterion numbers: {sorted(unknown)}")

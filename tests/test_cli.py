@@ -280,6 +280,11 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
         # a coincidence window counts sites, so it cannot be negative
         ["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.5708",
          "--k2", "1.5708", "--L", "281", "--window", "-1"],
+        # both waveguides have unit velocity; there is no velocity flag
+        ["oracle", "scatter", "--kind", "h", "--omega", "1", "--vbar1", "1", "--vbar2", "1",
+         "--carrier", "1.5708", "--v1", "1"],
+        # a selection of no criteria is not a passing suite
+        ["validate", "--only", ","],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
@@ -290,6 +295,23 @@ def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
     record = json.loads(err)
     assert record["error"] == "config"
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_precision_below_one_exits_2(tmp_path, capsys, value, via_config):
+    argv = ["wg-transmit", "--grid", "k:0:1:3"]
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"precision = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--precision", value]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "config"
+    assert "--precision" in record["message"]
 
 
 def test_config_supplies_required_flags_and_grid(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Parameter records and dispersions."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         HWGParams(1.0, (0.0, 0.0))
     with pytest.raises(ValueError):
-        HWGParams(1.0, (1.0, 1.0), (1.0, -2.0))
+        HWGParams(1.0, (1.0, -2.0))
 
 
 def test_lattice_to_waveguide_mapping():
@@ -61,3 +63,14 @@ def test_lattice_to_waveguide_mapping():
         w = TWGParams(p.omega_atom, 2.0 * p.coupling**2 / v_g)
         even = 1.0 + 2.0 * tcra.reflection_amplitude(p, k)
         assert abs(even - twg.transmission_amplitude(w, float(p.band.energy(k)))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["photon_scatter", "photon_scatter.core", "photon_scatter.tcra", "photon_scatter.twg",
+     "photon_scatter.hwg", "photon_scatter.cli"],
+)
+def test_exported_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

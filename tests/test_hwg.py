@@ -6,7 +6,7 @@ import pytest
 from photon_scatter.core import HWGParams, TWGParams
 from photon_scatter.hwg import (
     channel_amplitudes,
-    pair_wavefunctions,
+    pair_wavefunction,
     second_order_correlation,
     two_photon_s_h,
     two_photon_t_h,
@@ -112,25 +112,28 @@ def test_s_elements_structure():
 
 def test_pair_wavefunction_parity():
     p = HWGParams(1.0, (1.0, 2.0))
-    g = pair_wavefunctions(p, 1.3, 0.9)
     x = np.linspace(0.1, 9.0, 40)
-    assert np.max(np.abs(g.channel((1, 1))(x) - g.channel((1, 1))(-x))) < 1e-12
-    assert np.max(np.abs(g.channel((2, 2))(x) - g.channel((2, 2))(-x))) < 1e-12
+
+    def odd_part(pair):
+        return pair_wavefunction(p, pair, 1.3, 0.9, x) - pair_wavefunction(p, pair, 1.3, 0.9, -x)
+
+    assert np.max(np.abs(odd_part((1, 1)))) < 1e-12
+    assert np.max(np.abs(odd_part((2, 2)))) < 1e-12
     # mixed channel keeps direct/exchange distinction: parity is broken
-    assert np.max(np.abs(g.channel((1, 2))(x) - g.channel((1, 2))(-x))) > 1e-6
+    assert np.max(np.abs(odd_part((1, 2)))) > 1e-6
 
 
 def test_pair_wavefunction_resonant_closed_forms():
     # vbar=(2,2), E=2, dk=0, Omega=1: g11 = -exp(-4|x|)/2pi,
     # g12 = (1 - 2 exp(-4|x|))/2pi
     p = HWGParams(1.0, (2.0, 2.0))
-    g = pair_wavefunctions(p, 1.0, 1.0)
     x = np.linspace(-3, 3, 101)
-    assert np.max(np.abs(g.channel((1, 1))(x) + np.exp(-4 * np.abs(x)) / (2 * np.pi))) < 1e-14
+    g11, g12, g22 = (pair_wavefunction(p, pair, 1.0, 1.0, x) for pair in ((1, 1), (1, 2), (2, 2)))
+    assert np.max(np.abs(g11 + np.exp(-4 * np.abs(x)) / (2 * np.pi))) < 1e-14
     expected12 = (1.0 - 2.0 * np.exp(-4 * np.abs(x))) / (2 * np.pi)
-    assert np.max(np.abs(g.channel((1, 2))(x) - expected12)) < 1e-14
+    assert np.max(np.abs(g12 - expected12)) < 1e-14
     # balanced couplings: |g11| = |g22| on resonance
-    assert np.max(np.abs(np.abs(g.channel((1, 1))(x)) - np.abs(g.channel((2, 2))(x)))) < 1e-14
+    assert np.max(np.abs(np.abs(g11) - np.abs(g22))) < 1e-14
 
 
 def test_bound_decay_rate():
@@ -138,7 +141,6 @@ def test_bound_decay_rate():
     # term is what a channel keeps once its two plane waves are taken off
     p = HWGParams(1.0, (0.8, 1.7))
     k1, k2 = 1.4, 0.6  # E = 2 Omega
-    g = pair_wavefunctions(p, k1, k2)
     c1 = channel_amplitudes(p, k1)
     c2 = channel_amplitudes(p, k2)
     x = np.linspace(1.0, 6.0 / p.gamma_e + 1.0, 80)
@@ -149,17 +151,16 @@ def test_bound_decay_rate():
         (1, 2): c1.t11 * c2.t22 * np.exp(1j * dk * x) + c1.t21 * c2.t21 * np.exp(-1j * dk * x),
     }
     for pair, plane in planes.items():
-        bound = g.channel(pair)(x) - plane / (2.0 * np.pi)
+        bound = pair_wavefunction(p, pair, k1, k2, x) - plane / (2.0 * np.pi)
         slope = np.polyfit(x, np.log(np.abs(bound)), 1)[0]
         assert slope == pytest.approx(-0.5 * p.gamma_e, abs=1e-6)
 
 
 def test_correlation_identity_and_bunching():
     p = HWGParams(1.0, (2.0, 2.0))
-    g = pair_wavefunctions(p, 1.0, 1.0)
     x = np.linspace(-4, 4, 81)
-    g11 = g.channel((1, 1))
-    assert np.array_equal(second_order_correlation(p, (1, 1), 1.0, 1.0, x), np.abs(g11(x)) ** 2)
+    g11 = pair_wavefunction(p, (1, 1), 1.0, 1.0, x)
+    assert np.array_equal(second_order_correlation(p, (1, 1), 1.0, 1.0, x), np.abs(g11) ** 2)
     # bunching: center value exceeds the plateau
     center = second_order_correlation(p, (1, 1), 1.0, 1.0, 0.0)
     plateau = second_order_correlation(p, (1, 1), 1.0, 1.0, 60.0)
@@ -178,17 +179,16 @@ def test_flattening_at_large_coupling_ratio():
 
 def test_oscillation_at_nonzero_relative_momentum():
     p = HWGParams(1.0, (1.0, 1.0))
-    g = pair_wavefunctions(p, 1.5, 0.5)  # E = 2 Omega, dk = 0.5
     x = np.linspace(0.0, 20.0, 400)
-    vals = np.abs(g.channel((1, 1))(x)) ** 2
+    vals = np.abs(pair_wavefunction(p, (1, 1), 1.5, 0.5, x)) ** 2  # E = 2 Omega, dk = 0.5
     inner = vals[1:-1]
     # interior local maximum exists
     assert np.any((inner > vals[:-2]) & (inner > vals[2:]))
 
 
 def test_velocity_restriction():
-    p = HWGParams(1.0, (1.0, 1.0), (1.0, 2.0))
-    with pytest.raises(ValueError):
-        pair_wavefunctions(p, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        channel_amplitudes(p, 1.0)
+    # both waveguides have unit group velocity; the record takes no other
+    with pytest.raises(TypeError):
+        HWGParams(1.0, (1.0, 1.0), (1.0, 2.0))
+    with pytest.raises(TypeError):
+        HWGParams(1.0, (1.0, 1.0), group_velocity=(1.0, 1.0))

@@ -64,15 +64,15 @@ def test_decoupled_atom_gives_block_diagonal_matrix():
 
 
 def test_h_model_layout():
-    p = HWGParams(omega_atom=1.5, vbar=(0.4, 0.6), group_velocity=(1.0, 2.0))
+    p = HWGParams(omega_atom=1.5, vbar=(0.4, 0.6))
     m = lo.LatticeModel(params=p, size=5)
     assert m.kind == "h"
     assert m.dimension == 11
     assert np.array_equal(m.positions(), np.array([-2, -1, 0, 1, 2]))
     h = _dense(lo.build_single_excitation(m))
     assert np.allclose(np.diag(h), 1.5)
-    assert h[0, 1] == -0.5  # chain 1 hopping v1 / 2
-    assert h[5, 6] == -1.0  # chain 2 hopping v2 / 2
+    assert h[0, 1] == -0.5  # chain 1 hopping 1/2: unit band-center velocity
+    assert h[5, 6] == -0.5  # chain 2 likewise
     assert h[2, 10] == pytest.approx(0.4 / np.sqrt(2.0))
     assert h[7, 10] == pytest.approx(0.6 / np.sqrt(2.0))
     assert np.array_equal(h, h.T)
@@ -96,9 +96,7 @@ def test_spectrum_respects_gershgorin_bounds():
             size=51,
         ),
         lo.LatticeModel(
-            params=HWGParams(
-                omega_atom=0.9, vbar=(0.4, 0.7), group_velocity=(1.2, 0.9)
-            ),
+            params=HWGParams(omega_atom=0.9, vbar=(0.4, 0.7)),
             size=51,
         ),
     ]
@@ -249,9 +247,6 @@ def test_packet_run_rejections():
         lo.wavepacket_scatter(m, 0.05, 40.0)
     with pytest.raises(ValueError, match="duration"):
         lo.wavepacket_scatter(m, np.pi / 3.0, 40.0, duration=0.0)
-    vu = HWGParams(omega_atom=1.0, vbar=(0.5, 0.5), group_velocity=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        lo.wavepacket_scatter(lo.LatticeModel(params=vu, size=801), np.pi / 2.0, 40.0)
 
 
 def test_packet_reaching_boundary_is_rejected():
@@ -287,7 +282,7 @@ def test_chebyshev_propagator_matches_eigenbasis():
     # the sparse H-type lattice operator with its Gershgorin bounds
     h_lat = lo.build_single_excitation(
         lo.LatticeModel(
-            params=HWGParams(omega_atom=0.9, vbar=(0.4, 0.7), group_velocity=(1.2, 0.9)),
+            params=HWGParams(omega_atom=0.9, vbar=(0.4, 0.7)),
             size=41,
         )
     )

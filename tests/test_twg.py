@@ -5,7 +5,6 @@ import pytest
 
 from photon_scatter.core import TWGParams
 from photon_scatter.twg import (
-    TwoPhotonOutState,
     transmission_amplitude,
     two_photon_fluorescence,
     two_photon_out_wavefunction,
@@ -104,35 +103,42 @@ def test_out_state_even_in_relative_coordinate():
 def test_out_state_resonant_envelope():
     # both photons at Omega: envelope (1/2pi)(1 - 4 e^{-gamma|x|/2})
     p = _params()
-    state = TwoPhotonOutState(p, 1.0, 1.0)
     x = np.linspace(-12.0, 12.0, 241)
     expected = (1.0 - 4.0 * np.exp(-0.5 * np.abs(x))) / (2.0 * np.pi)
-    assert np.max(np.abs(state.envelope(x) - expected)) < 1e-12
-    assert state.envelope(0.0) == pytest.approx(-3.0 / (2.0 * np.pi), abs=1e-14)
+    assert np.max(np.abs(two_photon_out_wavefunction(p, 1.0, 1.0, 0.0, x) - expected)) < 1e-12
+    assert two_photon_out_wavefunction(p, 1.0, 1.0, 0.0, 0.0) == pytest.approx(
+        -3.0 / (2.0 * np.pi), abs=1e-14
+    )
+
+
+def _plane_part(p, k1, k2, x):
+    t12 = transmission_amplitude(p, k1) * transmission_amplitude(p, k2)
+    return t12 * np.cos(0.5 * (k1 - k2) * x) / (2.0 * np.pi)
 
 
 def test_out_state_bound_decay_rate():
-    # log-modulus slope of the bound term at E = 2 Omega equals -gamma_t/2
+    # log-modulus slope of the bound term at E = 2 Omega equals -gamma_t/2;
+    # the bound term is what the envelope keeps once the plane part is off
     p = TWGParams(1.0, 1.7)
-    state = TwoPhotonOutState(p, 1.3, 0.7)
     x = np.linspace(2.0, 14.0, 60)
-    slope = np.polyfit(x, np.log(np.abs(state.bound_envelope(x))), 1)[0]
+    bound = two_photon_out_wavefunction(p, 1.3, 0.7, 0.0, x) - _plane_part(p, 1.3, 0.7, x)
+    slope = np.polyfit(x, np.log(np.abs(bound)), 1)[0]
     assert slope == pytest.approx(-0.5 * p.gamma_t, abs=1e-6)
 
 
 def test_out_state_far_field_is_plane_part():
     p = _params()
-    state = TwoPhotonOutState(p, 1.4, 0.9)
     x = 80.0
-    assert abs(state.envelope(x) - state.plane_envelope(x)) < 1e-16
+    far = two_photon_out_wavefunction(p, 1.4, 0.9, 0.0, x)
+    assert abs(far - _plane_part(p, 1.4, 0.9, x)) < 1e-16
 
 
 def test_out_state_free_limit():
     # gamma -> 0: bound term vanishes, plane part has unit t-factors
-    state = TwoPhotonOutState(TWGParams(1.0, 1e-9), 1.5, 0.8)
     x = np.linspace(-4, 4, 31)
     free = np.cos(0.5 * (1.5 - 0.8) * x) / (2 * np.pi)
-    assert np.max(np.abs(state.envelope(x) - free)) < 1e-6
+    psi = two_photon_out_wavefunction(TWGParams(1.0, 1e-9), 1.5, 0.8, 0.0, x)
+    assert np.max(np.abs(psi - free)) < 1e-6
 
 
 def test_fluorescence_peak_at_resonance():
