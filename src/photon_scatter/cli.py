@@ -372,9 +372,17 @@ def _cmd_oracle_bound(args) -> int:
 def _cmd_oracle_scatter(args) -> int:
     from . import lattice_oracle
 
-    # a requirement the table cannot state: it depends on --kind
+    # requirements the table cannot state: they depend on --kind, and a flag
+    # of the other kind would change nothing
+    other = ("vbar1", "vbar2") if args.kind == "t" else ("omega0", "J", "V")
+    for name in other:
+        if getattr(args, name) is not None:
+            raise _CliError(f"--{name} does not apply to --kind {args.kind}")
     if args.kind == "t":
         _require(args, "omega0")
+        for name in ("J", "V"):
+            if getattr(args, name) is None:
+                setattr(args, name, 1.0)
         params = _tcra_params(args)
     else:
         _require(args, "vbar1", "vbar2")
@@ -506,7 +514,9 @@ _COMMANDS = (
      (*_T_TYPE, ("--L", int, 601, "lattice size (odd)"))),
     (("oracle", "scatter"), "single-photon wavepacket run", _cmd_oracle_scatter, "json",
      (("--kind", None, ("t", "h"), "lattice family"), _OMEGA,
-      ("--omega0", _finite, None, "cavity frequency (kind t)"), *_HOPPING,
+      ("--omega0", _finite, None, "cavity frequency (kind t)"),
+      ("--J", _finite, None, "inter-cavity hopping (kind t, default 1)"),
+      ("--V", _finite, None, "atom-cavity coupling (kind t, default 1)"),
       ("--vbar1", _finite, None, "guide-1 coupling (kind h)"),
       ("--vbar2", _finite, None, "guide-2 coupling (kind h)"),
       ("--carrier", _finite, _REQUIRED, "carrier momentum in (0, pi)"),

@@ -5,7 +5,8 @@ on numpy alone.  One real sparse operator type, ``SparseOperator``,
 realizes the open resonator chains exactly, in the single- and the
 two-excitation sector (the latter on its bosonic sector, photon pairs
 packed as a <= b).  One Chebyshev propagator, its Bessel coefficients from
-Miller's backward recurrence, evolves both; the bound states are the
+Miller's backward recurrence, evolves both, a T-type run sized by the
+bound-state interval its spectrum cannot leave; the bound states are the
 extremal eigenpairs of the single-excitation operator, both from one
 Lanczos run with full reorthogonalisation.  Gaussian wavepacket runs
 measure transmission probabilities against the analytic amplitudes;
@@ -92,7 +93,8 @@ class SparseOperator:
     pointing at its own column and D taking back the u this adds; a product
     then costs one gather and one add per slot and a single scaling by u.
     The entries of sparser slots join R, which is kept in groups whose rows
-    do not repeat.  ``gershgorin`` is an interval holding every eigenvalue.
+    do not repeat.  ``gershgorin`` is an interval holding every eigenvalue;
+    :func:`_spectral_interval` narrows it where the model's physics allows.
     """
 
     def __init__(self, size: int, entries):
@@ -230,11 +232,14 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
 
     ``h`` is a real operator with a real spectrum, which ``bounds`` must
     contain; the Bessel coefficient tail then decays superexponentially
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The shift and
-    scale fold into one operator X = 2 (h - b) / a, so the recursion
-    t_{k+1} = X t_k - t_{k-1} has real coefficients: the even terms sum to
-    cos(a t X / 2) state, the odd terms to sin(a t X / 2) state, and the
-    result is e^{-i b t} (cos - i sin) state.
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The order, which
+    is also the number of products with ``h``, grows like the half-width a
+    of ``bounds`` times t, so the tightest rigorous interval is the cheapest
+    (:func:`_spectral_interval`).  The shift and scale fold into one operator
+    X = 2 (h - b) / a, so the recursion t_{k+1} = X t_k - t_{k-1} has real
+    coefficients: the even terms sum to cos(a t X / 2) state, the odd terms
+    to sin(a t X / 2) state, and the result is e^{-i b t} (cos - i sin)
+    state.  Returns (evolved state, order).
     """
     emin, emax = bounds
     if not emax > emin:
@@ -267,7 +272,40 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
         acc[k % 2] += t0
         t0, t1 = t1, t2
     cos, sin = acc
-    return np.exp(-1j * b * t) * (cos - 1j * sin)
+    return np.exp(-1j * b * t) * (cos - 1j * sin), order
+
+
+def _spectral_interval(model: LatticeModel, h: SparseOperator, photons: int):
+    """An interval holding every eigenvalue of ``h``, the ``photons``-excitation
+    operator of ``model`` (1: :func:`build_single_excitation`, 2:
+    :func:`_pair_operator`).
+
+    For a T-type model it is [n E-, n E+], n = ``photons`` and E- and E+ the
+    single-photon bound states.  The infinite chain's single-excitation spectrum is the band plus
+    E- and E+, and the finite chain is a principal submatrix of it.  The
+    two-boson operator (the atom a boson mode) has the sums of two such
+    levels for its spectrum, and the hard-core pair operator is its
+    compression with |2_a> removed.  Each end is padded outward by 1e-12
+    relative and kept only where the bound-state equation has the enclosing
+    sign there, so the enclosure does not rest on the root solver; the result
+    is intersected with the Gershgorin interval.  H-type models, an uncoupled
+    atom and a failed bound-state solve keep Gershgorin.
+    """
+    lo, hi = h.gershgorin
+    if model.kind != "t":
+        return lo, hi
+    p = model.params
+    try:
+        lower, upper = tcra.bound_state_energies(p)
+    except (ValueError, RuntimeError):
+        return lo, hi
+    pad = 1e-12 * max(abs(lower.energy), abs(upper.energy))
+    e_low, e_high = lower.energy - pad, upper.energy + pad
+    if tcra._bound_equation(p, e_low) <= 0.0:
+        lo = max(lo, photons * e_low)
+    if tcra._bound_equation(p, e_high) >= 0.0:
+        hi = min(hi, photons * e_high)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +472,8 @@ class WavepacketResult:
     (|1 + r|^2, |r|^2); H-type runs fill ``guide_probabilities`` (total
     outgoing probability per waveguide for an even-prepared packet in
     waveguide 1) and compare against (|t11|^2, |t21|^2).
+    ``spectral_interval`` is the interval the propagator was sized by and
+    ``chebyshev_order`` its number of operator products.
     """
 
     transmission: float | None
@@ -445,6 +485,8 @@ class WavepacketResult:
     effective_momentum: float
     group_velocity: float
     duration: float
+    spectral_interval: tuple[float, float]
+    chebyshev_order: int
 
 
 def _gaussian(x, center, width):
@@ -505,7 +547,8 @@ def wavepacket_scatter(
     psi0 /= np.linalg.norm(psi0)
 
     h = build_single_excitation(model)
-    psi_t = _chebyshev_evolve(h, psi0, t_end, h.gershgorin)
+    bounds = _spectral_interval(model, h, 1)
+    psi_t, order = _chebyshev_evolve(h, psi0, t_end, bounds)
     dens = np.abs(psi_t) ** 2
     atom = float(dens[-1])
 
@@ -522,6 +565,8 @@ def wavepacket_scatter(
             effective_momentum=carrier,
             group_velocity=v_g,
             duration=t_end,
+            spectral_interval=bounds,
+            chebyshev_order=order,
         )
 
     chain1 = dens[: model.size]
@@ -539,6 +584,8 @@ def wavepacket_scatter(
         effective_momentum=float(k_eff),
         group_velocity=v_g,
         duration=t_end,
+        spectral_interval=bounds,
+        chebyshev_order=order,
     )
 
 
@@ -565,6 +612,8 @@ class TwoExcitationReport:
     window: int
     norm_drift: float
     duration: float
+    spectral_interval: tuple[float, float]
+    chebyshev_order: int
 
 
 def _pair_index(a, b, size: int):
@@ -682,7 +731,8 @@ def two_excitation_check(
     state /= np.sqrt(_pair_norm_sq(state, size))
 
     h_pair = _pair_operator(p, size)
-    state_t = _chebyshev_evolve(h_pair, state, t_end, h_pair.gershgorin)
+    pair_bounds = _spectral_interval(model, h_pair, 2)
+    state_t, order = _chebyshev_evolve(h_pair, state, t_end, pair_bounds)
     norm_drift = abs(_pair_norm_sq(state_t, size) - 1.0)
 
     npairs = len(upper[0])
@@ -692,11 +742,12 @@ def two_excitation_check(
     marg = np.sum(np.abs(psi_t) ** 2, axis=1) + np.abs(chi_t) ** 2
     _check_guard_mass(marg, x, half, guard, t_end)
 
-    # free reference: bare-chain product evolution of the same packets
+    # free reference: bare-chain product evolution of the same packets; the
+    # infinite chain's band is already the Gershgorin interval
     h_free = SparseOperator(size, _chain_entries(size, p.omega_cavity, p.hopping))
     bounds = h_free.gershgorin
-    fronts = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
-    backs = _chebyshev_evolve(h_free, phi_back, t_end, bounds)
+    fronts, _ = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
+    backs, _ = _chebyshev_evolve(h_free, phi_back, t_end, bounds)
     psi_free = np.outer(fronts, backs) + np.outer(backs, fronts)
     psi_free /= np.sqrt(0.5 * np.sum(np.abs(psi_free) ** 2))
 
@@ -722,6 +773,8 @@ def two_excitation_check(
         window=window,
         norm_drift=norm_drift,
         duration=t_end,
+        spectral_interval=pair_bounds,
+        chebyshev_order=order,
     )
 
 

@@ -285,6 +285,17 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
          "--carrier", "1.5708", "--v1", "1"],
         # a selection of no criteria is not a passing suite
         ["validate", "--only", ","],
+        # a flag of the other lattice family would change nothing
+        ["oracle", "scatter", "--kind", "h", "--omega", "1", "--vbar1", "1", "--vbar2", "1",
+         "--carrier", "1.5708", "--omega0", "7"],
+        ["oracle", "scatter", "--kind", "h", "--omega", "1", "--vbar1", "1", "--vbar2", "1",
+         "--carrier", "1.5708", "--J", "5"],
+        ["oracle", "scatter", "--kind", "h", "--omega", "1", "--vbar1", "1", "--vbar2", "1",
+         "--carrier", "1.5708", "--V", "3"],
+        ["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0",
+         "--carrier", "1.0472", "--vbar1", "1"],
+        ["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0",
+         "--carrier", "1.0472", "--vbar2", "1"],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
@@ -312,6 +323,29 @@ def test_precision_below_one_exits_2(tmp_path, capsys, value, via_config):
     record = json.loads(err)
     assert record["error"] == "config"
     assert "--precision" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "kind_args, line",
+    [
+        (["--kind", "h", "--omega", "1", "--vbar1", "1", "--vbar2", "1"], "omega0 = 7"),
+        (["--kind", "h", "--omega", "1", "--vbar1", "1", "--vbar2", "1"], "J = 1"),
+        (["--kind", "h", "--omega", "1", "--vbar1", "1", "--vbar2", "1"], "V = 1"),
+        (["--kind", "t", "--omega", "0", "--omega0", "0"], "vbar1 = 1"),
+        (["--kind", "t", "--omega", "0", "--omega0", "0"], "vbar2 = 1"),
+    ],
+)
+def test_scatter_flag_of_the_other_kind_exits_2(tmp_path, capsys, kind_args, line):
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["oracle", "scatter", *kind_args, "--carrier", "1.5708"]
+    for extra in (["--config", str(cfg)], [f"--{key}", line.split(" = ")[1]]):
+        code, out, err = _run(capsys, argv + extra)
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "config"
+        assert f"--{key}" in record["message"]
 
 
 def test_config_supplies_required_flags_and_grid(tmp_path, capsys):

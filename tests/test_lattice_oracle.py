@@ -112,6 +112,68 @@ def test_spectrum_respects_gershgorin_bounds():
         assert bounds == pytest.approx((lo_bound, hi_bound), abs=1e-14)
 
 
+def _pair_spectrum(params, size):
+    """Eigenvalues of the packed pair operator, made symmetric by the norm
+    weights: h is self-adjoint under sum w |u|^2, w = 1/2 on a diagonal pair."""
+    h = lo._pair_operator(params, size)
+    root_w = np.ones(h.shape[0])
+    sites = np.arange(size)
+    root_w[lo._pair_index(sites, sites, size)] = np.sqrt(0.5)
+    sym = root_w[:, None] * _dense(h) / root_w[None, :]
+    return h, np.linalg.eigvalsh(0.5 * (sym + sym.T))
+
+
+@pytest.mark.parametrize("coupling, omega", [(1.0, 0.0), (0.5, 0.7), (2.0, -0.4)])
+def test_bound_state_interval_holds_the_spectrum_inside_gershgorin(coupling, omega):
+    p = TCRAParams(omega_atom=omega, omega_cavity=0.0, hopping=1.0, coupling=coupling)
+    m = lo.LatticeModel(params=p, size=31)
+    h = lo.build_single_excitation(m)
+    h_pair, pair_evals = _pair_spectrum(p, 31)
+    for photons, op, evals in (
+        (1, h, np.linalg.eigvalsh(_dense(h))),
+        (2, h_pair, pair_evals),
+    ):
+        low, high = lo._spectral_interval(m, op, photons)
+        assert low <= evals.min() and evals.max() <= high
+        assert op.gershgorin[0] < low and high < op.gershgorin[1]
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1e-4])
+def test_unsolvable_bound_states_keep_gershgorin(coupling):
+    # no bound state at V = 0; the root solve gives up at V = 1e-4
+    m = lo.LatticeModel(params=_t_params(coupling), size=801)
+    h = lo.build_single_excitation(m)
+    assert lo._spectral_interval(m, h, 1) == h.gershgorin
+    h_pair = lo._pair_operator(m.params, 161)
+    assert lo._spectral_interval(m, h_pair, 2) == h_pair.gershgorin
+
+    # the numbers of runs sized by the Gershgorin interval alone
+    packet, pair = {
+        0.0: (
+            (0.9985901560325011, 0.0012987144871351886),
+            (0.9999999999999997, 0.9987499692641781),
+        ),
+        1e-4: (
+            (0.9985901560305113, 0.0012987144868582485),
+            (1.000000015669287, 0.9987499340329189),
+        ),
+    }[coupling]
+    run = lo.wavepacket_scatter(m, 1.2, 40.0)
+    assert run.spectral_interval == h.gershgorin
+    assert (run.transmission, run.reflection) == pytest.approx(packet, rel=1e-12)
+    rep = lo.two_excitation_check(
+        lo.LatticeModel(params=m.params, size=161), 1.4, 1.7, width=6.0
+    )
+    assert rep.spectral_interval == h_pair.gershgorin
+    assert (rep.bunching_indicator, rep.transmitted_fraction) == pytest.approx(pair, rel=1e-12)
+
+
+def test_h_type_runs_keep_gershgorin():
+    m = lo.LatticeModel(params=_h_params((0.5, 0.6)), size=801)
+    h = lo.build_single_excitation(m)
+    assert lo._spectral_interval(m, h, 1) == h.gershgorin
+
+
 # ---------------------------------------------------------------------------
 # bound states
 
@@ -273,7 +335,7 @@ def test_chebyshev_propagator_matches_eigenbasis():
     psi0 = rng.normal(size=48) + 1j * rng.normal(size=48)
     psi0 /= np.linalg.norm(psi0)
     evals = np.linalg.eigvalsh(h)
-    via_cheb = lo._chebyshev_evolve(
+    via_cheb, _ = lo._chebyshev_evolve(
         _operator(h), psi0, 7.3, (evals[0] - 0.1, evals[-1] + 0.1)
     )
     via_eig = _eig_evolve(h, psi0, 7.3)
@@ -288,7 +350,7 @@ def test_chebyshev_propagator_matches_eigenbasis():
     )
     psi0 = rng.normal(size=83) + 1j * rng.normal(size=83)
     psi0 /= np.linalg.norm(psi0)
-    via_cheb = lo._chebyshev_evolve(h_lat, psi0, 37.5, h_lat.gershgorin)
+    via_cheb, _ = lo._chebyshev_evolve(h_lat, psi0, 37.5, h_lat.gershgorin)
     via_eig = _eig_evolve(_dense(h_lat), psi0, 37.5)
     assert np.max(np.abs(via_cheb - via_eig)) < 1e-11
 
@@ -335,7 +397,7 @@ def test_chebyshev_short_time_is_the_identity():
     h = _operator(np.diag([1.0, 2.0, 3.0]) - np.eye(3, k=1) - np.eye(3, k=-1))
     psi0 = np.array([1.0, 0.5j, -0.25])
     for t in (1e-17, 1e-300):
-        psi_t = lo._chebyshev_evolve(h, psi0, t, h.gershgorin)
+        psi_t, _ = lo._chebyshev_evolve(h, psi0, t, h.gershgorin)
         assert np.max(np.abs(psi_t - psi0)) <= 1e-15
 
 
@@ -440,7 +502,7 @@ def test_packed_pair_evolution_matches_full_square():
     state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
     state /= np.sqrt(lo._pair_norm_sq(state, size))
     exact = expm(-1j * 6.3 * full) @ _unpack(state, size)
-    packed = lo._chebyshev_evolve(h, state, 6.3, h.gershgorin)
+    packed, _ = lo._chebyshev_evolve(h, state, 6.3, h.gershgorin)
     assert np.max(np.abs(packed - _pack(exact, size))) < 1e-12
     assert lo._pair_norm_sq(packed, size) == pytest.approx(1.0, abs=1e-13)
 
@@ -496,6 +558,25 @@ def test_detuned_pair_stays_nearly_free():
     assert rep.norm_drift < 1e-10
     assert rep.transmitted_fraction > 0.9
     assert rep.bunching_indicator == pytest.approx(1.0, abs=0.1)
+
+
+def _order(bounds, t):
+    """The propagator's order for ``bounds`` and ``t``, on a 1x1 operator."""
+    return lo._chebyshev_evolve(_operator(np.zeros((1, 1))), np.ones(1), t, bounds)[1]
+
+
+@pytest.mark.parametrize(
+    "coupling, k, order, gershgorin_order",
+    [(1.0, np.pi / 2.0, 283, 391), (0.5, 2.2, 332, 402)],
+)
+def test_pair_run_order_follows_the_bound_states(coupling, k, order, gershgorin_order):
+    m = lo.LatticeModel(params=_t_params(coupling), size=281)
+    rep = lo.two_excitation_check(m, k, k)
+    assert rep.chebyshev_order == order == _order(rep.spectral_interval, rep.duration)
+    gershgorin = lo._pair_operator(m.params, 281).gershgorin
+    assert _order(gershgorin, rep.duration) == gershgorin_order
+    if coupling == 1.0:
+        assert rep.chebyshev_order <= 0.75 * gershgorin_order
 
 
 def test_pair_run_rejections():
