@@ -9,11 +9,13 @@ The parser is built from one table of subcommands and their flags,
 ``--config`` is applied, so a config file may supply but not bypass them.
 
 Exit codes: 0 success, 2 configuration error (a non-finite number
-included), 3 numerical-tolerance failure (any ``RuntimeError``, which
-includes Lanczos non-convergence in the lattice bound-state solve), 4
-internal error (any other exception, a ``MemoryError`` from an oversized
-grid included).  Errors are reported as a single-line JSON record on
-stderr.
+included), 3 numerical-tolerance failure (a ``ToleranceError``: Lanczos
+non-convergence in the lattice bound-state solve, a packet reaching the
+boundary guard zone, a pair run with no transmitted weight; ``validate``
+also exits 3 when a criterion fails), 4 internal error (any other
+exception, a ``MemoryError`` from an oversized grid and any other
+``RuntimeError`` included).  Errors are reported as a single-line JSON
+record on stderr.
 
 The package needs numpy alone.  The lattice oracle and the acceptance
 suite are imported by their subcommands alone, so the analytic subcommands
@@ -31,7 +33,7 @@ import sys
 import numpy as np
 
 from . import hwg, tcra, twg
-from .core import HWGParams, TCRAParams, TWGParams
+from .core import HWGParams, TCRAParams, ToleranceError, TWGParams
 
 __all__ = ["main"]
 
@@ -579,7 +581,7 @@ def main(argv=None) -> int:
     except (_CliError, ValueError, TypeError) as exc:
         _error_record("config", exc)
         return 2
-    except RuntimeError as exc:
+    except ToleranceError as exc:
         _error_record("numerical-tolerance", exc)
         return 3
     except Exception as exc:

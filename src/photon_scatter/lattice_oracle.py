@@ -5,14 +5,16 @@ on numpy alone.  One real sparse operator type, ``SparseOperator``,
 realizes the open resonator chains exactly, in the single- and the
 two-excitation sector (the latter on its bosonic sector, photon pairs
 packed as a <= b).  One Chebyshev propagator, its Bessel coefficients from
-Miller's backward recurrence, evolves both, a T-type run sized by the
-bound-state interval its spectrum cannot leave; the bound states are the
-extremal eigenpairs of the single-excitation operator, both from one
-Lanczos run with full reorthogonalisation.  Gaussian wavepacket runs
-measure transmission probabilities against the analytic amplitudes;
-two-packet runs probe photon-photon correlations; and quantized-momentum
-ring sums check the continuum delta conventions of the analytic S-matrices
-(a momentum delta maps to (L / 2 pi) times a Kronecker delta on the ring).
+Miller's backward recurrence, evolves both.  A T-type run is sized by the
+bound-state interval its spectrum cannot leave; bound states exist for every
+V > 0, so only V = 0 and H-type runs fall back on Gershgorin discs.  The
+bound states are the extremal eigenpairs of the single-excitation operator,
+both from one Lanczos run with full reorthogonalisation.  Gaussian
+wavepacket runs measure transmission probabilities against the analytic
+amplitudes; two-packet runs probe photon-photon correlations; and
+quantized-momentum ring sums check the continuum delta conventions of the
+analytic S-matrices (a momentum delta maps to (L / 2 pi) times a Kronecker
+delta on the ring).
 Each ring sum snaps the incident momenta to the ring grid, builds the
 S-matrix with the library's own constructor (``twg.two_photon_s``,
 ``twg.three_photon_s``, ``hwg.two_photon_s_h``), lays its tiers on one
@@ -288,17 +290,14 @@ def _spectral_interval(model: LatticeModel, h: SparseOperator, photons: int):
     compression with |2_a> removed.  Each end is padded outward by 1e-12
     relative and kept only where the bound-state equation has the enclosing
     sign there, so the enclosure does not rest on the root solver; the result
-    is intersected with the Gershgorin interval.  H-type models, an uncoupled
-    atom and a failed bound-state solve keep Gershgorin.
+    is intersected with the Gershgorin interval.  Bound states exist for
+    every V > 0, so only H-type models and an uncoupled atom keep Gershgorin.
     """
     lo, hi = h.gershgorin
-    if model.kind != "t":
-        return lo, hi
     p = model.params
-    try:
-        lower, upper = tcra.bound_state_energies(p)
-    except (ValueError, RuntimeError):
+    if model.kind != "t" or p.coupling == 0.0:
         return lo, hi
+    lower, upper = tcra.bound_state_energies(p)
     pad = 1e-12 * max(abs(lower.energy), abs(upper.energy))
     e_low, e_high = lower.energy - pad, upper.energy + pad
     if tcra._bound_equation(p, e_low) <= 0.0:
@@ -407,6 +406,7 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
     if model.kind != "t":
         raise ValueError("bound-state check is defined for T-type models")
     p = model.params
+    lower, upper = tcra.bound_state_energies(p)
     top, bottom = p.band.band_top, p.band.band_bottom
     edge = 1e-12 * max(1.0, abs(top), abs(bottom))
     # the chain is a principal submatrix, so by Cauchy interlacing at most
@@ -425,7 +425,6 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
             f" and {int(above)} above; the lattice may not resolve weak binding"
         )
 
-    lower, upper = tcra.bound_state_energies(p)
     x = model.positions()
     energies = []
     slopes = []
@@ -705,6 +704,8 @@ def two_excitation_check(
         raise ValueError("duration must be positive and finite")
     if window < 0:
         raise ValueError("coincidence window must be nonnegative")
+    if separation is not None and separation < 0.0:
+        raise ValueError("packet separation must be nonnegative")
 
     p = model.params
     size = model.size

@@ -6,6 +6,8 @@ counterparts live in :mod:`photon_scatter.twg`.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +27,6 @@ __all__ = [
 
 # |sin k| below this counts as a band edge, where the amplitude degenerates
 BAND_EDGE_SIN = 1e-9
-
-# acceptable residual of the bound-state equation after Newton polishing;
-# beyond this the root finder is considered to have failed
-_RESIDUAL_LIMIT = 1e-6
 
 
 def reflection_amplitude(params: TCRAParams, k):
@@ -108,7 +106,8 @@ class BoundState:
     """One single-photon bound state outside the band.
 
     ``decay_log = ln kappa < 0`` fixes the exponential envelope; the upper
-    branch carries the site-alternating sign.
+    branch carries the site-alternating sign.  ``residual`` is that of the
+    defining equation relative to its terms (see :func:`bound_state_energies`).
     """
 
     energy: float
@@ -127,100 +126,67 @@ class BoundState:
 
 
 def _bound_equation(params: TCRAParams, e: float) -> float:
-    # E - Omega - gamma sign(E - omega0) / sqrt((E - omega0)^2 - 4J^2) = 0
-    d = e - params.omega_cavity
-    two_j = 2.0 * params.hopping
-    gap2 = (d - two_j) * (d + two_j)
-    return e - params.omega_atom - params.gamma * np.sign(d) / np.sqrt(gap2)
+    # E - Omega + value: negative below the lower root, positive above the upper
+    return e - params.omega_atom + self_energy(params, e).real_part
 
 
-def _bound_equation_prime(params: TCRAParams, e: float) -> float:
-    d = e - params.omega_cavity
-    gap2 = (d - 2.0 * params.hopping) * (d + 2.0 * params.hopping)
-    return 1.0 + params.gamma * np.sign(d) * d / gap2**1.5
+def _rise(q: float) -> float:
+    # sqrt(q^2 + 4) - 2 without cancellation: |E - band edge| / J
+    return q * q / (math.sqrt(q * q + 4.0) + 2.0)
 
 
-def _solve_branch(params: TCRAParams, above: bool) -> float:
-    """Root of the bound-state equation on one side of the band.
+def _decay_root(d: float, j: float, r: float) -> float:
+    """The root q > 0 of f(q) = q (d + J rise(q)) - r; see bound_state_energies."""
 
-    The left-hand side is strictly increasing on each side, so a sign
-    change brackets the unique root; bisection is unconditionally safe
-    against the pole at the band edge, Newton then polishes.
-    """
-    w0, j, g = params.omega_cavity, params.hopping, params.gamma
-    edge = w0 + 2.0 * j if above else w0 - 2.0 * j
-    span = 10.0 * (abs(params.omega_atom - w0) + j) + 10.0 * g
-    sgn = 1.0 if above else -1.0
-    # move the inner edge outward until the equation is finite and negative*sgn;
-    # start near ulp scale so weakly bound roots (small gamma) are still caught
-    lo = None
-    eps = 1e-15 * max(1.0, abs(edge))
-    while eps < span:
-        cand = edge + sgn * eps
-        if sgn * _bound_equation(params, cand) < 0.0:
-            lo = cand
-            break
-        eps *= 4.0
-    hi = edge + sgn * span
-    while sgn * _bound_equation(params, hi) < 0.0:
-        span *= 2.0
-        hi = edge + sgn * span
-    if lo is None:
-        raise RuntimeError("bound-state bracket failed near the band edge")
-    neg, pos = (lo, hi) if above else (hi, lo)  # f(neg) < 0 < f(pos)
-    for _ in range(200):
-        m = 0.5 * (neg + pos)
-        if _bound_equation(params, m) < 0.0:
-            neg = m
+    def f(q):
+        return q * (d + j * _rise(q)) - r
+
+    # rise(q) >= q - 2, so d + J rise >= J q / 2 and f >= J q^2 / 2 - r at hi
+    hi = max(2.0 * (abs(d) + 2.0 * j) / j, math.sqrt(2.0 * r / j))
+    lo = hi
+    while f(lo) >= 0.0 and lo >= sys.float_info.min:
+        hi, lo = lo, 0.5 * lo
+    if lo < sys.float_info.min:
+        raise ValueError("coupling too weak: the bound-state decay is below float range")
+    # the bracket spans a factor 2 now; bisect it down to adjacent floats
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) < 0.0:
+            lo = mid
         else:
-            pos = m
-        if abs(pos - neg) < 1e-14 * max(1.0, abs(m)):
-            break
-    e = 0.5 * (neg + pos)
-    for _ in range(8):
-        f = _bound_equation(params, e)
-        step = f / _bound_equation_prime(params, e)
-        e_new = e - step
-        # keep the iterate outside the band
-        if (above and e_new <= edge) or (not above and e_new >= edge):
-            break
-        e = e_new
-        if abs(step) < 1e-16 * max(1.0, abs(e)):
-            break
-    return e
-
-
-def _kappa(params: TCRAParams, e: float, above: bool) -> float:
-    # kappa_pm(E) = -sqrt(((E - omega0)/2J)^2 - 1) +- (omega0 - E)/(2J)
-    u = (e - params.omega_cavity) / (2.0 * params.hopping)
-    root = np.sqrt((u - 1.0) * (u + 1.0))
-    kappa = u - root if above else -u - root
-    if not 0.0 < kappa < 1.0:
-        raise RuntimeError(f"decay factor out of range: kappa = {kappa}")
-    return float(kappa)
+            hi = mid
+    return min(lo, hi, key=lambda q: abs(f(q)))
 
 
 def bound_state_energies(params: TCRAParams) -> tuple[BoundState, BoundState]:
     """Both single-photon bound states, (lower, upper).
 
-    One root lies below the band bottom and one above the band top for any
-    gamma > 0.  Residuals of the defining equation are stored on the states;
-    they are float-limited near small gamma where the equation's slope at
-    the root grows like 1/gamma^2.
+    One lies below the band bottom and one above the band top for every
+    V > 0.  Each branch is solved in q = 1/kappa - kappa =
+    sqrt((E - omega0)^2 - 4J^2) / J > 0.  With d the distance from Omega
+    to that band edge, counted into the band, and r = gamma / J, the
+    bound-state equation reads f(q) = q (d + J q^2 / (sqrt(q^2 + 4) + 2))
+    - r = 0.  Since f(0) = -r and f increases wherever it is positive, it
+    has exactly one root in q > 0, found by bisection.  Every output follows
+    from q without cancellation: E = edge +- J q^2 / (sqrt(q^2 + 4) + 2),
+    ``decay_log = -asinh(q / 2)`` and ``amplitude = V / (J q)``.
+    ``residual`` is |f(q)| relative to the sum of its terms' magnitudes.
+
+    Raises ValueError for V = 0 and for a coupling so weak that q falls
+    below the normal float range.
     """
     if not params.gamma > 0.0:
         raise ValueError("bound states require a nonzero coupling")
+    j = params.hopping
+    r = params.gamma / j
     states = []
-    for branch, above in (("lower", False), ("upper", True)):
-        e = _solve_branch(params, above)
-        res = abs(_bound_equation(params, e))
-        if res > _RESIDUAL_LIMIT:
-            raise RuntimeError(f"bound-state residual {res:.3e} on {branch} branch")
-        d = e - params.omega_cavity
-        two_j = 2.0 * params.hopping
-        amp = params.coupling / np.sqrt((d - two_j) * (d + two_j))
-        kappa = _kappa(params, e, above)
-        states.append(BoundState(e, branch, float(np.log(kappa)), float(amp), res))
+    for branch, sign in (("lower", -1.0), ("upper", 1.0)):
+        edge = params.omega_cavity + sign * 2.0 * j
+        d = sign * (edge - params.omega_atom)
+        q = _decay_root(d, j, r)
+        rise = _rise(q)
+        res = abs(q * (d + j * rise) - r) / (q * abs(d) + q * j * rise + r)
+        e = edge + sign * j * rise
+        states.append(BoundState(e, branch, -math.asinh(0.5 * q), params.coupling / (j * q), res))
     return states[0], states[1]
 
 

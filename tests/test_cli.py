@@ -296,6 +296,9 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
          "--carrier", "1.0472", "--vbar1", "1"],
         ["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0",
          "--carrier", "1.0472", "--vbar2", "1"],
+        # packets are placed left to right, so a separation cannot be negative
+        ["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.5708",
+         "--k2", "1.5708", "--separation", "-1000"],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
@@ -391,17 +394,20 @@ def test_tolerance_error_exits_3(capsys):
 
 
 def test_internal_error_exits_4_with_json_record(capsys, monkeypatch):
-    # any exception that is neither a configuration nor a tolerance error
-    def broken(params):
-        raise KeyError("lost")
+    # any exception that is neither a configuration nor a tolerance error;
+    # exit 3 belongs to ToleranceError, not to every RuntimeError
+    for exc in (KeyError("lost"), RuntimeError("no tolerance")):
 
-    monkeypatch.setattr(tcra, "bound_state_energies", broken)
-    code, out, err = _run(capsys, ["bound-states", "--omega", "0", "--omega0", "0"])
-    assert code == 4 and out == ""
-    record = json.loads(err)
-    assert record["error"] == "internal"
-    assert "KeyError" in record["message"]
-    assert "\n" not in err.strip()
+        def broken(params):
+            raise exc
+
+        monkeypatch.setattr(tcra, "bound_state_energies", broken)
+        code, out, err = _run(capsys, ["bound-states", "--omega", "0", "--omega0", "0"])
+        assert code == 4 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "internal"
+        assert type(exc).__name__ in record["message"]
+        assert "\n" not in err.strip()
 
 
 def test_oracle_bound_report_json(capsys):

@@ -139,15 +139,23 @@ def test_bound_state_interval_holds_the_spectrum_inside_gershgorin(coupling, ome
 
 
 @pytest.mark.parametrize("coupling", [0.0, 1e-4])
-def test_unsolvable_bound_states_keep_gershgorin(coupling):
-    # no bound state at V = 0; the root solve gives up at V = 1e-4
+def test_weak_coupling_spectral_interval(coupling):
+    # no bound state at V = 0, so Gershgorin stays; at V = 1e-4 the bound
+    # states sit within 1e-16 of the band edges and the interval is inside
+    # Gershgorin (whose discs reach V past the band)
     m = lo.LatticeModel(params=_t_params(coupling), size=801)
     h = lo.build_single_excitation(m)
-    assert lo._spectral_interval(m, h, 1) == h.gershgorin
     h_pair = lo._pair_operator(m.params, 161)
-    assert lo._spectral_interval(m, h_pair, 2) == h_pair.gershgorin
+    pair_model = lo.LatticeModel(params=m.params, size=161)
+    intervals = (lo._spectral_interval(m, h, 1), lo._spectral_interval(pair_model, h_pair, 2))
+    for (low, high), (g_low, g_high) in zip(intervals, (h.gershgorin, h_pair.gershgorin)):
+        if coupling == 0.0:
+            assert (low, high) == (g_low, g_high)
+        else:
+            assert g_low < low and high < g_high
 
-    # the numbers of runs sized by the Gershgorin interval alone
+    # the numbers of runs sized by these intervals; at V = 1e-4 the interval
+    # narrows by 1e-4 only, so the runs match their Gershgorin-sized values
     packet, pair = {
         0.0: (
             (0.9985901560325011, 0.0012987144871351886),
@@ -159,12 +167,10 @@ def test_unsolvable_bound_states_keep_gershgorin(coupling):
         ),
     }[coupling]
     run = lo.wavepacket_scatter(m, 1.2, 40.0)
-    assert run.spectral_interval == h.gershgorin
+    assert run.spectral_interval == intervals[0]
     assert (run.transmission, run.reflection) == pytest.approx(packet, rel=1e-12)
-    rep = lo.two_excitation_check(
-        lo.LatticeModel(params=m.params, size=161), 1.4, 1.7, width=6.0
-    )
-    assert rep.spectral_interval == h_pair.gershgorin
+    rep = lo.two_excitation_check(pair_model, 1.4, 1.7, width=6.0)
+    assert rep.spectral_interval == intervals[1]
     assert (rep.bunching_indicator, rep.transmitted_fraction) == pytest.approx(pair, rel=1e-12)
 
 
@@ -236,6 +242,16 @@ def test_unresolved_weak_binding_reports_warning():
 def test_bound_check_rejects_wrong_kind():
     with pytest.raises(ValueError):
         lo.bound_state_check(lo.LatticeModel(params=_h_params((1.0, 1.0)), size=41))
+
+
+def test_bound_check_rejects_zero_coupling_before_lanczos(monkeypatch):
+    # V = 0 has no bound state; the check refuses it without diagonalising
+    def lanczos(h, tol):
+        raise AssertionError("Lanczos ran for an uncoupled atom")
+
+    monkeypatch.setattr(lo, "_lanczos_extremes", lanczos)
+    with pytest.raises(ValueError, match="nonzero coupling"):
+        lo.bound_state_check(lo.LatticeModel(params=_t_params(coupling=0.0), size=2001))
 
 
 def test_bound_report_is_reproducible_and_matches_dense_reference():
@@ -602,6 +618,11 @@ def test_pair_run_rejections():
     with pytest.raises(ValueError, match="window"):
         lo.two_excitation_check(
             lo.LatticeModel(params=_t_params(), size=281), 1.5, 1.5, window=-1
+        )
+    with pytest.raises(ValueError, match="separation"):
+        # a negative separation puts the leading packet off the lattice
+        lo.two_excitation_check(
+            lo.LatticeModel(params=_t_params(), size=281), 1.5, 1.5, separation=-1000.0
         )
 
 

@@ -1,5 +1,8 @@
 """Chain-model single-photon scattering and bound states."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -142,3 +145,64 @@ def test_wavefunction_profile():
     assert np.allclose(np.abs(psi_up), np.abs(psi_up[::-1]), atol=1e-15)
     with pytest.raises(ValueError):
         bound_state_wavefunction(lower, 0.5)
+
+
+def _reference_roots(omega_atom, omega_cavity, hopping, coupling):
+    """(energy, decay_log, amplitude) of each branch from an mpmath bisection
+    of f(q) = q (d + J q^2 / (sqrt(q^2 + 4) + 2)) - gamma / J at 70 digits."""
+    with mpmath.workdps(70):
+        w, w0, j, v = (mpmath.mpf(x) for x in (omega_atom, omega_cavity, hopping, coupling))
+        out = []
+        for sign in (-1, 1):
+            edge = w0 + sign * 2 * j
+            d = sign * (edge - w)
+
+            def f(q):
+                return q * (d + j * q**2 / (mpmath.sqrt(q**2 + 4) + 2)) - v**2 / j
+
+            lo = hi = 2 * (abs(d) + 2 * j) / j + mpmath.sqrt(2 * v**2) / j
+            while f(lo) >= 0:
+                hi, lo = lo, lo / 2
+            for _ in range(240):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+            q = (lo + hi) / 2
+            energy = edge + sign * j * q**2 / (mpmath.sqrt(q**2 + 4) + 2)
+            out.append((energy, -mpmath.asinh(q / 2), v / (j * q)))
+        return out
+
+
+@pytest.mark.parametrize(
+    "omega_atom, omega_cavity, hopping, coupling",
+    [
+        *((0.0, 0.0, 1.0, v) for v in (1e-6, 2e-4, 1e-3, 1.0, 10.0, 100.0)),
+        (5.0, 0.0, 1.0, 0.01),
+        (-5.0, 0.0, 1.0, 0.01),
+        (2.0, 0.0, 1.0, 1e-4),  # atom on the band top
+        (40.0, 0.0, 1.0, 0.5),
+        (0.3, 0.0, 1.0, 0.7),
+        (-0.4, 0.0, 1.0, 2.0),
+        (2.5, 1.0, 0.5, 1.5),
+    ],
+)
+def test_bound_states_match_high_precision_roots(omega_atom, omega_cavity, hopping, coupling):
+    # a bound state on each side for every V > 0, weak couplings and atoms
+    # on or far from the band included
+    p = TCRAParams(omega_atom, omega_cavity, hopping, coupling)
+    states = bound_state_energies(p)
+    reference = _reference_roots(omega_atom, omega_cavity, hopping, coupling)
+    for state, (energy, decay_log, amplitude) in zip(states, reference):
+        assert abs(state.energy - float(energy)) <= 4 * math.ulp(float(energy))
+        assert state.decay_log == pytest.approx(float(decay_log), rel=1e-14, abs=0)
+        assert state.kappa == pytest.approx(float(mpmath.exp(decay_log)), rel=1e-14, abs=0)
+        assert state.amplitude == pytest.approx(float(amplitude), rel=1e-14, abs=0)
+        assert state.residual <= 1e-14
+    lower, upper = states
+    assert lower.energy <= p.band.band_bottom and upper.energy >= p.band.band_top
+
+
+def test_bound_states_refuse_unrepresentable_couplings():
+    # no bound state at V = 0; at V = 1e-160 the decay q ~ V^2 / 2J is subnormal
+    for coupling in (0.0, 1e-160):
+        with pytest.raises(ValueError):
+            bound_state_energies(_params(coupling=coupling))
