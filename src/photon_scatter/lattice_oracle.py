@@ -4,17 +4,21 @@ Everything here validates the closed-form modules from first principles,
 on numpy alone.  One real sparse operator type, ``SparseOperator``,
 realizes the open resonator chains exactly, in the single- and the
 two-excitation sector (the latter on its bosonic sector, photon pairs
-packed as a <= b).  One Chebyshev propagator, its Bessel coefficients from
-Miller's backward recurrence, evolves both.  A T-type run is sized by the
-bound-state interval its spectrum cannot leave; bound states exist for every
-V > 0, so only V = 0 and H-type runs fall back on Gershgorin discs.  The
-bound states are the extremal eigenpairs of the single-excitation operator,
-both from one Lanczos run with full reorthogonalisation.  Gaussian
-wavepacket runs measure transmission probabilities against the analytic
-amplitudes; two-packet runs probe photon-photon correlations; and
-quantized-momentum ring sums check the continuum delta conventions of the
-analytic S-matrices (a momentum delta maps to (L / 2 pi) times a Kronecker
-delta on the ring).
+packed as a <= b, the pair state's norm weighted by :func:`_pair_weights`).
+Each builder hands it the structure it knows: the diagonal, the one hopping
+value over neighbour slots, and the atom couplings as triplets.  One
+Chebyshev propagator, its Bessel coefficients from Miller's backward
+recurrence, evolves both, and refuses an expansion order above
+``_MAX_CHEBYSHEV_ORDER``.  A T-type run is sized by the bound-state
+interval its spectrum cannot leave; only H-type runs and couplings whose
+bound-state decay no float represents (V = 0 included) fall back on
+Gershgorin discs.  The bound states are the extremal eigenpairs of the
+single-excitation operator, both from one Lanczos run with full
+reorthogonalisation.  Gaussian wavepacket runs measure transmission
+probabilities against the analytic amplitudes; two-packet runs probe
+photon-photon correlations; and quantized-momentum ring sums check the
+continuum delta conventions of the analytic S-matrices (a momentum delta
+maps to (L / 2 pi) times a Kronecker delta on the ring).
 Each ring sum snaps the incident momenta to the ring grid, builds the
 S-matrix with the library's own constructor (``twg.two_photon_s``,
 ``twg.three_photon_s``, ``hwg.two_photon_s_h``), lays its tiers on one
@@ -55,6 +59,10 @@ _LANCZOS_RTOL = 1e-15
 # one dense eigh of the tridiagonal matrix per check outweighs a step
 _LANCZOS_CHECK_EVERY = 8
 
+# the largest Chebyshev order, and so number of operator products, a run
+# may ask for; the suite's runs stay near 1e3
+_MAX_CHEBYSHEV_ORDER = 1_000_000
+
 
 @dataclass(frozen=True)
 class LatticeModel:
@@ -83,102 +91,72 @@ class LatticeModel:
 
 
 class SparseOperator:
-    """Real square sparse matrix, built for repeated matrix-vector products.
+    """Real square sparse matrix h = D + u A + C, built for repeated products.
 
-    Assembled from (row, column, value) triplets; repeated positions add up.
-    A lattice operator repeats one hopping value over most of its
-    off-diagonal entries, so the commonest off-diagonal value u is factored
-    out: h = D + u A + R, with D the diagonal, A the 0/1 pattern of the
-    entries equal to u and R the rest.  The entries of A in each row, in
-    column order, fill numbered slots.  A slot that at least half the rows
-    fill is stored as one column per row, a row without an entry there
-    pointing at its own column and D taking back the u this adds; a product
-    then costs one gather and one add per slot and a single scaling by u.
-    The entries of sparser slots join R, which is kept in groups whose rows
-    do not repeat.  ``gershgorin`` is an interval holding every eigenvalue;
-    :func:`_spectral_interval` narrows it where the model's physics allows.
+    The builder states the structure it knows: the diagonal D (``diag``),
+    the one hopping value u (``hopping``) and its 0/1 pattern A as neighbour
+    slots, and the other couplings C as (row, column, value) triplets.  A
+    slot holds one column per row; a row with no neighbour there reads its
+    own entry, and D takes u back.  A column may recur across a row's slots
+    (a doubled hop), and C may repeat rows.  A product costs one gather per
+    slot, one scaling by u and one scatter-add of C.  ``gershgorin`` is an
+    interval holding every eigenvalue; :func:`_spectral_interval` narrows it
+    where the model's physics allows.
     """
 
-    def __init__(self, size: int, entries):
-        parts = [np.broadcast_arrays(*(np.ravel(a) for a in part)) for part in entries]
+    def __init__(self, diag, hopping: float = 0.0, slots=(), couplings=()):
+        parts = [np.broadcast_arrays(*map(np.ravel, t)) for t in couplings] + [[np.zeros(0)] * 3]
         rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
-        if np.iscomplexobj(vals):
+        if np.iscomplexobj(diag) or np.iscomplexobj(vals):
             raise ValueError("operator entries must be real")
-        key, position = np.unique(rows.astype(np.intp) * size + cols, return_inverse=True)
-        vals = np.bincount(position, weights=vals, minlength=len(key))
-        rows, cols = np.divmod(key, size)
-        on_diag = rows == cols
+        self.diag = np.array(diag, dtype=float)
+        size = len(self.diag)
         self.shape = (size, size)
-        self.diag = np.zeros(size)
-        self.diag[rows[on_diag]] = vals[on_diag]
-        rows, cols, vals = rows[~on_diag], cols[~on_diag], vals[~on_diag]
-        radius = np.bincount(rows, weights=np.abs(vals), minlength=size)
-        self.gershgorin = (
-            float(np.min(self.diag - radius)),
-            float(np.max(self.diag + radius)),
-        )
-
-        distinct, counts = np.unique(vals, return_counts=True)
-        self.common = float(distinct[np.argmax(counts)]) if len(vals) else 0.0
-        common = vals == self.common
-        self.pattern = []
-        # key order is row major, so a row's entries sit together
-        self.rest = _row_groups(rows[~common], cols[~common], vals[~common])
-        for r, c, _ in _row_groups(rows[common], cols[common], vals[common]):
-            if 2 * len(r) < size:
-                self.rest.append((r, c, np.full(len(r), self.common)))
-                continue
-            full = np.arange(size)
-            full[r] = c
-            self.pattern.append(full)
-            missing = np.ones(size, dtype=bool)
-            missing[r] = False
-            self.diag[missing] -= self.common
+        self.hopping = float(hopping)
+        self.slots = [np.asarray(s, dtype=np.intp) for s in slots]
+        self.rows, self.cols, self.vals = rows.astype(np.intp), cols.astype(np.intp), vals
+        own = [s == np.arange(size) for s in self.slots]
+        filled = len(own) - sum(own)
+        radius = abs(self.hopping) * filled + np.bincount(self.rows, np.abs(vals), size)
+        self.gershgorin = (float(np.min(self.diag - radius)), float(np.max(self.diag + radius)))
+        for o in own:
+            self.diag[o] -= self.hopping
 
     def affine(self, scale: float, shift: float) -> SparseOperator:
         """The operator scale * (self - shift), sharing this one's columns."""
         out = copy.copy(self)
         out.diag = scale * (self.diag - shift)
-        out.common = scale * self.common
-        out.rest = [(r, c, scale * v) for r, c, v in self.rest]
+        out.hopping = scale * self.hopping
+        out.vals = scale * self.vals
         out.gershgorin = tuple(sorted(scale * (e - shift) for e in self.gershgorin))
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        if self.pattern:
-            acc = np.take(x, self.pattern[0], mode="clip")
-            buf = np.empty_like(acc)
-            for cols in self.pattern[1:]:
+        if self.slots:
+            # the slot sum builds up in y and buf is reused for D x, so a
+            # product allocates two long vectors, not three: on the pair
+            # state each fresh one costs page faults
+            y = np.take(x, self.slots[0], mode="clip")
+            buf = np.empty_like(y)
+            for cols in self.slots[1:]:
                 np.take(x, cols, mode="clip", out=buf)
-                acc += buf
-            acc *= self.common
-            y += acc
-        for rows, cols, vals in self.rest:
-            y[rows] += vals * x[cols]
+                y += buf
+            y *= self.hopping
+            y += np.multiply(self.diag, x, out=buf)
+        else:
+            y = self.diag * x
+        np.add.at(y, self.rows, self.vals * x[self.cols])
         return y
 
 
-def _row_groups(rows, cols, vals):
-    """Split row-sorted entries into groups in which no row repeats: group s
-    holds the s-th entry of every row that has one."""
-    counts = np.bincount(rows)
-    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-    return [
-        (rows[rank == s], cols[rank == s], vals[rank == s])
-        for s in range(counts.max(initial=0))
-    ]
-
-
-def _chain_entries(length: int, omega: float, hopping: float, first: int = 0):
-    """Open tight-binding chain on sites first..first+length-1: ``omega`` on the
-    diagonal, ``-hopping`` beside it, as (rows, columns, values) triplets."""
-    sites = np.arange(first, first + length)
-    return (
-        (sites, sites, omega),
-        (sites[:-1], sites[1:], -hopping),
-        (sites[1:], sites[:-1], -hopping),
-    )
+def _chain_slots(size: int, *chains):
+    """Left and right neighbour slots of open chains, each over consecutive
+    rows among ``size``; a chain end, and a row on no chain, reads itself."""
+    left, right = np.arange(size), np.arange(size)
+    for sites in chains:
+        left[sites[1:]] = sites[:-1]
+        right[sites[:-1]] = sites[1:]
+    return [left, right]
 
 
 def build_single_excitation(model: LatticeModel) -> SparseOperator:
@@ -186,23 +164,22 @@ def build_single_excitation(model: LatticeModel) -> SparseOperator:
 
     T-type layout: sites 0..L-1 then the atom.  H-type layout: chain 1,
     chain 2, then the atom; see the module docstring for the effective
-    lattice scales.
+    lattice scales.  All chains hop with one J; the atom couples to their centers.
     """
     p = model.params
-    center = (model.size - 1) // 2
     if model.kind == "t":
-        chains = [(p.omega_cavity, p.hopping)]
-        couplings = [p.coupling]
+        omega, hopping, couplings = p.omega_cavity, p.hopping, [p.coupling]
     else:
-        chains = [(p.omega_atom, 0.5)] * 2
-        couplings = [v / np.sqrt(2.0) for v in p.vbar]
+        omega, hopping, couplings = p.omega_atom, 0.5, [v / np.sqrt(2.0) for v in p.vbar]
     atom = model.dimension - 1
-    entries = [(atom, atom, p.omega_atom)]
-    for s, ((omega, hopping), v) in enumerate(zip(chains, couplings)):
-        entries += _chain_entries(model.size, omega, hopping, first=s * model.size)
-        site = s * model.size + center
+    chains = [np.arange(s * model.size, (s + 1) * model.size) for s in range(len(couplings))]
+    diag = np.full(model.dimension, omega)
+    diag[atom] = p.omega_atom
+    entries = []
+    for sites, v in zip(chains, couplings):
+        site = sites[(model.size - 1) // 2]
         entries += [(site, atom, v), (atom, site, v)]
-    return SparseOperator(model.dimension, entries)
+    return SparseOperator(diag, -hopping, _chain_slots(model.dimension, *chains), entries)
 
 
 def _bessel_j(order: int, z: float) -> np.ndarray:
@@ -241,7 +218,9 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     X = 2 (h - b) / a, so the recursion t_{k+1} = X t_k - t_{k-1} has real
     coefficients: the even terms sum to cos(a t X / 2) state, the odd terms
     to sin(a t X / 2) state, and the result is e^{-i b t} (cos - i sin)
-    state.  Returns (evolved state, order).
+    state.  Returns (evolved state, order).  An order above
+    ``_MAX_CHEBYSHEV_ORDER`` is refused with ValueError before any
+    coefficient is computed.
     """
     emin, emax = bounds
     if not emax > emin:
@@ -251,7 +230,13 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     a = 0.5 * (emax - emin)
     b = 0.5 * (emax + emin)
     z = a * t
-    order = int(z + 25.0 + 12.0 * z ** (1.0 / 3.0))
+    order = z + 25.0 + 12.0 * z ** (1.0 / 3.0)
+    if not order <= _MAX_CHEBYSHEV_ORDER:
+        raise ValueError(
+            f"the Chebyshev expansion needs order {order:.3g}, above the limit"
+            f" {_MAX_CHEBYSHEV_ORDER}: shorten the run or narrow the spectrum"
+        )
+    order = int(order)
     bess = _bessel_j(order, z)
     tail = np.nonzero(np.abs(bess) > 1e-16)[0]
     # a run so short that J_1 drops below the cut still takes one odd term
@@ -283,19 +268,21 @@ def _spectral_interval(model: LatticeModel, h: SparseOperator, photons: int):
     :func:`_pair_operator`).
 
     For a T-type model it is [n E-, n E+], n = ``photons`` and E- and E+ the
-    single-photon bound states.  The infinite chain's single-excitation spectrum is the band plus
-    E- and E+, and the finite chain is a principal submatrix of it.  The
-    two-boson operator (the atom a boson mode) has the sums of two such
-    levels for its spectrum, and the hard-core pair operator is its
-    compression with |2_a> removed.  Each end is padded outward by 1e-12
-    relative and kept only where the bound-state equation has the enclosing
-    sign there, so the enclosure does not rest on the root solver; the result
-    is intersected with the Gershgorin interval.  Bound states exist for
-    every V > 0, so only H-type models and an uncoupled atom keep Gershgorin.
+    single-photon bound states.  The infinite chain's single-excitation
+    spectrum is the band plus E- and E+, and the finite chain is a principal
+    submatrix of it.  The two-boson operator (the atom a boson mode) has the
+    sums of two such levels for its spectrum, and the hard-core pair
+    operator is its compression with |2_a> removed.  Each end is padded
+    outward by 1e-12 relative and kept only where the bound-state equation
+    has the enclosing sign there, so the enclosure does not rest on the root
+    solver; the result is intersected with the Gershgorin interval.  Only
+    H-type models and T-type ones whose bound-state decay no float holds
+    (V = 0, or V below 3e-154 at Omega = omega0, J = 1; see
+    ``tcra._decays_representable``) keep Gershgorin.
     """
     lo, hi = h.gershgorin
     p = model.params
-    if model.kind != "t" or p.coupling == 0.0:
+    if model.kind != "t" or not tcra._decays_representable(p):
         return lo, hi
     lower, upper = tcra.bound_state_energies(p)
     pad = 1e-12 * max(abs(lower.energy), abs(upper.energy))
@@ -552,35 +539,27 @@ def wavepacket_scatter(
     atom = float(dens[-1])
 
     if model.kind == "t":
-        _check_guard_mass(dens[: model.size], x, half, guard, t_end)
+        chains = dens[: model.size]
+        split = (float(chains[x > 0].sum()), float(chains[x < 0].sum()))
         r = complex(tcra.reflection_amplitude(p, carrier))
-        return WavepacketResult(
-            transmission=float(dens[: model.size][x > 0].sum()),
-            reflection=float(dens[: model.size][x < 0].sum()),
-            guide_probabilities=None,
-            atom_occupation=atom,
-            analytic=(abs(1.0 + r) ** 2, abs(r) ** 2),
-            carrier=carrier,
-            effective_momentum=carrier,
-            group_velocity=v_g,
-            duration=t_end,
-            spectral_interval=bounds,
-            chebyshev_order=order,
-        )
-
-    chain1 = dens[: model.size]
-    chain2 = dens[model.size : 2 * model.size]
-    _check_guard_mass(chain1 + chain2, x, half, guard, t_end)
-    k_eff = p.omega_atom - np.cos(carrier)
-    amps = hwg.channel_amplitudes(p, k_eff)
+        analytic, k_eff = (abs(1.0 + r) ** 2, abs(r) ** 2), carrier
+    else:
+        chain1, chain2 = dens[: model.size], dens[model.size : 2 * model.size]
+        chains = chain1 + chain2
+        split = (float(chain1.sum()), float(chain2.sum()))
+        k_eff = p.omega_atom - np.cos(carrier)
+        amps = hwg.channel_amplitudes(p, k_eff)
+        analytic, k_eff = (abs(amps.t11) ** 2, abs(amps.t21) ** 2), float(k_eff)
+    _check_guard_mass(chains, x, half, guard, t_end)
+    t_type = model.kind == "t"
     return WavepacketResult(
-        transmission=None,
-        reflection=None,
-        guide_probabilities=(float(chain1.sum()), float(chain2.sum())),
+        transmission=split[0] if t_type else None,
+        reflection=split[1] if t_type else None,
+        guide_probabilities=None if t_type else split,
         atom_occupation=atom,
-        analytic=(abs(amps.t11) ** 2, abs(amps.t21) ** 2),
+        analytic=analytic,
         carrier=carrier,
-        effective_momentum=float(k_eff),
+        effective_momentum=k_eff,
         group_velocity=v_g,
         duration=t_end,
         spectral_interval=bounds,
@@ -627,51 +606,42 @@ def _pair_operator(params: TCRAParams, size: int) -> SparseOperator:
     (row major, the order of ``np.triu_indices``), of the symmetric pair
     amplitude; the second block on chi[a], a photon at site a with the atom
     excited.  It is the full-square operator kron(H_c, 1) + kron(1, H_c)
-    plus the atom coupling, restricted to its invariant symmetric subspace:
-    a hop out of the upper triangle lands on the mirror entry, and a
-    diagonal pair at the atom site emits into both slots.  The state norm is
-    sum_{a<b} |u|^2 + 0.5 sum_a |u[a, a]|^2 + |chi|^2, under which the real
-    matrix is self-adjoint; its Gershgorin interval is the full-square one.
+    plus the atom coupling, restricted to its invariant symmetric subspace.
+    Its four neighbour slots are the hop directions a - 1, a + 1, b - 1 and
+    b + 1: a hop out of the upper triangle lands on the mirror entry, so a
+    diagonal pair reads each neighbour twice, and chi hops along the first
+    two.  A diagonal pair at the atom site emits into both slots.  The state
+    norm is sum w |state|^2 with w from :func:`_pair_weights`, under which
+    the real matrix is self-adjoint; its Gershgorin interval is the
+    full-square one.
     """
     a, b = np.triu_indices(size)
     npairs = len(a)
     pairs = np.arange(npairs)
-    entries = [(pairs, pairs, 2.0 * params.omega_cavity)]
-    for na, nb in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
+    sites = np.arange(size)
+    chi = npairs + sites
+    slots = _chain_slots(npairs + size, chi) + [np.arange(npairs + size) for _ in range(2)]
+    for slot, (na, nb) in zip(slots, ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1))):
         lo, hi = np.minimum(na, nb), np.maximum(na, nb)
         inside = (lo >= 0) & (hi < size)
-        entries.append(
-            (pairs[inside], _pair_index(lo[inside], hi[inside], size), -params.hopping)
-        )
+        slot[pairs[inside]] = _pair_index(lo[inside], hi[inside], size)
 
     center = (size - 1) // 2
-    sites = np.arange(size)
     touch = _pair_index(np.minimum(sites, center), np.maximum(sites, center), size)
     v = params.coupling
-    chi = npairs + sites
-    entries.append((touch, chi, v * (1.0 + (sites == center))))  # emission
-    entries.append((chi, touch, v))  # absorption
-    entries += _chain_entries(
-        size, params.omega_cavity + params.omega_atom, params.hopping, first=npairs
-    )
-    return SparseOperator(npairs + size, entries)
+    diag = np.full(npairs + size, 2.0 * params.omega_cavity)
+    diag[chi] = params.omega_cavity + params.omega_atom
+    emission = (touch, chi, v * (1.0 + (sites == center)))
+    absorption = (chi, touch, v)
+    return SparseOperator(diag, -params.hopping, slots, [emission, absorption])
 
 
-def _pair_norm_sq(buf: np.ndarray, size: int) -> float:
-    """Norm of a packed pair state: a diagonal pair counts half, chi fully."""
+def _pair_weights(size: int) -> np.ndarray:
+    """Norm weights of a packed pair state: 1/2 on a diagonal pair, else 1."""
+    weights = np.ones(size * (size + 1) // 2 + size)
     sites = np.arange(size)
-    diagonal = buf[_pair_index(sites, sites, size)]
-    return float(np.sum(np.abs(buf) ** 2) - 0.5 * np.sum(np.abs(diagonal) ** 2))
-
-
-def _relative_density(block: np.ndarray) -> np.ndarray:
-    """Joint density per site separation, symmetric-pair weighted."""
-    n = block.shape[0]
-    rho = np.empty(n)
-    rho[0] = 0.5 * np.sum(np.abs(np.diagonal(block)) ** 2)
-    for d in range(1, n):
-        rho[d] = np.sum(np.abs(np.diagonal(block, offset=d)) ** 2)
-    return rho
+    weights[_pair_index(sites, sites, size)] = 0.5
+    return weights
 
 
 def two_excitation_check(
@@ -724,37 +694,44 @@ def two_excitation_check(
     v_g = float(min(p.band.group_velocity(k1), p.band.group_velocity(k2)))
     t_end = duration if duration is not None else (abs(c_back) + 3.0 * width) / v_g
 
+    a, b = np.triu_indices(size)
+    npairs = len(a)
+    weights = _pair_weights(size)
+
+    def symmetrized(f, g):
+        return f[a] * g[b] + g[a] * f[b]
+
     phi_front = np.exp(1j * k1 * x) * _gaussian(x, c_front, width)
     phi_back = np.exp(1j * k2 * x) * _gaussian(x, c_back, width)
-    upper = np.triu_indices(size)
-    psi0 = np.outer(phi_front, phi_back) + np.outer(phi_back, phi_front)
-    state = np.concatenate([psi0[upper], np.zeros(size, dtype=complex)])
-    state /= np.sqrt(_pair_norm_sq(state, size))
+    state = np.concatenate([symmetrized(phi_front, phi_back), np.zeros(size, dtype=complex)])
+    state /= np.sqrt(weights @ np.abs(state) ** 2)
 
     h_pair = _pair_operator(p, size)
     pair_bounds = _spectral_interval(model, h_pair, 2)
     state_t, order = _chebyshev_evolve(h_pair, state, t_end, pair_bounds)
-    norm_drift = abs(_pair_norm_sq(state_t, size) - 1.0)
-
-    npairs = len(upper[0])
-    psi_t = np.empty((size, size), dtype=complex)
-    psi_t[upper] = psi_t[upper[::-1]] = state_t[:npairs]
-    chi_t = state_t[npairs:]
-    marg = np.sum(np.abs(psi_t) ** 2, axis=1) + np.abs(chi_t) ** 2
+    dens = weights * np.abs(state_t) ** 2
+    norm_drift = float(abs(dens.sum() - 1.0))
+    pair_dens = dens[:npairs]
+    marg = np.bincount(a, pair_dens, size) + np.bincount(b, pair_dens, size) + dens[npairs:]
     _check_guard_mass(marg, x, half, guard, t_end)
 
     # free reference: bare-chain product evolution of the same packets; the
     # infinite chain's band is already the Gershgorin interval
-    h_free = SparseOperator(size, _chain_entries(size, p.omega_cavity, p.hopping))
+    h_free = SparseOperator(
+        np.full(size, p.omega_cavity), -p.hopping, _chain_slots(size, np.arange(size))
+    )
     bounds = h_free.gershgorin
     fronts, _ = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
     backs, _ = _chebyshev_evolve(h_free, phi_back, t_end, bounds)
-    psi_free = np.outer(fronts, backs) + np.outer(backs, fronts)
-    psi_free /= np.sqrt(0.5 * np.sum(np.abs(psi_free) ** 2))
+    free_dens = weights[:npairs] * np.abs(symmetrized(fronts, backs)) ** 2
+    free_dens /= free_dens.sum()
 
-    sel = x > 0
-    rho = _relative_density(psi_t[np.ix_(sel, sel)])
-    rho_free = _relative_density(psi_free[np.ix_(sel, sel)])
+    # joint density per separation b - a over the pairs past the atom
+    # (a <= b, so x[a] > 0 places both photons there)
+    past = x[a] > 0
+    gap = (b - a)[past]
+    rho = np.bincount(gap, pair_dens[past], np.count_nonzero(x > 0))
+    rho_free = np.bincount(gap, free_dens[past], len(rho))
     total = rho.sum()
     total_free = rho_free.sum()
     if total < 1e-12 or total_free < 1e-12:

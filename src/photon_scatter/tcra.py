@@ -135,8 +135,31 @@ def _rise(q: float) -> float:
     return q * q / (math.sqrt(q * q + 4.0) + 2.0)
 
 
+def _branches(params: TCRAParams):
+    # per bound state: branch, side, band edge and the distance d from Omega
+    # to that edge, counted into the band
+    for branch, sign in (("lower", -1.0), ("upper", 1.0)):
+        edge = params.omega_cavity + sign * 2.0 * params.hopping
+        yield branch, sign, edge, sign * (edge - params.omega_atom)
+
+
+# a decay above this stays a normal float through the bisection
+_DECAY_FLOOR = 2.0 * sys.float_info.min
+
+
+def _decays_representable(params: TCRAParams) -> bool:
+    """Whether both bound-state decays q exceed ``_DECAY_FLOOR``: there f = q d - r.
+
+    False at V = 0 and where q ~ gamma / (J d) underflows (V below about
+    3e-154 at Omega = omega0, J = 1).  :func:`bound_state_energies` solves,
+    and the lattice oracle sizes T-type runs by the bound states, exactly then.
+    """
+    r = params.gamma / params.hopping
+    return all(_DECAY_FLOOR * d < r for *_, d in _branches(params))
+
+
 def _decay_root(d: float, j: float, r: float) -> float:
-    """The root q > 0 of f(q) = q (d + J rise(q)) - r; see bound_state_energies."""
+    """The root q > _DECAY_FLOOR of f(q) = q (d + J rise(q)) - r."""
 
     def f(q):
         return q * (d + j * _rise(q)) - r
@@ -144,10 +167,8 @@ def _decay_root(d: float, j: float, r: float) -> float:
     # rise(q) >= q - 2, so d + J rise >= J q / 2 and f >= J q^2 / 2 - r at hi
     hi = max(2.0 * (abs(d) + 2.0 * j) / j, math.sqrt(2.0 * r / j))
     lo = hi
-    while f(lo) >= 0.0 and lo >= sys.float_info.min:
+    while f(lo) >= 0.0:
         hi, lo = lo, 0.5 * lo
-    if lo < sys.float_info.min:
-        raise ValueError("coupling too weak: the bound-state decay is below float range")
     # the bracket spans a factor 2 now; bisect it down to adjacent floats
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) < 0.0:
@@ -172,16 +193,15 @@ def bound_state_energies(params: TCRAParams) -> tuple[BoundState, BoundState]:
     ``residual`` is |f(q)| relative to the sum of its terms' magnitudes.
 
     Raises ValueError for V = 0 and for a coupling so weak that q falls
-    below the normal float range.
+    below the normal float range (:func:`_decays_representable`).
     """
-    if not params.gamma > 0.0:
-        raise ValueError("bound states require a nonzero coupling")
-    j = params.hopping
-    r = params.gamma / j
+    if not _decays_representable(params):
+        raise ValueError(
+            "bound states require a nonzero coupling whose decay rate is a normal float"
+        )
+    j, r = params.hopping, params.gamma / params.hopping
     states = []
-    for branch, sign in (("lower", -1.0), ("upper", 1.0)):
-        edge = params.omega_cavity + sign * 2.0 * j
-        d = sign * (edge - params.omega_atom)
+    for branch, sign, edge, d in _branches(params):
         q = _decay_root(d, j, r)
         rise = _rise(q)
         res = abs(q * (d + j * rise) - r) / (q * abs(d) + q * j * rise + r)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import photon_scatter
-from photon_scatter import tcra
+from photon_scatter import lattice_oracle, tcra
 from photon_scatter.cli import main
 
 
@@ -408,6 +408,37 @@ def test_internal_error_exits_4_with_json_record(capsys, monkeypatch):
         assert record["error"] == "internal"
         assert type(exc).__name__ in record["message"]
         assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv, interval",
+    [
+        (["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0", "--V", "1e-160",
+          "--carrier", "1.2"], [-2.0, 2.0]),
+        (["oracle", "pair", "--omega", "0", "--omega0", "0", "--V", "1e-160", "--k1", "1.5",
+          "--k2", "1.6", "--L", "161", "--width", "6"], [-4.0, 4.0]),
+    ],
+)
+def test_weak_coupling_runs_keep_gershgorin(capsys, argv, interval):
+    # a bound-state decay below float range sizes nothing: the run uses the
+    # Gershgorin interval, which is the band (or twice it) to float precision
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["spectral_interval"] == interval
+
+
+@pytest.mark.parametrize("run", [["--omega", "1e6"], ["--omega", "0", "--duration", "1e9"]])
+def test_over_budget_expansion_exits_2_before_any_coefficient(capsys, monkeypatch, run):
+    def bessel(order, z):
+        raise AssertionError(f"Bessel coefficients computed for order {order}")
+
+    monkeypatch.setattr(lattice_oracle, "_bessel_j", bessel)
+    argv = ["oracle", "scatter", "--kind", "t", *run, "--omega0", "0", "--carrier", "1.2"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "config"
+    assert "Chebyshev expansion needs order" in record["message"]
 
 
 def test_oracle_bound_report_json(capsys):

@@ -40,9 +40,10 @@ def _dense(h):
 
 
 def _operator(matrix):
-    """The sparse operator of a dense matrix, from its nonzero entries."""
-    rows, cols = np.nonzero(matrix)
-    return lo.SparseOperator(matrix.shape[0], [(rows, cols, matrix[rows, cols])])
+    """The sparse operator of a dense matrix: its diagonal, and its nonzero
+    off-diagonal entries as couplings (no hopping slots)."""
+    rows, cols = np.nonzero(matrix - np.diag(np.diag(matrix)))
+    return lo.SparseOperator(np.diag(matrix), couplings=[(rows, cols, matrix[rows, cols])])
 
 
 def _out_of_band(evals, bottom, top):
@@ -116,9 +117,7 @@ def _pair_spectrum(params, size):
     """Eigenvalues of the packed pair operator, made symmetric by the norm
     weights: h is self-adjoint under sum w |u|^2, w = 1/2 on a diagonal pair."""
     h = lo._pair_operator(params, size)
-    root_w = np.ones(h.shape[0])
-    sites = np.arange(size)
-    root_w[lo._pair_index(sites, sites, size)] = np.sqrt(0.5)
+    root_w = np.sqrt(lo._pair_weights(size))
     sym = root_w[:, None] * _dense(h) / root_w[None, :]
     return h, np.linalg.eigvalsh(0.5 * (sym + sym.T))
 
@@ -138,18 +137,21 @@ def test_bound_state_interval_holds_the_spectrum_inside_gershgorin(coupling, ome
         assert op.gershgorin[0] < low and high < op.gershgorin[1]
 
 
-@pytest.mark.parametrize("coupling", [0.0, 1e-4])
+@pytest.mark.parametrize("coupling", [0.0, 1e-4, 1e-160])
 def test_weak_coupling_spectral_interval(coupling):
     # no bound state at V = 0, so Gershgorin stays; at V = 1e-4 the bound
     # states sit within 1e-16 of the band edges and the interval is inside
-    # Gershgorin (whose discs reach V past the band)
+    # Gershgorin (whose discs reach V past the band); at V = 1e-160 the
+    # decay is below float range, so Gershgorin stays and the runs are the
+    # V = 0 runs
     m = lo.LatticeModel(params=_t_params(coupling), size=801)
     h = lo.build_single_excitation(m)
     h_pair = lo._pair_operator(m.params, 161)
     pair_model = lo.LatticeModel(params=m.params, size=161)
     intervals = (lo._spectral_interval(m, h, 1), lo._spectral_interval(pair_model, h_pair, 2))
+    gershgorin_sized = coupling != 1e-4
     for (low, high), (g_low, g_high) in zip(intervals, (h.gershgorin, h_pair.gershgorin)):
-        if coupling == 0.0:
+        if gershgorin_sized:
             assert (low, high) == (g_low, g_high)
         else:
             assert g_low < low and high < g_high
@@ -165,7 +167,7 @@ def test_weak_coupling_spectral_interval(coupling):
             (0.9985901560305113, 0.0012987144868582485),
             (1.000000015669287, 0.9987499340329189),
         ),
-    }[coupling]
+    }[0.0 if gershgorin_sized else coupling]
     run = lo.wavepacket_scatter(m, 1.2, 40.0)
     assert run.spectral_interval == intervals[0]
     assert (run.transmission, run.reflection) == pytest.approx(packet, rel=1e-12)
@@ -408,6 +410,19 @@ def test_bessel_coefficients_match_mpmath_and_jv_tail(z):
     assert _tail_order(bess) == _tail_order(jv(np.arange(order + 1), z))
 
 
+def test_chebyshev_refuses_an_order_over_budget(monkeypatch):
+    # the order is checked before any Bessel coefficient is computed
+    def bessel(order, z):
+        raise AssertionError(f"Bessel coefficients computed for order {order}")
+
+    monkeypatch.setattr(lo, "_bessel_j", bessel)
+    h = _operator(np.diag([-1.0, 1.0]))
+    with pytest.raises(ValueError, match="order 1e\\+06, above the limit 1000000"):
+        lo._chebyshev_evolve(h, np.ones(2, dtype=complex), 1e6, (-1.0, 1.0))
+    with pytest.raises(ValueError, match="order inf"):
+        lo._chebyshev_evolve(h, np.ones(2, dtype=complex), 1e308, (-1e308, 1e308))
+
+
 def test_chebyshev_short_time_is_the_identity():
     # J_1 below the coefficient cut still leaves one odd term to sum
     h = _operator(np.diag([1.0, 2.0, 3.0]) - np.eye(3, k=1) - np.eye(3, k=-1))
@@ -482,20 +497,24 @@ def _unpack(buf, size):
 
 
 def test_pair_operator_matches_stencil():
+    # at L = 1 every neighbour slot of every row is empty
     p = TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7)
     rng = np.random.default_rng(5)
-    h = lo._pair_operator(p, 7)
-    assert h.shape == (7 * 8 // 2 + 7,) * 2
-    for _ in range(5):
-        state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
-        full = _unpack(state, 7)
-        assert np.max(np.abs(h @ state - _pack(_pair_stencil(p, 7, full), 7))) < 1e-14
-        # the bosonic norm counts each unordered pair once
-        assert lo._pair_norm_sq(state, 7) == pytest.approx(
-            0.5 * np.sum(np.abs(full[:49]) ** 2) + np.sum(np.abs(full[49:]) ** 2),
-            rel=1e-14,
-        )
-    # same spectral interval as the hand-derived band-plus-coupling bound
+    for size in (1, 2, 7):
+        h = lo._pair_operator(p, size)
+        assert h.shape == (size * (size + 1) // 2 + size,) * 2
+        square = size * size
+        for _ in range(5):
+            state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+            full = _unpack(state, size)
+            assert np.max(np.abs(h @ state - _pack(_pair_stencil(p, size, full), size))) < 1e-14
+            # the bosonic norm counts each unordered pair once
+            assert lo._pair_weights(size) @ np.abs(state) ** 2 == pytest.approx(
+                0.5 * np.sum(np.abs(full[:square]) ** 2) + np.sum(np.abs(full[square:]) ** 2),
+                rel=1e-14,
+            )
+    # at L = 7, the same spectral interval as the hand-derived
+    # band-plus-coupling bound
     w0, j, v = p.omega_cavity, p.hopping, p.coupling
     assert h.gershgorin == pytest.approx(
         (
@@ -516,11 +535,12 @@ def test_packed_pair_evolution_matches_full_square():
     rng = np.random.default_rng(17)
     h = lo._pair_operator(p, size)
     state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
-    state /= np.sqrt(lo._pair_norm_sq(state, size))
+    weights = lo._pair_weights(size)
+    state /= np.sqrt(weights @ np.abs(state) ** 2)
     exact = expm(-1j * 6.3 * full) @ _unpack(state, size)
     packed, _ = lo._chebyshev_evolve(h, state, 6.3, h.gershgorin)
     assert np.max(np.abs(packed - _pack(exact, size))) < 1e-12
-    assert lo._pair_norm_sq(packed, size) == pytest.approx(1.0, abs=1e-13)
+    assert weights @ np.abs(packed) ** 2 == pytest.approx(1.0, abs=1e-13)
 
 
 def test_oracle_runs_without_scipy():
