@@ -10,26 +10,24 @@ with the transmission amplitude, the two-body phase pole must sit at twice
 the pair-amplitude pole, and the region coefficients of the two-photon
 eigenstate must reproduce the disconnected S-matrix structure.
 
-Conventions: the identity permutation has amplitude 1, and the amplitude of
-any other permutation is the product of two-body phases collected along an
-adjacent-transposition path from the identity.  The rational form of the
-phase makes the product path independent.
+Conventions: the identity permutation has amplitude 1.  The two-body phase
+is unimodular and inverts when its arguments swap, so the amplitude of any
+other permutation P is the product of e^{i Phi(k_a, k_b)} over the
+inversions of P: the pairs a < b that P puts in the order (b, a).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .core import TWGParams
 
+__all__ = ["single_phase", "two_body_phase", "amplitude", "eigenstate_value"]
+
 # factorial growth: 8 photons already mean 40320 permutation terms
 _MAX_PHOTONS = 8
-
-_GAMMA_MATCH_RTOL = 1e-12
 
 
 def single_phase(params: TWGParams, momentum: float) -> complex:
@@ -56,119 +54,37 @@ def two_body_phase(gamma: float, ki: float, kj: float) -> complex:
     return (d - 1j * gamma) / (d + 1j * gamma)
 
 
-def _validate_permutation(perm: tuple[int, ...], n: int) -> tuple[int, ...]:
-    p = tuple(int(v) for v in perm)
-    if sorted(p) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
-    return p
-
-
-@dataclass(frozen=True)
-class BetheState:
-    """N-photon Bethe eigenstate data: momenta plus exchange-phase bookkeeping.
-
-    Parameters
-    ----------
-    momenta:
-        Photon momenta (k_1, ..., k_N).  At most ``_MAX_PHOTONS`` entries;
-        the permutation sum grows factorially.
-    gamma:
-        Emitter decay rate entering both phase factors.
-    """
-
-    momenta: tuple[float, ...]
-    gamma: float
-
-    def __post_init__(self) -> None:
-        momenta = tuple(float(k) for k in self.momenta)
-        object.__setattr__(self, "momenta", momenta)
-        if not momenta:
-            raise ValueError("momenta must be non-empty")
-        if len(momenta) > _MAX_PHOTONS:
-            raise ValueError(
-                f"{len(momenta)} photons exceed the permutation-sum cap "
-                f"of {_MAX_PHOTONS}"
-            )
-        if not all(np.isfinite(momenta)):
-            raise ValueError("momenta must be finite")
-        if self.gamma <= 0.0 or not np.isfinite(self.gamma):
-            raise ValueError("gamma must be positive and finite")
-
-    @property
-    def size(self) -> int:
-        return len(self.momenta)
-
-    @cached_property
-    def amplitude_map(self) -> dict[tuple[int, ...], complex]:
-        """All permutation amplitudes, keyed by 1-based permutation tuples."""
-        return {
-            perm: amplitude(self, perm)
-            for perm in itertools.permutations(range(1, self.size + 1))
-        }
-
-
-def amplitude(state: BetheState, perm: tuple[int, ...]) -> complex:
+def amplitude(gamma: float, momenta, perm) -> complex:
     """Permutation amplitude A_P relative to A_identity = 1.
 
-    Bubble-sorts the identity into ``perm``; every adjacent swap that turns
-    the ordered pair (a, b) into (b, a) contributes e^{i Phi(k_a, k_b)}.
-    The rational phase satisfies the Yang-Baxter consistency condition, so
-    the result does not depend on the chosen path (see the path-independence
-    tests).
+    ``perm[i]`` is the 0-based index of the momentum in slot i.  A_P is the
+    product of e^{i Phi(k_a, k_b)} over every pair a < b that ``perm``
+    puts in the order (b, a).
     """
-    n = state.size
-    target = _validate_permutation(perm, n)
-    work = list(range(1, n + 1))
     acc = complex(1.0)
-    for pos in range(n):
-        j = work.index(target[pos])
-        while j > pos:
-            a, b = work[j - 1], work[j]
-            acc *= two_body_phase(state.gamma, state.momenta[a - 1], state.momenta[b - 1])
-            work[j - 1], work[j] = b, a
-            j -= 1
+    for b, a in itertools.combinations(perm, 2):
+        if a < b:
+            acc *= two_body_phase(gamma, momenta[a], momenta[b])
     return acc
 
 
-def transposition_path_amplitude(
-    state: BetheState, swaps: tuple[int, ...]
-) -> tuple[tuple[int, ...], complex]:
-    """Amplitude along an explicit adjacent-transposition path from identity.
-
-    ``swaps`` lists 0-based slot indices; swap ``j`` exchanges slots j, j+1.
-    Returns the permutation reached and the accumulated phase product.  Used
-    to verify path independence of :func:`amplitude`.
-    """
-    n = state.size
-    work = list(range(1, n + 1))
-    acc = complex(1.0)
-    for j in swaps:
-        if not 0 <= j < n - 1:
-            raise ValueError(f"swap slot {j} out of range for {n} photons")
-        a, b = work[j], work[j + 1]
-        acc *= two_body_phase(state.gamma, state.momenta[a - 1], state.momenta[b - 1])
-        work[j], work[j + 1] = b, a
-    return tuple(work), acc
-
-
-def eigenstate_value(
-    state: BetheState, params: TWGParams, positions: tuple[float, ...]
-) -> complex:
+def eigenstate_value(params: TWGParams, momenta, positions) -> complex:
     """Eigenstate value at strictly ordered photon coordinates.
 
     Sum over permutations P of A_P * prod_i f_{k_{P_i}}(x_i) with the
     single-photon mode function f_p(x) = e^{ipx} [theta(-x) + e^{i delta_p}
-    theta(x)].  Coordinates exactly at the emitter (x = 0) are excluded: the
-    step function is ambiguous there and the emitter amplitude carries the
-    remaining weight.
+    theta(x)].  The momenta (k_1, ..., k_N) number at most ``_MAX_PHOTONS``;
+    the permutation sum grows factorially.  Coordinates exactly at the
+    emitter (x = 0) are excluded: the step function is ambiguous there and
+    the emitter amplitude carries the remaining weight.
     """
-    if abs(params.gamma_t - state.gamma) > _GAMMA_MATCH_RTOL * max(1.0, state.gamma):
-        raise ValueError(
-            f"params.gamma_t = {params.gamma_t} does not match state.gamma = "
-            f"{state.gamma}"
-        )
+    k = np.asarray(momenta, dtype=float)
+    n = k.size
+    if k.ndim != 1 or not 0 < n <= _MAX_PHOTONS:
+        raise ValueError(f"need 1 to {_MAX_PHOTONS} momenta, got shape {k.shape}")
+    if not np.all(np.isfinite(k)):
+        raise ValueError("momenta must be finite")
     x = np.asarray(positions, dtype=float)
-    n = state.size
     if x.shape != (n,):
         raise ValueError(f"expected {n} coordinates, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -178,13 +94,10 @@ def eigenstate_value(
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("coordinates must be strictly increasing")
 
-    k = np.asarray(state.momenta, dtype=float)
     trans = np.array([single_phase(params, ki) for ki in k])
     # perms as 0-based momentum indices, one row per permutation
     perms = np.array(list(itertools.permutations(range(n))), dtype=int)
-    amps = np.array(
-        [state.amplitude_map[tuple(int(i) + 1 for i in row)] for row in perms]
-    )
+    amps = np.array([amplitude(params.gamma_t, k, row) for row in perms])
     kp = k[perms]
     phases = np.exp(1j * kp @ x)
     crossed = np.where(x > 0.0, trans[perms], 1.0)

@@ -216,14 +216,11 @@ def bound_state_wavefunction(state: BoundState, x):
     The envelope is ``amplitude * kappa^|x|``; the upper branch alternates
     sign from site to site.
     """
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.integer):
-        xf = np.asarray(x, dtype=float)
-        if np.any(xf != np.round(xf)):
-            raise ValueError("bound-state wavefunction is defined on integer sites")
-        x = np.round(xf).astype(int)
-    absx = np.abs(x)
+    # |x| stays float: an integer cast wraps at 2^63 and the envelope with it
+    absx = np.abs(np.asarray(x, dtype=float))
+    if np.any(absx != np.round(absx)):
+        raise ValueError("bound-state wavefunction is defined on integer sites")
     psi = state.amplitude * np.exp(state.decay_log * absx)
     if state.sign_alternating:
-        psi = psi * np.where(absx % 2 == 0, 1.0, -1.0)
+        psi = psi * np.where(np.fmod(absx, 2.0) == 0.0, 1.0, -1.0)
     return psi if psi.ndim else float(psi)

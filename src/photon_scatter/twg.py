@@ -147,6 +147,13 @@ def two_photon_fluorescence(params: TWGParams, k1: float, k2: float, p1):
 # three photons
 
 
+def _three(values, name):
+    """Return ``values`` after checking that it holds one entry per photon."""
+    if len(values) != 3:
+        raise ValueError(f"{name} needs 3 entries for three photons, got {len(values)}")
+    return values
+
+
 def three_photon_t(params: TWGParams, k, p):
     """Connected three-photon T density (with the leading i) on the shell.
 
@@ -175,9 +182,9 @@ def three_photon_t(params: TWGParams, k, p):
     error stayed below 2e-13; on the lines p_j = k_i and at their double
     and triple crossings it was at most 4e-16.
     """
-    k = [float(v) for v in k]
+    k = [float(v) for v in _three(k, "k")]
     e = sum(k)
-    p = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in p))
+    p = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in _three(p, "p")))
     _require_on_shell(e, p[0] + p[1] + p[2])
     a = params.alpha
     inv = [1.0 / (v - a) for v in k]
@@ -197,8 +204,8 @@ def three_photon_t_reference(params: TWGParams, k, p) -> complex:
     that cancel only in the sum, so the reference holds at generic points
     alone; it cross-checks the closed form of three_photon_t there.
     """
-    k = [float(v) for v in k]
-    p = [float(v) for v in p]
+    k = [float(v) for v in _three(k, "k")]
+    p = [float(v) for v in _three(p, "p")]
     _require_on_shell(sum(k), sum(p))
     a = params.alpha
     total = 0.0 + 0.0j
@@ -230,7 +237,7 @@ def three_photon_s(params: TWGParams, k) -> ScatteringAmplitudeSet:
     slot and a connected two-photon density on the remaining pair;
     tier (c): the fully connected three-photon density.
     """
-    k = [float(v) for v in k]
+    k = [float(v) for v in _three(k, "k")]
     e = sum(k)
     t = [complex(transmission_amplitude(params, v)) for v in k]
     tprod = t[0] * t[1] * t[2]
@@ -276,7 +283,7 @@ def three_photon_fluorescence(params: TWGParams, k, p1, p2):
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    p3 = (float(k[0]) + float(k[1]) + float(k[2])) - p1 - p2
+    p3 = sum(float(v) for v in _three(k, "k")) - p1 - p2
     val = np.abs(three_photon_t(params, k, (p1, p2, p3))) ** 2
     return val if np.ndim(val) else float(val)
 
@@ -332,8 +339,8 @@ def three_photon_out_wavefunction(params: TWGParams, k, x):
     x is a sequence of three floats or broadcastable arrays; the result is
     a complex scalar or an array of their broadcast shape.
     """
-    k = [float(v) for v in k]
-    x = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in x))
+    k = [float(v) for v in _three(k, "k")]
+    x = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in _three(x, "x")))
     t = [complex(transmission_amplitude(params, v)) for v in k]
 
     tier_a = 0.0j

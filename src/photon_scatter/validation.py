@@ -293,33 +293,15 @@ def _criterion_correlations():
     )
 
 
-def _random_path_to(rng, n, target):
-    """Random adjacent-transposition path from identity to target."""
-    work = list(target)
-    moves = []
-    for _ in range(rng.integers(0, 7)):
-        j = int(rng.integers(0, n - 1))
-        work[j], work[j + 1] = work[j + 1], work[j]
-        moves.append(j)
-    prefix = []
-    for pos in range(n):
-        j = work.index(pos + 1)
-        while j > pos:
-            work[j - 1], work[j] = work[j], work[j - 1]
-            prefix.append(j - 1)
-            j -= 1
-    return tuple(reversed(prefix)) + tuple(reversed(moves))
-
-
-def _region_coefficients(state, params, x1, x2, shift):
+def _region_coefficients(momenta, params, x1, x2, shift):
     """Coefficients of the two plane-wave terms around (x1, x2)."""
-    k1, k2 = state.momenta
+    k1, k2 = momenta
     rows, rhs = [], []
     for xa, xb in ((x1, x2), (x1 - shift, x2)):
         rows.append(
             [np.exp(1j * (k1 * xa + k2 * xb)), np.exp(1j * (k2 * xa + k1 * xb))]
         )
-        rhs.append(bethe.eigenstate_value(state, params, (xa, xb)))
+        rhs.append(bethe.eigenstate_value(params, momenta, (xa, xb)))
     return np.linalg.solve(np.array(rows), np.array(rhs))
 
 
@@ -330,19 +312,6 @@ def _criterion_bethe_cross_checks():
     dev_phase = max(
         abs(bethe.single_phase(params, float(ki)) - ti) for ki, ti in zip(k, t)
     )
-
-    rng = np.random.default_rng(110)
-    dev_path = 0.0
-    for n in (2, 3, 4):
-        momenta = tuple(np.sort(rng.uniform(-1.5, 1.5, n)))
-        state = bethe.BetheState(momenta=momenta, gamma=params.gamma_t)
-        for target in permutations(range(1, n + 1)):
-            ref = bethe.amplitude(state, target)
-            for _ in range(2):
-                path = _random_path_to(rng, n, target)
-                reached, amp = bethe.transposition_path_amplitude(state, path)
-                assert reached == target
-                dev_path = max(dev_path, abs(amp - ref))
 
     # two-body phase pole in the pair detuning sits at twice the T2 pole
     gamma = params.gamma_t
@@ -359,25 +328,25 @@ def _criterion_bethe_cross_checks():
     phase_pole = np.roots(np.polyfit(d, inv_phase, 1))[0]
     dev_pole = abs(phase_pole - 2.0 * pair_pole)
 
+    rng = np.random.default_rng(110)
     dev_coeff = 0.0
     for _ in range(10):
         k1 = params.omega_atom + float(rng.uniform(-2.0, 2.0)) * gamma
         k2 = k1 + float(rng.uniform(0.1, 2.0))
-        state = bethe.BetheState(momenta=(k1, k2), gamma=gamma)
         t1 = twg.transmission_amplitude(params, k1)
         t2 = twg.transmission_amplitude(params, k2)
         shift = float(np.clip(1.2 / (k2 - k1), 0.4, 30.0))
         x_in = float(rng.uniform(-9.0, -5.0))
         c_in = _region_coefficients(
-            state, params, x_in, x_in + float(rng.uniform(0.5, 3.0)), shift
+            (k1, k2), params, x_in, x_in + float(rng.uniform(0.5, 3.0)), shift
         )
         c_mid = _region_coefficients(
-            state, params, x_in, float(rng.uniform(0.5, 5.0)), shift
+            (k1, k2), params, x_in, float(rng.uniform(0.5, 5.0)), shift
         )
         # x1 - shift must stay positive in the fully crossed region
         x_out = float(rng.uniform(0.5, 3.0))
         c_out = _region_coefficients(
-            state, params, x_out, x_out + float(rng.uniform(0.5, 3.0)), 0.4
+            (k1, k2), params, x_out, x_out + float(rng.uniform(0.5, 3.0)), 0.4
         )
         disc = twg.two_photon_s(params, k1, k2).disconnected
         dev_coeff = max(
@@ -388,15 +357,9 @@ def _criterion_bethe_cross_checks():
             abs(c_out[1] / c_in[1] - disc[1].weight),
         )
 
-    passed = (
-        dev_phase <= 1e-15
-        and dev_path <= 1e-12
-        and dev_pole <= 1e-12
-        and dev_coeff <= 1e-8
-    )
+    passed = dev_phase <= 1e-15 and dev_pole <= 1e-12 and dev_coeff <= 1e-8
     return passed, (
-        f"single-phase vs t_k dev {dev_phase:.1e} (tol 1e-15); path-independence"
-        f" dev {dev_path:.2e} for N<=4 (tol 1e-12); pole-doubling dev"
+        f"single-phase vs t_k dev {dev_phase:.1e} (tol 1e-15); pole-doubling dev"
         f" {dev_pole:.2e} (tol 1e-12); N=2 region coefficients dev {dev_coeff:.2e}"
         f" at 10 points (tol 1e-8)"
     )
@@ -450,10 +413,12 @@ CRITERIA: tuple[tuple[int, str, _CheckFn], ...] = (
 
 
 def run(numbers=None) -> list[CriterionResult]:
-    """Run the selected acceptance criteria (all by default), never raising.
+    """Run the selected acceptance criteria (all by default).
 
     A criterion that raises is reported as failed with the exception text in
-    its details.
+    its details; no criterion's exception escapes.  The selection itself is
+    checked first: an empty or unknown ``numbers`` selection raises
+    ``ValueError`` before any criterion runs.
     """
     if numbers is not None:
         wanted = set(int(n) for n in numbers)

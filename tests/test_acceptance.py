@@ -3,11 +3,11 @@
 Each test runs exactly one criterion from the validation registry, prints
 its report line, and asserts the verdict plus the per-criterion time
 budget.  Criterion 7 is a strict expected failure: the measured
-three-photon out-state probability on the x1 = x2 ridge stays below the
-origin value in the resonant regime, so the pinned inequality cannot hold
-for a faithful evaluator (analysis recorded in the project decisions
-ledger).  A pass there would mean the evaluator changed, and the strict
-marker turns that into a loud suite failure.
+three-photon out-state probability on the x1 = x2 ridge (maximum 0.02729)
+stays below the origin value (0.1008) in the resonant regime, so the
+pinned inequality cannot hold for a faithful evaluator (see the
+``validate`` notes in README).  A pass there would mean the evaluator
+changed, and the strict marker turns that into a loud suite failure.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def test_criterion_06_three_photon_connected_t():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="measured ridge maximum (~0.027) stays below the origin value"
-    " (~0.093) for the resonant triple; the pinned inequality does not hold"
-    " for a faithful evaluator (see decisions ledger)",
+    reason="measured ridge maximum 0.02729 stays below the origin value"
+    " 0.1008 for the resonant triple; the pinned inequality does not hold"
+    " for a faithful evaluator (see README, validate)",
 )
 def test_criterion_07_three_photon_spatial_preference():
     _check(7)

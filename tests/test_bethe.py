@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from photon_scatter.bethe import (
-    BetheState,
     amplitude,
     eigenstate_value,
     single_phase,
-    transposition_path_amplitude,
     two_body_phase,
 )
 from photon_scatter.core import TWGParams
@@ -71,114 +69,85 @@ def test_two_body_pole_is_twice_the_pair_pole():
 
 
 def test_amplitude_identity_and_swap():
-    state = BetheState(momenta=(0.9, 1.4), gamma=1.0)
-    assert amplitude(state, (1, 2)) == 1.0
-    assert amplitude(state, (2, 1)) == pytest.approx(
+    momenta = (0.9, 1.4)
+    assert amplitude(1.0, momenta, (0, 1)) == 1.0
+    assert amplitude(1.0, momenta, (1, 0)) == pytest.approx(
         two_body_phase(1.0, 0.9, 1.4), abs=1e-15
     )
 
 
-def test_amplitude_map_unimodular():
-    state = BetheState(momenta=(0.3, 0.8, 1.1, 2.4), gamma=0.7)
-    assert len(state.amplitude_map) == 24
-    for value in state.amplitude_map.values():
-        assert abs(abs(value) - 1.0) < 1e-14
+def test_amplitude_is_product_over_inversions():
+    gamma, k = 1.2, (0.2, 1.0, 1.9)
+
+    def phi(a, b):
+        return two_body_phase(gamma, k[a], k[b])
+
+    expected = {
+        (0, 1, 2): 1.0,
+        (0, 2, 1): phi(1, 2),
+        (1, 0, 2): phi(0, 1),
+        (1, 2, 0): phi(0, 1) * phi(0, 2),
+        (2, 0, 1): phi(0, 2) * phi(1, 2),
+        (2, 1, 0): phi(0, 1) * phi(0, 2) * phi(1, 2),
+    }
+    assert sorted(expected) == list(itertools.permutations(range(3)))
+    for perm, value in expected.items():
+        assert amplitude(gamma, k, perm) == pytest.approx(value, abs=1e-15)
 
 
-def test_amplitude_reversal_explicit_paths():
-    state = BetheState(momenta=(0.2, 1.0, 1.9), gamma=1.2)
-    perm_a, acc_a = transposition_path_amplitude(state, (0, 1, 0))
-    perm_b, acc_b = transposition_path_amplitude(state, (1, 0, 1))
-    assert perm_a == perm_b == (3, 2, 1)
-    assert acc_a == pytest.approx(acc_b, abs=1e-12)
-    assert amplitude(state, (3, 2, 1)) == pytest.approx(acc_a, abs=1e-12)
-
-
-def _random_path_to(rng, n, target):
-    # scramble away from the target, then bubble back to the identity; the
-    # reversed record is an identity -> target transposition path
-    work = list(target)
-    swaps = []
-    for _ in range(rng.integers(0, 9)):
-        j = int(rng.integers(0, n - 1))
-        work[j], work[j + 1] = work[j + 1], work[j]
-        swaps.append(j)
-    while work != sorted(work):
-        for j in range(n - 1):
-            if work[j] > work[j + 1]:
-                work[j], work[j + 1] = work[j + 1], work[j]
-                swaps.append(j)
-                break
-    return tuple(reversed(swaps))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_amplitude_path_independence(n):
-    rng = np.random.default_rng(100 + n)
-    momenta = tuple(np.sort(rng.uniform(-2.0, 3.0, size=n)))
-    state = BetheState(momenta=momenta, gamma=0.9)
-    for target in itertools.permutations(range(1, n + 1)):
-        reference = amplitude(state, target)
-        for _ in range(2):
-            path = _random_path_to(rng, n, target)
-            reached, acc = transposition_path_amplitude(state, path)
-            assert reached == target
-            assert acc == pytest.approx(reference, abs=1e-12)
+def test_amplitude_unimodular():
+    momenta = (0.3, 0.8, 1.1, 2.4)
+    for perm in itertools.permutations(range(4)):
+        assert abs(abs(amplitude(0.7, momenta, perm)) - 1.0) < 1e-14
 
 
 def test_eigenstate_incoming_region_is_plane_wave_superposition():
     params = _params(gamma=1.1)
-    state = BetheState(momenta=(0.4, 1.3, 2.1), gamma=1.1)
+    momenta = (0.4, 1.3, 2.1)
     x = (-9.3, -4.1, -0.7)
     direct = sum(
-        state.amplitude_map[perm]
-        * np.exp(1j * sum(state.momenta[p - 1] * xi for p, xi in zip(perm, x)))
-        for perm in itertools.permutations((1, 2, 3))
+        amplitude(params.gamma_t, momenta, perm)
+        * np.exp(1j * sum(momenta[p] * xi for p, xi in zip(perm, x)))
+        for perm in itertools.permutations(range(3))
     )
-    assert eigenstate_value(state, params, x) == pytest.approx(direct, abs=1e-12)
+    assert eigenstate_value(params, momenta, x) == pytest.approx(direct, abs=1e-12)
 
 
 def test_eigenstate_single_photon_transmitted():
     params = _params(omega=0.6, gamma=0.8)
-    state = BetheState(momenta=(1.7,), gamma=0.8)
     x = 3.9
     expected = single_phase(params, 1.7) * np.exp(1j * 1.7 * x)
-    assert eigenstate_value(state, params, (x,)) == pytest.approx(expected, abs=1e-14)
+    assert eigenstate_value(params, (1.7,), (x,)) == pytest.approx(expected, abs=1e-14)
 
 
 def test_eigenstate_domain_validation():
     params = _params()
-    state = BetheState(momenta=(0.5, 1.5), gamma=1.0)
+    momenta = (0.5, 1.5)
     with pytest.raises(ValueError):
-        eigenstate_value(state, params, (0.0, 1.0))
+        eigenstate_value(params, momenta, (0.0, 1.0))
     with pytest.raises(ValueError):
-        eigenstate_value(state, params, (2.0, 1.0))
+        eigenstate_value(params, momenta, (2.0, 1.0))
     with pytest.raises(ValueError):
-        eigenstate_value(state, params, (1.0,))
+        eigenstate_value(params, momenta, (1.0,))
     with pytest.raises(ValueError):
-        eigenstate_value(state, TWGParams(omega_atom=1.0, gamma_t=2.0), (-1.0, 1.0))
+        eigenstate_value(params, (), ())
+    with pytest.raises(ValueError):
+        eigenstate_value(params, tuple(range(9)), tuple(range(1, 10)))
+    with pytest.raises(ValueError):
+        eigenstate_value(params, (0.5, np.inf), (-1.0, 1.0))
 
 
-def test_bethe_state_validation():
-    with pytest.raises(ValueError):
-        BetheState(momenta=(), gamma=1.0)
-    with pytest.raises(ValueError):
-        BetheState(momenta=tuple(range(9)), gamma=1.0)
-    with pytest.raises(ValueError):
-        BetheState(momenta=(1.0,), gamma=0.0)
-
-
-def _region_coefficients(state, params, x1, x2, shift):
+def _region_coefficients(momenta, params, x1, x2, shift):
     # two evaluation points with x1 varied resolve the two plane-wave
     # components; keep (k1-k2)*shift away from 2*pi*n for conditioning
-    k1, k2 = state.momenta
+    k1, k2 = momenta
     rows = []
     rhs = []
     for xa in (x1, x1 - shift):
         rows.append(
             [np.exp(1j * (k1 * xa + k2 * x2)), np.exp(1j * (k2 * xa + k1 * x2))]
         )
-        rhs.append(eigenstate_value(state, params, (xa, x2)))
+        rhs.append(eigenstate_value(params, momenta, (xa, x2)))
     return np.linalg.solve(np.array(rows), np.array(rhs))
 
 
@@ -190,18 +159,18 @@ def test_two_photon_regions_match_disconnected_s_matrix():
         k1 = rng.uniform(0.2, 2.6)
         k2 = k1 + rng.uniform(0.15, 1.8)
         params = TWGParams(omega_atom=omega, gamma_t=gamma)
-        state = BetheState(momenta=(k1, k2), gamma=gamma)
+        momenta = (k1, k2)
         shift = float(np.clip(1.2 / (k2 - k1), 0.4, 30.0))
 
         b = rng.uniform(0.5, 3.0)
-        c_in = _region_coefficients(state, params, -b - rng.uniform(0.5, 3.0), -b, shift)
+        c_in = _region_coefficients(momenta, params, -b - rng.uniform(0.5, 3.0), -b, shift)
         c_mid = _region_coefficients(
-            state, params, -b - rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), shift
+            momenta, params, -b - rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), shift
         )
         # x1 - shift must stay positive here, so cap the shift
         x2_out = 4.0 + rng.uniform(0.5, 3.0)
         c_out = _region_coefficients(
-            state, params, rng.uniform(0.5, 3.0), x2_out, 0.4
+            momenta, params, rng.uniform(0.5, 3.0), x2_out, 0.4
         )
 
         t1 = single_phase(params, k1)

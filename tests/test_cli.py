@@ -111,6 +111,18 @@ def test_bound_wavefunction_upper_alternates(capsys):
     assert amps[3] == pytest.approx(amps[9], abs=1e-15)
 
 
+def test_bound_wavefunction_vanishes_beyond_int64_sites(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["bound-wavefunction", "--omega", "0", "--omega0", "0",
+         "--grid", "x:-1e19:1e19:3"],
+    )
+    assert code == 0
+    _, rows = _rows(out)
+    assert [r[1] for r in rows[::2]] == [0.0, 0.0]
+    assert rows[1][1] > 0.0
+
+
 def test_two_photon_wf_even_in_relative_coordinate(capsys):
     code, out, _ = _run(
         capsys,

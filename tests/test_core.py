@@ -68,7 +68,7 @@ def test_lattice_to_waveguide_mapping():
 @pytest.mark.parametrize(
     "module",
     ["photon_scatter", "photon_scatter.core", "photon_scatter.tcra", "photon_scatter.twg",
-     "photon_scatter.hwg", "photon_scatter.cli"],
+     "photon_scatter.hwg", "photon_scatter.bethe", "photon_scatter.cli"],
 )
 def test_exported_names_resolve(module):
     mod = importlib.import_module(module)

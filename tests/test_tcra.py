@@ -147,6 +147,14 @@ def test_wavefunction_profile():
         bound_state_wavefunction(lower, 0.5)
 
 
+def test_wavefunction_vanishes_at_very_distant_sites():
+    # |x| >= 2^63 does not fit an int64 site index; the envelope still decays
+    x = np.array([-1e19, -(2.0**63), 2.0**63, 1e19, 1e300])
+    for state in bound_state_energies(_params()):
+        assert np.all(bound_state_wavefunction(state, x) == 0.0)
+        assert bound_state_wavefunction(state, -1e19) == 0.0
+
+
 def _reference_roots(omega_atom, omega_cavity, hopping, coupling):
     """(energy, decay_log, amplitude) of each branch from an mpmath bisection
     of f(q) = q (d + J q^2 / (sqrt(q^2 + 4) + 2)) - gamma / J at 70 digits."""

@@ -375,3 +375,21 @@ def test_out_state_position_symmetry():
     for perm in itertools.permutations(range(3)):
         val = three_photon_out_wavefunction(P, k, tuple(x[i] for i in perm))
         assert np.max(np.abs(val - base)) < 1e-12 * max(1.0, np.max(np.abs(base)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: three_photon_t(P, (1.0, 1.0), (0.5, 0.5, 1.0)),
+        lambda: three_photon_t(P, (1.0, 1.0, 1.0), (1.5, 1.5)),
+        lambda: three_photon_t_reference(P, (1.0, 1.0, 0.5, 0.5), (1.0, 1.0, 1.0)),
+        lambda: three_photon_s(P, (1.0, 1.0)),
+        lambda: three_photon_fluorescence(P, (1.0, 1.0), 1.2, 0.8),
+        lambda: three_photon_out_wavefunction(P, (1.0, 1.0, 1.0, 1.0), (0.1, 0.2, 0.3)),
+        lambda: three_photon_out_wavefunction(P, (1.0, 1.0, 1.0), (0.1, 0.2)),
+    ],
+    ids=["t-k", "t-p", "reference-k", "s-k", "fluorescence-k", "out-k", "out-x"],
+)
+def test_three_photon_entry_points_reject_wrong_photon_count(call):
+    with pytest.raises(ValueError, match="3 entries"):
+        call()
