@@ -129,12 +129,18 @@ def test_eigenstate_domain_validation():
         eigenstate_value(params, momenta, (2.0, 1.0))
     with pytest.raises(ValueError):
         eigenstate_value(params, momenta, (1.0,))
+
+
+def test_bethe_state_validation():
+    params = _params()
     with pytest.raises(ValueError):
         eigenstate_value(params, (), ())
     with pytest.raises(ValueError):
         eigenstate_value(params, tuple(range(9)), tuple(range(1, 10)))
     with pytest.raises(ValueError):
         eigenstate_value(params, (0.5, np.inf), (-1.0, 1.0))
+    with pytest.raises(ValueError):
+        _params(gamma=0.0)
 
 
 def _region_coefficients(momenta, params, x1, x2, shift):
