@@ -48,8 +48,8 @@ def two_body_phase(gamma: float, ki: float, kj: float) -> complex:
     two-photon bound-state pole (twice the pair-amplitude pole in the
     relative momentum).
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     d = complex(ki) - complex(kj)
     return (d - 1j * gamma) / (d + 1j * gamma)
 

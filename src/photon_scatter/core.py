@@ -11,6 +11,7 @@ matrices are returned as a structured split into delta-supported
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,6 +31,12 @@ __all__ = [
 
 class ToleranceError(RuntimeError):
     """A numerical procedure failed to reach its requested tolerance."""
+
+
+def _require_finite(*values) -> None:
+    # nan makes every comparison false, so a range check alone lets it through
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("parameters must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +59,7 @@ class CosineBand:
     hopping: float
 
     def __post_init__(self) -> None:
+        _require_finite(self.omega_cavity, self.hopping)
         if not self.hopping > 0.0:
             raise ValueError("hopping must be positive")
 
@@ -66,7 +74,7 @@ class CosineBand:
     def energy(self, k):
         """Band energy at momentum k, defined for k in (-pi, pi]."""
         k = np.asarray(k, dtype=float)
-        if np.any(k <= -np.pi) or np.any(k > np.pi):
+        if not np.all((k > -np.pi) & (k <= np.pi)):
             raise ValueError("momentum outside the first Brillouin zone (-pi, pi]")
         return self.omega_cavity - 2.0 * self.hopping * np.cos(k)
 
@@ -106,6 +114,7 @@ class TCRAParams:
     coupling: float
 
     def __post_init__(self) -> None:
+        _require_finite(self.omega_atom, self.omega_cavity, self.hopping, self.coupling)
         if not self.hopping > 0.0:
             raise ValueError("hopping must be positive")
         if self.coupling < 0.0:
@@ -132,6 +141,7 @@ class TWGParams:
     gamma_t: float
 
     def __post_init__(self) -> None:
+        _require_finite(self.omega_atom, self.gamma_t)
         if not self.gamma_t > 0.0:
             raise ValueError("gamma_t must be positive")
 
@@ -161,6 +171,7 @@ class HWGParams:
     def __post_init__(self) -> None:
         if len(self.vbar) != 2:
             raise ValueError("vbar must be a pair")
+        _require_finite(self.omega_atom, *self.vbar)
         if not (self.vbar[0] >= 0.0 and self.vbar[1] >= 0.0):
             raise ValueError("couplings must be nonnegative")
         if self.vbar[0] == 0.0 and self.vbar[1] == 0.0:
@@ -183,9 +194,10 @@ _ONSHELL_RTOL = 1e-10
 
 
 def _require_on_shell(e_in, e_out) -> None:
+    # written so that a nan or an infinite momentum fails it too
     tol = _ONSHELL_RTOL * max(1.0, abs(e_in))
-    if np.any(np.abs(np.asarray(e_out) - e_in) > tol):
-        raise ValueError("outgoing momenta violate total-energy conservation")
+    if not (math.isfinite(e_in) and np.all(np.abs(np.asarray(e_out) - e_in) <= tol)):
+        raise ValueError("momenta must be finite and conserve the total energy")
 
 
 # ---------------------------------------------------------------------------

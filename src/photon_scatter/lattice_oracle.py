@@ -5,8 +5,9 @@ on numpy alone.  One real sparse operator type, ``SparseOperator``,
 realizes the open resonator chains exactly, in the single- and the
 two-excitation sector (the latter on its bosonic sector, photon pairs
 packed as a <= b, the pair state's norm weighted by :func:`_pair_weights`).
-Each builder hands it the structure it knows: the diagonal, the one hopping
-value over neighbour slots, and the atom couplings as triplets.  One
+The chain is stated once, by :func:`_single_parts`: the diagonal, the one
+hopping value over neighbour slots, and the atom couplings.  The pair
+operator and the free photon reference derive theirs from it.  One
 Chebyshev propagator, its Bessel coefficients from Miller's backward
 recurrence, evolves both, and refuses an expansion order above
 ``_MAX_CHEBYSHEV_ORDER``.  A T-type run is sized by the bound-state
@@ -159,27 +160,33 @@ def _chain_slots(size: int, *chains):
     return [left, right]
 
 
-def build_single_excitation(model: LatticeModel) -> SparseOperator:
-    """Sparse symmetric single-excitation Hamiltonian, open chains.
-
-    T-type layout: sites 0..L-1 then the atom.  H-type layout: chain 1,
-    chain 2, then the atom; see the module docstring for the effective
-    lattice scales.  All chains hop with one J; the atom couples to their centers.
+def _single_parts(model: LatticeModel):
+    """The single-excitation chain: its diagonal, hopping value and
+    neighbour slots as :class:`SparseOperator` takes them, and the atom
+    couplings (site, v).  T-type layout: sites 0..L-1 then the atom.  H-type
+    layout: chain 1, chain 2, then the atom; see the module docstring for
+    the effective lattice scales.  All chains hop with one J; the atom, the
+    last row, couples to their centers.
     """
     p = model.params
     if model.kind == "t":
         omega, hopping, couplings = p.omega_cavity, p.hopping, [p.coupling]
     else:
         omega, hopping, couplings = p.omega_atom, 0.5, [v / np.sqrt(2.0) for v in p.vbar]
-    atom = model.dimension - 1
     chains = [np.arange(s * model.size, (s + 1) * model.size) for s in range(len(couplings))]
     diag = np.full(model.dimension, omega)
-    diag[atom] = p.omega_atom
-    entries = []
-    for sites, v in zip(chains, couplings):
-        site = sites[(model.size - 1) // 2]
-        entries += [(site, atom, v), (atom, site, v)]
-    return SparseOperator(diag, -hopping, _chain_slots(model.dimension, *chains), entries)
+    diag[-1] = p.omega_atom
+    sites = [chain[(model.size - 1) // 2] for chain in chains]
+    return diag, -hopping, _chain_slots(model.dimension, *chains), list(zip(sites, couplings))
+
+
+def build_single_excitation(model: LatticeModel) -> SparseOperator:
+    """Sparse symmetric single-excitation Hamiltonian, open chains (layout
+    and scales as in :func:`_single_parts`)."""
+    diag, hopping, slots, couplings = _single_parts(model)
+    atom = len(diag) - 1
+    entries = [e for site, v in couplings for e in ((site, atom, v), (atom, site, v))]
+    return SparseOperator(diag, hopping, slots, entries)
 
 
 def _bessel_j(order: int, z: float) -> np.ndarray:
@@ -595,45 +602,43 @@ class TwoExcitationReport:
 
 
 def _pair_index(a, b, size: int):
-    """Position of the pair (a, b), a <= b, in the packed upper triangle."""
-    return a * size - a * (a - 1) // 2 + (b - a)
+    """Position of the unordered pair {a, b} in the packed upper triangle."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return lo * size - lo * (lo - 1) // 2 + (hi - lo)
 
 
-def _pair_operator(params: TCRAParams, size: int) -> SparseOperator:
+def _pair_operator(model: LatticeModel) -> SparseOperator:
     """Two-excitation operator on the bosonic sector: packed pairs, then photon + atom.
 
     The pair block acts on the packed upper triangle u = psi[a, b], a <= b
     (row major, the order of ``np.triu_indices``), of the symmetric pair
-    amplitude; the second block on chi[a], a photon at site a with the atom
-    excited.  It is the full-square operator kron(H_c, 1) + kron(1, H_c)
-    plus the atom coupling, restricted to its invariant symmetric subspace.
-    Its four neighbour slots are the hop directions a - 1, a + 1, b - 1 and
-    b + 1: a hop out of the upper triangle lands on the mirror entry, so a
-    diagonal pair reads each neighbour twice, and chi hops along the first
-    two.  A diagonal pair at the atom site emits into both slots.  The state
-    norm is sum w |state|^2 with w from :func:`_pair_weights`, under which
-    the real matrix is self-adjoint; its Gershgorin interval is the
-    full-square one.
+    amplitude over the n photon sites; the second block on chi[c], a photon
+    at site c with the atom excited.  It is the two-boson operator
+    kron(h, 1) + kron(1, h) of the single-excitation chain h, restricted to
+    its symmetric subspace with |2_atom> removed, and every entry comes from
+    :func:`_single_parts`: the diagonal d[a] + d[b] and d[c] + d[atom]; each
+    single slot applied to leg a and then to leg b, re-packed, so a hop out
+    of the upper triangle lands on the mirror entry and a diagonal pair
+    reads each neighbour twice, with chi hopping along leg a; and per
+    coupled (site, v) the emission v (1 + delta_{c, site}) into
+    pair(site, c) and the absorption v back.  The state norm is
+    sum w |state|^2 with w from :func:`_pair_weights`, under which the real
+    matrix is self-adjoint; its Gershgorin interval is the full-square one.
     """
-    a, b = np.triu_indices(size)
+    d, hopping, single, couplings = _single_parts(model)
+    n = len(d) - 1
+    a, b = np.triu_indices(n)
     npairs = len(a)
-    pairs = np.arange(npairs)
-    sites = np.arange(size)
+    sites = np.arange(n)
     chi = npairs + sites
-    slots = _chain_slots(npairs + size, chi) + [np.arange(npairs + size) for _ in range(2)]
-    for slot, (na, nb) in zip(slots, ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1))):
-        lo, hi = np.minimum(na, nb), np.maximum(na, nb)
-        inside = (lo >= 0) & (hi < size)
-        slot[pairs[inside]] = _pair_index(lo[inside], hi[inside], size)
-
-    center = (size - 1) // 2
-    touch = _pair_index(np.minimum(sites, center), np.maximum(sites, center), size)
-    v = params.coupling
-    diag = np.full(npairs + size, 2.0 * params.omega_cavity)
-    diag[chi] = params.omega_cavity + params.omega_atom
-    emission = (touch, chi, v * (1.0 + (sites == center)))
-    absorption = (chi, touch, v)
-    return SparseOperator(diag, -params.hopping, slots, [emission, absorption])
+    legs = [(s[a], b, npairs + s[:n]) for s in single] + [(a, s[b], chi) for s in single]
+    slots = [np.concatenate([_pair_index(p, q, n), c]) for p, q, c in legs]
+    entries = []
+    for site, v in couplings:
+        touch = _pair_index(sites, site, n)
+        entries += [(touch, chi, v * (1.0 + (sites == site))), (chi, touch, v)]
+    diag = np.concatenate([d[a] + d[b], d[:n] + d[n]])
+    return SparseOperator(diag, hopping, slots, entries)
 
 
 def _pair_weights(size: int) -> np.ndarray:
@@ -706,7 +711,7 @@ def two_excitation_check(
     state = np.concatenate([symmetrized(phi_front, phi_back), np.zeros(size, dtype=complex)])
     state /= np.sqrt(weights @ np.abs(state) ** 2)
 
-    h_pair = _pair_operator(p, size)
+    h_pair = _pair_operator(model)
     pair_bounds = _spectral_interval(model, h_pair, 2)
     state_t, order = _chebyshev_evolve(h_pair, state, t_end, pair_bounds)
     dens = weights * np.abs(state_t) ** 2
@@ -715,11 +720,11 @@ def two_excitation_check(
     marg = np.bincount(a, pair_dens, size) + np.bincount(b, pair_dens, size) + dens[npairs:]
     _check_guard_mass(marg, x, half, guard, t_end)
 
-    # free reference: bare-chain product evolution of the same packets; the
-    # infinite chain's band is already the Gershgorin interval
-    h_free = SparseOperator(
-        np.full(size, p.omega_cavity), -p.hopping, _chain_slots(size, np.arange(size))
-    )
+    # free reference: product evolution of the same packets under the photon
+    # block of the single-excitation chain; the infinite chain's band is
+    # already the Gershgorin interval
+    d, hopping, slots, _ = _single_parts(model)
+    h_free = SparseOperator(d[:size], hopping, [s[:size] for s in slots])
     bounds = h_free.gershgorin
     fronts, _ = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
     backs, _ = _chebyshev_evolve(h_free, phi_back, t_end, bounds)

@@ -16,7 +16,6 @@ from photon_scatter.core import DeltaTerm, ScatteringAmplitudeSet, TCRAParams
 
 __all__ = [
     "BAND_EDGE_SIN",
-    "SelfEnergy",
     "BoundState",
     "reflection_amplitude",
     "single_photon_s_matrix",
@@ -45,11 +44,12 @@ def reflection_amplitude(params: TCRAParams, k):
         The transmission amplitude is ``1 + r_k``.
     """
     k = np.asarray(k, dtype=float)
+    band = params.band
+    # the zone check comes first: it refuses nan and inf as well
+    detune = band.energy(k) - params.omega_atom
     if np.any(np.abs(np.sin(k)) < BAND_EDGE_SIN):
         raise ValueError("momentum at a band edge; reflection amplitude undefined")
-    band = params.band
     vg = band.group_velocity(k)
-    detune = band.energy(k) - params.omega_atom
     r = -1j * params.gamma / (vg * detune + 1j * params.gamma)
     return r if r.ndim else complex(r)
 
@@ -63,42 +63,24 @@ def single_photon_s_matrix(params: TCRAParams, k: float) -> ScatteringAmplitudeS
     )
 
 
-@dataclass(frozen=True)
-class SelfEnergy:
-    """Atom self-energy at frequency omega, with the sign that enters E - Omega.
+def self_energy(params: TCRAParams, omega: float) -> complex:
+    """Atom self-energy -Sigma(omega + i0), complex, the sign that enters E - Omega.
 
-    ``value`` is -Sigma(omega + i0), where Sigma(z) = V^2 / sqrt((z - omega0)^2
-    - 4 J^2) (the branch that falls off like V^2 / z) is the self-energy of
-    the atom propagator G(z) = 1 / (z - Omega - Sigma(z)).  A bound state
-    therefore solves E - Omega + value = 0: at omega0 + 3J with J = V = 1,
-    ``value`` is -1/sqrt(5).  Inside the band the real part vanishes and
-    ``imag_part = gamma * dos / 2 > 0``; outside, the self-energy is real and
-    ``dos = 0``.
+    Sigma(z) = V^2 / sqrt((z - omega0)^2 - 4 J^2), the branch that falls off
+    like V^2 / z: the atom propagator is G(z) = 1 / (z - Omega + self_energy)
+    and a bound state solves E - Omega + self_energy = 0 (at omega0 + 3J, J =
+    V = 1, the value is -1/sqrt(5)).  Inside the band it is i gamma /
+    sqrt(4 J^2 - (omega - omega0)^2), outside real.  Raises at the band edges.
     """
-
-    omega: float
-    real_part: float
-    imag_part: float
-    dos: float
-
-    @property
-    def value(self) -> complex:
-        return self.real_part + 1j * self.imag_part
-
-
-def self_energy(params: TCRAParams, omega: float) -> SelfEnergy:
-    """Evaluate the atom self-energy; raises at the band edges."""
     d = omega - params.omega_cavity
     two_j = 2.0 * params.hopping
     # factorized form avoids cancellation for |d| barely above the edge
     gap2 = (d - two_j) * (d + two_j)
-    if abs(gap2) < 1e-14 * two_j**2:
-        raise ValueError("self-energy is singular at the band edge")
+    if not abs(gap2) >= 1e-14 * two_j**2:
+        raise ValueError("self-energy is singular at the band edge and undefined at nan")
     if gap2 < 0.0:
-        dos = 2.0 / np.sqrt(-gap2)
-        return SelfEnergy(omega, 0.0, 0.5 * params.gamma * dos, dos)
-    sigma = -params.gamma * np.sign(d) / np.sqrt(gap2)
-    return SelfEnergy(omega, sigma, 0.0, 0.0)
+        return 1j * params.gamma / np.sqrt(-gap2)
+    return complex(-params.gamma * np.sign(d) / np.sqrt(gap2))
 
 
 @dataclass(frozen=True)
@@ -126,8 +108,8 @@ class BoundState:
 
 
 def _bound_equation(params: TCRAParams, e: float) -> float:
-    # E - Omega + value: negative below the lower root, positive above the upper
-    return e - params.omega_atom + self_energy(params, e).real_part
+    # E - Omega + self_energy: negative below the lower root, positive above the upper
+    return e - params.omega_atom + self_energy(params, e).real
 
 
 def _rise(q: float) -> float:

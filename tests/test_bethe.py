@@ -48,6 +48,13 @@ def test_two_body_phase_unimodular_and_reciprocal():
     assert two_body_phase(1.0, 0.4, 0.4) == -1.0
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_two_body_phase_refuses_non_finite_gamma(gamma):
+    # a gamma <= 0 check alone is false for nan, and the phase would be nan
+    with pytest.raises(ValueError):
+        two_body_phase(gamma, 1.0, 2.0)
+
+
 def test_two_body_pole_is_twice_the_pair_pole():
     # pair amplitude at E = 2*Omega: reciprocal is quadratic in the relative
     # momentum, with the physical pole in the lower half plane

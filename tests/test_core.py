@@ -51,6 +51,30 @@ def test_parameter_validation():
         HWGParams(1.0, (1.0, -2.0))
 
 
+@pytest.mark.parametrize(
+    "record, args",
+    [
+        (CosineBand, (np.nan, 1.0)),
+        (CosineBand, (0.0, np.inf)),
+        (TCRAParams, (0.0, 0.0, 1.0, np.nan)),
+        (TCRAParams, (0.0, 0.0, 1.0, np.inf)),
+        (TCRAParams, (np.nan, 0.0, 1.0, 1.0)),
+        (TCRAParams, (0.0, -np.inf, 1.0, 1.0)),
+        (TCRAParams, (0.0, 0.0, np.inf, 1.0)),
+        (TWGParams, (np.nan, 1.0)),
+        (TWGParams, (0.0, np.inf)),
+        (HWGParams, (np.inf, (1.0, 1.0))),
+        (HWGParams, (np.nan, (1.0, 1.0))),
+        (HWGParams, (0.0, (np.inf, 1.0))),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v).replace(" ", ""),
+)
+def test_parameter_records_refuse_non_finite(record, args):
+    # a range check is false for nan, and an infinity is in range
+    with pytest.raises(ValueError, match="finite"):
+        record(*args)
+
+
 def test_lattice_to_waveguide_mapping():
     # the even-channel phase 1 + 2 r_k of the lattice is the waveguide t at
     # the band energy, with gamma_t = 2 V^2 / v_g at the carrier's velocity

@@ -113,11 +113,11 @@ def test_spectrum_respects_gershgorin_bounds():
         assert bounds == pytest.approx((lo_bound, hi_bound), abs=1e-14)
 
 
-def _pair_spectrum(params, size):
+def _pair_spectrum(model):
     """Eigenvalues of the packed pair operator, made symmetric by the norm
     weights: h is self-adjoint under sum w |u|^2, w = 1/2 on a diagonal pair."""
-    h = lo._pair_operator(params, size)
-    root_w = np.sqrt(lo._pair_weights(size))
+    h = lo._pair_operator(model)
+    root_w = np.sqrt(lo._pair_weights(model.dimension - 1))
     sym = root_w[:, None] * _dense(h) / root_w[None, :]
     return h, np.linalg.eigvalsh(0.5 * (sym + sym.T))
 
@@ -127,7 +127,7 @@ def test_bound_state_interval_holds_the_spectrum_inside_gershgorin(coupling, ome
     p = TCRAParams(omega_atom=omega, omega_cavity=0.0, hopping=1.0, coupling=coupling)
     m = lo.LatticeModel(params=p, size=31)
     h = lo.build_single_excitation(m)
-    h_pair, pair_evals = _pair_spectrum(p, 31)
+    h_pair, pair_evals = _pair_spectrum(m)
     for photons, op, evals in (
         (1, h, np.linalg.eigvalsh(_dense(h))),
         (2, h_pair, pair_evals),
@@ -146,8 +146,8 @@ def test_weak_coupling_spectral_interval(coupling):
     # V = 0 runs
     m = lo.LatticeModel(params=_t_params(coupling), size=801)
     h = lo.build_single_excitation(m)
-    h_pair = lo._pair_operator(m.params, 161)
     pair_model = lo.LatticeModel(params=m.params, size=161)
+    h_pair = lo._pair_operator(pair_model)
     intervals = (lo._spectral_interval(m, h, 1), lo._spectral_interval(pair_model, h_pair, 2))
     gershgorin_sized = coupling != 1e-4
     for (low, high), (g_low, g_high) in zip(intervals, (h.gershgorin, h_pair.gershgorin)):
@@ -497,11 +497,11 @@ def _unpack(buf, size):
 
 
 def test_pair_operator_matches_stencil():
-    # at L = 1 every neighbour slot of every row is empty
+    # at L = 3 every pair touches a chain end or the atom site
     p = TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7)
     rng = np.random.default_rng(5)
-    for size in (1, 2, 7):
-        h = lo._pair_operator(p, size)
+    for size in (3, 5, 7):
+        h = lo._pair_operator(lo.LatticeModel(params=p, size=size))
         assert h.shape == (size * (size + 1) // 2 + size,) * 2
         square = size * size
         for _ in range(5):
@@ -533,7 +533,7 @@ def test_packed_pair_evolution_matches_full_square():
     dim = size * size + size
     full = np.column_stack([_pair_stencil(p, size, e) for e in np.eye(dim)])
     rng = np.random.default_rng(17)
-    h = lo._pair_operator(p, size)
+    h = lo._pair_operator(lo.LatticeModel(params=p, size=size))
     state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
     weights = lo._pair_weights(size)
     state /= np.sqrt(weights @ np.abs(state) ** 2)
@@ -541,6 +541,65 @@ def test_packed_pair_evolution_matches_full_square():
     packed, _ = lo._chebyshev_evolve(h, state, 6.3, h.gershgorin)
     assert np.max(np.abs(packed - _pack(exact, size))) < 1e-12
     assert weights @ np.abs(packed) ** 2 == pytest.approx(1.0, abs=1e-13)
+
+
+def _fock_pair_spectrum(h1):
+    """Two bosons on the dense single-excitation matrix h1 (atom the last
+    mode), the atom hard-core: kron(h1, 1) + kron(1, h1) compressed onto the
+    orthonormal symmetric states |ij> + |ji> with |2_atom> left out."""
+    m = len(h1)
+    two = np.kron(h1, np.eye(m)) + np.kron(np.eye(m), h1)
+    columns = []
+    for i, j in zip(*np.triu_indices(m)):
+        if i == j == m - 1:
+            continue
+        v = np.zeros(m * m)
+        v[i * m + j] += 1.0
+        v[j * m + i] += 1.0
+        columns.append(v / np.linalg.norm(v))
+    basis = np.column_stack(columns)
+    return np.linalg.eigvalsh(basis.T @ two @ basis)
+
+
+@pytest.mark.parametrize(
+    "params, size",
+    [
+        (TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7), 7),
+        (HWGParams(omega_atom=0.9, vbar=(0.4, 0.7)), 5),
+        (HWGParams(omega_atom=-0.2, vbar=(1.1, 0.3)), 7),
+    ],
+)
+def test_pair_operator_matches_fock_space(params, size):
+    # the derived packed operator against the two-boson operator built from
+    # the single-excitation matrix alone, for both kinds of model
+    model = lo.LatticeModel(params=params, size=size)
+    h1 = _dense(lo.build_single_excitation(model))
+    reference = _fock_pair_spectrum(h1)
+    h_pair, packed = _pair_spectrum(model)
+    assert h_pair.shape[0] == len(reference) == len(h1) * (len(h1) + 1) // 2 - 1
+    assert np.max(np.abs(packed - reference)) < 1e-13
+
+
+def test_free_reference_is_the_photon_block(monkeypatch):
+    # the pair run's two free packets evolve under the photon rows and
+    # columns of the single-excitation operator, entry for entry
+    m = lo.LatticeModel(params=TCRAParams(0.3, 0.1, 0.9, 0.7), size=161)
+    operators = []
+    evolve = lo._chebyshev_evolve
+
+    def spy(h, state, t, bounds):
+        operators.append(h)
+        return evolve(h, state, t, bounds)
+
+    monkeypatch.setattr(lo, "_chebyshev_evolve", spy)
+    lo.two_excitation_check(m, 1.2, 1.9, width=6.0, separation=15.0)
+    photons = _dense(lo.build_single_excitation(m))[: m.size, : m.size]
+    radius = np.abs(photons).sum(axis=1) - np.abs(np.diag(photons))
+    band = ((np.diag(photons) - radius).min(), (np.diag(photons) + radius).max())
+    assert len(operators) == 3
+    for h_free in operators[1:]:
+        np.testing.assert_array_equal(_dense(h_free), photons)
+        assert h_free.gershgorin == pytest.approx(band, abs=1e-15)
 
 
 def test_oracle_runs_without_scipy():
@@ -609,7 +668,7 @@ def test_pair_run_order_follows_the_bound_states(coupling, k, order, gershgorin_
     m = lo.LatticeModel(params=_t_params(coupling), size=281)
     rep = lo.two_excitation_check(m, k, k)
     assert rep.chebyshev_order == order == _order(rep.spectral_interval, rep.duration)
-    gershgorin = lo._pair_operator(m.params, 281).gershgorin
+    gershgorin = lo._pair_operator(m).gershgorin
     assert _order(gershgorin, rep.duration) == gershgorin_order
     if coupling == 1.0:
         assert rep.chebyshev_order <= 0.75 * gershgorin_order

@@ -57,6 +57,15 @@ def test_reflection_band_edge_refused():
         reflection_amplitude(_params(), np.pi)
 
 
+@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+def test_reflection_refuses_non_finite_momentum(k):
+    # a zone check written k <= -pi or k > pi is false for nan
+    with pytest.raises(ValueError, match="Brillouin zone"):
+        reflection_amplitude(_params(), k)
+    with pytest.raises(ValueError, match="Brillouin zone"):
+        reflection_amplitude(_params(), np.array([1.0, k]))
+
+
 def test_s_matrix_weights():
     s = single_photon_s_matrix(_params(), np.pi / 2)
     (fwd, bwd) = s.disconnected
@@ -70,25 +79,33 @@ def test_s_matrix_weights():
 
 
 def test_self_energy_inside_band():
+    # the imaginary part is gamma / 2 times the density 2 / sqrt(4J^2 - d^2)
     se = self_energy(_params(), np.pi)
-    assert se.real_part == 0.0
-    assert se.dos == pytest.approx(1.0)
-    assert se.imag_part == pytest.approx(0.5)
+    assert isinstance(se, complex)
+    assert se.real == 0.0
+    assert 2.0 * se.imag / _params().gamma == pytest.approx(1.0)
+    assert se.imag == pytest.approx(0.5)
 
 
 def test_self_energy_outside_band():
     # omega = omega0 + 3J: Sigma = -1/(J sqrt(5))
     se = self_energy(_params(), np.pi + 3.0)
-    assert se.imag_part == 0.0 and se.dos == 0.0
-    assert se.real_part == pytest.approx(-1.0 / np.sqrt(5.0), rel=1e-14)
+    assert se.imag == 0.0 and 2.0 * se.imag / _params().gamma == 0.0
+    assert se.real == pytest.approx(-1.0 / np.sqrt(5.0), rel=1e-14)
     below = self_energy(_params(), np.pi - 3.0)
-    assert below.real_part == pytest.approx(1.0 / np.sqrt(5.0), rel=1e-14)
+    assert below.real == pytest.approx(1.0 / np.sqrt(5.0), rel=1e-14)
 
 
 def test_self_energy_asymptotics_and_edge():
-    assert abs(self_energy(_params(), 1e6).real_part) < 1e-5
+    assert abs(self_energy(_params(), 1e6).real) < 1e-5
     with pytest.raises(ValueError):
         self_energy(_params(), np.pi + 2.0)
+
+
+def test_self_energy_refuses_nan():
+    # the band-edge distance is nan there, which a < comparison lets through
+    with pytest.raises(ValueError):
+        self_energy(_params(), np.nan)
 
 
 def test_bound_state_closed_form():

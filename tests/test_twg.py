@@ -70,6 +70,17 @@ def test_two_photon_t_shell_and_symmetry():
         two_photon_t(p, 1.0, 1.0, 1.5, 0.6)
 
 
+@pytest.mark.parametrize(
+    "k1, k2, p1, p2",
+    [(1.0, 1.0, np.nan, np.nan), (np.nan, 1.0, 1.0, 1.0), (np.inf, 1.0, 1.0, 1.0),
+     (1.0, 1.0, np.inf, 1.0)],
+)
+def test_two_photon_t_refuses_non_finite_momenta(k1, k2, p1, p2):
+    # the energy-shell comparison alone is false for nan and in range for inf
+    with pytest.raises(ValueError, match="finite"):
+        two_photon_t(_params(), k1, k2, p1, p2)
+
+
 def test_two_photon_t_weak_coupling():
     # gamma^2 prefactor with order-one denominators off resonance
     val = two_photon_t(TWGParams(1.0, 1e-6), 1.3, 0.9, 1.1, 1.1)
