@@ -247,11 +247,6 @@ class ScatteringAmplitudeSet:
 
     total_energy: float
     disconnected: tuple[DeltaTerm, ...]
+    connected: Callable[..., complex]
     pinned_pairs: tuple[PinnedPairTerm, ...] = ()
-    connected: Callable[..., complex] | None = None
-
-    def connected_density(self, *momenta) -> complex:
-        if self.connected is None:
-            return 0.0j
-        return self.connected(*momenta)
 

@@ -47,8 +47,10 @@ class ChannelAmplitudes:
 
 
 def channel_amplitudes(params: HWGParams, k) -> ChannelAmplitudes:
-    """Evaluate t11, t21, t22 at momentum k (scalar or array)."""
+    """Evaluate t11, t21, t22 at momentum k (scalar or array, finite)."""
     k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError("momentum must be finite")
     v1, v2 = params.vbar
     pole = k - params.omega_atom + 0.5j * (v1**2 + v2**2)
     t11 = (k - params.omega_atom + 0.5j * (v2**2 - v1**2)) / pole

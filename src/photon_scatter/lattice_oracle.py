@@ -807,7 +807,7 @@ def _ring_image(s, p, size: int) -> np.ndarray:
     def at(q, value):
         return np.isclose(q, value, atol=0.25 * dk)
 
-    m = dk ** (len(p) - 1) * s.connected_density(*p)
+    m = dk ** (len(p) - 1) * s.connected(*p)
     for term in s.pinned_pairs:
         match = at(p[term.slot], term.value)
         if not match.any():
@@ -896,7 +896,7 @@ def ring_three_photon_wavefunction(params, k, x, size: int):
     # T3 is symmetric in p, so the density serves every choice of the
     # closing slot; only the plane waves move
     pa, pb, ps = _shell(sum(ks), 3, size, _PSI3_WINDOW * g)
-    dens = s.connected_density(pa, pb, ps)
+    dens = s.connected(pa, pb, ps)
     tier_c = 0.0j
     for j in range(3):
         xa, xb = (v for i, v in enumerate(xs) if i != j)

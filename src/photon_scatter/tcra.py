@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from photon_scatter.core import DeltaTerm, ScatteringAmplitudeSet, TCRAParams
+from photon_scatter.core import TCRAParams
 
 __all__ = [
     "BAND_EDGE_SIN",
     "BoundState",
     "reflection_amplitude",
-    "single_photon_s_matrix",
     "self_energy",
     "bound_state_energies",
     "bound_state_wavefunction",
@@ -52,15 +51,6 @@ def reflection_amplitude(params: TCRAParams, k):
     vg = band.group_velocity(k)
     r = -1j * params.gamma / (vg * detune + 1j * params.gamma)
     return r if r.ndim else complex(r)
-
-
-def single_photon_s_matrix(params: TCRAParams, k: float) -> ScatteringAmplitudeSet:
-    """S-matrix of one photon: forward weight 1 + r_k, backward weight r_k."""
-    r = reflection_amplitude(params, k)
-    return ScatteringAmplitudeSet(
-        total_energy=float(params.band.energy(k)),
-        disconnected=(DeltaTerm((k,), 1.0 + r), DeltaTerm((-k,), r)),
-    )
 
 
 def self_energy(params: TCRAParams, omega: float) -> complex:

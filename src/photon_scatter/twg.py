@@ -43,9 +43,12 @@ _PERMS3 = tuple(itertools.permutations(range(3)))
 def transmission_amplitude(params: TWGParams, k):
     """Single-photon transmission phase t_k = (k - alpha*)/(k - alpha).
 
-    Unimodular for every real k; equals -1 exactly on resonance.
+    Unimodular for every real k; equals -1 exactly on resonance.  A nan or
+    infinite momentum raises ``ValueError``.
     """
     k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError("momentum must be finite")
     a = params.alpha
     t = (k - np.conj(a)) / (k - a)
     return t if t.ndim else complex(t)

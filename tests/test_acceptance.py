@@ -12,9 +12,12 @@ changed, and the strict marker turns that into a loud suite failure.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from photon_scatter import validation
+from photon_scatter import twg, validation
+from photon_scatter.core import DeltaTerm
 
 _TIME_BUDGET = 30.0
 
@@ -71,6 +74,32 @@ def test_criterion_09_pair_correlations():
 
 def test_criterion_10_bethe_cross_checks():
     _check(10)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda params, k1, k2, first: DeltaTerm(
+            first.pinned, twg.transmission_amplitude(params, k1) ** 2
+        ),
+        lambda params, k1, k2, first: DeltaTerm((k1, k1), first.weight),
+    ],
+    ids=["weight", "pinning"],
+)
+def test_criterion_10_reads_the_disconnected_s_matrix(monkeypatch, damage):
+    # the N = 2 clause compares the library's disconnected tier with the
+    # Bethe phases, so a damaged first term must fail the criterion
+    build = twg.two_photon_s
+
+    def damaged(params, k1, k2):
+        s = build(params, k1, k2)
+        first, *rest = s.disconnected
+        return dataclasses.replace(
+            s, disconnected=(damage(params, k1, k2, first), *rest)
+        )
+
+    monkeypatch.setattr(twg, "two_photon_s", damaged)
+    assert not validation.run([10])[0].passed
 
 
 def test_criterion_11_two_excitation_lattice_dynamics():

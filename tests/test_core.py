@@ -1,10 +1,13 @@
 """Parameter records and dispersions."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photon_scatter
 from photon_scatter import tcra, twg
 from photon_scatter.core import CosineBand, HWGParams, TCRAParams, TWGParams
 
@@ -98,3 +101,22 @@ def test_exported_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_exported_names_are_read_in_the_package():
+    # nothing is exported only to be tested: each public name of a physics
+    # module is loaded as a name or read as an attribute somewhere in src/
+    read = set()
+    for path in Path(photon_scatter.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{module}.{name}"
+        for module in ("core", "tcra", "twg", "hwg", "bethe")
+        for name in importlib.import_module(f"photon_scatter.{module}").__all__
+        if name not in read
+    ]
+    assert unread == []

@@ -22,6 +22,15 @@ def test_channel_unitarity_sweep():
         assert c.unitarity_defect() < 1e-12
 
 
+@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+def test_channel_amplitudes_refuse_non_finite_momentum(k):
+    p = HWGParams(1.0, (1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        channel_amplitudes(p, k)
+    with pytest.raises(ValueError, match="finite"):
+        channel_amplitudes(p, np.array([1.0, k]))
+
+
 def test_balanced_resonance_full_switch():
     p = HWGParams(1.0, (1.3, 1.3))
     c = channel_amplitudes(p, 1.0)
@@ -105,7 +114,7 @@ def test_s_elements_structure():
     assert all(t.weight == pytest.approx(c1.t21 * c2.t22, rel=1e-14) for t in d22)
     q1 = 1.0
     q2 = k1 + k2 - q1
-    assert s[(1, 2)].connected_density(q1, q2) == pytest.approx(
+    assert s[(1, 2)].connected(q1, q2) == pytest.approx(
         two_photon_t_h(p, (1, 2, 1, 2), k1, k2, q1, q2), rel=1e-14
     )
 

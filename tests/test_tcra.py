@@ -12,7 +12,6 @@ from photon_scatter.tcra import (
     bound_state_wavefunction,
     reflection_amplitude,
     self_energy,
-    single_photon_s_matrix,
 )
 
 
@@ -64,18 +63,6 @@ def test_reflection_refuses_non_finite_momentum(k):
         reflection_amplitude(_params(), k)
     with pytest.raises(ValueError, match="Brillouin zone"):
         reflection_amplitude(_params(), np.array([1.0, k]))
-
-
-def test_s_matrix_weights():
-    s = single_photon_s_matrix(_params(), np.pi / 2)
-    (fwd, bwd) = s.disconnected
-    assert fwd.pinned == (np.pi / 2,) and bwd.pinned == (-np.pi / 2,)
-    assert fwd.weight == pytest.approx(0.0, abs=1e-14)
-    assert bwd.weight == pytest.approx(-1.0)
-    assert s.connected_density(0.3) == 0.0
-    s0 = single_photon_s_matrix(_params(coupling=0.0), 1.0)
-    assert s0.disconnected[0].weight == pytest.approx(1.0)
-    assert s0.disconnected[1].weight == pytest.approx(0.0)
 
 
 def test_self_energy_inside_band():

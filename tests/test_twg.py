@@ -24,6 +24,14 @@ def test_transmission_phase_only():
     assert np.max(np.abs(np.abs(t) - 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+def test_transmission_refuses_non_finite_momentum(k):
+    with pytest.raises(ValueError, match="finite"):
+        transmission_amplitude(_params(), k)
+    with pytest.raises(ValueError, match="finite"):
+        transmission_amplitude(_params(), np.array([1.0, k]))
+
+
 def test_transmission_special_points():
     p = _params()
     assert transmission_amplitude(p, 1.0) == -1.0  # exact on resonance
@@ -95,7 +103,7 @@ def test_two_photon_s_structure():
     assert {d.pinned for d in s.disconnected} == {(1.2, 0.7), (0.7, 1.2)}
     for d in s.disconnected:
         assert d.weight == pytest.approx(t12, rel=1e-15)
-    assert s.connected_density(1.0, 0.9) == pytest.approx(
+    assert s.connected(1.0, 0.9) == pytest.approx(
         two_photon_t(p, 1.2, 0.7, 1.0, 0.9), rel=1e-15
     )
 

@@ -237,7 +237,7 @@ def test_s_matrix_tiers():
     )
     # connected tier is the optimized density
     p_out = (1.05, 1.15, 0.8)
-    assert s.connected_density(*p_out) == pytest.approx(
+    assert s.connected(*p_out) == pytest.approx(
         three_photon_t(P, k, p_out), rel=1e-14
     )
 
