@@ -15,7 +15,13 @@ interval its spectrum cannot leave; only H-type runs and couplings whose
 bound-state decay no float represents (V = 0 included) fall back on
 Gershgorin discs.  The bound states are the extremal eigenpairs of the
 single-excitation operator, both from one Lanczos run with full
-reorthogonalisation.  Gaussian wavepacket runs measure transmission
+reorthogonalisation.  Each run keeps only its working set live: the
+propagator its recursion vectors (see :func:`_chebyshev_evolve`), the
+Lanczos run its basis, grown in place; the pair operator and the
+symmetrised pair state are written into their final arrays, a block or a
+row of the packed triangle at a time, and the pair run rebuilds the
+triangle indices and norm weights after the propagation instead of holding
+them through it.  Gaussian wavepacket runs measure transmission
 probabilities against the analytic amplitudes; two-packet runs probe
 photon-photon correlations; and quantized-momentum ring sums check the
 continuum delta conventions of the analytic S-matrices (a momentum delta
@@ -52,6 +58,8 @@ _GUARD_FRACTION = 0.05
 _GUARD_MASS_LIMIT = 1e-5
 
 _MIN_PAIR_WIDTH = 6.0
+# rows of the packed pair triangle the operator build handles at once
+_PAIR_BLOCK_ROWS = 32
 
 # Lanczos stops when both extremal Ritz residuals are this fraction of the
 # operator's Gershgorin scale: the envelope fit reads amplitudes down to
@@ -59,6 +67,12 @@ _MIN_PAIR_WIDTH = 6.0
 _LANCZOS_RTOL = 1e-15
 # one dense eigh of the tridiagonal matrix per check outweighs a step
 _LANCZOS_CHECK_EVERY = 8
+# rows the Lanczos basis starts with and grows by: a resize remaps a large
+# block rather than copying it, so fixed steps cost no copies.  Growing by
+# half the basis instead freed a smaller last block, which left glibc's
+# dynamic mmap threshold low enough that validate's later ring sums
+# faulted ten times as many fresh pages
+_LANCZOS_BLOCK = 64
 
 # the largest Chebyshev order, and so number of operator products, a run
 # may ask for; the suite's runs stay near 1e3
@@ -103,6 +117,10 @@ class SparseOperator:
     slot, one scaling by u and one scatter-add of C.  ``gershgorin`` is an
     interval holding every eigenvalue; :func:`_spectral_interval` narrows it
     where the model's physics allows.
+
+    :meth:`apply` writes a product into a caller-owned vector and uses one
+    caller-owned scratch vector, so a loop of products allocates no
+    state-length vector; ``h @ x`` is its allocating wrapper.
     """
 
     def __init__(self, diag, hopping: float = 0.0, slots=(), couplings=()):
@@ -117,8 +135,12 @@ class SparseOperator:
         self.slots = [np.asarray(s, dtype=np.intp) for s in slots]
         self.rows, self.cols, self.vals = rows.astype(np.intp), cols.astype(np.intp), vals
         own = [s == np.arange(size) for s in self.slots]
-        filled = len(own) - sum(own)
-        radius = abs(self.hopping) * filled + np.bincount(self.rows, np.abs(vals), size)
+        # radius = |u| (filled slots) + sum |C|, built in one vector
+        radius = np.full(size, float(len(own)))
+        for o in own:
+            radius -= o
+        radius *= abs(self.hopping)
+        radius += np.bincount(self.rows, np.abs(vals), size)
         self.gershgorin = (float(np.min(self.diag - radius)), float(np.max(self.diag + radius)))
         for o in own:
             self.diag[o] -= self.hopping
@@ -126,28 +148,34 @@ class SparseOperator:
     def affine(self, scale: float, shift: float) -> SparseOperator:
         """The operator scale * (self - shift), sharing this one's columns."""
         out = copy.copy(self)
-        out.diag = scale * (self.diag - shift)
+        out.diag = self.diag - shift
+        out.diag *= scale
         out.hopping = scale * self.hopping
         out.vals = scale * self.vals
         out.gershgorin = tuple(sorted(scale * (e - shift) for e in self.gershgorin))
         return out
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """Write h x into ``out`` and return it; ``buf`` is scratch.
+
+        ``out`` and ``buf`` have the shape and dtype of ``x`` and share no
+        memory with it or with each other.  The slot sum builds up in
+        ``out`` and ``buf`` takes each further gather, then D x.
+        """
         if self.slots:
-            # the slot sum builds up in y and buf is reused for D x, so a
-            # product allocates two long vectors, not three: on the pair
-            # state each fresh one costs page faults
-            y = np.take(x, self.slots[0], mode="clip")
-            buf = np.empty_like(y)
+            np.take(x, self.slots[0], mode="clip", out=out)
             for cols in self.slots[1:]:
                 np.take(x, cols, mode="clip", out=buf)
-                y += buf
-            y *= self.hopping
-            y += np.multiply(self.diag, x, out=buf)
+                out += buf
+            out *= self.hopping
+            out += np.multiply(self.diag, x, out=buf)
         else:
-            y = self.diag * x
-        np.add.at(y, self.rows, self.vals * x[self.cols])
-        return y
+            np.multiply(self.diag, x, out=out)
+        np.add.at(out, self.rows, self.vals * x[self.cols])
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x, np.empty_like(x), np.empty_like(x))
 
 
 def _chain_slots(size: int, *chains):
@@ -223,11 +251,17 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     of ``bounds`` times t, so the tightest rigorous interval is the cheapest
     (:func:`_spectral_interval`).  The shift and scale fold into one operator
     X = 2 (h - b) / a, so the recursion t_{k+1} = X t_k - t_{k-1} has real
-    coefficients: the even terms sum to cos(a t X / 2) state, the odd terms
-    to sin(a t X / 2) state, and the result is e^{-i b t} (cos - i sin)
-    state.  Returns (evolved state, order).  An order above
-    ``_MAX_CHEBYSHEV_ORDER`` is refused with ValueError before any
-    coefficient is computed.
+    coefficients.  One complex accumulator sums the terms with weights
+    (2 - delta_k0) (-i)^k J_k(a t), which is e^{-i a t X / 2} state, and
+    e^{-i b t} is applied to it in place.  Returns (evolved state, order).
+    An order above ``_MAX_CHEBYSHEV_ORDER`` is refused with ValueError
+    before any coefficient is computed.
+
+    A run keeps five state-length complex vectors live, whatever its order:
+    the three recursion vectors, which rotate, the accumulator, which is
+    returned, and the product's scratch vector, which also takes each
+    weighted term; and the scaled copy of ``h``'s diagonal, which shares
+    the slots.  No product allocates a state-length vector.
     """
     emin, emax = bounds
     if not emax > emin:
@@ -248,25 +282,24 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     tail = np.nonzero(np.abs(bess) > 1e-16)[0]
     # a run so short that J_1 drops below the cut still takes one odd term
     order = max(1, int(tail[-1]))
-    # (-i)^k runs +1, -i, -1, +i: the real weight of T_k in the cos (even k)
-    # or the sin (odd k) part is +1, +1, -1, -1
-    sign = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(order + 1) % 4]
-    coef = bess[: order + 1] * sign
+    # (-i)^k runs +1, -i, -1, +i
+    coef = bess[: order + 1] * np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4]
     coef[1:] *= 2.0
 
     x = h.affine(2.0 / a, b)
     t0 = np.array(state, dtype=complex)
-    t1 = 0.5 * (x @ t0)
-    acc = [coef[0] * t0, coef[1] * t1]
+    t1, t2, buf = np.empty_like(t0), np.empty_like(t0), np.empty_like(t0)
+    acc = np.multiply(t0, coef[0])
+    x.apply(t0, t1, buf)
+    t1 *= 0.5
+    acc += np.multiply(t1, coef[1], out=buf)
     for k in range(2, order + 1):
-        t2 = x @ t1
+        x.apply(t1, t2, buf)
         t2 -= t0
-        # t0 is spent: it holds the weighted term
-        np.multiply(t2, coef[k], out=t0)
-        acc[k % 2] += t0
-        t0, t1 = t1, t2
-    cos, sin = acc
-    return np.exp(-1j * b * t) * (cos - 1j * sin), order
+        acc += np.multiply(t2, coef[k], out=buf)
+        t0, t1, t2 = t1, t2, t0
+    acc *= np.exp(-1j * b * t)
+    return acc, order
 
 
 def _spectral_interval(model: LatticeModel, h: SparseOperator, photons: int):
@@ -344,13 +377,21 @@ def _lanczos_extremes(h: SparseOperator, tol: float):
     operator).  That is enough for the bound states, which are both even;
     the odd sector vanishes at the center site and leaves the atom alone,
     so its levels are those of the bare chain, inside the band.
+
+    A run keeps live the basis, two length-n work vectors, and at each
+    check the m x m tridiagonal matrix with its eigenvectors.  The basis
+    starts at ``_LANCZOS_BLOCK`` rows and, when full, grows in place by as
+    many (``ndarray.resize``, with no view of it alive), so it is never
+    copied and holds fewer than ``_LANCZOS_BLOCK`` rows the run leaves
+    unused.
     """
     n = h.shape[0]
-    basis = np.empty((min(n, 64), n))
+    basis = np.empty((min(n, _LANCZOS_BLOCK), n))
     basis[0] = 1.0 / np.sqrt(n)
+    w, buf = np.empty(n), np.empty(n)
     alpha, beta = [], []
     for m in range(1, n + 1):
-        w = h @ basis[m - 1]
+        h.apply(basis[m - 1], w, buf)
         alpha.append(float(basis[m - 1] @ w))
         for _ in range(2):
             w -= basis[:m].T @ (basis[:m] @ w)
@@ -365,9 +406,10 @@ def _lanczos_extremes(h: SparseOperator, tol: float):
         if m == n:
             break
         if m == len(basis):
-            basis = np.concatenate([basis, np.empty((min(m, n - m), n))])
+            # no view of basis is alive here, so it can grow in place
+            basis.resize((min(m + _LANCZOS_BLOCK, n), n), refcheck=False)
         beta.append(norm)
-        basis[m] = w / norm
+        np.divide(w, norm, out=basis[m])
     raise ToleranceError(
         f"Lanczos did not converge in {n} steps: Ritz residuals"
         f" {residuals[0]:.2e}, {residuals[1]:.2e} above {tol:.2e}"
@@ -466,7 +508,9 @@ class WavepacketResult:
     outgoing probability per waveguide for an even-prepared packet in
     waveguide 1) and compare against (|t11|^2, |t21|^2).
     ``spectral_interval`` is the interval the propagator was sized by and
-    ``chebyshev_order`` its number of operator products.
+    ``chebyshev_order`` its number of operator products.  ``guard_mass`` is
+    the share of the final density in the boundary guard zones, at most
+    ``_GUARD_MASS_LIMIT`` on a run that returns.
     """
 
     transmission: float | None
@@ -480,6 +524,7 @@ class WavepacketResult:
     duration: float
     spectral_interval: tuple[float, float]
     chebyshev_order: int
+    guard_mass: float
 
 
 def _gaussian(x, center, width):
@@ -488,12 +533,14 @@ def _gaussian(x, center, width):
 
 
 def _check_guard_mass(weights: np.ndarray, x: np.ndarray, half: int, guard: int, t: float):
+    """The relative mass in the guard zones; ToleranceError above the limit."""
     mass = float(weights[np.abs(x) >= half - guard].sum()) / float(weights.sum())
     if mass > _GUARD_MASS_LIMIT:
         raise ToleranceError(
             f"packet reached the boundary guard zone: relative mass {mass:.3e}"
             f" at duration {t:.3g}; enlarge the lattice or shorten the run"
         )
+    return mass
 
 
 def wavepacket_scatter(
@@ -557,7 +604,7 @@ def wavepacket_scatter(
         k_eff = p.omega_atom - np.cos(carrier)
         amps = hwg.channel_amplitudes(p, k_eff)
         analytic, k_eff = (abs(amps.t11) ** 2, abs(amps.t21) ** 2), float(k_eff)
-    _check_guard_mass(chains, x, half, guard, t_end)
+    guard_mass = _check_guard_mass(chains, x, half, guard, t_end)
     t_type = model.kind == "t"
     return WavepacketResult(
         transmission=split[0] if t_type else None,
@@ -571,6 +618,7 @@ def wavepacket_scatter(
         duration=t_end,
         spectral_interval=bounds,
         chebyshev_order=order,
+        guard_mass=guard_mass,
     )
 
 
@@ -585,7 +633,9 @@ class TwoExcitationReport:
     ``relative_density[d]`` is the transmitted joint density summed over
     site pairs at separation d; the bunching indicator is the near-
     coincidence fraction (d <= window) relative to the same fraction for
-    freely evolved packets.
+    freely evolved packets.  ``guard_mass`` is the share of the final
+    photon marginal in the boundary guard zones, at most
+    ``_GUARD_MASS_LIMIT`` on a run that returns.
     """
 
     bunching_indicator: float
@@ -599,6 +649,7 @@ class TwoExcitationReport:
     duration: float
     spectral_interval: tuple[float, float]
     chebyshev_order: int
+    guard_mass: float
 
 
 def _pair_index(a, b, size: int):
@@ -627,17 +678,32 @@ def _pair_operator(model: LatticeModel) -> SparseOperator:
     """
     d, hopping, single, couplings = _single_parts(model)
     n = len(d) - 1
-    a, b = np.triu_indices(n)
-    npairs = len(a)
+    npairs = n * (n + 1) // 2
     sites = np.arange(n)
     chi = npairs + sites
-    legs = [(s[a], b, npairs + s[:n]) for s in single] + [(a, s[b], chi) for s in single]
-    slots = [np.concatenate([_pair_index(p, q, n), c]) for p, q, c in legs]
+    diag = np.empty(npairs + n)
+    np.add(d[:n], d[n], out=diag[npairs:])
+    slots = [np.empty(npairs + n, np.intp) for _ in range(2 * len(single))]
+    # chi hops along leg a
+    for slot, c in zip(slots, [npairs + s[:n] for s in single] + [chi] * len(single)):
+        slot[npairs:] = c
+    # the triangle is filled a block of rows at a time, so no temporary
+    # grows with it
+    row_start = _pair_index(sites, sites, n)
+    for first in range(0, n, _PAIR_BLOCK_ROWS):
+        # the block's rows of np.triu_indices(n)
+        rows = min(_PAIR_BLOCK_ROWS, n - first)
+        a, b = np.nonzero(~np.tri(rows, n, first - 1, dtype=bool))
+        a += first
+        block = slice(row_start[first], row_start[first] + len(a))
+        np.add(d[a], d[b], out=diag[block])
+        legs = [(s[a], b) for s in single] + [(a, s[b]) for s in single]
+        for slot, (p, q) in zip(slots, legs):
+            slot[block] = _pair_index(p, q, n)
     entries = []
     for site, v in couplings:
         touch = _pair_index(sites, site, n)
         entries += [(touch, chi, v * (1.0 + (sites == site))), (chi, touch, v)]
-    diag = np.concatenate([d[a] + d[b], d[:n] + d[n]])
     return SparseOperator(diag, hopping, slots, entries)
 
 
@@ -647,6 +713,18 @@ def _pair_weights(size: int) -> np.ndarray:
     sites = np.arange(size)
     weights[_pair_index(sites, sites, size)] = 0.5
     return weights
+
+
+def _symmetrized(f, g, out: np.ndarray) -> np.ndarray:
+    """Write the packed pair amplitude f[a] g[b] + g[a] f[b], a <= b, into
+    the leading entries of ``out`` row by row, with no triangle-sized
+    temporary, and return ``out``."""
+    start = 0
+    for i in range(len(f)):
+        stop = start + len(f) - i
+        out[start:stop] = f[i] * g[i:] + g[i] * f[i:]
+        start = stop
+    return out
 
 
 def two_excitation_check(
@@ -699,26 +777,28 @@ def two_excitation_check(
     v_g = float(min(p.band.group_velocity(k1), p.band.group_velocity(k2)))
     t_end = duration if duration is not None else (abs(c_back) + 3.0 * width) / v_g
 
-    a, b = np.triu_indices(size)
-    npairs = len(a)
-    weights = _pair_weights(size)
-
-    def symmetrized(f, g):
-        return f[a] * g[b] + g[a] * f[b]
-
     phi_front = np.exp(1j * k1 * x) * _gaussian(x, c_front, width)
     phi_back = np.exp(1j * k2 * x) * _gaussian(x, c_back, width)
-    state = np.concatenate([symmetrized(phi_front, phi_back), np.zeros(size, dtype=complex)])
-    state /= np.sqrt(weights @ np.abs(state) ** 2)
+    state = np.zeros(size * (size + 1) // 2 + size, dtype=complex)
+    _symmetrized(phi_front, phi_back, state)
+    square = np.abs(state)
+    square *= square
+    state /= np.sqrt(_pair_weights(size) @ square)
+    del square
 
     h_pair = _pair_operator(model)
     pair_bounds = _spectral_interval(model, h_pair, 2)
     state_t, order = _chebyshev_evolve(h_pair, state, t_end, pair_bounds)
+    # the triangle indices and the weights are rebuilt here rather than
+    # held over the run
+    a, b = np.triu_indices(size)
+    npairs = len(a)
+    weights = _pair_weights(size)
     dens = weights * np.abs(state_t) ** 2
     norm_drift = float(abs(dens.sum() - 1.0))
     pair_dens = dens[:npairs]
     marg = np.bincount(a, pair_dens, size) + np.bincount(b, pair_dens, size) + dens[npairs:]
-    _check_guard_mass(marg, x, half, guard, t_end)
+    guard_mass = _check_guard_mass(marg, x, half, guard, t_end)
 
     # free reference: product evolution of the same packets under the photon
     # block of the single-excitation chain; the infinite chain's band is
@@ -728,7 +808,8 @@ def two_excitation_check(
     bounds = h_free.gershgorin
     fronts, _ = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
     backs, _ = _chebyshev_evolve(h_free, phi_back, t_end, bounds)
-    free_dens = weights[:npairs] * np.abs(symmetrized(fronts, backs)) ** 2
+    free_amp = _symmetrized(fronts, backs, np.empty(npairs, dtype=complex))
+    free_dens = weights[:npairs] * np.abs(free_amp) ** 2
     free_dens /= free_dens.sum()
 
     # joint density per separation b - a over the pairs past the atom
@@ -758,6 +839,7 @@ def two_excitation_check(
         duration=t_end,
         spectral_interval=pair_bounds,
         chebyshev_order=order,
+        guard_mass=guard_mass,
     )
 
 
@@ -835,14 +917,20 @@ def ring_two_photon_wavefunction(params, k1: float, k2: float, x_center, x_relat
     :func:`photon_scatter.twg.two_photon_s` on the energy shell and sums its
     plane waves; returns ``(snapped momenta, value)``.  Converges to
     :func:`photon_scatter.twg.two_photon_out_wavefunction` as the ring
-    grows; the slowly decaying connected tail needs the wide shell.
+    grows; the slowly decaying connected tail needs the wide shell.  The
+    plane waves are written into one vector and reduced by a dot product,
+    so the sum holds two shell-length temporaries, not five.
     """
     ks, p = _pair_shell(params, params.gamma_t, k1, k2, size, _PAIR_WF_WINDOW)
     m = _ring_image(twg.two_photon_s(params, *ks), p, size)
     x1 = float(x_center) + 0.5 * float(x_relative)
     x2 = float(x_center) - 0.5 * float(x_relative)
-    value = np.sum(m * np.exp(1j * (p[0] * x1 + p[1] * x2))) / (4.0 * np.pi)
-    return ks, complex(value)
+    phase = p[0] * x1
+    phase += p[1] * x2
+    wave = np.empty(len(phase), dtype=complex)
+    np.cos(phase, out=wave.real)
+    np.sin(phase, out=wave.imag)
+    return ks, complex(m @ wave / (4.0 * np.pi))
 
 
 def ring_two_photon_norm(params, k1: float, k2: float, size: int):

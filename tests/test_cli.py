@@ -474,6 +474,19 @@ def test_oracle_scatter_matches_analytic_split(capsys):
     obj = json.loads(out)
     assert obj["reflection"] == pytest.approx(0.25, abs=0.01)
     assert obj["analytic"][1] == pytest.approx(0.25, abs=1e-9)
+    assert 0.0 <= obj["guard_mass"] <= lattice_oracle._GUARD_MASS_LIMIT
+
+
+def test_oracle_pair_json_reports_guard_mass(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.2", "--k2", "1.9",
+         "--L", "161", "--width", "6", "--separation", "15"],
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["norm_drift"] < 1e-10
+    assert 0.0 <= obj["guard_mass"] <= lattice_oracle._GUARD_MASS_LIMIT
 
 
 def test_validate_subset_report(capsys):

@@ -12,6 +12,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -44,6 +45,17 @@ def _operator(matrix):
     off-diagonal entries as couplings (no hopping slots)."""
     rows, cols = np.nonzero(matrix - np.diag(np.diag(matrix)))
     return lo.SparseOperator(np.diag(matrix), couplings=[(rows, cols, matrix[rows, cols])])
+
+
+def _traced_peak(run):
+    """The peak of the bytes ``run()`` holds allocated at once, tracemalloc's
+    count, which repeats exactly for a given code path."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _out_of_band(evals, bottom, top):
@@ -289,6 +301,7 @@ def test_packet_reflection_probability_matches_analytic():
     assert res.transmission == pytest.approx(res.analytic[0], abs=0.01)
     # probability budget: what is not left or right sits on the atom
     assert 0.999 < res.transmission + res.reflection + res.atom_occupation <= 1 + 1e-9
+    assert 0.0 <= res.guard_mass <= lo._GUARD_MASS_LIMIT
 
 
 def test_resonant_packet_fully_reflects():
@@ -432,6 +445,18 @@ def test_chebyshev_short_time_is_the_identity():
         assert np.max(np.abs(psi_t - psi0)) <= 1e-15
 
 
+@pytest.mark.parametrize("t", [10.0, 50.0])
+def test_chebyshev_run_holds_at_most_six_state_vectors(t):
+    # the recursion vectors rotate and no product allocates, so the peak
+    # does not grow with the order; the state itself is the caller's
+    m = lo.LatticeModel(params=_t_params(), size=281)
+    h = lo._pair_operator(m)
+    state = np.ones(h.shape[0], dtype=complex)
+    bounds = lo._spectral_interval(m, h, 2)
+    peak = _traced_peak(lambda: lo._chebyshev_evolve(h, state, t, bounds))
+    assert peak <= 6 * state.nbytes
+
+
 def _assert_lanczos_matches_dense(h):
     tol = 1e-15 * max(abs(e) for e in h.gershgorin)
     energies, vectors, steps, residuals = lo._lanczos_extremes(h, tol)
@@ -454,6 +479,17 @@ def test_lanczos_matches_dense_eigh_on_lattice_operator():
 def test_lanczos_matches_dense_eigh_on_random_symmetric_matrix():
     a = np.random.default_rng(23).normal(size=(80, 80))
     _assert_lanczos_matches_dense(_operator(0.5 * (a + a.T)))
+
+
+def test_lanczos_basis_grows_in_place():
+    # the basis is resized, not copied, a block of rows at a time: 144
+    # steps fill 192 rows, within 1.5 bases of the size the run needed,
+    # and the tridiagonal solves stay under 1 MiB
+    h = lo.build_single_excitation(lo.LatticeModel(params=_t_params(), size=2001))
+    tol = lo._LANCZOS_RTOL * max(abs(e) for e in h.gershgorin)
+    steps = []
+    peak = _traced_peak(lambda: steps.append(lo._lanczos_extremes(h, tol)[2]))
+    assert peak <= 1.5 * steps[0] * h.shape[0] * 8 + 2**20
 
 
 def _pair_stencil(params, size, buf):
@@ -523,6 +559,16 @@ def test_pair_operator_matches_stencil():
         ),
         abs=1e-14,
     )
+
+
+def test_pair_operator_build_peaks_under_two_and_a_half_operators():
+    # every slot is written into its final array a block of rows at a time
+    m = lo.LatticeModel(params=_t_params(), size=281)
+    built = []
+    peak = _traced_peak(lambda: built.append(lo._pair_operator(m)))
+    h = built[0]
+    size = sum(v.nbytes for v in (h.diag, h.rows, h.cols, h.vals, *h.slots))
+    assert peak <= 2.5 * size
 
 
 def test_packed_pair_evolution_matches_full_square():
@@ -645,6 +691,7 @@ def test_resonant_pair_bunches():
     assert rep.transmitted_fraction > 0.01
     assert rep.coincidence_fraction > rep.free_coincidence_fraction
     assert rep.bunching_indicator > 2.0
+    assert 0.0 <= rep.guard_mass <= lo._GUARD_MASS_LIMIT
 
 
 def test_detuned_pair_stays_nearly_free():
@@ -660,6 +707,23 @@ def _order(bounds, t):
     return lo._chebyshev_evolve(_operator(np.zeros((1, 1))), np.ones(1), t, bounds)[1]
 
 
+# the two runs' bunching indicator, transmitted fraction and first ten
+# relative_density entries, pinned so that a rewrite of the propagator or
+# of the pair build must reproduce them
+_PAIR_RUN_READINGS = {
+    1.0: (4.984517968820709, 0.0403759197128098, [
+        0.006979462041562095, 0.011727826112131544, 0.008498158355874913,
+        0.004795434925711662, 0.0027218559166490167, 0.0014654710581018884,
+        0.0010944679354786332, 0.0007201805067740874, 0.0005611610695244976,
+        0.00036126435576542746]),
+    0.5: (0.9971860447070615, 0.9638252516746353, [
+        0.010742926044068183, 0.021494042408802073, 0.021518647319860494,
+        0.021559743928323338, 0.021617384526750806, 0.02169149011196206,
+        0.02178171685454893, 0.021887314903891193, 0.02200700593312044,
+        0.022138902850433136]),
+}
+
+
 @pytest.mark.parametrize(
     "coupling, k, order, gershgorin_order",
     [(1.0, np.pi / 2.0, 283, 391), (0.5, 2.2, 332, 402)],
@@ -672,6 +736,10 @@ def test_pair_run_order_follows_the_bound_states(coupling, k, order, gershgorin_
     assert _order(gershgorin, rep.duration) == gershgorin_order
     if coupling == 1.0:
         assert rep.chebyshev_order <= 0.75 * gershgorin_order
+    bunching, transmitted, density = _PAIR_RUN_READINGS[coupling]
+    assert rep.bunching_indicator == pytest.approx(bunching, rel=1e-12, abs=1e-13)
+    assert rep.transmitted_fraction == pytest.approx(transmitted, rel=1e-12, abs=1e-13)
+    assert rep.relative_density[:10] == pytest.approx(density, rel=1e-12, abs=1e-13)
 
 
 def test_pair_run_rejections():
@@ -724,6 +792,18 @@ def test_ring_two_photon_wavefunction_matches_analytic():
         )
         reference = twg.two_photon_out_wavefunction(params, k1s, k2s, xc, xr)
         assert abs(value - reference) < 1e-5
+
+
+def test_ring_two_photon_wavefunction_sums_with_two_temporaries():
+    # the plane-wave sum takes one phase and one wave vector on top of the
+    # shell, the ring image and the S-matrix's own temporaries: at most 7.5
+    # real shell-length vectors at once
+    params = TWGParams(omega_atom=0.2, gamma_t=0.3)
+    _, p = lo._pair_shell(params, params.gamma_t, 0.15, 0.25, 601, lo._PAIR_WF_WINDOW)
+    peak = _traced_peak(
+        lambda: lo.ring_two_photon_wavefunction(params, 0.15, 0.25, 0.7, 3.0, 601)
+    )
+    assert peak <= 7.5 * p[0].nbytes
 
 
 def test_ring_three_photon_norm_is_unit():
