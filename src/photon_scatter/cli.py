@@ -12,12 +12,11 @@ Exit codes: 0 success, 2 configuration error (a non-finite number
 included, and a lattice run whose Chebyshev expansion would need an order
 above 10^6, as ``oracle scatter --omega 1e6`` or ``--duration 1e9`` would,
 refused before any coefficient is computed), 3 numerical-tolerance
-failure (a ``ToleranceError``: Lanczos non-convergence in the lattice
-bound-state solve, a packet reaching the boundary guard zone, a pair run
-with no transmitted weight; ``validate`` also exits 3 when a criterion
-fails), 4 internal error (any other exception, a ``MemoryError`` from an
-oversized grid and any other ``RuntimeError`` included).  Errors are
-reported as a single-line JSON record on stderr.
+failure (a ``ToleranceError``: a lattice packet reaching the boundary
+guard zone, a pair run with no transmitted weight; ``validate`` also
+exits 3 when a criterion fails), 4 internal error (any other exception,
+a ``MemoryError`` from an oversized grid and any other ``RuntimeError``
+included).  Errors are reported as a single-line JSON record on stderr.
 
 The package needs numpy alone.  The lattice oracle and the acceptance
 suite are imported by their subcommands alone, so the analytic subcommands

@@ -7,25 +7,24 @@ two-excitation sector (the latter on its bosonic sector, photon pairs
 packed as a <= b, the pair state's norm weighted by :func:`_pair_weights`).
 The chain is stated once, by :func:`_single_parts`: the diagonal, the one
 hopping value over neighbour slots, and the atom couplings.  The pair
-operator and the free photon reference derive theirs from it.  One
-Chebyshev propagator, its Bessel coefficients from Miller's backward
-recurrence, evolves both, and refuses an expansion order above
-``_MAX_CHEBYSHEV_ORDER``.  A T-type run is sized by the bound-state
-interval its spectrum cannot leave; only H-type runs and couplings whose
-bound-state decay no float represents (V = 0 included) fall back on
-Gershgorin discs.  The bound states are the extremal eigenpairs of the
-single-excitation operator, both from one Lanczos run with full
-reorthogonalisation.  Each run keeps only its working set live: the
-propagator its recursion vectors (see :func:`_chebyshev_evolve`), the
-Lanczos run its basis, grown in place; the pair operator and the
-symmetrised pair state are written into their final arrays, a block or a
-row of the packed triangle at a time, and the pair run rebuilds the
-triangle indices and norm weights after the propagation instead of holding
-them through it.  Gaussian wavepacket runs measure transmission
-probabilities against the analytic amplitudes; two-packet runs probe
-photon-photon correlations; and quantized-momentum ring sums check the
-continuum delta conventions of the analytic S-matrices (a momentum delta
-maps to (L / 2 pi) times a Kronecker delta on the ring).
+operator, the free photon reference and the spectral count derive theirs
+from it.  One Chebyshev propagator, its Bessel coefficients from Miller's
+backward recurrence, evolves both, and refuses an expansion order above
+``_MAX_CHEBYSHEV_ORDER``.  The single-excitation operator is a tree rooted
+at the atom, so an LDL^T count of its eigenvalues below an energy has no
+fill (:class:`_Tree`).  Bisection on that count brackets both extremes to
+one ulp, for either kind of model: they size every run
+(:func:`_spectral_interval`), and they and the eigenvectors their pivots
+give are the bound states.  Each run keeps only its working set live: the
+propagator its recursion vectors (see :func:`_chebyshev_evolve`); the pair
+operator and the symmetrised pair state are written into their final
+arrays, a block or a row of the packed triangle at a time, and the pair
+run rebuilds the triangle indices and norm weights after the propagation
+instead of holding them through it.  Gaussian wavepacket runs measure
+transmission probabilities against the analytic amplitudes; two-packet
+runs probe photon-photon correlations; and quantized-momentum ring sums
+check the continuum delta conventions of the analytic S-matrices (a
+momentum delta maps to (L / 2 pi) times a Kronecker delta on the ring).
 Each ring sum snaps the incident momenta to the ring grid, builds the
 S-matrix with the library's own constructor (``twg.two_photon_s``,
 ``twg.three_photon_s``, ``hwg.two_photon_s_h``), lays its tiers on one
@@ -43,6 +42,7 @@ variable.
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,19 +60,6 @@ _GUARD_MASS_LIMIT = 1e-5
 _MIN_PAIR_WIDTH = 6.0
 # rows of the packed pair triangle the operator build handles at once
 _PAIR_BLOCK_ROWS = 32
-
-# Lanczos stops when both extremal Ritz residuals are this fraction of the
-# operator's Gershgorin scale: the envelope fit reads amplitudes down to
-# 1e-11 of the peak, which a looser stop leaves visibly perturbed
-_LANCZOS_RTOL = 1e-15
-# one dense eigh of the tridiagonal matrix per check outweighs a step
-_LANCZOS_CHECK_EVERY = 8
-# rows the Lanczos basis starts with and grows by: a resize remaps a large
-# block rather than copying it, so fixed steps cost no copies.  Growing by
-# half the basis instead freed a smaller last block, which left glibc's
-# dynamic mmap threshold low enough that validate's later ring sums
-# faulted ten times as many fresh pages
-_LANCZOS_BLOCK = 64
 
 # the largest Chebyshev order, and so number of operator products, a run
 # may ask for; the suite's runs stay near 1e3
@@ -114,9 +101,7 @@ class SparseOperator:
     slot holds one column per row; a row with no neighbour there reads its
     own entry, and D takes u back.  A column may recur across a row's slots
     (a doubled hop), and C may repeat rows.  A product costs one gather per
-    slot, one scaling by u and one scatter-add of C.  ``gershgorin`` is an
-    interval holding every eigenvalue; :func:`_spectral_interval` narrows it
-    where the model's physics allows.
+    slot, one scaling by u and one scatter-add of C.
 
     :meth:`apply` writes a product into a caller-owned vector and uses one
     caller-owned scratch vector, so a loop of products allocates no
@@ -134,16 +119,8 @@ class SparseOperator:
         self.hopping = float(hopping)
         self.slots = [np.asarray(s, dtype=np.intp) for s in slots]
         self.rows, self.cols, self.vals = rows.astype(np.intp), cols.astype(np.intp), vals
-        own = [s == np.arange(size) for s in self.slots]
-        # radius = |u| (filled slots) + sum |C|, built in one vector
-        radius = np.full(size, float(len(own)))
-        for o in own:
-            radius -= o
-        radius *= abs(self.hopping)
-        radius += np.bincount(self.rows, np.abs(vals), size)
-        self.gershgorin = (float(np.min(self.diag - radius)), float(np.max(self.diag + radius)))
-        for o in own:
-            self.diag[o] -= self.hopping
+        for s in self.slots:
+            self.diag[s == np.arange(size)] -= self.hopping
 
     def affine(self, scale: float, shift: float) -> SparseOperator:
         """The operator scale * (self - shift), sharing this one's columns."""
@@ -152,7 +129,6 @@ class SparseOperator:
         out.diag *= scale
         out.hopping = scale * self.hopping
         out.vals = scale * self.vals
-        out.gershgorin = tuple(sorted(scale * (e - shift) for e in self.gershgorin))
         return out
 
     def apply(self, x: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -202,7 +178,7 @@ def _single_parts(model: LatticeModel):
     else:
         omega, hopping, couplings = p.omega_atom, 0.5, [v / np.sqrt(2.0) for v in p.vbar]
     chains = [np.arange(s * model.size, (s + 1) * model.size) for s in range(len(couplings))]
-    diag = np.full(model.dimension, omega)
+    diag = np.full(model.dimension, omega, dtype=float)
     diag[-1] = p.omega_atom
     sites = [chain[(model.size - 1) // 2] for chain in chains]
     return diag, -hopping, _chain_slots(model.dimension, *chains), list(zip(sites, couplings))
@@ -302,36 +278,100 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     return acc, order
 
 
-def _spectral_interval(model: LatticeModel, h: SparseOperator, photons: int):
-    """An interval holding every eigenvalue of ``h``, the ``photons``-excitation
-    operator of ``model`` (1: :func:`build_single_excitation`, 2:
-    :func:`_pair_operator`).
+class _Tree:
+    """The single-excitation operator as a tree rooted at the atom.
 
-    For a T-type model it is [n E-, n E+], n = ``photons`` and E- and E+ the
-    single-photon bound states.  The infinite chain's single-excitation
-    spectrum is the band plus E- and E+, and the finite chain is a principal
-    submatrix of it.  The two-boson operator (the atom a boson mode) has the
-    sums of two such levels for its spectrum, and the hard-core pair
-    operator is its compression with |2_a> removed.  Each end is padded
-    outward by 1e-12 relative and kept only where the bound-state equation
-    has the enclosing sign there, so the enclosure does not rest on the root
-    solver; the result is intersected with the Gershgorin interval.  Only
-    H-type models and T-type ones whose bound-state decay no float holds
-    (V = 0, or V below 3e-154 at Omega = omega0, J = 1; see
-    ``tcra._decays_representable``) keep Gershgorin.
+    Each chain is two half-chains of (L - 1) / 2 sites hanging off its
+    centre, which couples to the atom with its v.  An LDL^T factorisation
+    of h - e that eliminates leaves first has no fill, and its negative
+    pivots count the eigenvalues below e (Sylvester's law of inertia):
+    d_{i+1} = (omega - e) - u^2 / d_i inward from each far end, u the
+    hopping value, d_c = (omega - e) - 2 u^2 / d_half at every centre and
+    d_a = (Omega - e) - sum v^2 / d_c at the atom.  Once a half-chain pivot
+    repeats (outside the band) every later one equals it, so a count costs
+    the decay length there, not L.  In floating point the count is exact
+    for a matrix within a few ulps of h (Kahan 1966; Barth, Martin &
+    Wilkinson, Numer. Math. 9, 386 (1967)).  A pivot under ``pivmin`` in
+    magnitude becomes -pivmin, as in LAPACK's dstebz: every u^2 / d is finite.
     """
-    lo, hi = h.gershgorin
-    p = model.params
-    if model.kind != "t" or not tcra._decays_representable(p):
+
+    def __init__(self, model: LatticeModel):
+        diag, self.hopping, _, couplings = _single_parts(model)
+        self.omega, self.omega_atom = float(diag[0]), float(diag[-1])
+        self.couplings = [v for _, v in couplings]
+        self.half, self.dimension = (model.size - 1) // 2, model.dimension
+        self.hop2, self.coupling2 = self.hopping**2, sum(v * v for v in self.couplings)
+        self.pivmin = sys.float_info.min * max([1.0, self.hop2] + [v * v for v in self.couplings])
+        # above ||h||: the chains' hopping has norm below 2 |u|, the atom's
+        # star sqrt(sum v^2)
+        self.norm = max(abs(self.omega), abs(self.omega_atom)) + 2.0 * abs(self.hopping)
+        self.norm += float(np.sqrt(self.coupling2))
+
+    def _pivot(self, d: float) -> float:
+        return d if abs(d) >= self.pivmin else -self.pivmin
+
+    def pivots(self, e: float):
+        """The pivots of h - e: a half-chain's from its far end inward, up
+        to the first that repeats, then the centre's and the atom's."""
+        a = self.omega - e
+        d = self._pivot(a)
+        half = [d]
+        while len(half) < self.half:
+            d = self._pivot(a - self.hop2 / d)
+            if d == half[-1]:
+                break
+            half.append(d)
+        centre = self._pivot(a - 2.0 * self.hop2 / d)
+        return half, centre, self._pivot(self.omega_atom - e - self.coupling2 / centre)
+
+    def count(self, e: float) -> int:
+        """The number of eigenvalues below e."""
+        half, centre, atom = self.pivots(e)
+        below = sum(d < 0.0 for d in half) + (self.half - len(half)) * (half[-1] < 0.0)
+        chains = len(self.couplings)
+        return 2 * chains * below + chains * (centre < 0.0) + (atom < 0.0)
+
+    def bracket(self, k: int):
+        """Adjacent floats (lo, hi) with count(lo) < k <= count(hi): the
+        k-th lowest eigenvalue lies between them."""
+        lo, hi = -self.norm, self.norm
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if self.count(mid) >= k:
+                hi = mid
+            else:
+                lo = mid
         return lo, hi
-    lower, upper = tcra.bound_state_energies(p)
-    pad = 1e-12 * max(abs(lower.energy), abs(upper.energy))
-    e_low, e_high = lower.energy - pad, upper.energy + pad
-    if tcra._bound_equation(p, e_low) <= 0.0:
-        lo = max(lo, photons * e_low)
-    if tcra._bound_equation(p, e_high) >= 0.0:
-        hi = min(hi, photons * e_high)
-    return lo, hi
+
+    def vector(self, e: float) -> np.ndarray:
+        """The unit eigenvector the pivots at e give, laid out as
+        :func:`_single_parts`: the atom amplitude 1, each centre's -v / d_c,
+        and out from a centre a site's amplitude -u / d times its inner
+        neighbour's, d its own pivot; stable outside the band, |u / d| < 1."""
+        half, centre, _ = self.pivots(e)
+        # the pivots of the sites 1 ... half out from a centre
+        outward = np.full(self.half, half[-1])
+        outward[self.half - len(half) :] = half[::-1]
+        side = np.cumprod(-self.hopping / outward)
+        chain = np.concatenate([side[::-1], [1.0], side])
+        vec = np.concatenate([(-v / centre) * chain for v in self.couplings] + [[1.0]])
+        return vec / np.linalg.norm(vec)
+
+
+def _spectral_interval(model: LatticeModel, photons: int):
+    """[n e_min, n e_max], n = ``photons``: an interval holding every
+    eigenvalue of the n-excitation operator of ``model``, either kind.
+
+    e_min and e_max are the single-excitation extremes, bracketed by
+    :class:`_Tree` and padded outward by a few ulps of its norm bound.  The
+    two-boson operator has the sums of two single levels for its spectrum;
+    the hard-core pair operator (:func:`_pair_operator`) is its compression
+    with |2_atom> removed, and the free photon chain of a pair run a
+    principal submatrix of the single one, so both stay inside.
+    """
+    tree = _Tree(model)
+    (low, _), (_, high) = tree.bracket(1), tree.bracket(tree.dimension)
+    pad = 4.0 * sys.float_info.epsilon * tree.norm
+    return photons * (low - pad), photons * (high + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +382,8 @@ def _spectral_interval(model: LatticeModel, h: SparseOperator, photons: int):
 class BoundStateReport:
     """Out-of-band eigenpairs compared with the closed-form bound states.
 
-    ``lanczos_steps`` is the size of the Krylov space the eigenpairs came
-    from, and ``ritz_residuals`` bound |h x - e x| for the (lower, upper)
-    pair, unit x.
+    ``bracket_widths`` are the widths of the (lower, upper) count brackets
+    the energies come from, one ulp of each energy.
     """
 
     energies: tuple[float, float]
@@ -355,65 +394,8 @@ class BoundStateReport:
     slope_residuals: tuple[float, float]
     upper_sign_alternating: bool
     lower_sign_uniform: bool
-    lanczos_steps: int
-    ritz_residuals: tuple[float, float]
+    bracket_widths: tuple[float, float]
     warnings: tuple[str, ...]
-
-
-def _lanczos_extremes(h: SparseOperator, tol: float):
-    """Lowest and highest eigenpairs of ``h`` in the Krylov space of ones(n).
-
-    Lanczos from the fixed start vector ones(n), so reports repeat exactly,
-    with full reorthogonalisation (twice per step) against every basis
-    vector.  Stops once both extremal Ritz residuals beta_m |s_m| are at
-    most ``tol`` (checked every few steps and at a breakdown); a space that
-    fills all n dimensions first raises ToleranceError.  Returns (energies,
-    vectors as columns, steps, residuals), lowest first.
-
-    The extremes are those of the part of ``h`` that the start vector
-    reaches, not always of ``h``: on the T-type chain ones(n) is even under
-    reflection about the center site, so the space holds only the even
-    sector (at L = 3 it breaks down after 3 steps on a 4-dimensional
-    operator).  That is enough for the bound states, which are both even;
-    the odd sector vanishes at the center site and leaves the atom alone,
-    so its levels are those of the bare chain, inside the band.
-
-    A run keeps live the basis, two length-n work vectors, and at each
-    check the m x m tridiagonal matrix with its eigenvectors.  The basis
-    starts at ``_LANCZOS_BLOCK`` rows and, when full, grows in place by as
-    many (``ndarray.resize``, with no view of it alive), so it is never
-    copied and holds fewer than ``_LANCZOS_BLOCK`` rows the run leaves
-    unused.
-    """
-    n = h.shape[0]
-    basis = np.empty((min(n, _LANCZOS_BLOCK), n))
-    basis[0] = 1.0 / np.sqrt(n)
-    w, buf = np.empty(n), np.empty(n)
-    alpha, beta = [], []
-    for m in range(1, n + 1):
-        h.apply(basis[m - 1], w, buf)
-        alpha.append(float(basis[m - 1] @ w))
-        for _ in range(2):
-            w -= basis[:m].T @ (basis[:m] @ w)
-        norm = float(np.linalg.norm(w))
-        if m % _LANCZOS_CHECK_EVERY == 0 or m == n or norm <= tol:
-            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-            theta, s = np.linalg.eigh(tri)
-            residuals = norm * np.abs(s[-1, [0, -1]])
-            if residuals.max() <= tol:
-                vectors = basis[:m].T @ s[:, [0, -1]]
-                return theta[[0, -1]], vectors, m, tuple(float(r) for r in residuals)
-        if m == n:
-            break
-        if m == len(basis):
-            # no view of basis is alive here, so it can grow in place
-            basis.resize((min(m + _LANCZOS_BLOCK, n), n), refcheck=False)
-        beta.append(norm)
-        np.divide(w, norm, out=basis[m])
-    raise ToleranceError(
-        f"Lanczos did not converge in {n} steps: Ritz residuals"
-        f" {residuals[0]:.2e}, {residuals[1]:.2e} above {tol:.2e}"
-    )
 
 
 def _envelope_slope(site_amp: np.ndarray, x: np.ndarray) -> float:
@@ -438,19 +420,25 @@ def _sign_pattern(site_vec: np.ndarray, x: np.ndarray, alternating: bool) -> boo
 
 
 def bound_state_check(model: LatticeModel) -> BoundStateReport:
-    """Compare out-of-band lattice eigenpairs with the analytic bound states."""
-    if model.kind != "t":
-        raise ValueError("bound-state check is defined for T-type models")
+    """Compare out-of-band lattice eigenpairs with the analytic bound states.
+
+    The H-type bound states are the T-type ones with J = 1/2, omega0 =
+    Omega and V^2 = (vbar1^2 + vbar2^2) / 2: the count sees the chains only
+    through the sum of their couplings squared.  Envelope and sign pattern
+    are read on the chain with the larger coupling, since one may be 0.
+    """
     p = model.params
+    if model.kind == "h":
+        p = TCRAParams(p.omega_atom, p.omega_atom, 0.5, float(np.sqrt(0.5 * p.gamma_e)))
     lower, upper = tcra.bound_state_energies(p)
     top, bottom = p.band.band_top, p.band.band_bottom
     edge = 1e-12 * max(1.0, abs(top), abs(bottom))
-    # the chain is a principal submatrix, so by Cauchy interlacing at most
-    # one level lies on each side of the band: the extremal eigenpair is
-    # the only candidate
-    h = build_single_excitation(model)
-    tol = _LANCZOS_RTOL * max(abs(e) for e in h.gershgorin)
-    (e_low, e_high), vecs, steps, residuals = _lanczos_extremes(h, tol)
+    # the chains are a principal submatrix, so by Cauchy interlacing at most
+    # one level lies on each side of the band: the extreme is the only
+    # candidate
+    tree = _Tree(model)
+    brackets = (tree.bracket(1), tree.bracket(tree.dimension))
+    e_low, e_high = (0.5 * (lo + hi) for lo, hi in brackets)
     below = e_low < bottom - edge
     above = e_high > top + edge
 
@@ -462,21 +450,15 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
         )
 
     x = model.positions()
-    energies = []
-    slopes = []
-    patterns = []
-    for found, energy, vec, analytic in (
-        (below, e_low, vecs[:, 0], lower),
-        (above, e_high, vecs[:, 1], upper),
+    chain = int(np.argmax(tree.couplings)) * model.size
+    energies, slopes, patterns = [np.nan, np.nan], [np.nan, np.nan], [False, False]
+    for side, (found, energy, analytic) in enumerate(
+        ((below, e_low, lower), (above, e_high, upper))
     ):
-        if not found:
-            energies.append(np.nan)
-            slopes.append(np.nan)
-            patterns.append(False)
-            continue
-        energies.append(float(energy))
-        slopes.append(_envelope_slope(vec[: model.size], x))
-        patterns.append(_sign_pattern(vec[: model.size], x, analytic.sign_alternating))
+        if found:
+            vec = tree.vector(energy)[chain : chain + model.size]
+            energies[side], slopes[side] = energy, _envelope_slope(vec, x)
+            patterns[side] = _sign_pattern(vec, x, analytic.sign_alternating)
 
     analytic_e = (lower.energy, upper.energy)
     analytic_s = (lower.decay_log, upper.decay_log)
@@ -489,8 +471,7 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
         slope_residuals=tuple(abs(a - b) for a, b in zip(slopes, analytic_s)),
         upper_sign_alternating=patterns[1],
         lower_sign_uniform=patterns[0],
-        lanczos_steps=steps,
-        ritz_residuals=residuals,
+        bracket_widths=tuple(hi - lo for lo, hi in brackets),
         warnings=tuple(warnings),
     )
 
@@ -587,7 +568,7 @@ def wavepacket_scatter(
     psi0 /= np.linalg.norm(psi0)
 
     h = build_single_excitation(model)
-    bounds = _spectral_interval(model, h, 1)
+    bounds = _spectral_interval(model, 1)
     psi_t, order = _chebyshev_evolve(h, psi0, t_end, bounds)
     dens = np.abs(psi_t) ** 2
     atom = float(dens[-1])
@@ -674,7 +655,7 @@ def _pair_operator(model: LatticeModel) -> SparseOperator:
     coupled (site, v) the emission v (1 + delta_{c, site}) into
     pair(site, c) and the absorption v back.  The state norm is
     sum w |state|^2 with w from :func:`_pair_weights`, under which the real
-    matrix is self-adjoint; its Gershgorin interval is the full-square one.
+    matrix is self-adjoint.
     """
     d, hopping, single, couplings = _single_parts(model)
     n = len(d) - 1
@@ -787,7 +768,7 @@ def two_excitation_check(
     del square
 
     h_pair = _pair_operator(model)
-    pair_bounds = _spectral_interval(model, h_pair, 2)
+    pair_bounds = _spectral_interval(model, 2)
     state_t, order = _chebyshev_evolve(h_pair, state, t_end, pair_bounds)
     # the triangle indices and the weights are rebuilt here rather than
     # held over the run
@@ -801,11 +782,10 @@ def two_excitation_check(
     guard_mass = _check_guard_mass(marg, x, half, guard, t_end)
 
     # free reference: product evolution of the same packets under the photon
-    # block of the single-excitation chain; the infinite chain's band is
-    # already the Gershgorin interval
+    # block of the single-excitation chain, a principal submatrix of it
     d, hopping, slots, _ = _single_parts(model)
     h_free = SparseOperator(d[:size], hopping, [s[:size] for s in slots])
-    bounds = h_free.gershgorin
+    bounds = _spectral_interval(model, 1)
     fronts, _ = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
     backs, _ = _chebyshev_evolve(h_free, phi_back, t_end, bounds)
     free_amp = _symmetrized(fronts, backs, np.empty(npairs, dtype=complex))

@@ -97,11 +97,6 @@ class BoundState:
         return float(np.exp(self.decay_log))
 
 
-def _bound_equation(params: TCRAParams, e: float) -> float:
-    # E - Omega + self_energy: negative below the lower root, positive above the upper
-    return e - params.omega_atom + self_energy(params, e).real
-
-
 def _rise(q: float) -> float:
     # sqrt(q^2 + 4) - 2 without cancellation: |E - band edge| / J
     return q * q / (math.sqrt(q * q + 4.0) + 2.0)
@@ -117,17 +112,6 @@ def _branches(params: TCRAParams):
 
 # a decay above this stays a normal float through the bisection
 _DECAY_FLOOR = 2.0 * sys.float_info.min
-
-
-def _decays_representable(params: TCRAParams) -> bool:
-    """Whether both bound-state decays q exceed ``_DECAY_FLOOR``: there f = q d - r.
-
-    False at V = 0 and where q ~ gamma / (J d) underflows (V below about
-    3e-154 at Omega = omega0, J = 1).  :func:`bound_state_energies` solves,
-    and the lattice oracle sizes T-type runs by the bound states, exactly then.
-    """
-    r = params.gamma / params.hopping
-    return all(_DECAY_FLOOR * d < r for *_, d in _branches(params))
 
 
 def _decay_root(d: float, j: float, r: float) -> float:
@@ -165,13 +149,14 @@ def bound_state_energies(params: TCRAParams) -> tuple[BoundState, BoundState]:
     ``residual`` is |f(q)| relative to the sum of its terms' magnitudes.
 
     Raises ValueError for V = 0 and for a coupling so weak that q falls
-    below the normal float range (:func:`_decays_representable`).
+    below ``_DECAY_FLOOR``, where f = q d - r (V below about 3e-154 at
+    Omega = omega0, J = 1).
     """
-    if not _decays_representable(params):
+    j, r = params.hopping, params.gamma / params.hopping
+    if not all(_DECAY_FLOOR * d < r for *_, d in _branches(params)):
         raise ValueError(
             "bound states require a nonzero coupling whose decay rate is a normal float"
         )
-    j, r = params.hopping, params.gamma / params.hopping
     states = []
     for branch, sign, edge, d in _branches(params):
         q = _decay_root(d, j, r)

@@ -69,16 +69,24 @@ def _criterion_bound_states():
     )
     dev_energy = max(report.energy_residuals)
     dev_slope = max(report.slope_residuals)
+    # the lattice energies are roots of E - Omega + self_energy(E), to one
+    # ulp; the L = 2001 truncation is about kappa^1000 ~ e^-240, and the
+    # pivot amplitudes are exactly geometric
+    dev_root = max(
+        abs(e - params.omega_atom + tcra.self_energy(params, e).real) for e in report.energies
+    )
     passed = (
         dev_quartic <= 1e-12
-        and dev_energy <= 1e-6
-        and dev_slope <= 1e-3
+        and dev_energy <= 1e-12
+        and dev_root <= 1e-12
+        and dev_slope <= 1e-9
         and report.upper_sign_alternating
     )
     return passed, (
         f"quartic dev {dev_quartic:.2e} (tol 1e-12); L=2001 energy dev"
-        f" {dev_energy:.2e} (tol 1e-6); envelope slope dev {dev_slope:.2e}"
-        f" (tol 1e-3); upper branch alternates: {report.upper_sign_alternating}"
+        f" {dev_energy:.2e} (tol 1e-12); self-energy root dev {dev_root:.2e}"
+        f" (tol 1e-12); envelope slope dev {dev_slope:.2e} (tol 1e-9);"
+        f" upper branch alternates: {report.upper_sign_alternating}"
     )
 
 

@@ -16,7 +16,7 @@ import dataclasses
 
 import pytest
 
-from photon_scatter import twg, validation
+from photon_scatter import lattice_oracle, twg, validation
 from photon_scatter.core import DeltaTerm
 
 _TIME_BUDGET = 30.0
@@ -36,6 +36,20 @@ def test_criterion_01_single_photon_unitarity():
 
 def test_criterion_02_bound_states_vs_lattice():
     _check(2)
+
+
+def test_criterion_02_refuses_a_lanczos_grade_slope(monkeypatch):
+    # the lattice envelope is exactly geometric, so a slope 8.2e-8 off, as
+    # a Lanczos eigenvector read it, fails the 1e-9 tolerance
+    check = lattice_oracle.bound_state_check
+
+    def perturbed(model):
+        return dataclasses.replace(check(model), slope_residuals=(8.2e-8, 8.2e-8))
+
+    monkeypatch.setattr(lattice_oracle, "bound_state_check", perturbed)
+    result = validation.run([2])[0]
+    assert not result.passed
+    assert "envelope slope dev 8.20e-08 (tol 1e-9)" in result.details
 
 
 def test_criterion_03_total_reflection_at_resonance():

@@ -423,20 +423,27 @@ def test_internal_error_exits_4_with_json_record(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, interval",
+    "argv, band",
     [
-        (["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0", "--V", "1e-160",
-          "--carrier", "1.2"], [-2.0, 2.0]),
-        (["oracle", "pair", "--omega", "0", "--omega0", "0", "--V", "1e-160", "--k1", "1.5",
-          "--k2", "1.6", "--L", "161", "--width", "6"], [-4.0, 4.0]),
+        (["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0",
+          "--carrier", "1.2"], 2.0),
+        (["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.5",
+          "--k2", "1.6", "--L", "161", "--width", "6"], 4.0),
     ],
+    ids=["scatter", "pair"],
 )
-def test_weak_coupling_runs_keep_gershgorin(capsys, argv, interval):
-    # a bound-state decay below float range sizes nothing: the run uses the
-    # Gershgorin interval, which is the band (or twice it) to float precision
-    code, out, err = _run(capsys, argv)
-    assert code == 0 and err == ""
-    assert json.loads(out)["spectral_interval"] == interval
+def test_weak_coupling_runs_are_the_uncoupled_runs(capsys, argv, band):
+    # a coupling whose square is subnormal changes no pivot of the count:
+    # the run is sized by the bare chain's extremes, inside the band (or
+    # twice it), and reads as the uncoupled run
+    runs = []
+    for coupling in ("1e-160", "0"):
+        code, out, err = _run(capsys, [*argv, "--V", coupling])
+        assert code == 0 and err == ""
+        runs.append(json.loads(out))
+    assert runs[0] == runs[1]
+    low, high = runs[0]["spectral_interval"]
+    assert -band < low and high < band
 
 
 @pytest.mark.parametrize("run", [["--omega", "1e6"], ["--omega", "0", "--duration", "1e9"]])
@@ -462,6 +469,8 @@ def test_oracle_bound_report_json(capsys):
     assert obj["warnings"] == []
     assert obj["energies"][0] == pytest.approx(-2.0581710272714924, abs=1e-8)
     assert obj["upper_sign_alternating"] is True
+    assert obj["bracket_widths"] == [4.440892098500626e-16] * 2
+    assert "lanczos_steps" not in obj and "ritz_residuals" not in obj
 
 
 def test_oracle_scatter_matches_analytic_split(capsys):
