@@ -195,6 +195,19 @@ def test_weak_coupling_spectral_interval(coupling):
     assert (rep.bunching_indicator, rep.transmitted_fraction) == pytest.approx(pair, rel=1e-12)
 
 
+def test_h_type_runs_keep_gershgorin():
+    # an H-type run is sized by the exact extremes of its own operator: the
+    # interval holds the spectrum and keeps strictly inside the Gershgorin discs
+    m = lo.LatticeModel(params=_h_params((0.5, 0.6)), size=801)
+    h = _dense(lo.build_single_excitation(m))
+    evals = np.linalg.eigvalsh(h)
+    low, high = lo._spectral_interval(m, 1)
+    assert low <= evals[0] and evals[-1] <= high
+    assert (low, high) == pytest.approx((evals[0], evals[-1]), abs=1e-13)
+    g_low, g_high = _gershgorin(h)
+    assert g_low < low and high < g_high
+
+
 # ---------------------------------------------------------------------------
 # bound states
 
