@@ -8,8 +8,12 @@ packed as a <= b, the pair state's norm weighted by :func:`_pair_weights`).
 The chain is stated once, by :func:`_single_parts`: the diagonal, the one
 hopping value over neighbour slots, and the atom couplings.  The pair
 operator, the free photon reference and the spectral count derive theirs
-from it.  One Chebyshev propagator, its Bessel coefficients from Miller's
-backward recurrence, evolves both, and refuses an expansion order above
+from it.  A neighbour slot that reads row +- 1 on all but O(n) rows, as a
+chain's slots and the pair's leg-b slots do, is applied as one contiguous
+shifted-slice add; only the pair's leg-a slots gather, and the diagonal is
+applied as its constant plus its few deviating rows.  One Chebyshev
+propagator, its Bessel coefficients from Miller's backward recurrence,
+evolves both, and refuses an expansion order above
 ``_MAX_CHEBYSHEV_ORDER``.  The single-excitation operator is a tree rooted
 at the atom, so an LDL^T count of its eigenvalues below an energy has no
 fill (:class:`_Tree`).  Bisection on that count brackets both extremes to
@@ -93,61 +97,90 @@ class LatticeModel:
 
 
 class SparseOperator:
-    """Real square sparse matrix h = D + u A + C, built for repeated products.
+    """Real square sparse matrix h = c + u A + C, built for repeated products.
 
-    The builder states the structure it knows: the diagonal D (``diag``),
-    the one hopping value u (``hopping``) and its 0/1 pattern A as neighbour
+    The builder states the structure it knows: the diagonal (``diag``), the
+    one hopping value u (``hopping``) and its 0/1 pattern A as neighbour
     slots, and the other couplings C as (row, column, value) triplets.  A
-    slot holds one column per row; a row with no neighbour there reads its
-    own entry, and D takes u back.  A column may recur across a row's slots
-    (a doubled hop), and C may repeat rows.  A product costs one gather per
-    slot, one scaling by u and one scatter-add of C.
+    slot holds one column per row, in one of two forms.  A gather slot
+    (``slots``) lists the columns; a row with no neighbour there reads its
+    own entry, and the diagonal takes u back.  A shift slot (``shifts``) is
+    (offset, rows, cols), the offset nonzero: its column is row + offset
+    except on ``rows``, where it is ``cols``, a row's own index meaning no
+    neighbour, as does row + offset outside the matrix.  A column may recur
+    across a row's slots (a doubled hop), and C may repeat rows.
+
+    The diagonal is kept as one constant c, its middle value in sorted
+    order, which most rows share here; its rows that deviate from c join
+    C, as do the off-pattern rows of each shift slot: u back off the
+    shifted column, u onto the stated one.  A product costs
+    one gather per gather slot, one contiguous shifted-slice add per shift
+    slot, one scaling by u, c x unless c = 0, and one scatter-add of C.
 
     :meth:`apply` writes a product into a caller-owned vector and uses one
     caller-owned scratch vector, so a loop of products allocates no
     state-length vector; ``h @ x`` is its allocating wrapper.
     """
 
-    def __init__(self, diag, hopping: float = 0.0, slots=(), couplings=()):
-        parts = [np.broadcast_arrays(*map(np.ravel, t)) for t in couplings] + [[np.zeros(0)] * 3]
-        rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
-        if np.iscomplexobj(diag) or np.iscomplexobj(vals):
+    def __init__(self, diag, hopping: float = 0.0, slots=(), couplings=(), shifts=()):
+        if np.iscomplexobj(diag) or any(np.iscomplexobj(t[2]) for t in couplings):
             raise ValueError("operator entries must be real")
-        self.diag = np.array(diag, dtype=float)
-        size = len(self.diag)
+        diag = np.array(diag, dtype=float)
+        size = len(diag)
         self.shape = (size, size)
         self.hopping = float(hopping)
         self.slots = [np.asarray(s, dtype=np.intp) for s in slots]
-        self.rows, self.cols, self.vals = rows.astype(np.intp), cols.astype(np.intp), vals
         for s in self.slots:
-            self.diag[s == np.arange(size)] -= self.hopping
+            diag[s == np.arange(size)] -= self.hopping
+        # np.median would import numpy.ma, a megabyte, on its first call
+        self.constant = float(np.partition(diag, size // 2)[size // 2])
+        deviate = np.flatnonzero(diag != self.constant)
+        entries = [*couplings, (deviate, deviate, diag[deviate] - self.constant)]
+        # per shift slot the (target, source) slices of its shifted-slice add
+        self.shifts = []
+        for offset, rows, cols in shifts:
+            rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+            shifted = rows[(rows + offset >= 0) & (rows + offset < size)]
+            moved = cols != rows
+            entries.append((shifted, shifted + offset, -self.hopping))
+            entries.append((rows[moved], cols[moved], self.hopping))
+            lead, trail = max(0, offset), max(0, -offset)
+            self.shifts.append((slice(trail, size - lead), slice(lead, size - trail)))
+        parts = zip(*(np.broadcast_arrays(*map(np.ravel, t)) for t in entries))
+        rows, cols, vals = (np.concatenate(column) for column in parts)
+        self.rows, self.cols, self.vals = rows.astype(np.intp), cols.astype(np.intp), vals
 
     def affine(self, scale: float, shift: float) -> SparseOperator:
         """The operator scale * (self - shift), sharing this one's columns."""
         out = copy.copy(self)
-        out.diag = self.diag - shift
-        out.diag *= scale
+        out.constant = scale * (self.constant - shift)
         out.hopping = scale * self.hopping
         out.vals = scale * self.vals
         return out
 
-    def apply(self, x: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """Write h x into ``out`` and return it; ``buf`` is scratch.
+    def apply(self, x: np.ndarray, out: np.ndarray, buf: np.ndarray, minus=None) -> np.ndarray:
+        """Write h x, less ``minus`` if given, into ``out`` and return it;
+        ``buf`` is scratch.
 
         ``out`` and ``buf`` have the shape and dtype of ``x`` and share no
-        memory with it or with each other.  The slot sum builds up in
-        ``out`` and ``buf`` takes each further gather, then D x.
+        memory with it, with ``minus`` or with each other.  The slot sum
+        builds up in ``out`` and ``buf`` takes each further gather, then c x.
         """
         if self.slots:
             np.take(x, self.slots[0], mode="clip", out=out)
             for cols in self.slots[1:]:
                 np.take(x, cols, mode="clip", out=buf)
                 out += buf
-            out *= self.hopping
-            out += np.multiply(self.diag, x, out=buf)
         else:
-            np.multiply(self.diag, x, out=out)
+            out.fill(0.0)
+        for target, source in self.shifts:
+            out[target] += x[source]
+        out *= self.hopping
+        if self.constant:
+            out += np.multiply(x, self.constant, out=buf)
         np.add.at(out, self.rows, self.vals * x[self.cols])
+        if minus is not None:
+            out -= minus
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -156,18 +189,28 @@ class SparseOperator:
 
 def _chain_slots(size: int, *chains):
     """Left and right neighbour slots of open chains, each over consecutive
-    rows among ``size``; a chain end, and a row on no chain, reads itself."""
+    rows among ``size``, as (offset, columns): a chain end, and a row on no
+    chain, reads itself."""
     left, right = np.arange(size), np.arange(size)
     for sites in chains:
         left[sites[1:]] = sites[:-1]
         right[sites[:-1]] = sites[1:]
-    return [left, right]
+    return [(-1, left), (1, right)]
+
+
+def _off_pattern(offset: int, cols, start: int = 0):
+    """The rows among ``start``, ``start`` + 1, ... whose neighbour column in
+    ``cols`` is not row + ``offset``, and those columns: a shift slot's
+    (rows, cols)."""
+    rows = np.arange(start, start + len(cols))
+    off = cols != rows + offset
+    return rows[off], cols[off]
 
 
 def _single_parts(model: LatticeModel):
     """The single-excitation chain: its diagonal, hopping value and
-    neighbour slots as :class:`SparseOperator` takes them, and the atom
-    couplings (site, v).  T-type layout: sites 0..L-1 then the atom.  H-type
+    neighbour slots (see :func:`_chain_slots`), and the atom couplings
+    (site, v).  T-type layout: sites 0..L-1 then the atom.  H-type
     layout: chain 1, chain 2, then the atom; see the module docstring for
     the effective lattice scales.  All chains hop with one J; the atom, the
     last row, couples to their centers.
@@ -190,7 +233,8 @@ def build_single_excitation(model: LatticeModel) -> SparseOperator:
     diag, hopping, slots, couplings = _single_parts(model)
     atom = len(diag) - 1
     entries = [e for site, v in couplings for e in ((site, atom, v), (atom, site, v))]
-    return SparseOperator(diag, hopping, slots, entries)
+    shifts = [(offset, *_off_pattern(offset, cols)) for offset, cols in slots]
+    return SparseOperator(diag, hopping, couplings=entries, shifts=shifts)
 
 
 def _bessel_j(order: int, z: float) -> np.ndarray:
@@ -227,7 +271,8 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     of ``bounds`` times t, so the tightest rigorous interval is the cheapest
     (:func:`_spectral_interval`).  The shift and scale fold into one operator
     X = 2 (h - b) / a, so the recursion t_{k+1} = X t_k - t_{k-1} has real
-    coefficients.  One complex accumulator sums the terms with weights
+    coefficients, and each step is one product call that also subtracts
+    t_{k-1}.  One complex accumulator sums the terms with weights
     (2 - delta_k0) (-i)^k J_k(a t), which is e^{-i a t X / 2} state, and
     e^{-i b t} is applied to it in place.  Returns (evolved state, order).
     An order above ``_MAX_CHEBYSHEV_ORDER`` is refused with ValueError
@@ -236,8 +281,9 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     A run keeps five state-length complex vectors live, whatever its order:
     the three recursion vectors, which rotate, the accumulator, which is
     returned, and the product's scratch vector, which also takes each
-    weighted term; and the scaled copy of ``h``'s diagonal, which shares
-    the slots.  No product allocates a state-length vector.
+    weighted term.  X shares ``h``'s slots and scales only the values of
+    its C, so it holds no state-length array of its own, and no product
+    allocates a state-length vector.
     """
     emin, emax = bounds
     if not emax > emin:
@@ -270,8 +316,7 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     t1 *= 0.5
     acc += np.multiply(t1, coef[1], out=buf)
     for k in range(2, order + 1):
-        x.apply(t1, t2, buf)
-        t2 -= t0
+        x.apply(t1, t2, buf, minus=t0)
         acc += np.multiply(t2, coef[k], out=buf)
         t0, t1, t2 = t1, t2, t0
     acc *= np.exp(-1j * b * t)
@@ -651,11 +696,18 @@ def _pair_operator(model: LatticeModel) -> SparseOperator:
     :func:`_single_parts`: the diagonal d[a] + d[b] and d[c] + d[atom]; each
     single slot applied to leg a and then to leg b, re-packed, so a hop out
     of the upper triangle lands on the mirror entry and a diagonal pair
-    reads each neighbour twice, with chi hopping along leg a; and per
+    reads each neighbour twice, with chi hopping along leg b; and per
     coupled (site, v) the emission v (1 + delta_{c, site}) into
     pair(site, c) and the absorption v back.  The state norm is
     sum w |state|^2 with w from :func:`_pair_weights`, under which the real
     matrix is self-adjoint.
+
+    Row-major packing puts (a, b +- 1) beside (a, b), and chi[c +- 1] beside
+    chi[c], so each leg-b slot is a shift slot of the single slot's offset,
+    off its pattern only on O(n) rows: a chain end, and the diagonal pair,
+    whose hop to b - 1 < a lands on the mirror (a - 1, a).  A leg-a hop
+    moves by a row of the triangle, whose length changes from row to row,
+    so the leg-a slots are gather slots.
     """
     d, hopping, single, couplings = _single_parts(model)
     n = len(d) - 1
@@ -664,10 +716,12 @@ def _pair_operator(model: LatticeModel) -> SparseOperator:
     chi = npairs + sites
     diag = np.empty(npairs + n)
     np.add(d[:n], d[n], out=diag[npairs:])
-    slots = [np.empty(npairs + n, np.intp) for _ in range(2 * len(single))]
-    # chi hops along leg a
-    for slot, c in zip(slots, [npairs + s[:n] for s in single] + [chi] * len(single)):
-        slot[npairs:] = c
+    # leg a: gather slots, which chi reads itself on
+    gathers = [np.empty(npairs + n, np.intp) for _ in single]
+    for slot in gathers:
+        slot[npairs:] = chi
+    # leg b: the off-pattern rows of its shift slots, a block at a time
+    off_pattern = [[] for _ in single]
     # the triangle is filled a block of rows at a time, so no temporary
     # grows with it
     row_start = _pair_index(sites, sites, n)
@@ -678,14 +732,18 @@ def _pair_operator(model: LatticeModel) -> SparseOperator:
         a += first
         block = slice(row_start[first], row_start[first] + len(a))
         np.add(d[a], d[b], out=diag[block])
-        legs = [(s[a], b) for s in single] + [(a, s[b]) for s in single]
-        for slot, (p, q) in zip(slots, legs):
-            slot[block] = _pair_index(p, q, n)
+        for slot, off, (offset, s) in zip(gathers, off_pattern, single):
+            slot[block] = _pair_index(s[a], b, n)
+            off.append(_off_pattern(offset, _pair_index(a, s[b], n), block.start))
+    shifts = []
+    for off, (offset, s) in zip(off_pattern, single):
+        off.append(_off_pattern(offset, npairs + s[:n], npairs))
+        shifts.append((offset, *map(np.concatenate, zip(*off))))
     entries = []
     for site, v in couplings:
         touch = _pair_index(sites, site, n)
         entries += [(touch, chi, v * (1.0 + (sites == site))), (chi, touch, v)]
-    return SparseOperator(diag, hopping, slots, entries)
+    return SparseOperator(diag, hopping, gathers, entries, shifts)
 
 
 def _pair_weights(size: int) -> np.ndarray:
@@ -768,7 +826,9 @@ def two_excitation_check(
     del square
 
     h_pair = _pair_operator(model)
-    pair_bounds = _spectral_interval(model, 2)
+    # the pair interval is the single one doubled, which rounds exactly
+    bounds = _spectral_interval(model, 1)
+    pair_bounds = (2.0 * bounds[0], 2.0 * bounds[1])
     state_t, order = _chebyshev_evolve(h_pair, state, t_end, pair_bounds)
     # the triangle indices and the weights are rebuilt here rather than
     # held over the run
@@ -784,8 +844,8 @@ def two_excitation_check(
     # free reference: product evolution of the same packets under the photon
     # block of the single-excitation chain, a principal submatrix of it
     d, hopping, slots, _ = _single_parts(model)
-    h_free = SparseOperator(d[:size], hopping, [s[:size] for s in slots])
-    bounds = _spectral_interval(model, 1)
+    shifts = [(offset, *_off_pattern(offset, cols[:size])) for offset, cols in slots]
+    h_free = SparseOperator(d[:size], hopping, shifts=shifts)
     fronts, _ = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
     backs, _ = _chebyshev_evolve(h_free, phi_back, t_end, bounds)
     free_amp = _symmetrized(fronts, backs, np.empty(npairs, dtype=complex))

@@ -98,8 +98,10 @@ class BoundState:
 
 
 def _rise(q: float) -> float:
-    # sqrt(q^2 + 4) - 2 without cancellation: |E - band edge| / J
-    return q * q / (math.sqrt(q * q + 4.0) + 2.0)
+    # sqrt(q^2 + 4) - 2 without cancellation: |E - band edge| / J; where q^2
+    # overflows, q is past 2^511 and sqrt(q^2 + 4) - 2 rounds to q
+    q2 = q * q
+    return q if q2 == math.inf else q2 / (math.sqrt(q2 + 4.0) + 2.0)
 
 
 def _branches(params: TCRAParams):
@@ -120,8 +122,13 @@ def _decay_root(d: float, j: float, r: float) -> float:
     def f(q):
         return q * (d + j * _rise(q)) - r
 
-    # rise(q) >= q - 2, so d + J rise >= J q / 2 and f >= J q^2 / 2 - r at hi
-    hi = max(2.0 * (abs(d) + 2.0 * j) / j, math.sqrt(2.0 * r / j))
+    # rise(q) >= q - 2, so d + J rise >= J q / 2 and f >= J q^2 / 2 - r at hi;
+    # r / J overflows where J is far below V, so its root is then taken apart
+    reach = 2.0 * r / j
+    reach = math.sqrt(reach) if reach < math.inf else math.sqrt(2.0 * r) / math.sqrt(j)
+    hi = max(2.0 * (abs(d) + 2.0 * j) / j, reach)
+    if not hi < math.inf:
+        raise ValueError("bound states need a decay rate q that is a finite float")
     lo = hi
     while f(lo) >= 0.0:
         hi, lo = lo, 0.5 * lo
@@ -148,9 +155,12 @@ def bound_state_energies(params: TCRAParams) -> tuple[BoundState, BoundState]:
     ``decay_log = -asinh(q / 2)`` and ``amplitude = V / (J q)``.
     ``residual`` is |f(q)| relative to the sum of its terms' magnitudes.
 
-    Raises ValueError for V = 0 and for a coupling so weak that q falls
+    Raises ValueError for V = 0, for a coupling so weak that q falls
     below ``_DECAY_FLOOR``, where f = q d - r (V below about 3e-154 at
-    Omega = omega0, J = 1).
+    Omega = omega0, J = 1), and where q's bracket overflows: J so far below
+    V or |Omega - omega0| that q ~ V / J or |Omega - omega0| / J is past the
+    float range, as at J = 1e-320, V = 1 (at J = 1e-160, V = 1, q = 1e160
+    and E = -+1 are found).
     """
     j, r = params.hopping, params.gamma / params.hopping
     if not all(_DECAY_FLOOR * d < r for *_, d in _branches(params)):

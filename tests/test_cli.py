@@ -43,6 +43,20 @@ def test_bound_states_json_contract(capsys):
     assert obj["kappa_upper"] == pytest.approx(obj["kappa_lower"], abs=1e-12)
 
 
+def test_bound_states_at_hopping_far_below_the_coupling(capsys):
+    # J = 1e-160, V = 1: finite energies -+1, not nulls
+    argv = ["bound-states", "--omega", "0", "--omega0", "0", "--V", "1"]
+    for hopping in ("1e-150", "1e-160"):
+        code, out, err = _run(capsys, [*argv, "--J", hopping])
+        assert code == 0 and err == ""
+        obj = json.loads(out)
+        assert (obj["lower"], obj["upper"]) == (-1.0, 1.0)
+        assert 0.0 < obj["kappa_lower"] < 1e-149
+    # past the float range of the decay: a configuration error
+    code, _, err = _run(capsys, [*argv, "--J", "1e-320"])
+    assert code == 2 and json.loads(err)["error"] == "config"
+
+
 def test_h_single_resonance_dip(capsys):
     code, out, _ = _run(
         capsys, ["h-single", "--vbar1", "2", "--vbar2", "2", "--grid", "k:0:2:401"]

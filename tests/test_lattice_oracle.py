@@ -91,6 +91,106 @@ def test_h_model_layout():
     assert np.array_equal(h, h.T)
 
 
+def _chain(omega, hopping, size):
+    """Dense open chain: omega on the diagonal, -hopping on both neighbours."""
+    return omega * np.eye(size) - hopping * (np.eye(size, k=1) + np.eye(size, k=-1))
+
+
+def _single_reference(model):
+    """Dense single-excitation matrix written out entry by entry: the chains
+    block-diagonal, the atom last, coupled to each chain's centre."""
+    p, size, centre = model.params, model.size, (model.size - 1) // 2
+    if model.kind == "t":
+        omega, hopping, couplings = p.omega_cavity, p.hopping, [p.coupling]
+    else:
+        omega, hopping, couplings = p.omega_atom, 0.5, [v / np.sqrt(2.0) for v in p.vbar]
+    m = np.zeros((model.dimension, model.dimension))
+    for s, v in enumerate(couplings):
+        chain = slice(s * size, (s + 1) * size)
+        m[chain, chain] = _chain(omega, hopping, size)
+        m[s * size + centre, -1] = m[-1, s * size + centre] = v
+    m[-1, -1] = p.omega_atom
+    return m
+
+
+def _slot_reference(size, hopping, slots, shifts, couplings, diag):
+    """Dense matrix of the slots as :class:`SparseOperator` states them: a
+    column equal to its row, or outside the matrix, is no neighbour."""
+    m = np.diag(np.asarray(diag, dtype=float))
+    columns = [np.asarray(s) for s in slots]
+    for offset, rows, cols in shifts:
+        full = np.arange(size) + offset
+        full[rows] = cols
+        columns.append(full)
+    for cols in columns:
+        for row, col in enumerate(cols):
+            if col != row and 0 <= col < size:
+                m[row, col] += hopping
+    for rows, cols, vals in couplings:
+        np.add.at(m, (rows, cols), vals)
+    return m
+
+
+@pytest.mark.parametrize("size", [3, 5, 7])
+def test_shift_slots_match_dense_references(size):
+    # the chains' shift slots, T- and H-type, against matrices written out
+    # entry by entry: at L = 3 most rows are off the pattern, and the
+    # H-type slots cross the junction between the two chains, where the
+    # shifted slice reads a row of the other chain and must be taken back
+    for params in (
+        TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7),
+        HWGParams(omega_atom=0.9, vbar=(0.4, 0.7)),
+    ):
+        model = lo.LatticeModel(params=params, size=size)
+        reference = _single_reference(model)
+        h = lo.build_single_excitation(model)
+        assert not h.slots and len(h.shifts) == 2
+        dense = _dense(h)
+        assert np.max(np.abs(dense - reference)) <= 1e-14
+        if model.kind == "h":
+            assert dense[size - 1, size] == 0.0 and dense[size, size - 1] == 0.0
+        # the chi block of the pair operator, a photon hopping on the photon
+        # chains with the atom excited, comes from the pair's leg-b shift slots
+        h_pair = lo._pair_operator(model)
+        n = model.dimension - 1
+        chi = slice(n * (n + 1) // 2, None)
+        photons = reference[:n, :n] + params.omega_atom * np.eye(n)
+        assert np.max(np.abs(_dense(h_pair)[chi, chi] - photons)) <= 1e-14
+
+
+def test_shift_and_gather_slots_match_dense_reference():
+    # one operator mixing every form a slot takes: a gather slot, which has
+    # no shift, reading itself on some rows; shift slots of offsets +1, -1
+    # and +3 whose off-pattern rows include both ends, self reads and
+    # columns far away; a shift slot with no off-pattern rows; a doubled
+    # hop; repeated coupling rows; and a diagonal with deviating rows
+    rng = np.random.default_rng(29)
+    size = 12
+    gather = rng.integers(0, size, size)
+    # rows 0 and 5 read themselves; row 3 hops to 4 here and in a shift slot
+    gather[[0, 3, 5]] = [0, 4, 5]
+    shifts = [
+        (1, np.array([0, 4, 11]), np.array([7, 4, 3])),
+        (-1, np.array([0, 1, 6]), np.array([9, 1, 2])),
+        (3, np.array([2, 9, 10]), np.array([2, 0, 5])),
+        (1, np.array([], dtype=int), np.array([], dtype=int)),
+    ]
+    couplings = [(np.array([2, 2, 7]), np.array([8, 8, 1]), np.array([0.3, -0.2, 1.1]))]
+    diag = np.full(size, 0.4)
+    diag[[3, 8]] = [-1.0, 2.5]
+    h = lo.SparseOperator(diag, -0.7, [gather], couplings, shifts)
+    reference = _slot_reference(size, -0.7, [gather], shifts, couplings, diag)
+    assert np.max(np.abs(_dense(h) - reference)) <= 1e-14
+    scaled = h.affine(1.3, 0.25)
+    assert np.max(np.abs(_dense(scaled) - 1.3 * (reference - 0.25 * np.eye(size)))) <= 1e-14
+    # a product less a vector, into caller-owned buffers
+    x, y = (rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(2))
+    out, buf = np.empty_like(x), np.empty_like(x)
+    assert scaled.apply(x, out, buf, minus=y) is out
+    expected = 1.3 * (reference - 0.25 * np.eye(size)) @ x - y
+    assert np.max(np.abs(out - expected)) <= 1e-14
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         lo.LatticeModel(params=_t_params(), size=4)
@@ -556,13 +656,15 @@ def test_chebyshev_short_time_is_the_identity():
 @pytest.mark.parametrize("t", [10.0, 50.0])
 def test_chebyshev_run_holds_at_most_six_state_vectors(t):
     # the recursion vectors rotate and no product allocates, so the peak
-    # does not grow with the order; the state itself is the caller's
+    # does not grow with the order; the state itself is the caller's.  The
+    # scaled operator holds no diagonal, so past the five vectors only the
+    # small temporaries of C's scatter-add and the coefficients remain
     m = lo.LatticeModel(params=_t_params(), size=281)
     h = lo._pair_operator(m)
     state = np.ones(h.shape[0], dtype=complex)
     bounds = lo._spectral_interval(m, 2)
     peak = _traced_peak(lambda: lo._chebyshev_evolve(h, state, t, bounds))
-    assert peak <= 6 * state.nbytes
+    assert peak <= 5.25 * state.nbytes
 
 
 def _pair_stencil(params, size, buf):
@@ -638,8 +740,23 @@ def test_pair_operator_build_peaks_under_two_and_a_half_operators():
     built = []
     peak = _traced_peak(lambda: built.append(lo._pair_operator(m)))
     h = built[0]
-    size = sum(v.nbytes for v in (h.diag, h.rows, h.cols, h.vals, *h.slots))
+    size = sum(v.nbytes for v in (h.rows, h.cols, h.vals, *h.slots))
     assert peak <= 2.5 * size
+
+
+def test_pair_operator_stores_no_index_array_for_its_shift_slots():
+    # leg b is two shift slots, each a pair of slices; the only
+    # state-length arrays the operator keeps are its two leg-a gather slots,
+    # and C, with the diagonal's deviations and the off-pattern rows, is
+    # O(L) against the O(L^2) state
+    m = lo.LatticeModel(params=_t_params(), size=281)
+    h = lo._pair_operator(m)
+    assert len(h.shifts) == 2
+    assert all(isinstance(s, slice) for shift in h.shifts for s in shift)
+    held = [v for v in vars(h).values() if isinstance(v, np.ndarray)] + h.slots
+    assert [len(v) for v in held if len(v) >= h.shape[0]] == [h.shape[0]] * 2
+    assert len(h.rows) <= 8 * m.size
+    assert h.constant == 0.0
 
 
 def test_packed_pair_evolution_matches_full_square():

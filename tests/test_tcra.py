@@ -218,3 +218,25 @@ def test_bound_states_refuse_unrepresentable_couplings():
     for coupling in (0.0, 1e-160):
         with pytest.raises(ValueError):
             bound_state_energies(_params(coupling=coupling))
+
+
+@pytest.mark.parametrize("hopping", [1e-150, 1e-155, 1e-160])
+def test_bound_states_at_hopping_far_below_the_coupling(hopping):
+    # q ~ V / J: at J = 1e-160, V = 1, q^2 and r / J overflow, yet q = 1e160
+    # and E = -+sqrt(V^2 + 4 J^2) = -+1 are finite floats
+    p = TCRAParams(0.0, 0.0, hopping, 1.0)
+    states = bound_state_energies(p)
+    reference = _reference_roots(0.0, 0.0, hopping, 1.0)
+    for state, (energy, decay_log, amplitude) in zip(states, reference):
+        assert state.energy == float(energy)
+        assert state.decay_log == pytest.approx(float(decay_log), rel=1e-14, abs=0)
+        assert state.amplitude == pytest.approx(float(amplitude), rel=1e-14, abs=0)
+        assert state.residual <= 1e-14
+    assert [s.energy for s in states] == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("hopping, coupling", [(1e-320, 1.0), (1e-300, 1e10), (1e-10, 1e150)])
+def test_bound_states_refuse_a_decay_past_the_float_range(hopping, coupling):
+    # q ~ V / J above 1.8e308, or gamma / J overflowing: no float q to report
+    with pytest.raises(ValueError, match="finite float"):
+        bound_state_energies(TCRAParams(0.0, 0.0, hopping, coupling))
