@@ -18,16 +18,16 @@ evolves both, and refuses an expansion order above
 at the atom, so an LDL^T count of its eigenvalues below an energy has no
 fill (:class:`_Tree`).  Bisection on that count brackets both extremes to
 one ulp, for either kind of model: they size every run
-(:func:`_spectral_interval`), and they and the eigenvectors their pivots
-give are the bound states.  Each run keeps only its working set live: the
-propagator its recursion vectors (see :func:`_chebyshev_evolve`); the pair
-operator and the symmetrised pair state are written into their final
-arrays, a block or a row of the packed triangle at a time, and the pair
-run rebuilds the triangle indices and norm weights after the propagation
-instead of holding them through it.  Gaussian wavepacket runs measure
-transmission probabilities against the analytic amplitudes; two-packet
-runs probe photon-photon correlations; and quantized-momentum ring sums
-check the continuum delta conventions of the analytic S-matrices (a
+(:func:`_spectral_interval`), and they are the bound states, whose decay
+and sign the settled half-chain pivot gives.  Each run keeps only its
+working set live: the propagator its recursion vectors (see
+:func:`_chebyshev_evolve`); the pair operator and the symmetrised pair
+state are written into their final arrays, a block or a row of the packed
+triangle at a time, and the pair run rebuilds the triangle indices and
+norm weights after the propagation instead of holding them through it.
+Gaussian wavepacket runs measure transmission probabilities against the
+analytic amplitudes; two-packet runs probe photon-photon correlations;
+and quantized-momentum ring sums check the continuum delta conventions of the analytic S-matrices (a
 momentum delta maps to (L / 2 pi) times a Kronecker delta on the ring).
 Each ring sum snaps the incident momenta to the ring grid, builds the
 S-matrix with the library's own constructor (``twg.two_photon_s``,
@@ -104,10 +104,11 @@ class SparseOperator:
     slots, and the other couplings C as (row, column, value) triplets.  A
     slot holds one column per row, in one of two forms.  A gather slot
     (``slots``) lists the columns; a row with no neighbour there reads its
-    own entry, and the diagonal takes u back.  A shift slot (``shifts``) is
-    (offset, rows, cols), the offset nonzero: its column is row + offset
-    except on ``rows``, where it is ``cols``, a row's own index meaning no
-    neighbour, as does row + offset outside the matrix.  A column may recur
+    own entry, which adds u to the diagonal, so the builder's ``diag`` has
+    taken u back on that row.  A shift slot (``shifts``) is (offset, rows,
+    cols), the offset nonzero: its column is row + offset except on
+    ``rows``, where it is ``cols``, a row's own index meaning no neighbour,
+    as does row + offset outside the matrix.  A column may recur
     across a row's slots (a doubled hop), and C may repeat rows.
 
     The diagonal is kept as one constant c, its middle value in sorted
@@ -125,13 +126,11 @@ class SparseOperator:
     def __init__(self, diag, hopping: float = 0.0, slots=(), couplings=(), shifts=()):
         if np.iscomplexobj(diag) or any(np.iscomplexobj(t[2]) for t in couplings):
             raise ValueError("operator entries must be real")
-        diag = np.array(diag, dtype=float)
+        diag = np.asarray(diag, dtype=float)
         size = len(diag)
         self.shape = (size, size)
         self.hopping = float(hopping)
         self.slots = [np.asarray(s, dtype=np.intp) for s in slots]
-        for s in self.slots:
-            diag[s == np.arange(size)] -= self.hopping
         # np.median would import numpy.ma, a megabyte, on its first call
         self.constant = float(np.partition(diag, size // 2)[size // 2])
         deviate = np.flatnonzero(diag != self.constant)
@@ -334,10 +333,13 @@ class _Tree:
     hopping value, d_c = (omega - e) - 2 u^2 / d_half at every centre and
     d_a = (Omega - e) - sum v^2 / d_c at the atom.  Once a half-chain pivot
     repeats (outside the band) every later one equals it, so a count costs
-    the decay length there, not L.  In floating point the count is exact
-    for a matrix within a few ulps of h (Kahan 1966; Barth, Martin &
-    Wilkinson, Numer. Math. 9, 386 (1967)).  A pivot under ``pivmin`` in
-    magnitude becomes -pivmin, as in LAPACK's dstebz: every u^2 / d is finite.
+    the decay length there, not L.  Out from a centre an eigenvector's
+    amplitude is -u / d times its inner neighbour's, d the site's pivot, so
+    that settled pivot gives a bound state's decay and sign.  In floating
+    point the count is exact for a matrix within a few ulps of h (Kahan
+    1966; Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)).  A pivot
+    under ``pivmin`` in magnitude becomes -pivmin, as in LAPACK's dstebz:
+    every u^2 / d is finite.
     """
 
     def __init__(self, model: LatticeModel):
@@ -357,7 +359,9 @@ class _Tree:
 
     def pivots(self, e: float):
         """The pivots of h - e: a half-chain's from its far end inward, up
-        to the first that repeats, then the centre's and the atom's."""
+        to the first that repeats, then the centre's and the atom's.  The
+        last half-chain pivot is the repeated value, or the one next to the
+        centre when none repeats."""
         a = self.omega - e
         d = self._pivot(a)
         half = [d]
@@ -387,20 +391,6 @@ class _Tree:
                 lo = mid
         return lo, hi
 
-    def vector(self, e: float) -> np.ndarray:
-        """The unit eigenvector the pivots at e give, laid out as
-        :func:`_single_parts`: the atom amplitude 1, each centre's -v / d_c,
-        and out from a centre a site's amplitude -u / d times its inner
-        neighbour's, d its own pivot; stable outside the band, |u / d| < 1."""
-        half, centre, _ = self.pivots(e)
-        # the pivots of the sites 1 ... half out from a centre
-        outward = np.full(self.half, half[-1])
-        outward[self.half - len(half) :] = half[::-1]
-        side = np.cumprod(-self.hopping / outward)
-        chain = np.concatenate([side[::-1], [1.0], side])
-        vec = np.concatenate([(-v / centre) * chain for v in self.couplings] + [[1.0]])
-        return vec / np.linalg.norm(vec)
-
 
 def _spectral_interval(model: LatticeModel, photons: int):
     """[n e_min, n e_max], n = ``photons``: an interval holding every
@@ -428,7 +418,9 @@ class BoundStateReport:
     """Out-of-band eigenpairs compared with the closed-form bound states.
 
     ``bracket_widths`` are the widths of the (lower, upper) count brackets
-    the energies come from, one ulp of each energy.
+    the energies come from, one ulp of each energy.  At each energy the
+    neighbour ratio -u / d, d the settled half-chain pivot, gives
+    ``envelope_slopes`` as log|u / d| and the sign flags as its sign.
     """
 
     energies: tuple[float, float]
@@ -443,34 +435,14 @@ class BoundStateReport:
     warnings: tuple[str, ...]
 
 
-def _envelope_slope(site_amp: np.ndarray, x: np.ndarray) -> float:
-    """Least-squares slope of log|psi| against |x| over the clean window."""
-    amp = np.abs(site_amp)
-    half = int(x.max())
-    mask = (np.abs(x) >= 3) & (np.abs(x) <= 0.6 * half) & (amp > amp.max() * 1e-11)
-    if mask.sum() < 6:
-        mask = (np.abs(x) >= 2) & (amp > amp.max() * 1e-9)
-    if mask.sum() < 4:
-        return np.nan
-    return float(np.polyfit(np.abs(x[mask]), np.log(amp[mask]), 1)[0])
-
-
-def _sign_pattern(site_vec: np.ndarray, x: np.ndarray, alternating: bool) -> bool:
-    amp = np.abs(site_vec)
-    run = np.where((x >= 1) & (x <= 25) & (amp > amp.max() * 1e-9))[0]
-    if len(run) < 4:
-        return False
-    prod = site_vec[run[:-1]] * site_vec[run[1:]]
-    return bool(np.all(prod < 0.0)) if alternating else bool(np.all(prod > 0.0))
-
-
 def bound_state_check(model: LatticeModel) -> BoundStateReport:
     """Compare out-of-band lattice eigenpairs with the analytic bound states.
 
     The H-type bound states are the T-type ones with J = 1/2, omega0 =
     Omega and V^2 = (vbar1^2 + vbar2^2) / 2: the count sees the chains only
-    through the sum of their couplings squared.  Envelope and sign pattern
-    are read on the chain with the larger coupling, since one may be 0.
+    through the sum of their couplings squared.  Decay and sign are read
+    off the last half-chain pivot (:meth:`_Tree.pivots`), which every chain
+    shares.
     """
     p = model.params
     if model.kind == "h":
@@ -494,28 +466,23 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
             f" and {int(above)} above; the lattice may not resolve weak binding"
         )
 
-    x = model.positions()
-    chain = int(np.argmax(tree.couplings)) * model.size
-    energies, slopes, patterns = [np.nan, np.nan], [np.nan, np.nan], [False, False]
-    for side, (found, energy, analytic) in enumerate(
-        ((below, e_low, lower), (above, e_high, upper))
-    ):
-        if found:
-            vec = tree.vector(energy)[chain : chain + model.size]
-            energies[side], slopes[side] = energy, _envelope_slope(vec, x)
-            patterns[side] = _sign_pattern(vec, x, analytic.sign_alternating)
+    found = ((e_low, below), (e_high, above))
+    energies = tuple(e if ok else np.nan for e, ok in found)
+    # the neighbour ratio -u / d out from a centre
+    ratios = [-tree.hopping / tree.pivots(e)[0][-1] if ok else np.nan for e, ok in found]
+    slopes = tuple(float(np.log(abs(r))) for r in ratios)
 
     analytic_e = (lower.energy, upper.energy)
     analytic_s = (lower.decay_log, upper.decay_log)
     return BoundStateReport(
-        energies=tuple(energies),
+        energies=energies,
         analytic_energies=analytic_e,
         energy_residuals=tuple(abs(a - b) for a, b in zip(energies, analytic_e)),
-        envelope_slopes=tuple(slopes),
+        envelope_slopes=slopes,
         analytic_slopes=analytic_s,
         slope_residuals=tuple(abs(a - b) for a, b in zip(slopes, analytic_s)),
-        upper_sign_alternating=patterns[1],
-        lower_sign_uniform=patterns[0],
+        upper_sign_alternating=bool(ratios[1] < 0.0),
+        lower_sign_uniform=bool(ratios[0] > 0.0),
         bracket_widths=tuple(hi - lo for lo, hi in brackets),
         warnings=tuple(warnings),
     )
@@ -716,10 +683,12 @@ def _pair_operator(model: LatticeModel) -> SparseOperator:
     chi = npairs + sites
     diag = np.empty(npairs + n)
     np.add(d[:n], d[n], out=diag[npairs:])
-    # leg a: gather slots, which chi reads itself on
+    # leg a: gather slots, which chi reads itself on; the diagonal takes u
+    # back on every self read, one slot at a time
     gathers = [np.empty(npairs + n, np.intp) for _ in single]
     for slot in gathers:
         slot[npairs:] = chi
+        diag[npairs:] -= hopping
     # leg b: the off-pattern rows of its shift slots, a block at a time
     off_pattern = [[] for _ in single]
     # the triangle is filled a block of rows at a time, so no temporary
@@ -734,6 +703,8 @@ def _pair_operator(model: LatticeModel) -> SparseOperator:
         np.add(d[a], d[b], out=diag[block])
         for slot, off, (offset, s) in zip(gathers, off_pattern, single):
             slot[block] = _pair_index(s[a], b, n)
+            # a pair whose leg a sits on a chain end reads itself
+            diag[block][s[a] == a] -= hopping
             off.append(_off_pattern(offset, _pair_index(a, s[b], n), block.start))
     shifts = []
     for off, (offset, s) in zip(off_pattern, single):

@@ -118,3 +118,36 @@ def test_criterion_10_reads_the_disconnected_s_matrix(monkeypatch, damage):
 
 def test_criterion_11_two_excitation_lattice_dynamics():
     _check(11)
+
+
+def test_run_reports_a_raising_criterion_and_runs_the_rest(monkeypatch):
+    # stubs in place of the registry, so no real criterion runs
+    calls = []
+
+    def stub(number, outcome):
+        def check():
+            calls.append(number)
+            if outcome is None:
+                raise ValueError("boom")
+            return outcome
+
+        return check
+
+    monkeypatch.setattr(
+        validation,
+        "CRITERIA",
+        (
+            (1, "first", stub(1, (True, "ok"))),
+            (2, "second", stub(2, None)),
+            (3, "third", stub(3, (False, "measured 2 (tol 1)"))),
+        ),
+    )
+    results = validation.run()
+    assert calls == [1, 2, 3]
+    assert [(r.number, r.title, r.passed) for r in results] == [
+        (1, "first", True),
+        (2, "second", False),
+        (3, "third", False),
+    ]
+    assert results[1].details == "raised ValueError: boom"
+    assert results[2].details == "measured 2 (tol 1)"

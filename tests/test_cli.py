@@ -337,6 +337,31 @@ def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["wg-transmit", "--grid", "k:0:1:2", "--config", "{tmp}/missing.cfg"], None,
+         "cannot read config file"),
+        (["wg-transmit", "--grid", "k:0:1:2", "--config", "{tmp}/run.cfg"], "omega 2.0\n",
+         "expected key=value"),
+        (["wg-transmit", "--grid", "k:0:1:x"], None, "bad grid"),
+        (["wg-transmit", "--grid", "k:0:inf:3"], None, "grid endpoints must be finite"),
+        (["validate", "--only", "1,x"], None, "bad --only list"),
+    ],
+    ids=["unreadable-config", "config-line-without-equals", "grid-points", "grid-endpoint",
+         "only-list"],
+)
+def test_unreadable_or_malformed_input_exits_2(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    argv = [part.replace("{tmp}", str(tmp_path)) for part in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "config"
+    assert message in record["message"]
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("via_config", [False, True])
 def test_precision_below_one_exits_2(tmp_path, capsys, value, via_config):
@@ -408,15 +433,19 @@ def test_config_value_outside_choices_exits_2(tmp_path, capsys, argv, line):
 
 
 def test_tolerance_error_exits_3(capsys):
-    # a run long enough for the packet to reach the boundary guard zone
-    code, _, err = _run(
-        capsys,
-        ["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0",
-         "--carrier", "1.0472", "--L", "801", "--duration", "323"],
-    )
-    assert code == 3
-    record = json.loads(err)
-    assert record["error"] == "numerical-tolerance"
+    for argv, message in (
+        # a run long enough for the packet to reach the boundary guard zone
+        (["oracle", "scatter", "--kind", "t", "--omega", "0", "--omega0", "0",
+          "--carrier", "1.0472", "--L", "801", "--duration", "323"], "guard zone"),
+        # a pair run too short for either packet to cross the atom
+        (["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.5", "--k2", "1.5",
+          "--duration", "0.5"], "no transmitted pair weight"),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "numerical-tolerance"
+        assert message in record["message"]
 
 
 def test_internal_error_exits_4_with_json_record(capsys, monkeypatch):
@@ -497,6 +526,21 @@ def test_oracle_scatter_matches_analytic_split(capsys):
     obj = json.loads(out)
     assert obj["reflection"] == pytest.approx(0.25, abs=0.01)
     assert obj["analytic"][1] == pytest.approx(0.25, abs=1e-9)
+    assert 0.0 <= obj["guard_mass"] <= lattice_oracle._GUARD_MASS_LIMIT
+
+
+def test_oracle_scatter_h_type_matches_analytic_split(capsys):
+    code, out, err = _run(
+        capsys,
+        ["oracle", "scatter", "--kind", "h", "--omega", "1", "--vbar1", "0.55",
+         "--vbar2", "0.55", "--carrier", "1.57", "--L", "801"],
+    )
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["transmission"] is None and obj["reflection"] is None
+    assert obj["guide_probabilities"] == pytest.approx(obj["analytic"], abs=0.01)
+    low, high = obj["spectral_interval"]
+    assert low < high and obj["chebyshev_order"] > 0
     assert 0.0 <= obj["guard_mass"] <= lattice_oracle._GUARD_MASS_LIMIT
 
 

@@ -115,15 +115,16 @@ def _single_reference(model):
 
 def _slot_reference(size, hopping, slots, shifts, couplings, diag):
     """Dense matrix of the slots as :class:`SparseOperator` states them: a
-    column equal to its row, or outside the matrix, is no neighbour."""
+    gather column adds the hopping wherever it points, its own row
+    included; a shift column equal to its row, or outside the matrix, is no
+    neighbour."""
     m = np.diag(np.asarray(diag, dtype=float))
-    columns = [np.asarray(s) for s in slots]
+    for cols in slots:
+        np.add.at(m, (np.arange(size), cols), hopping)
     for offset, rows, cols in shifts:
         full = np.arange(size) + offset
         full[rows] = cols
-        columns.append(full)
-    for cols in columns:
-        for row, col in enumerate(cols):
+        for row, col in enumerate(full):
             if col != row and 0 <= col < size:
                 m[row, col] += hopping
     for rows, cols, vals in couplings:
@@ -160,7 +161,8 @@ def test_shift_slots_match_dense_references(size):
 
 def test_shift_and_gather_slots_match_dense_reference():
     # one operator mixing every form a slot takes: a gather slot, which has
-    # no shift, reading itself on some rows; shift slots of offsets +1, -1
+    # no shift, reading itself on some rows, where the builder's diagonal
+    # takes the hopping back; shift slots of offsets +1, -1
     # and +3 whose off-pattern rows include both ends, self reads and
     # columns far away; a shift slot with no off-pattern rows; a doubled
     # hop; repeated coupling rows; and a diagonal with deviating rows
@@ -176,11 +178,15 @@ def test_shift_and_gather_slots_match_dense_reference():
         (1, np.array([], dtype=int), np.array([], dtype=int)),
     ]
     couplings = [(np.array([2, 2, 7]), np.array([8, 8, 1]), np.array([0.3, -0.2, 1.1]))]
-    diag = np.full(size, 0.4)
-    diag[[3, 8]] = [-1.0, 2.5]
+    intended = np.full(size, 0.4)
+    intended[[3, 8]] = [-1.0, 2.5]
+    diag = intended - np.where(gather == np.arange(size), -0.7, 0.0)
     h = lo.SparseOperator(diag, -0.7, [gather], couplings, shifts)
     reference = _slot_reference(size, -0.7, [gather], shifts, couplings, diag)
     assert np.max(np.abs(_dense(h) - reference)) <= 1e-14
+    # on rows 0 and 5 the self read and the take-back cancel, and no other
+    # slot or coupling reaches the diagonal
+    assert np.max(np.abs(np.diag(_dense(h)) - intended)) <= 1e-15
     scaled = h.affine(1.3, 0.25)
     assert np.max(np.abs(_dense(scaled) - 1.3 * (reference - 0.25 * np.eye(size)))) <= 1e-14
     # a product less a vector, into caller-owned buffers
@@ -387,8 +393,8 @@ def test_bound_check_runs_h_type(omega, vbar):
 
 
 def test_bound_check_reads_the_coupled_chain():
-    # with vbar1 = 0 the first chain carries no amplitude: the envelope and
-    # signs come from the second
+    # with vbar1 = 0 the first chain carries no amplitude; the pivot the
+    # envelope and signs are read off is shared by both chains
     m = lo.LatticeModel(params=HWGParams(omega_atom=0.0, vbar=(0.0, 1.0)), size=201)
     report = lo.bound_state_check(m)
     assert report.warnings == ()
@@ -427,11 +433,21 @@ def test_bound_report_is_reproducible_and_matches_dense_reference():
         assert 0.0 < width <= np.spacing(abs(energy))
     evals, evecs = np.linalg.eigh(_dense(lo.build_single_excitation(m)))
     assert first["energies"] == pytest.approx((evals[0], evals[-1]), abs=1e-14)
-    x = m.positions()
-    for vec, slope in ((evecs[: m.size, 0], 0), (evecs[: m.size, -1], 1)):
-        assert lo._envelope_slope(vec, x) == pytest.approx(
-            first["envelope_slopes"][slope], abs=1e-6
-        )
+    # the dense eigenvectors' log-ratio between the centre and either
+    # neighbour, the ratio the report's pivot gives
+    centre = (m.size - 1) // 2
+    for j, slope in zip((0, -1), first["envelope_slopes"]):
+        for site in (centre - 1, centre + 1):
+            assert abs(np.log(abs(evecs[site, j] / evecs[centre, j])) - slope) <= 1e-12
+
+
+def test_bound_slopes_match_the_closed_form_to_rounding():
+    # the settled pivot gives the decay to rounding
+    p = TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=1.0, coupling=0.8)
+    report = lo.bound_state_check(lo.LatticeModel(params=p, size=201))
+    assert report.warnings == ()
+    assert max(report.slope_residuals) <= 1e-12
+    assert report.upper_sign_alternating and report.lower_sign_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +496,25 @@ def test_tree_brackets_hold_the_dense_extremes(params):
 
 
 @pytest.mark.parametrize("params", _TREE_PARAMS, ids=_TREE_IDS)
-def test_tree_vectors_are_eigenvectors(params):
+def test_tree_pivots_give_the_dense_neighbour_ratio(params):
+    # out from a coupled centre, on either side, the dense extreme
+    # eigenvector's amplitude at site s is -u / d_s times that at s - 1, d_s
+    # the site's pivot.  d_1 is the last half-chain pivot, which the bound
+    # report reads, and once the pivots repeat every site shares it; at "t"
+    # the slow decay keeps them from repeating within L = 201, and d_10 is
+    # 5e-12 off d_1
     m = lo.LatticeModel(params=params, size=201)
     tree = lo._Tree(m)
-    h = lo.build_single_excitation(m)
-    evals, evecs = np.linalg.eigh(_dense(h))
+    evals, evecs = np.linalg.eigh(_dense(lo.build_single_excitation(m)))
+    centre = next(site for site, v in lo._single_parts(m)[3] if v != 0.0)
     for k, j in ((1, 0), (m.dimension, -1)):
-        energy, exact = 0.5 * sum(tree.bracket(k)), evecs[:, j]
+        energy = 0.5 * sum(tree.bracket(k))
         assert energy == pytest.approx(evals[j], abs=1e-14)
-        vec = tree.vector(energy)
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
-        assert np.linalg.norm(h @ vec - energy * vec) <= 1e-14
-        assert np.max(np.abs(vec - np.sign(vec @ exact) * exact)) <= 1e-12
+        half = tree.pivots(energy)[0]
+        ratios = [-tree.hopping / half[min(tree.half - s, len(half) - 1)] for s in range(1, 11)]
+        for step in (1, -1):
+            amps = evecs[centre : centre + 11 * step : step, j]
+            assert np.max(np.abs(amps[1:] / amps[:-1] - ratios)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +758,15 @@ def test_pair_operator_matches_stencil():
 
 
 def test_pair_operator_build_peaks_under_two_and_a_half_operators():
-    # every slot is written into its final array a block of rows at a time
+    # every slot is written into its final array a block of rows at a time,
+    # and the operator takes the builder's diagonal as it is: the peak,
+    # 2.22 operators, comes in the block loop
     m = lo.LatticeModel(params=_t_params(), size=281)
     built = []
     peak = _traced_peak(lambda: built.append(lo._pair_operator(m)))
     h = built[0]
     size = sum(v.nbytes for v in (h.rows, h.cols, h.vals, *h.slots))
-    assert peak <= 2.5 * size
+    assert peak <= 2.4 * size
 
 
 def test_pair_operator_stores_no_index_array_for_its_shift_slots():
@@ -970,6 +995,12 @@ def test_pair_run_rejections():
         # a negative separation puts the leading packet off the lattice
         lo.two_excitation_check(
             lo.LatticeModel(params=_t_params(), size=281), 1.5, 1.5, separation=-1000.0
+        )
+    with pytest.raises(ToleranceError, match="no transmitted pair weight"):
+        # half a time unit moves neither packet past the atom
+        lo.two_excitation_check(
+            lo.LatticeModel(params=_t_params(), size=161),
+            1.2, 1.9, duration=0.5, width=6.0, separation=15.0,
         )
 
 
