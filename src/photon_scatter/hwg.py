@@ -130,8 +130,8 @@ def pair_wavefunction(params: HWGParams, pair, k1: float, k2: float, x):
         raise ValueError("channel pair must be (1,1), (1,2) or (2,2)")
     direct, exchange = products[pair]
     share = 0.5 if pair[0] == pair[1] else 1.0
-    coupling = _coupling(params, (1, 2, *pair))
-    return share * _pair_envelope(params.alpha_h, coupling, k1, k2, direct, exchange, x)
+    couplings = [params.vbar[c - 1] for c in (1, 2, *pair)]
+    return share * _pair_envelope(params.alpha_h, couplings, k1, k2, direct, exchange, x)
 
 
 def second_order_correlation(params: HWGParams, pair, k1: float, k2: float, x):

@@ -8,23 +8,25 @@ packed as a <= b, the pair state's norm weighted by :func:`_pair_weights`).
 The chain is stated once, by :func:`_single_parts`: the diagonal, the one
 hopping value over neighbour slots, and the atom couplings.  The pair
 operator, the free photon reference and the spectral count derive theirs
-from it.  A neighbour slot that reads row +- 1 on all but O(n) rows, as a
-chain's slots and the pair's leg-b slots do, is applied as one contiguous
-shifted-slice add; only the pair's leg-a slots gather, and the diagonal is
-applied as its constant plus its few deviating rows.  One Chebyshev
-propagator, its Bessel coefficients from Miller's backward recurrence,
-evolves both, and refuses an expansion order above
-``_MAX_CHEBYSHEV_ORDER``.  The single-excitation operator is a tree rooted
-at the atom, so an LDL^T count of its eigenvalues below an energy has no
-fill (:class:`_Tree`).  Bisection on that count brackets both extremes to
+from it.  Every neighbour slot reads row + a fixed offset on all but O(n)
+rows: a chain's slots +-1, and a pair's legs +-1 and +-(W - 1) once the
+pair triangle is folded into a rectangle of width W (the rectangular full
+packed format of Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37, 18
+(2010); see :func:`_pair_operator`).  So each slot is applied as one
+contiguous shifted-slice add, and the diagonal as its constant plus its
+few deviating rows.  One Chebyshev propagator, its Bessel coefficients
+from Miller's backward recurrence, evolves both, and refuses an expansion
+order above ``_MAX_CHEBYSHEV_ORDER``.  The single-excitation operator is a
+tree rooted at the atom, so an LDL^T count of its eigenvalues below an
+energy has no fill (:class:`_Tree`).  Bisection on that count brackets both extremes to
 one ulp, for either kind of model: they size every run
 (:func:`_spectral_interval`), and they are the bound states, whose decay
 and sign the settled half-chain pivot gives.  Each run keeps only its
 working set live: the propagator its recursion vectors (see
-:func:`_chebyshev_evolve`); the pair operator and the symmetrised pair
-state are written into their final arrays, a block or a row of the packed
-triangle at a time, and the pair run rebuilds the triangle indices and
-norm weights after the propagation instead of holding them through it.
+:func:`_chebyshev_evolve`); the pair operator lays out only its O(n) rows
+off the shift pattern, the symmetrised pair state is written a triangle
+row at a time, and the pair run rebuilds the pair sites and norm weights
+after the propagation instead of holding them through it.
 Gaussian wavepacket runs measure transmission probabilities against the
 analytic amplitudes; two-packet runs probe photon-photon correlations;
 and quantized-momentum ring sums check the continuum delta conventions of the analytic S-matrices (a
@@ -62,8 +64,6 @@ _GUARD_FRACTION = 0.05
 _GUARD_MASS_LIMIT = 1e-5
 
 _MIN_PAIR_WIDTH = 6.0
-# rows of the packed pair triangle the operator build handles at once
-_PAIR_BLOCK_ROWS = 32
 
 # the largest Chebyshev order, and so number of operator products, a run
 # may ask for; the suite's runs stay near 1e3
@@ -99,42 +99,32 @@ class LatticeModel:
 class SparseOperator:
     """Real square sparse matrix h = c + u A + C, built for repeated products.
 
-    The builder states the structure it knows: the diagonal (``diag``), the
-    one hopping value u (``hopping``) and its 0/1 pattern A as neighbour
-    slots, and the other couplings C as (row, column, value) triplets.  A
-    slot holds one column per row, in one of two forms.  A gather slot
-    (``slots``) lists the columns; a row with no neighbour there reads its
-    own entry, which adds u to the diagonal, so the builder's ``diag`` has
-    taken u back on that row.  A shift slot (``shifts``) is (offset, rows,
-    cols), the offset nonzero: its column is row + offset except on
-    ``rows``, where it is ``cols``, a row's own index meaning no neighbour,
-    as does row + offset outside the matrix.  A column may recur
-    across a row's slots (a doubled hop), and C may repeat rows.
+    The builder states the structure it knows: the size, the constant c
+    that most rows hold on the diagonal, the one hopping value u and its
+    0/1 pattern A as shift slots, and every other entry, the diagonal's
+    deviations from c among them, as (row, column, value) triplets C.  A
+    shift slot is (offset, rows, cols), the offset nonzero: its column is
+    row + offset except on ``rows``, where it is ``cols``, a row's own index
+    meaning no neighbour, as does row + offset outside the matrix.  A column
+    may recur across a row's slots (a doubled hop), and C may repeat rows.
 
-    The diagonal is kept as one constant c, its middle value in sorted
-    order, which most rows share here; its rows that deviate from c join
-    C, as do the off-pattern rows of each shift slot: u back off the
-    shifted column, u onto the stated one.  A product costs
-    one gather per gather slot, one contiguous shifted-slice add per shift
-    slot, one scaling by u, c x unless c = 0, and one scatter-add of C.
+    The off-pattern rows of each slot join C: u back off the shifted
+    column, u onto the stated one.  A product costs one scaling of x, one
+    contiguous shifted-slice add per slot, one scaling by u and one
+    scatter-add of C, and the operator holds no array longer than C.
 
-    :meth:`apply` writes a product into a caller-owned vector and uses one
-    caller-owned scratch vector, so a loop of products allocates no
-    state-length vector; ``h @ x`` is its allocating wrapper.
+    :meth:`apply` writes a product into a caller-owned vector, so a loop of
+    products allocates no state-length vector; ``h @ x`` is its allocating
+    wrapper.
     """
 
-    def __init__(self, diag, hopping: float = 0.0, slots=(), couplings=(), shifts=()):
-        if np.iscomplexobj(diag) or any(np.iscomplexobj(t[2]) for t in couplings):
+    def __init__(self, size: int, constant: float, hopping: float = 0.0, couplings=(), shifts=()):
+        if np.iscomplexobj(constant) or any(np.iscomplexobj(t[2]) for t in couplings):
             raise ValueError("operator entries must be real")
-        diag = np.asarray(diag, dtype=float)
-        size = len(diag)
         self.shape = (size, size)
+        self.constant = float(constant)
         self.hopping = float(hopping)
-        self.slots = [np.asarray(s, dtype=np.intp) for s in slots]
-        # np.median would import numpy.ma, a megabyte, on its first call
-        self.constant = float(np.partition(diag, size // 2)[size // 2])
-        deviate = np.flatnonzero(diag != self.constant)
-        entries = [*couplings, (deviate, deviate, diag[deviate] - self.constant)]
+        entries = list(couplings)
         # per shift slot the (target, source) slices of its shifted-slice add
         self.shifts = []
         for offset, rows, cols in shifts:
@@ -147,7 +137,9 @@ class SparseOperator:
             self.shifts.append((slice(trail, size - lead), slice(lead, size - trail)))
         parts = zip(*(np.broadcast_arrays(*map(np.ravel, t)) for t in entries))
         rows, cols, vals = (np.concatenate(column) for column in parts)
-        self.rows, self.cols, self.vals = rows.astype(np.intp), cols.astype(np.intp), vals
+        # an entry of value 0 costs a product and adds nothing
+        kept = vals != 0.0
+        self.rows, self.cols, self.vals = rows[kept], cols[kept], vals[kept]
 
     def affine(self, scale: float, shift: float) -> SparseOperator:
         """The operator scale * (self - shift), sharing this one's columns."""
@@ -157,33 +149,30 @@ class SparseOperator:
         out.vals = scale * self.vals
         return out
 
-    def apply(self, x: np.ndarray, out: np.ndarray, buf: np.ndarray, minus=None) -> np.ndarray:
-        """Write h x, less ``minus`` if given, into ``out`` and return it;
-        ``buf`` is scratch.
+    def apply(self, x: np.ndarray, out: np.ndarray, minus=None) -> np.ndarray:
+        """Write h x, less ``minus`` if given, into ``out`` and return it.
 
-        ``out`` and ``buf`` have the shape and dtype of ``x`` and share no
-        memory with it, with ``minus`` or with each other.  The slot sum
-        builds up in ``out`` and ``buf`` takes each further gather, then c x.
+        ``out`` has the shape and dtype of ``x`` and shares no memory with
+        it or with ``minus``.  The product is formed as u (c / u + A) x + C x,
+        so it needs no scratch vector.  Where c / u would pass 1e300 the
+        hopping is below the rounding of c x, and A is left out.
         """
-        if self.slots:
-            np.take(x, self.slots[0], mode="clip", out=out)
-            for cols in self.slots[1:]:
-                np.take(x, cols, mode="clip", out=buf)
-                out += buf
+        if abs(self.constant) < 1e300 * abs(self.hopping):
+            np.multiply(x, self.constant / self.hopping, out=out)
+            for target, source in self.shifts:
+                out[target] += x[source]
+            out *= self.hopping
         else:
-            out.fill(0.0)
-        for target, source in self.shifts:
-            out[target] += x[source]
-        out *= self.hopping
-        if self.constant:
-            out += np.multiply(x, self.constant, out=buf)
-        np.add.at(out, self.rows, self.vals * x[self.cols])
+            np.multiply(x, self.constant, out=out)
+        terms = x[self.cols]
+        terms *= self.vals
+        np.add.at(out, self.rows, terms)
         if minus is not None:
             out -= minus
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x, np.empty_like(x), np.empty_like(x))
+        return self.apply(x, np.empty_like(x))
 
 
 def _chain_slots(size: int, *chains):
@@ -232,8 +221,9 @@ def build_single_excitation(model: LatticeModel) -> SparseOperator:
     diag, hopping, slots, couplings = _single_parts(model)
     atom = len(diag) - 1
     entries = [e for site, v in couplings for e in ((site, atom, v), (atom, site, v))]
+    entries.append((atom, atom, diag[atom] - diag[0]))
     shifts = [(offset, *_off_pattern(offset, cols)) for offset, cols in slots]
-    return SparseOperator(diag, hopping, couplings=entries, shifts=shifts)
+    return SparseOperator(len(diag), diag[0], hopping, entries, shifts)
 
 
 def _bessel_j(order: int, z: float) -> np.ndarray:
@@ -279,10 +269,10 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
 
     A run keeps five state-length complex vectors live, whatever its order:
     the three recursion vectors, which rotate, the accumulator, which is
-    returned, and the product's scratch vector, which also takes each
-    weighted term.  X shares ``h``'s slots and scales only the values of
-    its C, so it holds no state-length array of its own, and no product
-    allocates a state-length vector.
+    returned, and a scratch vector, which takes each weighted term.  X
+    shares ``h``'s slots and scales only the values of its C, so it holds
+    no state-length array of its own, and no product allocates a
+    state-length vector.
     """
     emin, emax = bounds
     if not emax > emin:
@@ -311,11 +301,11 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     t0 = np.array(state, dtype=complex)
     t1, t2, buf = np.empty_like(t0), np.empty_like(t0), np.empty_like(t0)
     acc = np.multiply(t0, coef[0])
-    x.apply(t0, t1, buf)
+    x.apply(t0, t1)
     t1 *= 0.5
     acc += np.multiply(t1, coef[1], out=buf)
     for k in range(2, order + 1):
-        x.apply(t1, t2, buf, minus=t0)
+        x.apply(t1, t2, minus=t0)
         acc += np.multiply(t2, coef[k], out=buf)
         t0, t1, t2 = t1, t2, t0
     acc *= np.exp(-1j * b * t)
@@ -646,75 +636,86 @@ class TwoExcitationReport:
 
 
 def _pair_index(a, b, size: int):
-    """Position of the unordered pair {a, b} in the packed upper triangle."""
+    """Position of the unordered pair {a, b} of ``size`` sites in the folded
+    triangle (see :func:`_pair_operator`)."""
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return lo * size - lo * (lo - 1) // 2 + (hi - lo)
+    width, rows = size | 1, (size + 1) // 2
+    return np.where(lo < rows, lo * width + (hi - lo), (2 * rows - lo) * width - 1 - (hi - lo))
+
+
+def _pair_sites(index, size: int):
+    """The sites (a, b), a <= b, of the pairs at positions ``index`` of the
+    folded triangle: the inverse of :func:`_pair_index`."""
+    width, rows = size | 1, (size + 1) // 2
+    r, c = np.divmod(index, width)
+    head = c < size - r
+    a = np.where(head, r, 2 * rows - 1 - r)
+    return a, a + np.where(head, c, width - 1 - c)
 
 
 def _pair_operator(model: LatticeModel) -> SparseOperator:
     """Two-excitation operator on the bosonic sector: packed pairs, then photon + atom.
 
-    The pair block acts on the packed upper triangle u = psi[a, b], a <= b
-    (row major, the order of ``np.triu_indices``), of the symmetric pair
-    amplitude over the n photon sites; the second block on chi[c], a photon
-    at site c with the atom excited.  It is the two-boson operator
-    kron(h, 1) + kron(1, h) of the single-excitation chain h, restricted to
-    its symmetric subspace with |2_atom> removed, and every entry comes from
-    :func:`_single_parts`: the diagonal d[a] + d[b] and d[c] + d[atom]; each
-    single slot applied to leg a and then to leg b, re-packed, so a hop out
-    of the upper triangle lands on the mirror entry and a diagonal pair
-    reads each neighbour twice, with chi hopping along leg b; and per
-    coupled (site, v) the emission v (1 + delta_{c, site}) into
-    pair(site, c) and the absorption v back.  The state norm is
-    sum w |state|^2 with w from :func:`_pair_weights`, under which the real
-    matrix is self-adjoint.
+    The pair block acts on the symmetric pair amplitude psi[a, b], a <= b,
+    over the n photon sites, packed once per unordered pair; the second
+    block on chi[c], a photon at site c with the atom excited.  It is the
+    two-boson operator kron(h, 1) + kron(1, h) of the single-excitation
+    chain h, restricted to its symmetric subspace with |2_atom> removed,
+    and every entry comes from :func:`_single_parts`: the diagonal d[a] +
+    d[b] and d[c] + d[atom]; each single slot applied to leg a and to leg
+    b, re-packed, so a hop out of the triangle lands on the mirror entry
+    and a diagonal pair reads each neighbour twice, with chi hopping along
+    leg b; and per coupled (site, v) the emission v (1 + delta_{c, site})
+    into pair(site, c) and the absorption v back.  The state norm is sum w
+    |state|^2 with w from :func:`_pair_weights`, under which the real matrix
+    is self-adjoint.
 
-    Row-major packing puts (a, b +- 1) beside (a, b), and chi[c +- 1] beside
-    chi[c], so each leg-b slot is a shift slot of the single slot's offset,
-    off its pattern only on O(n) rows: a chain end, and the diagonal pair,
-    whose hop to b - 1 < a lands on the mirror (a - 1, a).  A leg-a hop
-    moves by a row of the triangle, whose length changes from row to row,
-    so the leg-a slots are gather slots.
+    The triangle is folded into a rectangle of width W = n | 1 (n odd: n;
+    n even: n + 1) and h = (n + 1) // 2 rows, as in the rectangular full
+    packed format (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37,
+    18 (2010)): rectangle row r holds triangle row r at column b - r, then
+    triangle row 2h - 1 - r reversed.  In both parts a pair's leg-b
+    neighbours sit at +-1 and its leg-a neighbours at +-(W - 1), so all
+    four pair slots are shift slots, chi taking the +-1 ones.  They leave
+    their pattern only on O(n) rows, known in closed form: a leg on a chain
+    end or on either side of the fold's seam, and a diagonal pair.  Those
+    rows alone are laid out, so the build holds no state-length array, and
+    the diagonal is its constant 2 d[0] plus the chi rows' offset.
     """
     d, hopping, single, couplings = _single_parts(model)
     n = len(d) - 1
+    width, half = n | 1, (n + 1) // 2
     npairs = n * (n + 1) // 2
     sites = np.arange(n)
     chi = npairs + sites
-    diag = np.empty(npairs + n)
-    np.add(d[:n], d[n], out=diag[npairs:])
-    # leg a: gather slots, which chi reads itself on; the diagonal takes u
-    # back on every self read, one slot at a time
-    gathers = [np.empty(npairs + n, np.intp) for _ in single]
-    for slot in gathers:
-        slot[npairs:] = chi
-        diag[npairs:] -= hopping
-    # leg b: the off-pattern rows of its shift slots, a block at a time
-    off_pattern = [[] for _ in single]
-    # the triangle is filled a block of rows at a time, so no temporary
-    # grows with it
-    row_start = _pair_index(sites, sites, n)
-    for first in range(0, n, _PAIR_BLOCK_ROWS):
-        # the block's rows of np.triu_indices(n)
-        rows = min(_PAIR_BLOCK_ROWS, n - first)
-        a, b = np.nonzero(~np.tri(rows, n, first - 1, dtype=bool))
-        a += first
-        block = slice(row_start[first], row_start[first] + len(a))
-        np.add(d[a], d[b], out=diag[block])
-        for slot, off, (offset, s) in zip(gathers, off_pattern, single):
-            slot[block] = _pair_index(s[a], b, n)
-            # a pair whose leg a sits on a chain end reads itself
-            diag[block][s[a] == a] -= hopping
-            off.append(_off_pattern(offset, _pair_index(a, s[b], n), block.start))
-    shifts = []
-    for off, (offset, s) in zip(off_pattern, single):
-        off.append(_off_pattern(offset, npairs + s[:n], npairs))
-        shifts.append((offset, *map(np.concatenate, zip(*off))))
-    entries = []
+    # the rows off the pattern: a leg on a chain end or beside the seam, and
+    # the diagonal pairs; np.unique would import numpy.ma, a megabyte
+    edges = {half - 1, half}
+    for offset, s in single:
+        edges.update(np.flatnonzero(s[:n] != sites + offset).tolist())
+    rows = np.array(sorted({i for e in [*edges, sites] for i in _pair_index(e, sites, n).tolist()}))
+    a, b = _pair_sites(rows, n)
+    # the rectangle's lower part runs against the triangle, so its hops take
+    # the opposite offsets
+    head = a < half
+    off_pattern = {}
+    for offset, s in single:
+        off_pattern.setdefault(offset, []).append(_off_pattern(offset, npairs + s[:n], npairs))
+        for step, cols in ((1, _pair_index(a, s[b], n)), (width - 1, _pair_index(s[a], b, n))):
+            for sign, part in ((1, head), (-1, ~head)):
+                shift = sign * offset * step
+                keep = part & (cols != rows + shift)
+                off_pattern.setdefault(shift, []).append((rows[keep], cols[keep]))
+    for shift in (width - 1, 1 - width):
+        # chi has no leg a
+        off_pattern[shift].append((chi, chi))
+    shifts = [(shift, *map(np.concatenate, zip(*parts))) for shift, parts in off_pattern.items()]
+    # every photon site has the frequency d[0]
+    entries = [(chi, chi, d[n] - d[0])]
     for site, v in couplings:
         touch = _pair_index(sites, site, n)
         entries += [(touch, chi, v * (1.0 + (sites == site))), (chi, touch, v)]
-    return SparseOperator(diag, hopping, gathers, entries, shifts)
+    return SparseOperator(npairs + n, 2.0 * d[0], hopping, entries, shifts)
 
 
 def _pair_weights(size: int) -> np.ndarray:
@@ -727,13 +728,18 @@ def _pair_weights(size: int) -> np.ndarray:
 
 def _symmetrized(f, g, out: np.ndarray) -> np.ndarray:
     """Write the packed pair amplitude f[a] g[b] + g[a] f[b], a <= b, into
-    the leading entries of ``out`` row by row, with no triangle-sized
-    temporary, and return ``out``."""
-    start = 0
-    for i in range(len(f)):
-        stop = start + len(f) - i
-        out[start:stop] = f[i] * g[i:] + g[i] * f[i:]
-        start = stop
+    the leading entries of ``out`` a triangle row at a time, with no
+    triangle-sized temporary, and return ``out``."""
+    size = len(f)
+    width, half = size | 1, (size + 1) // 2
+    for a in range(size):
+        row = f[a] * g[a:] + g[a] * f[a:]
+        if a < half:
+            out[a * width : a * width + len(row)] = row
+        else:
+            # the lower part's rows run backwards from the diagonal
+            stop = (2 * half - a) * width
+            out[stop - len(row) : stop] = row[::-1]
     return out
 
 
@@ -801,10 +807,10 @@ def two_excitation_check(
     bounds = _spectral_interval(model, 1)
     pair_bounds = (2.0 * bounds[0], 2.0 * bounds[1])
     state_t, order = _chebyshev_evolve(h_pair, state, t_end, pair_bounds)
-    # the triangle indices and the weights are rebuilt here rather than
-    # held over the run
-    a, b = np.triu_indices(size)
-    npairs = len(a)
+    # the pair sites and the weights are rebuilt here rather than held
+    # over the run
+    npairs = size * (size + 1) // 2
+    a, b = _pair_sites(np.arange(npairs), size)
     weights = _pair_weights(size)
     dens = weights * np.abs(state_t) ** 2
     norm_drift = float(abs(dens.sum() - 1.0))
@@ -813,12 +819,14 @@ def two_excitation_check(
     guard_mass = _check_guard_mass(marg, x, half, guard, t_end)
 
     # free reference: product evolution of the same packets under the photon
-    # block of the single-excitation chain, a principal submatrix of it
-    d, hopping, slots, _ = _single_parts(model)
-    shifts = [(offset, *_off_pattern(offset, cols[:size])) for offset, cols in slots]
-    h_free = SparseOperator(d[:size], hopping, shifts=shifts)
-    fronts, _ = _chebyshev_evolve(h_free, phi_front, t_end, bounds)
-    backs, _ = _chebyshev_evolve(h_free, phi_back, t_end, bounds)
+    # block of the single-excitation chain, a principal submatrix of it; the
+    # two packets run at once, on two uncoupled copies of the block
+    d, hopping, _, _ = _single_parts(model)
+    slots = _chain_slots(2 * size, np.arange(size), np.arange(size, 2 * size))
+    shifts = [(offset, *_off_pattern(offset, cols)) for offset, cols in slots]
+    h_free = SparseOperator(2 * size, d[0], hopping, shifts=shifts)
+    free, _ = _chebyshev_evolve(h_free, np.concatenate([phi_front, phi_back]), t_end, bounds)
+    fronts, backs = free[:size], free[size:]
     free_amp = _symmetrized(fronts, backs, np.empty(npairs, dtype=complex))
     free_dens = weights[:npairs] * np.abs(free_amp) ** 2
     free_dens /= free_dens.sum()
@@ -865,6 +873,8 @@ _PAIR_NORM_WINDOW = 25.0
 _PAIR_WF_WINDOW = 1500.0
 _PSI3_WINDOW = 32.0
 _PSI3_PAIR_WINDOW = 1000.0
+# shell momenta per block of a ring sum's plane waves
+_RING_CHUNK = 2048
 
 
 def _snap(value: float, dk: float) -> float:
@@ -925,23 +935,30 @@ def ring_two_photon_wavefunction(params, k1: float, k2: float, x_center, x_relat
     """Quantized-momentum image of the analytic two-photon out-state.
 
     Snaps the incident momenta to the ring grid, lays
-    :func:`photon_scatter.twg.two_photon_s` on the energy shell and sums its
-    plane waves; returns ``(snapped momenta, value)``.  Converges to
+    :func:`photon_scatter.twg.two_photon_s` on the energy shell once and
+    sums its plane waves at every point (x_center, x_relative), which
+    broadcast; returns ``(snapped momenta, values)``, the values of their
+    broadcast shape.  Converges to
     :func:`photon_scatter.twg.two_photon_out_wavefunction` as the ring
     grows; the slowly decaying connected tail needs the wide shell.  The
-    plane waves are written into one vector and reduced by a dot product,
-    so the sum holds two shell-length temporaries, not five.
+    plane waves are laid ``_RING_CHUNK`` shell momenta at a time, so the
+    sum holds no shell-length temporary.
     """
     ks, p = _pair_shell(params, params.gamma_t, k1, k2, size, _PAIR_WF_WINDOW)
     m = _ring_image(twg.two_photon_s(params, *ks), p, size)
-    x1 = float(x_center) + 0.5 * float(x_relative)
-    x2 = float(x_center) - 0.5 * float(x_relative)
-    phase = p[0] * x1
-    phase += p[1] * x2
-    wave = np.empty(len(phase), dtype=complex)
-    np.cos(phase, out=wave.real)
-    np.sin(phase, out=wave.imag)
-    return ks, complex(m @ wave / (4.0 * np.pi))
+    xc, xr = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (x_center, x_relative)))
+    x1, x2 = (xc + 0.5 * xr).ravel(), (xc - 0.5 * xr).ravel()
+    total = np.zeros(len(x1), dtype=complex)
+    for start in range(0, len(m), _RING_CHUNK):
+        block = slice(start, start + _RING_CHUNK)
+        phase = np.multiply.outer(p[0][block], x1)
+        phase += np.multiply.outer(p[1][block], x2)
+        wave = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=wave.real)
+        np.sin(phase, out=wave.imag)
+        total += m[block] @ wave
+    values = (total / (4.0 * np.pi)).reshape(xc.shape)
+    return ks, values if values.ndim else complex(values)
 
 
 def ring_two_photon_norm(params, k1: float, k2: float, size: int):

@@ -83,17 +83,27 @@ def _pair_t(alpha, coupling, k1: float, k2: float, p1, p2):
     return out if out.ndim else complex(out)
 
 
-def _pair_bound(alpha, coupling, k1: float, k2: float, x):
+def _pair_bound(alpha, couplings, k1: float, k2: float, x):
     """Connected pair term of the out-state in the relative coordinate x.
 
-    coupling e^{i(E/2 - alpha)|x|} / ((k1 - alpha)(k2 - alpha)), decaying at
-    the rate -Im(alpha) in |x|.  The Fourier transform of ``_pair_t`` over
-    its shell is 2 e^{i E x_c} times this; the out-state envelope carries it
-    over 2 pi.
+    c e^{i(E/2 - alpha)|x|} / ((k1 - alpha)(k2 - alpha)), c the product of
+    ``couplings`` in order, decaying at the rate -Im(alpha) in |x|.  The
+    Fourier transform of ``_pair_t`` over its shell, with c as its
+    coupling, is 2 e^{i E x_c} times this; the out-state envelope carries it
+    over 2 pi.  Each pole factor is brought into [1/2, 1) by a power of two,
+    which the first and the last coupling take up: the powers of two round
+    nothing, and neither c nor the pole product underflows at a linewidth
+    of 1e-200.
     """
     beta = 0.5 * (k1 + k2) - alpha
     phase = np.exp(1j * beta * np.abs(np.asarray(x, dtype=float)))
-    return coupling * phase / ((k1 - alpha) * (k2 - alpha))
+    poles = [k - alpha for k in (k1, k2)]
+    scales = [np.ldexp(1.0, -np.frexp(abs(d))[1]) for d in poles]
+    coupling = couplings[0] * scales[0]
+    for c in couplings[1:-1]:
+        coupling *= c
+    coupling *= couplings[-1] * scales[1]
+    return coupling * phase / ((poles[0] * scales[0]) * (poles[1] * scales[1]))
 
 
 def two_photon_s(params: TWGParams, k1: float, k2: float) -> ScatteringAmplitudeSet:
@@ -110,7 +120,7 @@ def two_photon_s(params: TWGParams, k1: float, k2: float) -> ScatteringAmplitude
     )
 
 
-def _pair_envelope(alpha, coupling, k1: float, k2: float, direct, exchange, x):
+def _pair_envelope(alpha, couplings, k1: float, k2: float, direct, exchange, x):
     """Relative-coordinate pair out-state of one outgoing channel.
 
     The shell transform of a pair S-matrix element, without its e^{i E x_c}:
@@ -122,7 +132,7 @@ def _pair_envelope(alpha, coupling, k1: float, k2: float, direct, exchange, x):
     x = np.asarray(x, dtype=float)
     dkx = 0.5 * (k1 - k2) * x
     plane = (direct + exchange) * np.cos(dkx) + 1j * (direct - exchange) * np.sin(dkx)
-    return (plane + 2.0 * _pair_bound(alpha, coupling, k1, k2, x)) / (2.0 * np.pi)
+    return (plane + 2.0 * _pair_bound(alpha, couplings, k1, k2, x)) / (2.0 * np.pi)
 
 
 def two_photon_out_wavefunction(params: TWGParams, k1: float, k2: float, x_center, x_relative):
@@ -134,7 +144,8 @@ def two_photon_out_wavefunction(params: TWGParams, k1: float, k2: float, x_cente
     pinnings both carry t_k1 t_k2.
     """
     t12 = transmission_amplitude(params, k1) * transmission_amplitude(params, k2)
-    envelope = _pair_envelope(params.alpha, params.gamma_t**2, k1, k2, t12, t12, x_relative)
+    g = params.gamma_t
+    envelope = _pair_envelope(params.alpha, (g, g), k1, k2, t12, t12, x_relative)
     return np.exp(1j * (k1 + k2) * np.asarray(x_center)) * (0.5 * envelope)
 
 
@@ -359,7 +370,7 @@ def three_photon_out_wavefunction(params: TWGParams, k, x):
         for j in range(3):
             xa, xb = (x[m] for m in range(3) if m != j)
             pair = np.exp(0.5j * (ka + kb) * (xa + xb)) * _pair_bound(
-                params.alpha, params.gamma_t**2, ka, kb, xa - xb
+                params.alpha, (params.gamma_t, params.gamma_t), ka, kb, xa - xb
             )
             tier_b += 2.0 * t[i] * np.exp(1j * k[i] * x[j]) * pair
 

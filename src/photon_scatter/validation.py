@@ -136,15 +136,13 @@ def _criterion_two_photon_out_state():
     dev_decay = abs(-slope - 0.5 * g)
 
     rng = np.random.default_rng(105)
-    dev_ring = 0.0
-    for _ in range(10):
-        xc_i = float(rng.uniform(-2.0, 2.0))
-        xr_i = float(rng.uniform(0.3, 6.0))
-        (k1s, k2s), ring = lattice_oracle.ring_two_photon_wavefunction(
-            params, 0.15, 0.25, xc_i, xr_i, 601
-        )
-        ana = twg.two_photon_out_wavefunction(params, k1s, k2s, xc_i, xr_i)
-        dev_ring = max(dev_ring, abs(ring - ana))
+    draws = np.array([(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 6.0)) for _ in range(10)])
+    xc_r, xr_r = draws.T
+    (k1s, k2s), ring = lattice_oracle.ring_two_photon_wavefunction(
+        params, 0.15, 0.25, xc_r, xr_r, 601
+    )
+    ana = twg.two_photon_out_wavefunction(params, k1s, k2s, xc_r, xr_r)
+    dev_ring = float(np.max(np.abs(ring - ana)))
 
     passed = (
         dev_even <= 1e-12

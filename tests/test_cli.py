@@ -150,6 +150,19 @@ def test_two_photon_wf_even_in_relative_coordinate(capsys):
         assert row[2] == pytest.approx(mirror[2], abs=1e-12)
 
 
+def test_two_photon_wf_at_a_linewidth_of_1e_200(capsys):
+    # gamma_t^2 and (k1 - alpha)(k2 - alpha) both underflow here; the bound
+    # term is their ratio, -4 / (2 pi) on resonance, not 0 / 0
+    code, out, err = _run(
+        capsys,
+        ["two-photon-wf", "--omega", "0", "--gamma", "1e-200", "--k1", "0",
+         "--k2", "0", "--xc", "0", "--grid", "x:-1:1:3"],
+    )
+    assert code == 0 and err == ""
+    _, rows = _rows(out)
+    assert [row[1:] for row in rows] == [[-0.477464829276, 0.0, 0.227972663195]] * 3
+
+
 def test_fluorescence2_shell_column(capsys):
     code, out, _ = _run(
         capsys,

@@ -145,6 +145,18 @@ def test_pair_wavefunction_resonant_closed_forms():
     assert np.max(np.abs(np.abs(g11) - np.abs(g22))) < 1e-14
 
 
+def test_pair_wavefunction_at_vanishing_couplings():
+    # the resonant closed forms of balanced couplings v, g11 = -e^{-v^2 |x|}
+    # / 2 pi and g12 = (1 - 2 e^{-v^2 |x|}) / 2 pi, at v = 1e-100, where the
+    # product of the four couplings and the two pole factors underflow
+    p = HWGParams(1.0, (1e-100, 1e-100))
+    x = np.linspace(-3, 3, 7)
+    with np.errstate(all="raise"):
+        g11, g12 = (pair_wavefunction(p, pair, 1.0, 1.0, x) for pair in ((1, 1), (1, 2)))
+    assert np.max(np.abs(g11 + 1.0 / (2 * np.pi))) < 1e-15
+    assert np.max(np.abs(g12 + 1.0 / (2 * np.pi))) < 1e-15
+
+
 def test_bound_decay_rate():
     # on two-photon resonance every bound term decays at gamma_e/2; the bound
     # term is what a channel keeps once its two plane waves are taken off

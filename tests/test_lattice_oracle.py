@@ -41,10 +41,10 @@ def _dense(h):
 
 
 def _operator(matrix):
-    """The sparse operator of a dense matrix: its diagonal, and its nonzero
-    off-diagonal entries as couplings (no hopping slots)."""
-    rows, cols = np.nonzero(matrix - np.diag(np.diag(matrix)))
-    return lo.SparseOperator(np.diag(matrix), couplings=[(rows, cols, matrix[rows, cols])])
+    """The sparse operator of a dense matrix: its nonzero entries as
+    couplings (no constant, no hopping slots)."""
+    rows, cols = np.nonzero(matrix)
+    return lo.SparseOperator(len(matrix), 0.0, couplings=[(rows, cols, matrix[rows, cols])])
 
 
 def _traced_peak(run):
@@ -113,14 +113,10 @@ def _single_reference(model):
     return m
 
 
-def _slot_reference(size, hopping, slots, shifts, couplings, diag):
+def _slot_reference(size, constant, hopping, shifts, couplings):
     """Dense matrix of the slots as :class:`SparseOperator` states them: a
-    gather column adds the hopping wherever it points, its own row
-    included; a shift column equal to its row, or outside the matrix, is no
-    neighbour."""
-    m = np.diag(np.asarray(diag, dtype=float))
-    for cols in slots:
-        np.add.at(m, (np.arange(size), cols), hopping)
+    shift column equal to its row, or outside the matrix, is no neighbour."""
+    m = constant * np.eye(size)
     for offset, rows, cols in shifts:
         full = np.arange(size) + offset
         full[rows] = cols
@@ -145,7 +141,7 @@ def test_shift_slots_match_dense_references(size):
         model = lo.LatticeModel(params=params, size=size)
         reference = _single_reference(model)
         h = lo.build_single_excitation(model)
-        assert not h.slots and len(h.shifts) == 2
+        assert len(h.shifts) == 2
         dense = _dense(h)
         assert np.max(np.abs(dense - reference)) <= 1e-14
         if model.kind == "h":
@@ -159,42 +155,47 @@ def test_shift_slots_match_dense_references(size):
         assert np.max(np.abs(_dense(h_pair)[chi, chi] - photons)) <= 1e-14
 
 
-def test_shift_and_gather_slots_match_dense_reference():
-    # one operator mixing every form a slot takes: a gather slot, which has
-    # no shift, reading itself on some rows, where the builder's diagonal
-    # takes the hopping back; shift slots of offsets +1, -1
-    # and +3 whose off-pattern rows include both ends, self reads and
-    # columns far away; a shift slot with no off-pattern rows; a doubled
-    # hop; repeated coupling rows; and a diagonal with deviating rows
+def test_every_slot_form_matches_dense_reference():
+    # one operator mixing every form a shift slot takes: offsets +1, -1 and
+    # +3 whose off-pattern rows include both ends, self reads and columns
+    # far away; a slot with no off-pattern rows; a doubled hop; repeated
+    # coupling rows, among them the diagonal's deviations from the constant
     rng = np.random.default_rng(29)
     size = 12
-    gather = rng.integers(0, size, size)
-    # rows 0 and 5 read themselves; row 3 hops to 4 here and in a shift slot
-    gather[[0, 3, 5]] = [0, 4, 5]
     shifts = [
         (1, np.array([0, 4, 11]), np.array([7, 4, 3])),
         (-1, np.array([0, 1, 6]), np.array([9, 1, 2])),
-        (3, np.array([2, 9, 10]), np.array([2, 0, 5])),
+        # row 3 hops to 4 here and on both +1 slots' patterns
+        (3, np.array([2, 3, 9, 10]), np.array([2, 4, 0, 5])),
         (1, np.array([], dtype=int), np.array([], dtype=int)),
     ]
-    couplings = [(np.array([2, 2, 7]), np.array([8, 8, 1]), np.array([0.3, -0.2, 1.1]))]
-    intended = np.full(size, 0.4)
-    intended[[3, 8]] = [-1.0, 2.5]
-    diag = intended - np.where(gather == np.arange(size), -0.7, 0.0)
-    h = lo.SparseOperator(diag, -0.7, [gather], couplings, shifts)
-    reference = _slot_reference(size, -0.7, [gather], shifts, couplings, diag)
+    couplings = [
+        (np.array([2, 2, 7]), np.array([8, 8, 1]), np.array([0.3, -0.2, 1.1])),
+        (np.array([3, 8]), np.array([3, 8]), np.array([-1.4, 2.1])),
+    ]
+    h = lo.SparseOperator(size, 0.4, -0.7, couplings, shifts)
+    reference = _slot_reference(size, 0.4, -0.7, shifts, couplings)
+    assert reference[3, 4] == pytest.approx(3 * -0.7, abs=1e-15)
     assert np.max(np.abs(_dense(h) - reference)) <= 1e-14
-    # on rows 0 and 5 the self read and the take-back cancel, and no other
-    # slot or coupling reaches the diagonal
-    assert np.max(np.abs(np.diag(_dense(h)) - intended)) <= 1e-15
     scaled = h.affine(1.3, 0.25)
     assert np.max(np.abs(_dense(scaled) - 1.3 * (reference - 0.25 * np.eye(size)))) <= 1e-14
-    # a product less a vector, into caller-owned buffers
+    # a product less a vector, into a caller-owned buffer
     x, y = (rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(2))
-    out, buf = np.empty_like(x), np.empty_like(x)
-    assert scaled.apply(x, out, buf, minus=y) is out
+    out = np.empty_like(x)
+    assert scaled.apply(x, out, minus=y) is out
     expected = 1.3 * (reference - 0.25 * np.eye(size)) @ x - y
     assert np.max(np.abs(out - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("hopping", [0.0, 1e-308])
+def test_vanishing_hopping_leaves_the_diagonal_and_couplings(hopping):
+    # with no hopping, or one so far below the constant that c / u would
+    # overflow, a product is c x + C x to rounding, with no inf or nan
+    couplings = [(np.array([0, 2]), np.array([1, 2]), np.array([0.5, -3.0]))]
+    shifts = [(1, np.array([4]), np.array([4])), (-1, np.array([0]), np.array([0]))]
+    h = lo.SparseOperator(5, 2.0, hopping, couplings, shifts)
+    reference = _slot_reference(5, 2.0, 0.0, [], couplings)
+    assert np.max(np.abs(_dense(h) - reference)) <= 1e-15
 
 
 def test_model_validation():
@@ -718,16 +719,66 @@ def _pair_stencil(params, size, buf):
 def _pack(buf, size):
     """Full-square (psi, chi) state to the packed bosonic layout."""
     psi = buf[: size * size].reshape(size, size)
-    return np.concatenate([psi[np.triu_indices(size)], buf[size * size :]])
+    a, b = lo._pair_sites(np.arange(size * (size + 1) // 2), size)
+    return np.concatenate([psi[a, b], buf[size * size :]])
 
 
 def _unpack(buf, size):
     """Packed bosonic state to the full-square (psi, chi) layout."""
-    upper = np.triu_indices(size)
+    a, b = lo._pair_sites(np.arange(size * (size + 1) // 2), size)
     psi = np.empty((size, size), dtype=buf.dtype)
-    psi[upper] = buf[: len(upper[0])]
-    psi[upper[::-1]] = buf[: len(upper[0])]
-    return np.concatenate([psi.ravel(), buf[len(upper[0]) :]])
+    psi[a, b] = buf[: len(a)]
+    psi[b, a] = buf[: len(a)]
+    return np.concatenate([psi.ravel(), buf[len(a) :]])
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8, 281, 282])
+def test_folded_triangle_round_trips_every_pair(size):
+    # the fold is a bijection of the unordered pairs onto 0 .. n(n+1)/2 - 1,
+    # at odd n (T-type) and even n (H-type); a diagonal pair opens each
+    # triangle row
+    npairs = size * (size + 1) // 2
+    a, b = lo._pair_sites(np.arange(npairs), size)
+    assert np.all(a <= b) and np.all(b < size) and np.all(a >= 0)
+    assert len(set(zip(a.tolist(), b.tolist()))) == npairs
+    np.testing.assert_array_equal(lo._pair_index(a, b, size), np.arange(npairs))
+    np.testing.assert_array_equal(lo._pair_index(b, a, size), np.arange(npairs))
+    weights = lo._pair_weights(size)
+    np.testing.assert_array_equal(weights[:npairs], np.where(a == b, 0.5, 1.0))
+    assert np.all(weights[npairs:] == 1.0)
+
+
+@pytest.mark.parametrize(
+    "params, size",
+    [
+        (TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7), 5),
+        (TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7), 7),
+        (HWGParams(omega_atom=0.9, vbar=(0.4, 0.7)), 3),
+        (HWGParams(omega_atom=0.9, vbar=(0.4, 0.7)), 5),
+        (TCRAParams(omega_atom=0.0, omega_cavity=0.0, hopping=1.0, coupling=1.0), 281),
+    ],
+)
+def test_folded_pair_neighbours_sit_one_or_a_row_less_one_away(params, size):
+    # every hop of a pair moves it by +-1 (leg b) or +-(W - 1) (leg a), W =
+    # n | 1, except on the rows beside the fold's seam
+    model = lo.LatticeModel(params=params, size=size)
+    n = model.dimension - 1
+    width, npairs = n | 1, n * (n + 1) // 2
+    a, b = lo._pair_sites(np.arange(npairs), n)
+    steps, off = set(), set()
+    for leg, other in ((a, b), (b, a)):
+        for step in (-1, 1):
+            moved = leg + step
+            # a hop inside one chain: T-type one chain, H-type two of size L
+            inside = (moved >= 0) & (moved < n) & (moved // size == leg // size)
+            p = np.flatnonzero(inside)
+            hop = lo._pair_index(moved[p], other[p], n) - p
+            steps.update(np.unique(hop).tolist())
+            off.update(p[~np.isin(hop, (1, -1, width - 1, 1 - width))].tolist())
+    assert {1, -1, width - 1, 1 - width} <= steps
+    assert len(off) <= n
+    # the rows off the pattern are corrected in C
+    assert off <= set(lo._pair_operator(model).rows.tolist())
 
 
 def test_pair_operator_matches_stencil():
@@ -757,30 +808,33 @@ def test_pair_operator_matches_stencil():
     assert g_low < low <= evals[0] and evals[-1] <= high < g_high
 
 
-def test_pair_operator_build_peaks_under_two_and_a_half_operators():
-    # every slot is written into its final array a block of rows at a time,
-    # and the operator takes the builder's diagonal as it is: the peak,
-    # 2.22 operators, comes in the block loop
-    m = lo.LatticeModel(params=_t_params(), size=281)
-    built = []
-    peak = _traced_peak(lambda: built.append(lo._pair_operator(m)))
-    h = built[0]
-    size = sum(v.nbytes for v in (h.rows, h.cols, h.vals, *h.slots))
-    assert peak <= 2.4 * size
+def test_pair_operator_build_peak_grows_with_the_chain_not_the_state():
+    # the build lays out only the O(L) rows off the shift pattern and states
+    # the diagonal as a constant, so its peak, about 1.1 kB per site, stays
+    # under 0.6 complex state vectors at L = 281 and about doubles, not
+    # quadruples, with L
+    peaks = {}
+    for size in (141, 281):
+        m = lo.LatticeModel(params=_t_params(), size=size)
+        peaks[size] = _traced_peak(lambda: lo._pair_operator(m))
+    state_bytes = 16 * (281 * 282 // 2 + 281)
+    assert peaks[281] <= 0.6 * state_bytes
+    assert peaks[281] <= 2.2 * peaks[141]
 
 
 def test_pair_operator_stores_no_index_array_for_its_shift_slots():
-    # leg b is two shift slots, each a pair of slices; the only
-    # state-length arrays the operator keeps are its two leg-a gather slots,
-    # and C, with the diagonal's deviations and the off-pattern rows, is
-    # O(L) against the O(L^2) state
+    # all four pair slots, legs a and b, are shifts, each a pair of slices:
+    # the operator keeps no state-length array at all, and C, with the
+    # diagonal's deviations and the off-pattern rows, is O(L) against the
+    # O(L^2) state
     m = lo.LatticeModel(params=_t_params(), size=281)
     h = lo._pair_operator(m)
-    assert len(h.shifts) == 2
+    assert not hasattr(h, "slots")
+    assert sorted(shift[0].start - shift[1].start for shift in h.shifts) == [-280, -1, 1, 280]
     assert all(isinstance(s, slice) for shift in h.shifts for s in shift)
-    held = [v for v in vars(h).values() if isinstance(v, np.ndarray)] + h.slots
-    assert [len(v) for v in held if len(v) >= h.shape[0]] == [h.shape[0]] * 2
-    assert len(h.rows) <= 8 * m.size
+    held = [v for v in vars(h).values() if isinstance(v, np.ndarray)]
+    assert len(held) == 3 and all(len(v) <= 10 * m.size for v in held)
+    assert sum(v.nbytes for v in held) <= 0.11 * 16 * h.shape[0]
     assert h.constant == 0.0
 
 
@@ -841,8 +895,9 @@ def test_pair_operator_matches_fock_space(params, size):
 
 
 def test_free_reference_is_the_photon_block(monkeypatch):
-    # the pair run's two free packets evolve under the photon rows and
-    # columns of the single-excitation operator, entry for entry
+    # the pair run's two free packets evolve at once, under two uncoupled
+    # copies of the photon rows and columns of the single-excitation
+    # operator, entry for entry
     m = lo.LatticeModel(params=TCRAParams(0.3, 0.1, 0.9, 0.7), size=161)
     runs = []
     evolve = lo._chebyshev_evolve
@@ -855,12 +910,14 @@ def test_free_reference_is_the_photon_block(monkeypatch):
     lo.two_excitation_check(m, 1.2, 1.9, width=6.0, separation=15.0)
     photons = _dense(lo.build_single_excitation(m))[: m.size, : m.size]
     evals = np.linalg.eigvalsh(photons)
-    assert len(runs) == 3
+    assert len(runs) == 2
+    h_free, bounds = runs[1]
+    copies = np.zeros((2 * m.size, 2 * m.size))
+    copies[: m.size, : m.size] = copies[m.size :, m.size :] = photons
+    np.testing.assert_array_equal(_dense(h_free), copies)
     # a principal submatrix, so the single-excitation interval holds it
-    for h_free, bounds in runs[1:]:
-        np.testing.assert_array_equal(_dense(h_free), photons)
-        assert bounds == lo._spectral_interval(m, 1)
-        assert bounds[0] <= evals[0] and evals[-1] <= bounds[1]
+    assert bounds == lo._spectral_interval(m, 1)
+    assert bounds[0] <= evals[0] and evals[-1] <= bounds[1]
 
 
 def test_oracle_runs_without_scipy():
@@ -1017,24 +1074,34 @@ def test_ring_two_photon_norm_is_unit():
 
 def test_ring_two_photon_wavefunction_matches_analytic():
     params = TWGParams(omega_atom=0.2, gamma_t=0.3)
-    for xc, xr in ((0.0, 1.0), (0.7, 3.0), (-1.2, 0.5), (2.0, 8.0)):
+    points = ((0.0, 1.0), (0.7, 3.0), (-1.2, 0.5), (2.0, 8.0))
+    for xc, xr in points:
         (k1s, k2s), value = lo.ring_two_photon_wavefunction(
             params, 0.15, 0.25, xc, xr, 601
         )
+        assert isinstance(value, complex)
         reference = twg.two_photon_out_wavefunction(params, k1s, k2s, xc, xr)
         assert abs(value - reference) < 1e-5
+    # one image serves every point of a broadcast call, in the points' shape
+    xc, xr = np.array(points).T
+    _, values = lo.ring_two_photon_wavefunction(params, 0.15, 0.25, xc[:, None], xr, 601)
+    assert values.shape == (4, 4)
+    singles = [lo.ring_two_photon_wavefunction(params, 0.15, 0.25, *x, 601)[1] for x in points]
+    assert np.max(np.abs(np.diag(values) - singles)) <= 1e-15
 
 
 def test_ring_two_photon_wavefunction_sums_with_two_temporaries():
-    # the plane-wave sum takes one phase and one wave vector on top of the
-    # shell, the ring image and the S-matrix's own temporaries: at most 7.5
-    # real shell-length vectors at once
+    # the plane waves take one phase and one wave block of _RING_CHUNK shell
+    # momenta at a time, so the peak is the shell, the ring image and the
+    # S-matrix's own temporaries: at most 6.5 real shell-length vectors at
+    # once, for one point or for ten
     params = TWGParams(omega_atom=0.2, gamma_t=0.3)
     _, p = lo._pair_shell(params, params.gamma_t, 0.15, 0.25, 601, lo._PAIR_WF_WINDOW)
-    peak = _traced_peak(
-        lambda: lo.ring_two_photon_wavefunction(params, 0.15, 0.25, 0.7, 3.0, 601)
-    )
-    assert peak <= 7.5 * p[0].nbytes
+    for xc, xr in ((0.7, 3.0), (np.linspace(-2.0, 2.0, 10), np.linspace(0.3, 6.0, 10))):
+        peak = _traced_peak(
+            lambda: lo.ring_two_photon_wavefunction(params, 0.15, 0.25, xc, xr, 601)
+        )
+        assert peak <= 6.5 * p[0].nbytes
 
 
 def test_ring_three_photon_norm_is_unit():

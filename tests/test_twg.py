@@ -130,6 +130,18 @@ def test_out_state_resonant_envelope():
     )
 
 
+@pytest.mark.parametrize("gamma", [1e-150, 1e-200, 1e-300])
+def test_out_state_at_a_vanishing_linewidth(gamma):
+    # gamma_t^2 and (k1 - alpha)(k2 - alpha) underflow from about 1e-162 on;
+    # formed from linewidth-sized ratios, the resonant envelope still reads
+    # (1 - 4 e^{-gamma |x| / 2}) / 2 pi, which is -3 / 2 pi here
+    p = _params(omega_atom=0.0, gamma_t=gamma)
+    x = np.linspace(-5.0, 5.0, 11)
+    with np.errstate(all="raise"):
+        psi = two_photon_out_wavefunction(p, 0.0, 0.0, 0.0, x)
+    assert np.max(np.abs(psi + 3.0 / (2.0 * np.pi))) < 1e-15
+
+
 def _plane_part(p, k1, k2, x):
     t12 = transmission_amplitude(p, k1) * transmission_amplitude(p, k2)
     return t12 * np.cos(0.5 * (k1 - k2) * x) / (2.0 * np.pi)
