@@ -11,7 +11,6 @@ matrices are returned as a structured split into delta-supported
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,8 +33,9 @@ class ToleranceError(RuntimeError):
 
 
 def _require_finite(*values) -> None:
-    # nan makes every comparison false, so a range check alone lets it through
-    if not all(math.isfinite(v) for v in values):
+    # nan makes every comparison false, so a range check alone lets it through;
+    # the fields broadcast together, scalars and arrays alike
+    if not np.isfinite(np.broadcast_arrays(*values)).all():
         raise ValueError("parameters must be finite")
 
 
@@ -49,10 +49,13 @@ class CosineBand:
 
     Parameters
     ----------
-    omega_cavity : float
+    omega_cavity : float or ndarray
         Bare resonator frequency (band center).
-    hopping : float
+    hopping : float or ndarray
         Nearest-neighbor hopping J > 0.
+
+    Fields may be arrays that broadcast together; every entry is checked,
+    and ``energy`` and ``group_velocity`` broadcast over them and k.
     """
 
     omega_cavity: float
@@ -60,7 +63,7 @@ class CosineBand:
 
     def __post_init__(self) -> None:
         _require_finite(self.omega_cavity, self.hopping)
-        if not self.hopping > 0.0:
+        if not np.all(self.hopping > 0.0):
             raise ValueError("hopping must be positive")
 
     @property
@@ -94,18 +97,23 @@ class TCRAParams:
 
     Parameters
     ----------
-    omega_atom : float
+    omega_atom : float or ndarray
         Two-level atom splitting.
-    omega_cavity : float
+    omega_cavity : float or ndarray
         Resonator frequency.
-    hopping : float
+    hopping : float or ndarray
         Inter-cavity hopping J > 0.
-    coupling : float
+    coupling : float or ndarray
         Atom-cavity hybridization V >= 0 at the center site.
 
     Notes
     -----
-    The single-photon decay scale is ``gamma = coupling**2``.
+    The single-photon decay scale is ``gamma = coupling**2``.  Fields may be
+    arrays that broadcast together, one parameter point per entry; every
+    entry is checked.  :func:`photon_scatter.tcra.reflection_amplitude`
+    broadcasts over them, while the bound states, the self-energy and the
+    lattice oracle take scalar fields and raise on an array of several
+    entries.
     """
 
     omega_atom: float
@@ -115,9 +123,9 @@ class TCRAParams:
 
     def __post_init__(self) -> None:
         _require_finite(self.omega_atom, self.omega_cavity, self.hopping, self.coupling)
-        if not self.hopping > 0.0:
+        if not np.all(self.hopping > 0.0):
             raise ValueError("hopping must be positive")
-        if self.coupling < 0.0:
+        if np.any(self.coupling < 0.0):
             raise ValueError("coupling must be nonnegative")
 
     @property
@@ -135,6 +143,9 @@ class TWGParams:
 
     ``gamma_t`` is the total atom decay rate into the even channel; the
     complex pole of every amplitude sits at ``alpha = omega_atom - i gamma_t/2``.
+    Array fields are checked entry by entry, as in the other records, but
+    the functions of :mod:`photon_scatter.twg` are written for scalar fields;
+    the three-photon T densities broadcast over the momenta instead.
     """
 
     omega_atom: float
@@ -142,7 +153,7 @@ class TWGParams:
 
     def __post_init__(self) -> None:
         _require_finite(self.omega_atom, self.gamma_t)
-        if not self.gamma_t > 0.0:
+        if not np.all(self.gamma_t > 0.0):
             raise ValueError("gamma_t must be positive")
 
     @property
@@ -159,10 +170,16 @@ class HWGParams:
 
     Parameters
     ----------
-    omega_atom : float
+    omega_atom : float or ndarray
         Atom splitting.
-    vbar : (float, float)
+    vbar : (float, float), either entry may be an ndarray
         Even-channel couplings of the two waveguides.
+
+    The fields may be arrays that broadcast together, one parameter point
+    per entry; every entry is checked, and a pair that vanishes at any one
+    entry is refused.  :func:`photon_scatter.hwg.channel_amplitudes` and
+    ``ChannelAmplitudes.unitarity_defect`` broadcast over them; the
+    two-photon functions of :mod:`photon_scatter.hwg` take scalar fields.
     """
 
     omega_atom: float
@@ -171,10 +188,11 @@ class HWGParams:
     def __post_init__(self) -> None:
         if len(self.vbar) != 2:
             raise ValueError("vbar must be a pair")
-        _require_finite(self.omega_atom, *self.vbar)
-        if not (self.vbar[0] >= 0.0 and self.vbar[1] >= 0.0):
+        v1, v2 = self.vbar
+        _require_finite(self.omega_atom, v1, v2)
+        if not np.all((v1 >= 0.0) & (v2 >= 0.0)):
             raise ValueError("couplings must be nonnegative")
-        if self.vbar[0] == 0.0 and self.vbar[1] == 0.0:
+        if np.any((v1 == 0.0) & (v2 == 0.0)):
             raise ValueError("at least one coupling must be nonzero")
 
     @property
@@ -194,9 +212,10 @@ _ONSHELL_RTOL = 1e-10
 
 
 def _require_on_shell(e_in, e_out) -> None:
-    # written so that a nan or an infinite momentum fails it too
-    tol = _ONSHELL_RTOL * max(1.0, abs(e_in))
-    if not (math.isfinite(e_in) and np.all(np.abs(np.asarray(e_out) - e_in) <= tol)):
+    # entrywise over broadcast arrays, and written so that a nan or an
+    # infinite momentum fails it too
+    tol = _ONSHELL_RTOL * np.maximum(1.0, np.abs(e_in))
+    if not np.all((np.abs(np.asarray(e_out) - e_in) <= tol) & np.isfinite(e_in)):
         raise ValueError("momenta must be finite and conserve the total energy")
 
 

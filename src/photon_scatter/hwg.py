@@ -33,7 +33,9 @@ class ChannelAmplitudes:
     """Single-photon amplitudes at one momentum (arrays allowed).
 
     t11/t22 keep the photon in its waveguide, t21 moves it across; time
-    reversal makes the cross amplitude direction-independent.
+    reversal makes the cross amplitude direction-independent.  The fields
+    are arrays when the momentum or the record's fields are;
+    ``unitarity_defect`` is then the largest over all their entries.
     """
 
     t11: complex
@@ -47,7 +49,10 @@ class ChannelAmplitudes:
 
 
 def channel_amplitudes(params: HWGParams, k) -> ChannelAmplitudes:
-    """Evaluate t11, t21, t22 at momentum k (scalar or array, finite)."""
+    """Evaluate t11, t21, t22 at momentum k (scalar or array, finite).
+
+    k broadcasts with the fields of ``params``, which may be arrays too.
+    """
     k = np.asarray(k, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError("momentum must be finite")
@@ -56,7 +61,7 @@ def channel_amplitudes(params: HWGParams, k) -> ChannelAmplitudes:
     t11 = (k - params.omega_atom + 0.5j * (v2**2 - v1**2)) / pole
     t21 = -1j * v1 * v2 / pole
     t22 = (k - params.omega_atom + 0.5j * (v1**2 - v2**2)) / pole
-    if k.ndim:
+    if np.ndim(t11):
         return ChannelAmplitudes(t11, t21, t22)
     return ChannelAmplitudes(complex(t11), complex(t21), complex(t22))
 

@@ -33,6 +33,7 @@ def reflection_amplitude(params: TCRAParams, k):
     Parameters
     ----------
     params : TCRAParams
+        Its fields may be arrays; they broadcast with k.
     k : float or ndarray
         Momentum strictly inside the band, ``0 < |k| < pi``.
 

@@ -14,6 +14,7 @@ through :class:`~photon_scatter.core.ScatteringAmplitudeSet`.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -173,10 +174,11 @@ def three_photon_t(params: TWGParams, k, p):
 
     Parameters
     ----------
-    k : sequence of 3 floats
+    k : sequence of 3 floats or arrays
         Incoming momenta.
     p : sequence of 3 floats or arrays
-        Outgoing momenta, elementwise on the shell sum(p) = sum(k).
+        Outgoing momenta, elementwise on the shell sum(p) = sum(k); k and p
+        broadcast together.
 
     Notes
     -----
@@ -196,7 +198,7 @@ def three_photon_t(params: TWGParams, k, p):
     error stayed below 2e-13; on the lines p_j = k_i and at their double
     and triple crossings it was at most 4e-16.
     """
-    k = [float(v) for v in _three(k, "k")]
+    k = [np.asarray(v, dtype=float) for v in _three(k, "k")]
     e = sum(k)
     p = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in _three(p, "p")))
     _require_on_shell(e, p[0] + p[1] + p[2])
@@ -209,17 +211,19 @@ def three_photon_t(params: TWGParams, k, p):
     return out if out.ndim else complex(out)
 
 
-def three_photon_t_reference(params: TWGParams, k, p) -> complex:
+def three_photon_t_reference(params: TWGParams, k, p):
     """Literal permutation-sum evaluation of the connected three-photon T.
 
-    Scalar-only reference path: the 36 (P, Q) terms of each of the three
-    families are accumulated one by one exactly as printed, with no
-    vectorization and no factoring.  Single terms have poles at p_j = k_i
-    that cancel only in the sum, so the reference holds at generic points
-    alone; it cross-checks the closed form of three_photon_t there.
+    The sum is literal: the 36 (P, Q) terms of each of the three families
+    are accumulated one by one exactly as printed, with no factoring.  k
+    and p may be arrays that broadcast together; the arrays carry only the
+    evaluation points, one term per (P, Q) pair and family as for scalars.
+    Single terms have poles at p_j = k_i that cancel only in the sum, so
+    the reference holds at generic points alone; it cross-checks the
+    closed form of three_photon_t there.
     """
-    k = [float(v) for v in _three(k, "k")]
-    p = [float(v) for v in _three(p, "p")]
+    k = [np.asarray(v, dtype=float) for v in _three(k, "k")]
+    p = [np.asarray(v, dtype=float) for v in _three(p, "p")]
     _require_on_shell(sum(k), sum(p))
     a = params.alpha
     total = 0.0 + 0.0j
@@ -240,7 +244,8 @@ def three_photon_t_reference(params: TWGParams, k, p) -> complex:
                 * (w[1] + w[2] - wp[1] - a)
             )
             total += f1 + f2 + f3
-    return complex(1j * params.gamma_t**3 / (3.0 * (2.0 * np.pi) ** 2) * total)
+    out = 1j * params.gamma_t**3 / (3.0 * (2.0 * np.pi) ** 2) * total
+    return out if out.ndim else complex(out)
 
 
 def three_photon_s(params: TWGParams, k) -> ScatteringAmplitudeSet:
@@ -323,20 +328,29 @@ def _connected_tier(params: TWGParams, k, x):
     (gamma_t/2)(min x - m), both <= 0, and each is exponentiated whole, so
     nothing overflows; phi is formed from coordinate differences, so its
     real part cannot round above 0.
+
+    Each term is a product of three factors that grow like 1/gamma_t at
+    resonance, and gamma_t^3 takes them back.  Below gamma_t = 2^-256 each
+    factor is formed times 2^n, n = exponent(gamma_t) + 256, which holds
+    it near 2^256, and gamma_t^3 is taken as (gamma_t 2^-n)^3: neither the
+    factors overflow nor gamma_t^3 underflows down to the smallest
+    linewidth.  Above it n = 0, and powers of two round nothing, so the
+    scaling changes no bit of the result there.
     """
     lo, m2, m = np.sort(np.stack(x), axis=0)
     a = params.alpha
     e = sum(k)
     phi = 1j * e * m + 1j * a * ((lo - m) + (m2 - m))
+    up = math.ldexp(1.0, min(0, math.frexp(params.gamma_t)[1] + 256))
     total = 0.0j
     for i, v in enumerate(k):
         mu = v - a
-        c = 1.0 / (k[i - 1] - a) + 1.0 / (k[i - 2] - a)
-        total = total + c / (e - v - 2.0 * a) * (
-            (1.0 / mu - 3.0 / (e - 3.0 * a)) * np.exp(phi)
-            - np.exp(phi + 1j * mu * (m2 - m)) / mu
+        c = up / (k[i - 1] - a) + up / (k[i - 2] - a)
+        total = total + up * c / (e - v - 2.0 * a) * (
+            (up / mu - 3.0 * up / (e - 3.0 * a)) * np.exp(phi)
+            - up * np.exp(phi + 1j * mu * (m2 - m)) / mu
         )
-    return -4j * params.gamma_t**3 * total
+    return -4j * (params.gamma_t / up) ** 3 * total
 
 
 def three_photon_out_wavefunction(params: TWGParams, k, x):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Callable
 
 import numpy as np
@@ -38,21 +38,20 @@ class CriterionResult:
 
 
 def _criterion_single_photon_unitarity():
+    # one record of 1000 parameter points, one call
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(1000):
-        w0 = rng.uniform(-1.0, 1.0)
-        j = rng.uniform(0.3, 2.0)
-        v = rng.uniform(0.2, 1.5)
-        params = TCRAParams(
-            omega_atom=w0 + rng.uniform(-2.5, 2.5) * j,
-            omega_cavity=w0,
-            hopping=j,
-            coupling=v,
-        )
-        k = float(rng.uniform(0.05, np.pi - 0.05) * rng.choice((-1.0, 1.0)))
-        r = tcra.reflection_amplitude(params, k)
-        worst = max(worst, abs(abs(1.0 + r) ** 2 + abs(r) ** 2 - 1.0))
+    n = 1000
+    w0 = rng.uniform(-1.0, 1.0, n)
+    j = rng.uniform(0.3, 2.0, n)
+    params = TCRAParams(
+        omega_atom=w0 + rng.uniform(-2.5, 2.5, n) * j,
+        omega_cavity=w0,
+        hopping=j,
+        coupling=rng.uniform(0.2, 1.5, n),
+    )
+    k = rng.uniform(0.05, np.pi - 0.05, n) * rng.choice((-1.0, 1.0), n)
+    r = tcra.reflection_amplitude(params, k)
+    worst = float(np.max(np.abs(np.abs(1.0 + r) ** 2 + np.abs(r) ** 2 - 1.0)))
     return worst <= 1e-12, (
         f"max flux deficit {worst:.2e} over 1000 random (k, Omega, J, V) draws"
         f" (tol 1e-12)"
@@ -161,34 +160,28 @@ def _criterion_three_photon_t():
     params = TWGParams(omega_atom=1.0, gamma_t=1.0)
     rng = np.random.default_rng(106)
 
+    # one on-shell point per row, its three momenta in the columns; the T3
+    # calls take the columns, so each sweep below is one call
+    def on_shell(rows, k_spread, p_spread, rounding=lambda v: v):
+        k = rounding(1.0 + rng.uniform(-k_spread, k_spread, (rows, 3)))
+        e = k[:, 0] + k[:, 1] + k[:, 2]
+        p12 = rounding(e[:, None] / 3.0 + rng.uniform(-p_spread, p_spread, (rows, 2)))
+        return k, np.column_stack((p12, e - p12[:, 0] - p12[:, 1]))
+
     # momenta are rounded to multiples of 2^-30, so e and p3 are exact and
     # the literal sum is evaluated exactly on shell
-    def dyadic(v):
-        return np.round(v * 2.0**30) / 2.0**30
+    k, p = on_shell(100, 1.5, 2.0, lambda v: np.round(v * 2.0**30) / 2.0**30)
+    lit = twg.three_photon_t_reference(params, k.T, p.T)
+    opt = twg.three_photon_t(params, k.T, p.T)
+    dev_ref = float(np.max(np.abs(lit - opt) / np.maximum(1.0, np.abs(lit))))
 
-    dev_ref = 0.0
-    for _ in range(100):
-        k = tuple(dyadic(1.0 + rng.uniform(-1.5, 1.5, 3)))
-        e = sum(k)
-        p1, p2 = dyadic(e / 3.0 + rng.uniform(-2.0, 2.0, 2))
-        p = (float(p1), float(p2), e - float(p1) - float(p2))
-        lit = twg.three_photon_t_reference(params, k, p)
-        opt = complex(twg.three_photon_t(params, k, p))
-        dev_ref = max(dev_ref, abs(lit - opt) / max(1.0, abs(lit)))
-
-    dev_sym = 0.0
-    for _ in range(5):
-        k = tuple(1.0 + rng.uniform(-1.2, 1.2, 3))
-        e = sum(k)
-        p1, p2 = e / 3.0 + rng.uniform(-1.5, 1.5, 2)
-        p = (float(p1), float(p2), e - float(p1) - float(p2))
-        base = twg.three_photon_t_reference(params, k, p)
-        for sig in permutations(range(3)):
-            for tau in permutations(range(3)):
-                val = twg.three_photon_t_reference(
-                    params, tuple(k[i] for i in sig), tuple(p[i] for i in tau)
-                )
-                dev_sym = max(dev_sym, abs(val - base) / max(1.0, abs(base)))
+    # all 36 relabelings of 5 points in one stacked call; the identity
+    # relabeling comes first and is the base
+    k, p = on_shell(5, 1.2, 1.5)
+    sig, tau = np.array(list(product(permutations(range(3)), repeat=2))).transpose(1, 0, 2)
+    vals = twg.three_photon_t_reference(params, k[:, sig].T, p[:, tau].T)
+    base = vals[:1]
+    dev_sym = float(np.max(np.abs(vals - base) / np.maximum(1.0, np.abs(base))))
 
     delta = np.linspace(0.05, 2.0, 50)
     slice_res = twg.three_photon_fluorescence(
@@ -224,13 +217,12 @@ def _criterion_three_photon_spatial():
 
 
 def _criterion_h_unitarity():
+    # one record of 1000 parameter points, one call
     rng = np.random.default_rng(108)
-    worst = 0.0
-    for _ in range(1000):
-        v1, v2 = rng.uniform(0.2, 2.5, 2)
-        params = HWGParams(omega_atom=float(rng.uniform(0.0, 2.0)), vbar=(v1, v2))
-        k = params.omega_atom + float(rng.uniform(-5.0, 5.0)) * params.gamma_e
-        worst = max(worst, hwg.channel_amplitudes(params, k).unitarity_defect())
+    n = 1000
+    params = HWGParams(omega_atom=rng.uniform(0.0, 2.0, n), vbar=rng.uniform(0.2, 2.5, (2, n)))
+    k = params.omega_atom + rng.uniform(-5.0, 5.0, n) * params.gamma_e
+    worst = hwg.channel_amplitudes(params, k).unitarity_defect()
 
     equal = hwg.channel_amplitudes(HWGParams(omega_atom=1.0, vbar=(2.0, 2.0)), 1.0)
     res_ok = equal.t11 == 0.0 and abs(abs(equal.t21) - 1.0) <= 1e-15

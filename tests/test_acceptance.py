@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from photon_scatter import lattice_oracle, twg, validation
+from photon_scatter import hwg, lattice_oracle, tcra, twg, validation
 from photon_scatter.core import DeltaTerm
 
 _TIME_BUDGET = 30.0
@@ -32,6 +33,61 @@ def _check(number):
 
 def test_criterion_01_single_photon_unitarity():
     _check(1)
+
+
+def _one_entry_off(values):
+    # the entry of largest modulus moved by 1e-9 of itself
+    out = np.array(values)
+    out.flat[np.argmax(np.abs(out))] *= 1.0 + 1e-9
+    return out
+
+
+def test_criterion_01_reads_every_draw_of_its_batch(monkeypatch):
+    # the 1000 draws are one reflection_amplitude call; one entry 1e-9 off
+    # moves the flux deficit by about 2e-9 |r|^2, past the 1e-12 tolerance
+    batch = tcra.reflection_amplitude
+    monkeypatch.setattr(
+        tcra, "reflection_amplitude", lambda params, k: _one_entry_off(batch(params, k))
+    )
+    result = validation.run([1])[0]
+    assert not result.passed, result.details
+
+
+def test_criterion_08_reads_every_draw_of_its_batch(monkeypatch):
+    # the 1000 draws are one channel_amplitudes call; t21 1e-9 off at one
+    # entry fails the unitarity check, while the scalar calls stay exact
+    batch = hwg.channel_amplitudes
+    calls = []
+
+    def perturbed(params, k):
+        amps = batch(params, k)
+        if np.ndim(amps.t21) == 0:
+            return amps
+        calls.append(np.shape(amps.t21))
+        return dataclasses.replace(amps, t21=_one_entry_off(amps.t21))
+
+    monkeypatch.setattr(hwg, "channel_amplitudes", perturbed)
+    result = validation.run([8])[0]
+    assert calls == [(1000,)]
+    assert not result.passed, result.details
+
+
+@pytest.mark.parametrize("sweep", [0, 1], ids=["on-shell-points", "relabelings"])
+def test_criterion_06_reads_every_point_of_its_batch(monkeypatch, sweep):
+    # the literal sum runs twice, on the 100 on-shell points and on the
+    # stacked 5 x 36 relabelings; one entry 1e-9 off in either fails it
+    reference = twg.three_photon_t_reference
+    shapes = []
+
+    def perturbed(params, k, p):
+        out = reference(params, k, p)
+        shapes.append(np.shape(out))
+        return _one_entry_off(out) if len(shapes) - 1 == sweep else out
+
+    monkeypatch.setattr(twg, "three_photon_t_reference", perturbed)
+    result = validation.run([6])[0]
+    assert shapes == [(100,), (36, 5)]
+    assert not result.passed, result.details
 
 
 def test_criterion_02_bound_states_vs_lattice():

@@ -163,6 +163,19 @@ def test_two_photon_wf_at_a_linewidth_of_1e_200(capsys):
     assert [row[1:] for row in rows] == [[-0.477464829276, 0.0, 0.227972663195]] * 3
 
 
+def test_three_photon_wf_at_a_linewidth_of_1e_200(capsys):
+    # the connected tier formed inf * 0 here and printed nan rows with exit 0;
+    # at zero momenta every row reads the 1e-100 value, |psi|^2 = 0.1008
+    code, out, err = _run(
+        capsys,
+        ["three-photon-wf", "--omega", "0", "--gamma", "1e-200", "--k1", "0", "--k2", "0",
+         "--k3", "0", "--x3", "0", "--grid", "x:-1:1:2"],
+    )
+    assert code == 0 and err == ""
+    _, rows = _rows(out)
+    assert [row[2:] for row in rows] == [[-0.317468179671, 0.0, 0.100786045104]] * 4
+
+
 def test_fluorescence2_shell_column(capsys):
     code, out, _ = _run(
         capsys,

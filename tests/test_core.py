@@ -44,14 +44,28 @@ def test_derived_fields_random_draws():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        TCRAParams(1.0, 1.0, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        TWGParams(1.0, 0.0)
-    with pytest.raises(ValueError):
-        HWGParams(1.0, (0.0, 0.0))
-    with pytest.raises(ValueError):
-        HWGParams(1.0, (1.0, -2.0))
+    # each range check holds for every entry of an array field and gives the
+    # scalar case's error; the array cases are bad at one entry only
+    cases = [
+        (TCRAParams, (1.0, 1.0, -0.5, 1.0), (1.0, 1.0, np.array([1.0, -0.5, 2.0]), 1.0),
+         "hopping must be positive"),
+        (TCRAParams, (1.0, 1.0, 1.0, -1.0), (1.0, 1.0, 1.0, np.array([0.0, 1.0, -1.0])),
+         "coupling must be nonnegative"),
+        (CosineBand, (0.0, 0.0), (np.zeros(3), np.array([1.0, 0.0, 1.0])),
+         "hopping must be positive"),
+        (TWGParams, (1.0, 0.0), (np.ones(2), np.array([1.0, 0.0])), "gamma_t must be positive"),
+        (HWGParams, (1.0, (0.0, 0.0)), (1.0, (np.array([1.0, 0.0]), np.zeros(2))),
+         "at least one coupling must be nonzero"),
+        (HWGParams, (1.0, (1.0, -2.0)), (1.0, (1.0, np.array([2.0, -2.0]))),
+         "couplings must be nonnegative"),
+    ]
+    for record, scalar, array, message in cases:
+        for args in (scalar, array):
+            with pytest.raises(ValueError, match=message):
+                record(*args)
+    # a pair may vanish in one waveguide at each entry, only not in both
+    h = HWGParams(1.0, (np.array([0.0, 1.0]), np.array([1.0, 0.0])))
+    assert np.array_equal(h.gamma_e, [1.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -69,6 +83,13 @@ def test_parameter_validation():
         (HWGParams, (np.inf, (1.0, 1.0))),
         (HWGParams, (np.nan, (1.0, 1.0))),
         (HWGParams, (0.0, (np.inf, 1.0))),
+        # array fields with one bad entry
+        (CosineBand, (np.array([0.0, np.nan]), 1.0)),
+        (TCRAParams, (0.0, 0.0, 1.0, np.array([1.0, np.inf, 0.5]))),
+        (TCRAParams, (np.array([0.0, 1.0]), 0.0, np.array([np.nan, 1.0]), 1.0)),
+        (TWGParams, (0.0, np.array([1.0, -np.inf]))),
+        (HWGParams, (np.array([np.nan, 0.0]), (1.0, 1.0))),
+        (HWGParams, (0.0, (np.ones(3), np.array([1.0, 1.0, np.inf])))),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v).replace(" ", ""),
 )
@@ -76,6 +97,16 @@ def test_parameter_records_refuse_non_finite(record, args):
     # a range check is false for nan, and an infinity is in range
     with pytest.raises(ValueError, match="finite"):
         record(*args)
+
+
+def test_array_records_refuse_scalar_only_entry_points():
+    # the bound states and the self-energy take one parameter point; an
+    # array record raises there instead of returning a value
+    p = TCRAParams(np.array([0.0, 0.3]), 0.0, 1.0, np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match="ambiguous"):
+        tcra.bound_state_energies(p)
+    with pytest.raises(TypeError):
+        tcra.self_energy(p, 3.0)
 
 
 def test_lattice_to_waveguide_mapping():

@@ -22,6 +22,29 @@ def test_channel_unitarity_sweep():
         assert c.unitarity_defect() < 1e-12
 
 
+def test_channel_amplitudes_broadcast_over_an_array_record():
+    # one record of 200 parameter points and one call equal 200 scalar calls,
+    # and so does the unitarity defect, the largest over every entry
+    rng = np.random.default_rng(22)
+    n = 200
+    p = HWGParams(rng.uniform(0.0, 4.0, n), (rng.uniform(0.1, 3.0, n), rng.uniform(0.1, 3.0, n)))
+    k = p.omega_atom + rng.uniform(-5.0, 5.0, n) * p.gamma_e
+    c = channel_amplitudes(p, k)
+    loop = [
+        channel_amplitudes(
+            HWGParams(float(p.omega_atom[i]), (float(p.vbar[0][i]), float(p.vbar[1][i]))),
+            float(k[i]),
+        )
+        for i in range(n)
+    ]
+    for name in ("t11", "t21", "t22"):
+        one = np.array([getattr(c1, name) for c1 in loop])
+        assert getattr(c, name).shape == (n,)
+        assert np.max(np.abs(getattr(c, name) - one) / np.abs(one)) <= 1e-15
+    worst = max(c1.unitarity_defect() for c1 in loop)
+    assert abs(c.unitarity_defect() - worst) <= 1e-15 * worst
+
+
 @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
 def test_channel_amplitudes_refuse_non_finite_momentum(k):
     p = HWGParams(1.0, (1.0, 1.0))

@@ -49,6 +49,27 @@ def test_reflection_unitarity_sweep():
         assert abs(abs(1 + r) ** 2 + abs(r) ** 2 - 1.0) < 1e-12
 
 
+def test_reflection_broadcasts_over_an_array_record():
+    # one record of 200 parameter points and one call equal 200 scalar calls
+    rng = np.random.default_rng(4)
+    n = 200
+    j = rng.uniform(0.5, 2.0, n)
+    w0 = rng.uniform(-2.0, 2.0, n)
+    p = TCRAParams(w0 + rng.uniform(-2.5, 2.5, n) * j, w0, j, rng.uniform(0.1, 2.0, n))
+    k = rng.uniform(0.02, np.pi - 0.02, n) * rng.choice([-1.0, 1.0], n)
+    r = reflection_amplitude(p, k)
+    assert r.shape == (n,)
+    loop = [
+        reflection_amplitude(TCRAParams(*(float(f[i]) for f in fields)), float(k[i]))
+        for i in range(n)
+        for fields in [(p.omega_atom, w0, j, p.coupling)]
+    ]
+    assert np.max(np.abs(r - loop) / np.abs(loop)) <= 1e-15
+    # a scalar field broadcasts against the array ones
+    r_common = reflection_amplitude(TCRAParams(p.omega_atom, 0.0, 1.0, 0.7), k)
+    assert r_common[3] == reflection_amplitude(TCRAParams(p.omega_atom[3], 0.0, 1.0, 0.7), k[3])
+
+
 def test_reflection_band_edge_refused():
     with pytest.raises(ValueError):
         reflection_amplitude(_params(), 0.0)

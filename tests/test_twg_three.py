@@ -205,6 +205,30 @@ def test_vectorized_matches_scalar():
         assert vec[i] == pytest.approx(one, rel=1e-14)
 
 
+def test_t3_and_reference_broadcast_over_incoming_momenta():
+    # k and p both arrays: one call of each equals a loop of scalar calls,
+    # relative to max(1, |T3|) as criterion 6 measures.  numpy's array loops
+    # fuse complex products where its scalar arithmetic does not, and the
+    # literal sum's O(1) terms cancel to values near 0.003, so elementwise the
+    # two paths differ by up to 5e-15 relative, 2e-16 absolute
+    rng = np.random.default_rng(16)
+    points = [_random_on_shell(rng) for _ in range(40)]
+    k = np.array([pt[0] for pt in points]).T
+    p = np.array([pt[1] for pt in points]).T
+    for t3 in (three_photon_t, three_photon_t_reference):
+        vec = t3(P, k, p)
+        assert vec.shape == (40,)
+        loop = np.array([t3(P, kk, pp) for kk, pp in points])
+        assert np.max(np.abs(vec - loop) / np.maximum(1.0, np.abs(loop))) <= 1e-15
+    # stacked relabelings of one point broadcast as a (6, 6) grid
+    kk, pp = points[0]
+    perms = np.array(_PERMS3)
+    grid = three_photon_t_reference(P, kk[perms].T[:, :, None], pp[perms].T[:, None, :])
+    assert grid.shape == (6, 6)
+    one = three_photon_t_reference(P, kk[perms[2]], pp[perms[5]])
+    assert abs(grid[2, 5] - one) <= 1e-15 * max(1.0, abs(one))
+
+
 def test_on_shell_enforced():
     with pytest.raises(ValueError):
         three_photon_t(P, (1.0, 1.0, 1.0), (1.2, 1.0, 0.9))
@@ -341,6 +365,20 @@ def test_out_state_origin_reference():
     # replaced, recorded with its provenance in perfbench/psi3_reference.json
     psi = three_photon_out_wavefunction(P, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     assert abs(psi) ** 2 == pytest.approx(0.1007864, rel=1e-4)
+
+
+@pytest.mark.parametrize("gamma", [1e-150, 1e-200, 1e-300])
+def test_out_state_at_a_vanishing_linewidth(gamma):
+    # the connected tier's three 1/gamma_t-sized factors overflowed and
+    # gamma_t^3 underflowed from about 1e-103 on, giving inf * 0; scaled by
+    # a power of two, the out-state at zero momenta keeps its 1e-100 value,
+    # where every x here is a vanishing multiple of 1/gamma_t
+    x = (np.array([-1.0, 1.0, -1.0, 0.0, 0.4]), np.array([-1.0, -1.0, 1.0, 0.0, -2.0]), 0.0)
+    ref = three_photon_out_wavefunction(TWGParams(0.0, 1e-100), (0.0, 0.0, 0.0), x)
+    with np.errstate(all="raise"):
+        psi = three_photon_out_wavefunction(TWGParams(0.0, gamma), (0.0, 0.0, 0.0), x)
+    assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert abs(ref[0] + 0.31746818) < 1e-8
 
 
 def test_out_state_far_field_is_plane_part():
