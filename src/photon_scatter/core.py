@@ -177,9 +177,9 @@ class HWGParams:
 
     The fields may be arrays that broadcast together, one parameter point
     per entry; every entry is checked, and a pair that vanishes at any one
-    entry is refused.  :func:`photon_scatter.hwg.channel_amplitudes` and
-    ``ChannelAmplitudes.unitarity_defect`` broadcast over them; the
-    two-photon functions of :mod:`photon_scatter.hwg` take scalar fields.
+    entry is refused.  :func:`photon_scatter.hwg.channel_amplitudes`,
+    ``ChannelAmplitudes.unitarity_defect``, ``hwg.two_photon_t_h`` and
+    ``hwg.pair_wavefunction`` broadcast over them.
     """
 
     omega_atom: float

@@ -67,7 +67,8 @@ def channel_amplitudes(params: HWGParams, k) -> ChannelAmplitudes:
 
 
 def _coupling(params: HWGParams, channels) -> float:
-    return np.prod([params.vbar[c - 1] for c in channels])
+    # entry by entry over an array record, not over all of its entries
+    return np.prod(np.broadcast_arrays(*(params.vbar[c - 1] for c in channels)), axis=0)
 
 
 def two_photon_t_h(params: HWGParams, channels, k1: float, k2: float, p1, p2):

@@ -45,6 +45,24 @@ def test_channel_amplitudes_broadcast_over_an_array_record():
     assert abs(c.unitarity_defect() - worst) <= 1e-15 * worst
 
 
+def test_pair_functions_broadcast_over_an_array_record():
+    # the coupling product is taken entry by entry, not over the whole
+    # record: one call equals a loop of scalar calls
+    rng = np.random.default_rng(23)
+    n = 6
+    p = HWGParams(rng.uniform(0.5, 1.5, n), (rng.uniform(0.3, 2.0, n), rng.uniform(0.3, 2.0, n)))
+    points = [HWGParams(float(p.omega_atom[i]), (float(p.vbar[0][i]), float(p.vbar[1][i])))
+              for i in range(n)]
+    t = two_photon_t_h(p, (1, 2, 2, 1), 1.0, 1.1, 0.8, 1.3)
+    loop = np.array([two_photon_t_h(q, (1, 2, 2, 1), 1.0, 1.1, 0.8, 1.3) for q in points])
+    assert np.max(np.abs(t - loop) / np.abs(loop)) <= 1e-15
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    g = pair_wavefunction(p, (1, 2), 1.0, 1.1, x)
+    loop = np.array([pair_wavefunction(q, (1, 2), 1.0, 1.1, x[:, 0]) for q in points]).T
+    assert g.shape == (7, n)
+    assert np.max(np.abs(g - loop)) <= 1e-15 * np.max(np.abs(loop))
+
+
 @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
 def test_channel_amplitudes_refuse_non_finite_momentum(k):
     p = HWGParams(1.0, (1.0, 1.0))
