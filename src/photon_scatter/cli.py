@@ -227,8 +227,6 @@ def _cmd_bound_wavefunction(args) -> int:
     lower, upper = tcra.bound_state_energies(_tcra_params(args))
     state = lower if args.branch == "lower" else upper
     x = _parse_grid(args.grid, "x")
-    if np.any(x != np.round(x)):
-        raise _CliError("bound-wavefunction grid must land on integer sites")
     psi = tcra.bound_state_wavefunction(state, x)
     return _emit_table(
         args, [("x[site]", "x", x), ("amplitude[1]", "amplitude", psi)]

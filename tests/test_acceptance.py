@@ -8,11 +8,14 @@ stays below the origin value (0.1008) in the resonant regime, so the
 pinned inequality cannot hold for a faithful evaluator (see the
 ``validate`` notes in README).  A pass there would mean the evaluator
 changed, and the strict marker turns that into a loud suite failure.
+One more test runs every criterion and parses the report lines, so that no
+printed reading, bound or condition contradicts a verdict.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -105,7 +108,21 @@ def test_criterion_02_refuses_a_lanczos_grade_slope(monkeypatch):
     monkeypatch.setattr(lattice_oracle, "bound_state_check", perturbed)
     result = validation.run([2])[0]
     assert not result.passed
-    assert "envelope slope dev 8.20e-08 (tol 1e-9)" in result.details
+    assert str(validation.Check("envelope slope dev", 8.2e-8, "1e-9")) in result.details
+
+
+def test_criterion_02_refuses_a_lower_branch_that_changes_sign(monkeypatch):
+    # below the band the bound state keeps one sign from site to site; the
+    # lattice must show that, as it shows the upper branch alternating
+    check = lattice_oracle.bound_state_check
+
+    def perturbed(model):
+        return dataclasses.replace(check(model), lower_sign_uniform=False)
+
+    monkeypatch.setattr(lattice_oracle, "bound_state_check", perturbed)
+    result = validation.run([2])[0]
+    assert not result.passed
+    assert "lower branch keeps one sign: False" in result.details
 
 
 def test_criterion_03_total_reflection_at_resonance():
@@ -189,13 +206,14 @@ def test_run_reports_a_raising_criterion_and_runs_the_rest(monkeypatch):
 
         return check
 
+    ok = validation.Check("ok", True)
     monkeypatch.setattr(
         validation,
         "CRITERIA",
         (
-            (1, "first", stub(1, (True, "ok"))),
+            (1, "first", stub(1, [ok])),
             (2, "second", stub(2, None)),
-            (3, "third", stub(3, (False, "measured 2 (tol 1)"))),
+            (3, "third", stub(3, [ok, validation.Check("measured", 2.0, "1")])),
         ),
     )
     results = validation.run()
@@ -206,4 +224,53 @@ def test_run_reports_a_raising_criterion_and_runs_the_rest(monkeypatch):
         (3, "third", False),
     ]
     assert results[1].details == "raised ValueError: boom"
-    assert results[2].details == "measured 2 (tol 1)"
+    assert results[2].details == "ok: True; measured 2.00e+00 (tol 1)"
+
+
+def test_check_holds_a_reading_to_its_bound_as_written():
+    bound = float("1e-9")
+    assert validation.Check("dev", bound, "1e-9").passed
+    assert not validation.Check("dev", np.nextafter(bound, np.inf), "1e-9").passed
+    assert not validation.Check("dev", np.nan, "1e-9").passed
+    assert str(validation.Check("dev", 8.2e-8, "1e-9")) == "dev 8.20e-08 (tol 1e-9)"
+    assert validation.Check("holds", True).passed
+    assert not validation.Check("holds", False).passed
+    assert str(validation.Check("holds", False)) == "holds: False"
+    # a strict comparison fails at its bound and prints reading and bound
+    assert not validation._strictly("t", bound, "<", "1e-9").passed
+    assert validation._strictly("t", np.nextafter(bound, 0.0), "<", "1e-9").passed
+    assert not validation._strictly("b", 1.0, ">", "1").passed
+    assert not validation._strictly("b", np.nan, ">", "1").passed
+    assert str(validation._strictly("b", 2.0, ">", "1")) == "b 2.00e+00 > 1: True"
+    # a condition is a bool, not something that merely tests true
+    for flag in (np.True_, 1, 1.0, "True"):
+        with pytest.raises(TypeError):
+            validation.Check("holds", flag)
+
+
+# a report clause: a reading against its bound, or a condition, which may
+# print a strict comparison of a reading with a bound
+_READING = re.compile(r"^.* (\S+) \(tol (\S+)\)$")
+_CONDITION = re.compile(r"^.*: (True|False)$")
+_STRICT = re.compile(r" (\S+) ([<>]) (\S+): (True|False)$")
+
+
+def test_report_cannot_contradict_its_verdicts():
+    # every printed reading sits within its printed bound and every printed
+    # condition holds on a PASS line; a FAIL line prints what failed
+    results = validation.run()
+    assert [r.number for r in results if not r.passed] == [7]
+    for r in results:
+        held = []
+        for clause in r.details.split("; "):
+            reading, condition = _READING.match(clause), _CONDITION.match(clause)
+            assert reading or condition, clause
+            if reading:
+                held.append(float(reading[1]) <= float(reading[2]))
+            else:
+                held.append(condition[1] == "True")
+            strict = _STRICT.search(clause)
+            if strict:
+                value, bound = float(strict[1]), float(strict[3])
+                assert (value < bound if strict[2] == "<" else value > bound) == held[-1], clause
+        assert all(held) == r.passed, r.details
