@@ -155,6 +155,10 @@ class TWGParams:
         _require_finite(self.omega_atom, self.gamma_t)
         if not np.all(self.gamma_t > 0.0):
             raise ValueError("gamma_t must be positive")
+        # half the least subnormal rounds to 0, leaving the pole alpha real:
+        # every amplitude then reads 0/0 at k = Omega
+        if np.any(0.5 * self.gamma_t == 0.0):
+            raise ValueError("gamma_t / 2 underflows to zero")
 
     @property
     def alpha(self) -> complex:

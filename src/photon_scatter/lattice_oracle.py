@@ -5,28 +5,34 @@ on numpy alone.  One real sparse operator type, ``SparseOperator``,
 realizes the open resonator chains exactly, in the single- and the
 two-excitation sector (the latter on its bosonic sector, photon pairs
 packed as a <= b, the pair state's norm weighted by :func:`_pair_weights`).
-The chain is stated once, by :func:`_single_parts`: the diagonal, the one
-hopping value over neighbour slots, and the atom couplings.  The pair
-operator, the free photon reference and the spectral count derive theirs
-from it.  Every neighbour slot reads row + a fixed offset on all but O(n)
-rows: a chain's slots +-1, and a pair's legs +-1 and +-(W - 1) once the
-pair triangle is folded into a rectangle of width W (the rectangular full
-packed format of Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37, 18
-(2010); see :func:`_pair_operator`).  So each slot is applied as one
-contiguous shifted-slice add, and the diagonal as its constant plus its
-few deviating rows.  One Chebyshev propagator, its Bessel coefficients
-from Miller's backward recurrence, evolves both, and refuses an expansion
-order above ``_MAX_CHEBYSHEV_ORDER``.  The single-excitation operator is a
-tree rooted at the atom, so an LDL^T count of its eigenvalues below an
-energy has no fill (:class:`_Tree`).  Bisection on that count brackets both extremes to
-one ulp, for either kind of model: they size every run
-(:func:`_spectral_interval`), and they are the bound states, whose decay
-and sign the settled half-chain pivot gives.  Each run keeps only its
-working set live: the propagator its recursion vectors (see
-:func:`_chebyshev_evolve`); the pair operator lays out only its O(n) rows
-off the shift pattern, the symmetrised pair state is written a triangle
-row at a time, and the pair run rebuilds the pair sites and norm weights
-after the propagation instead of holding them through it.
+The chain is stated once, by :func:`_single_parts`, as a chain
+description: the diagonal, the one hopping value over neighbour slots, the
+atom couplings and any bond that hops off the slots.  The
+single-excitation and pair operators are built from a description, and the
+spectral count and the bright chain (:func:`_bright_parts`) derive theirs
+from the chain's.  A pair run propagates as a pair state only the sector
+that meets the atom: the mirror-even pairs of the T-type chain, on its
+bright half chain.  Everything else is the product of single-photon runs
+(:func:`_pair_evolution`).  Every neighbour slot reads row + a fixed
+offset on all but O(n) rows: a chain's slots +-1, and a pair's legs +-1
+and +-(W - 1) once the pair triangle is folded into a rectangle of width W
+(the rectangular full packed format of Gustavson, Wasniewski, Dongarra &
+Langou, ACM TOMS 37, 18 (2010); see :func:`_pair_operator`).  So each slot
+is applied as one contiguous shifted-slice add, and the diagonal as its
+constant plus its few deviating rows.  One Chebyshev propagator, its
+Bessel coefficients from Miller's backward recurrence, evolves both, and
+refuses an expansion order above ``_MAX_CHEBYSHEV_ORDER``.  The
+single-excitation operator is a tree rooted at the atom, so an LDL^T count
+of its eigenvalues below an energy has no fill (:class:`_Tree`).
+Bisection on that count brackets both extremes to one ulp, for either kind
+of model: they size every run (:func:`_spectral_interval`), and they are
+the bound states, whose decay and sign the settled half-chain pivot gives.
+Each run keeps only its working set live: the propagator its recursion
+vectors (see :func:`_chebyshev_evolve`); the pair operator lays out only
+its O(n) rows off the shift pattern, the symmetrised pair state is written
+a triangle row at a time, and the pair run rebuilds the whole chain's pair
+state, sites and norm weights after the propagations instead of holding
+them through them.
 Gaussian wavepacket runs measure transmission probabilities against the
 analytic amplitudes; two-packet runs probe photon-photon correlations;
 and quantized-momentum ring sums check the continuum delta conventions of the analytic S-matrices (a
@@ -196,9 +202,10 @@ def _off_pattern(offset: int, cols, start: int = 0):
 
 
 def _single_parts(model: LatticeModel):
-    """The single-excitation chain: its diagonal, hopping value and
-    neighbour slots (see :func:`_chain_slots`), and the atom couplings
-    (site, v).  T-type layout: sites 0..L-1 then the atom.  H-type
+    """The single-excitation chain, as a chain description: its diagonal,
+    hopping value and neighbour slots (see :func:`_chain_slots`), the atom
+    couplings (site, v) and the bonds (site, site, value) a hop adds off the
+    slots, none here.  T-type layout: sites 0..L-1 then the atom.  H-type
     layout: chain 1, chain 2, then the atom; see the module docstring for
     the effective lattice scales.  All chains hop with one J; the atom, the
     last row, couples to their centers.
@@ -212,18 +219,50 @@ def _single_parts(model: LatticeModel):
     diag = np.full(model.dimension, omega, dtype=float)
     diag[-1] = p.omega_atom
     sites = [chain[(model.size - 1) // 2] for chain in chains]
-    return diag, -hopping, _chain_slots(model.dimension, *chains), list(zip(sites, couplings))
+    slots = _chain_slots(model.dimension, *chains)
+    return diag, -hopping, slots, list(zip(sites, couplings)), []
+
+
+def _bright_parts(model: LatticeModel):
+    """The T-type chain's bright half, as a chain description (see
+    :func:`_single_parts`): the mirror-even modes e_0 = |c>, e_j = (|c + j>
+    + |c - j>) / sqrt(2), j = 1 .. (L - 1) / 2, c the centre, then the atom,
+    which couples to e_0 alone.  The e_0 - e_1 bond is sqrt(2) u, u the
+    hopping value, the 2 u^2 of :class:`_Tree`'s centre pivot; the slots
+    give u and the bond the rest.  The mirror-odd modes (|c + j> - |c -
+    j>) / sqrt(2) have a node at the centre, so they form a free chain of
+    their own that never meets the atom (the even/odd split of Shen & Fan,
+    PRA 76, 062709 (2007)).
+    """
+    diag, hopping, _, couplings, _ = _single_parts(model)
+    n = (model.size + 1) // 2
+    bright = np.append(diag[:n], diag[-1])
+    bonds = [(0, 1, (np.sqrt(2.0) - 1.0) * hopping)]
+    return bright, hopping, _chain_slots(n + 1, np.arange(n)), [(0, couplings[0][1])], bonds
+
+
+def _single_operator(*chains) -> SparseOperator:
+    """The single-excitation operator of chain descriptions (see
+    :func:`_single_parts`), block diagonal over ``chains``, which share the
+    photon frequency and the hopping value: each block's rows in turn, its
+    atom the last."""
+    entries, off_pattern, start = [], {}, 0
+    for diag, hopping, slots, couplings, bonds in chains:
+        atom = len(diag) - 1
+        for i, j, v in [*((site, atom, v) for site, v in couplings), *bonds]:
+            entries += [(start + i, start + j, v), (start + j, start + i, v)]
+        entries.append((start + atom, start + atom, diag[-1] - diag[0]))
+        for offset, cols in slots:
+            off_pattern.setdefault(offset, []).append(_off_pattern(offset, start + cols, start))
+        start += len(diag)
+    shifts = [(offset, *map(np.concatenate, zip(*parts))) for offset, parts in off_pattern.items()]
+    return SparseOperator(start, diag[0], hopping, entries, shifts)
 
 
 def build_single_excitation(model: LatticeModel) -> SparseOperator:
     """Sparse symmetric single-excitation Hamiltonian, open chains (layout
     and scales as in :func:`_single_parts`)."""
-    diag, hopping, slots, couplings = _single_parts(model)
-    atom = len(diag) - 1
-    entries = [e for site, v in couplings for e in ((site, atom, v), (atom, site, v))]
-    entries.append((atom, atom, diag[atom] - diag[0]))
-    shifts = [(offset, *_off_pattern(offset, cols)) for offset, cols in slots]
-    return SparseOperator(len(diag), diag[0], hopping, entries, shifts)
+    return _single_operator(_single_parts(model))
 
 
 def _bessel_j(order: int, z: float) -> np.ndarray:
@@ -333,7 +372,7 @@ class _Tree:
     """
 
     def __init__(self, model: LatticeModel):
-        diag, self.hopping, _, couplings = _single_parts(model)
+        diag, self.hopping, _, couplings, _ = _single_parts(model)
         self.omega, self.omega_atom = float(diag[0]), float(diag[-1])
         self.couplings = [v for _, v in couplings]
         self.half, self.dimension = (model.size - 1) // 2, model.dimension
@@ -390,8 +429,11 @@ def _spectral_interval(model: LatticeModel, photons: int):
     :class:`_Tree` and padded outward by a few ulps of its norm bound.  The
     two-boson operator has the sums of two single levels for its spectrum;
     the hard-core pair operator (:func:`_pair_operator`) is its compression
-    with |2_atom> removed, and the free photon chain of a pair run a
-    principal submatrix of the single one, so both stay inside.
+    with |2_atom> removed, and the bright chain's one a block of that, the
+    mirror-even sector, which it leaves invariant.  The free photon chain
+    of a pair run is a principal submatrix of the single operator and the
+    uncoupled atom beside it one of its diagonal entries, so all of them
+    stay inside.
     """
     tree = _Tree(model)
     (low, _), (_, high) = tree.bracket(1), tree.bracket(tree.dimension)
@@ -618,7 +660,10 @@ class TwoExcitationReport:
     coincidence fraction (d <= window) relative to the same fraction for
     freely evolved packets.  ``guard_mass`` is the share of the final
     photon marginal in the boundary guard zones, at most
-    ``_GUARD_MASS_LIMIT`` on a run that returns.
+    ``_GUARD_MASS_LIMIT`` on a run that returns.  ``propagated_states`` is
+    the size of the one pair state the run propagates, the bright
+    half-chain's (see :func:`_pair_evolution`), over which
+    ``chebyshev_order`` counts its products.
     """
 
     bunching_indicator: float
@@ -632,6 +677,7 @@ class TwoExcitationReport:
     duration: float
     spectral_interval: tuple[float, float]
     chebyshev_order: int
+    propagated_states: int
     guard_mass: float
 
 
@@ -653,22 +699,24 @@ def _pair_sites(index, size: int):
     return a, a + np.where(head, c, width - 1 - c)
 
 
-def _pair_operator(model: LatticeModel) -> SparseOperator:
+def _pair_operator(chain) -> SparseOperator:
     """Two-excitation operator on the bosonic sector: packed pairs, then photon + atom.
 
     The pair block acts on the symmetric pair amplitude psi[a, b], a <= b,
-    over the n photon sites, packed once per unordered pair; the second
+    over the n photon sites of ``chain``, a chain description (see
+    :func:`_single_parts`), packed once per unordered pair; the second
     block on chi[c], a photon at site c with the atom excited.  It is the
     two-boson operator kron(h, 1) + kron(1, h) of the single-excitation
     chain h, restricted to its symmetric subspace with |2_atom> removed,
-    and every entry comes from :func:`_single_parts`: the diagonal d[a] +
-    d[b] and d[c] + d[atom]; each single slot applied to leg a and to leg
-    b, re-packed, so a hop out of the triangle lands on the mirror entry
-    and a diagonal pair reads each neighbour twice, with chi hopping along
-    leg b; and per coupled (site, v) the emission v (1 + delta_{c, site})
-    into pair(site, c) and the absorption v back.  The state norm is sum w
-    |state|^2 with w from :func:`_pair_weights`, under which the real matrix
-    is self-adjoint.
+    and every entry comes from the description: the diagonal d[a] + d[b]
+    and d[c] + d[atom]; each single slot applied to leg a and to leg b,
+    re-packed, so a hop out of the triangle lands on the mirror entry and a
+    diagonal pair reads each neighbour twice, with chi hopping along leg b;
+    per bond (i, j, value) the same hop i -> j and j -> i, laid out as
+    couplings; and per coupled (site, v) the emission v (1 + delta_{c,
+    site}) into pair(site, c) and the absorption v back.  The state norm is
+    sum w |state|^2 with w from :func:`_pair_weights`, under which the real
+    matrix is self-adjoint.
 
     The triangle is folded into a rectangle of width W = n | 1 (n odd: n;
     n even: n + 1) and h = (n + 1) // 2 rows, as in the rectangular full
@@ -682,7 +730,7 @@ def _pair_operator(model: LatticeModel) -> SparseOperator:
     rows alone are laid out, so the build holds no state-length array, and
     the diagonal is its constant 2 d[0] plus the chi rows' offset.
     """
-    d, hopping, single, couplings = _single_parts(model)
+    d, hopping, single, couplings, bonds = chain
     n = len(d) - 1
     width, half = n | 1, (n + 1) // 2
     npairs = n * (n + 1) // 2
@@ -715,6 +763,10 @@ def _pair_operator(model: LatticeModel) -> SparseOperator:
     for site, v in couplings:
         touch = _pair_index(sites, site, n)
         entries += [(touch, chi, v * (1.0 + (sites == site))), (chi, touch, v)]
+    for i, j, v in bonds:
+        for start, end in ((i, j), (j, i)):
+            moved = (_pair_index(sites, start, n), _pair_index(sites, end, n))
+            entries += [(*moved, v * (1.0 + (sites == start))), (npairs + start, npairs + end, v)]
     return SparseOperator(npairs + n, 2.0 * d[0], hopping, entries, shifts)
 
 
@@ -743,6 +795,72 @@ def _symmetrized(f, g, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_evolution(model: LatticeModel, f, g, t: float, bounds):
+    """Evolve the pair state of photon packets f and g on a T-type
+    ``model``, and each packet alone without the atom, for time t.
+
+    The pair state is sym(f x g) = f[a] g[b] + g[a] f[b], normalized.
+    ``bounds`` holds the single-excitation spectrum; the pair run takes it
+    doubled.  Returns (state, free, order, propagated): the evolved pair
+    state in the layout of :func:`_pair_operator` on the whole chain, pairs
+    then chi; the packets evolved on the photon chain alone, as two rows;
+    the pair run's order; and its number of states.
+
+    In the mirror basis of :func:`_bright_parts` the single-excitation
+    operator h is H_b + h_o, the bright chain with the atom and the free
+    odd chain, and only |2_atom>, which the bright pair sector alone holds,
+    is barred.  So off that sector the pair state evolves as the product
+    sym(F x G), F = e^{-i h t} f and G likewise, its chi F_atom G + G_atom
+    F.  On it, (L + 1)(L + 3) / 8 + (L + 1) / 2 states against L (L + 1) / 2
+    + L for the whole chain, a pair run on the bright chain's operator
+    evolves the mirror-even part of sym(f x g); it replaces the product's
+    share there, which the same formulas give from F's and G's even parts.
+    One single-excitation run evolves f and g with the atom and, on two
+    more blocks with the atom uncoupled, without it.
+    """
+    size, half = model.size, (model.size - 1) // 2
+    n = half + 1
+    # sum w |sym(f x g)|^2 = |f|^2 |g|^2 + |<f, g>|^2
+    f = f / np.sqrt(np.vdot(f, f).real * np.vdot(g, g).real + abs(np.vdot(f, g)) ** 2)
+    chain = _single_parts(model)
+    # the chain with its atom coupling left out
+    free = (*chain[:3], [], chain[4])
+    single = np.zeros((4, model.dimension), dtype=complex)
+    single[:, :size] = f, g, f, g
+    h_single = _single_operator(chain, chain, free, free)
+    single, _ = _chebyshev_evolve(h_single, single.ravel(), t, bounds)
+    single = single.reshape(4, -1)
+    photons, atom = single[:2, :size], single[:2, size]
+
+    # e_j's amplitude on site c + j, and on c - j
+    scale = np.full(n, np.sqrt(0.5))
+    scale[0] = 1.0
+
+    def even(v):
+        return 0.5 * (v[half:] + v[half::-1]) / scale
+
+    nb = n * (n + 1) // 2
+    bright = _symmetrized(even(f), even(g), np.zeros(nb + n, dtype=complex))
+    # the pair interval is the single one doubled, which rounds exactly
+    pair_bounds = (2.0 * bounds[0], 2.0 * bounds[1])
+    bright, order = _chebyshev_evolve(_pair_operator(_bright_parts(model)), bright, t, pair_bounds)
+    # the pair run's share less the product's, laid on the sites
+    fe, ge = even(photons[0]), even(photons[1])
+    bright[:nb] -= _symmetrized(fe, ge, np.empty(nb, dtype=complex))
+    bright[nb:] -= atom[0] * ge + atom[1] * fe
+    ia, ib = _pair_sites(np.arange(nb), n)
+    bright[:nb] *= scale[ia] * scale[ib]
+    bright[nb:] *= scale
+
+    npairs = size * (size + 1) // 2
+    state = _symmetrized(photons[0], photons[1], np.empty(npairs + size, dtype=complex))
+    ja, jb = (np.abs(j - half) for j in _pair_sites(np.arange(npairs), size))
+    state[:npairs] += bright[_pair_index(ja, jb, n)]
+    state[npairs:] = atom[0] * photons[1] + atom[1] * photons[0]
+    state[npairs:] += bright[nb + np.abs(np.arange(size) - half)]
+    return state, single[2:, :size], order, nb + n
+
+
 def two_excitation_check(
     model: LatticeModel,
     k1: float,
@@ -759,6 +877,12 @@ def two_excitation_check(
     separation and its near-coincidence fraction compared against freely
     evolved packets.  Qualitative by construction: widths here are narrow,
     so analytic percent-level agreement is out of scope.
+
+    Only the pairs that meet the atom, the mirror-even ones on the chain's
+    bright half, run as a pair state; the rest of the pair state, and the
+    free packets, come exactly from one single-photon run
+    (:func:`_pair_evolution`).  The density analysis reads the whole
+    chain's pair state rebuilt from the two.
     """
     if model.kind != "t":
         raise ValueError("the two-excitation check is defined for T-type models")
@@ -795,20 +919,8 @@ def two_excitation_check(
 
     phi_front = np.exp(1j * k1 * x) * _gaussian(x, c_front, width)
     phi_back = np.exp(1j * k2 * x) * _gaussian(x, c_back, width)
-    state = np.zeros(size * (size + 1) // 2 + size, dtype=complex)
-    _symmetrized(phi_front, phi_back, state)
-    square = np.abs(state)
-    square *= square
-    state /= np.sqrt(_pair_weights(size) @ square)
-    del square
-
-    h_pair = _pair_operator(model)
-    # the pair interval is the single one doubled, which rounds exactly
     bounds = _spectral_interval(model, 1)
-    pair_bounds = (2.0 * bounds[0], 2.0 * bounds[1])
-    state_t, order = _chebyshev_evolve(h_pair, state, t_end, pair_bounds)
-    # the pair sites and the weights are rebuilt here rather than held
-    # over the run
+    state_t, free, order, propagated = _pair_evolution(model, phi_front, phi_back, t_end, bounds)
     npairs = size * (size + 1) // 2
     a, b = _pair_sites(np.arange(npairs), size)
     weights = _pair_weights(size)
@@ -819,15 +931,8 @@ def two_excitation_check(
     guard_mass = _check_guard_mass(marg, x, half, guard, t_end)
 
     # free reference: product evolution of the same packets under the photon
-    # block of the single-excitation chain, a principal submatrix of it; the
-    # two packets run at once, on two uncoupled copies of the block
-    d, hopping, _, _ = _single_parts(model)
-    slots = _chain_slots(2 * size, np.arange(size), np.arange(size, 2 * size))
-    shifts = [(offset, *_off_pattern(offset, cols)) for offset, cols in slots]
-    h_free = SparseOperator(2 * size, d[0], hopping, shifts=shifts)
-    free, _ = _chebyshev_evolve(h_free, np.concatenate([phi_front, phi_back]), t_end, bounds)
-    fronts, backs = free[:size], free[size:]
-    free_amp = _symmetrized(fronts, backs, np.empty(npairs, dtype=complex))
+    # block of the single-excitation chain
+    free_amp = _symmetrized(free[0], free[1], np.empty(npairs, dtype=complex))
     free_dens = weights[:npairs] * np.abs(free_amp) ** 2
     free_dens /= free_dens.sum()
 
@@ -856,8 +961,9 @@ def two_excitation_check(
         window=window,
         norm_drift=norm_drift,
         duration=t_end,
-        spectral_interval=pair_bounds,
+        spectral_interval=(2.0 * bounds[0], 2.0 * bounds[1]),
         chebyshev_order=order,
+        propagated_states=propagated,
         guard_mass=guard_mass,
     )
 

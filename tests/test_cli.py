@@ -351,6 +351,11 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
         # packets are placed left to right, so a separation cannot be negative
         ["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.5708",
          "--k2", "1.5708", "--separation", "-1000"],
+        # a linewidth whose half underflows would leave the pole on the real axis
+        ["three-photon-wf", "--omega", "0", "--gamma", "5e-324", "--k1", "0", "--k2", "0",
+         "--k3", "0", "--x3", "0", "--grid", "x:-1:1:2"],
+        ["two-photon-wf", "--gamma", "5e-324", "--k1", "1", "--k2", "1", "--grid", "x:-1:1:2"],
+        ["wg-transmit", "--gamma", "5e-324", "--grid", "k:-1:1:3"],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
@@ -580,6 +585,10 @@ def test_oracle_pair_json_reports_guard_mass(capsys):
     obj = json.loads(out)
     assert obj["norm_drift"] < 1e-10
     assert 0.0 <= obj["guard_mass"] <= lattice_oracle._GUARD_MASS_LIMIT
+    # the interacting run's size, the bright half-chain's 81 sites, beside its order
+    keys = list(obj)
+    assert keys[keys.index("chebyshev_order") + 1] == "propagated_states"
+    assert obj["propagated_states"] == 81 * 82 // 2 + 81
 
 
 def test_validate_subset_report(capsys):

@@ -54,6 +54,7 @@ def test_parameter_validation():
         (CosineBand, (0.0, 0.0), (np.zeros(3), np.array([1.0, 0.0, 1.0])),
          "hopping must be positive"),
         (TWGParams, (1.0, 0.0), (np.ones(2), np.array([1.0, 0.0])), "gamma_t must be positive"),
+        (TWGParams, (1.0, 5e-324), (np.ones(2), np.array([1.0, 5e-324])), "gamma_t / 2 underflows"),
         (HWGParams, (1.0, (0.0, 0.0)), (1.0, (np.array([1.0, 0.0]), np.zeros(2))),
          "at least one coupling must be nonzero"),
         (HWGParams, (1.0, (1.0, -2.0)), (1.0, (1.0, np.array([2.0, -2.0]))),

@@ -17,7 +17,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 from scipy.special import jv
 
 from photon_scatter import lattice_oracle as lo
@@ -148,7 +148,7 @@ def test_shift_slots_match_dense_references(size):
             assert dense[size - 1, size] == 0.0 and dense[size, size - 1] == 0.0
         # the chi block of the pair operator, a photon hopping on the photon
         # chains with the atom excited, comes from the pair's leg-b shift slots
-        h_pair = lo._pair_operator(model)
+        h_pair = lo._pair_operator(lo._single_parts(model))
         n = model.dimension - 1
         chi = slice(n * (n + 1) // 2, None)
         photons = reference[:n, :n] + params.omega_atom * np.eye(n)
@@ -240,11 +240,12 @@ def test_spectrum_respects_gershgorin_bounds():
         assert lo_bound < low and high < hi_bound
 
 
-def _pair_spectrum(model):
-    """Eigenvalues of the packed pair operator, made symmetric by the norm
-    weights: h is self-adjoint under sum w |u|^2, w = 1/2 on a diagonal pair."""
-    h = lo._pair_operator(model)
-    root_w = np.sqrt(lo._pair_weights(model.dimension - 1))
+def _pair_spectrum(chain):
+    """Eigenvalues of the packed pair operator of a chain description, made
+    symmetric by the norm weights: h is self-adjoint under sum w |u|^2, w =
+    1/2 on a diagonal pair."""
+    h = lo._pair_operator(chain)
+    root_w = np.sqrt(lo._pair_weights(len(chain[0]) - 1))
     sym = root_w[:, None] * _dense(h) / root_w[None, :]
     return h, np.linalg.eigvalsh(0.5 * (sym + sym.T))
 
@@ -254,10 +255,12 @@ def test_bound_state_interval_holds_the_spectrum_inside_gershgorin(coupling, ome
     p = TCRAParams(omega_atom=omega, omega_cavity=0.0, hopping=1.0, coupling=coupling)
     m = lo.LatticeModel(params=p, size=31)
     h = _dense(lo.build_single_excitation(m))
-    h_pair, pair_evals = _pair_spectrum(m)
+    # the pair run's bright-chain operator, and the whole chain's it is a
+    # block of
+    pairs = [_pair_spectrum(chain) for chain in (lo._bright_parts(m), lo._single_parts(m))]
     for photons, op, evals in (
         (1, h, np.linalg.eigvalsh(h)),
-        (2, _dense(h_pair), pair_evals),
+        *((2, _dense(h_pair), pair_evals) for h_pair, pair_evals in pairs),
     ):
         low, high = lo._spectral_interval(m, photons)
         assert low <= evals.min() and evals.max() <= high
@@ -684,7 +687,7 @@ def test_chebyshev_run_holds_at_most_six_state_vectors(t):
     # scaled operator holds no diagonal, so past the five vectors only the
     # small temporaries of C's scatter-add and the coefficients remain
     m = lo.LatticeModel(params=_t_params(), size=281)
-    h = lo._pair_operator(m)
+    h = lo._pair_operator(lo._single_parts(m))
     state = np.ones(h.shape[0], dtype=complex)
     bounds = lo._spectral_interval(m, 2)
     peak = _traced_peak(lambda: lo._chebyshev_evolve(h, state, t, bounds))
@@ -778,45 +781,95 @@ def test_folded_pair_neighbours_sit_one_or_a_row_less_one_away(params, size):
     assert {1, -1, width - 1, 1 - width} <= steps
     assert len(off) <= n
     # the rows off the pattern are corrected in C
-    assert off <= set(lo._pair_operator(model).rows.tolist())
+    assert off <= set(lo._pair_operator(lo._single_parts(model)).rows.tolist())
+
+
+def _mirror_basis(size):
+    """The orthogonal map from the sites and the atom onto the bright chain
+    and the atom, rows e_0 .. e_h and h + 1, then the odd modes o_1 .. o_h
+    (see ``lo._bright_parts``), h = (L - 1) / 2."""
+    half = (size - 1) // 2
+    root = np.sqrt(0.5)
+    q = np.zeros((size + 1, size + 1))
+    q[0, half] = q[half + 1, size] = 1.0
+    for j in range(1, half + 1):
+        q[j, [half + j, half - j]] = root, root
+        q[half + 1 + j, [half + j, half - j]] = root, -root
+    return q
+
+
+def _bright_unpack(buf, even):
+    """A bright-chain pair state, packed pairs then chi, in the full-square
+    (psi, chi) site layout; ``even`` has the modes e_j as rows over the sites."""
+    n = len(even)
+    a, b = lo._pair_sites(np.arange(n * (n + 1) // 2), n)
+    pairs = np.empty((n, n), dtype=buf.dtype)
+    pairs[a, b] = pairs[b, a] = buf[: len(a)]
+    return np.concatenate([(even.T @ pairs @ even).ravel(), even.T @ buf[len(a) :]])
+
+
+def _bright_pack(buf, even):
+    """The bright-chain components of a full-square (psi, chi) site state:
+    the inverse of :func:`_bright_unpack` on the mirror-even states."""
+    n, size = even.shape
+    a, b = lo._pair_sites(np.arange(n * (n + 1) // 2), n)
+    psi = buf[: size * size].reshape(size, size)
+    return np.concatenate([(even @ psi @ even.T)[a, b], even @ buf[size * size :]])
 
 
 def test_pair_operator_matches_stencil():
-    # at L = 3 every pair touches a chain end or the atom site
+    # at L = 3 every pair touches a chain end or the atom site.  The whole
+    # chain's operator is the stencil; the bright chain's, which the pair
+    # run propagates, is the stencil on the mirror-even pairs, which it maps
+    # to themselves
     p = TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7)
     rng = np.random.default_rng(5)
     for size in (3, 5, 7):
-        h = lo._pair_operator(lo.LatticeModel(params=p, size=size))
+        m = lo.LatticeModel(params=p, size=size)
+        n = (size + 1) // 2
+        even = _mirror_basis(size)[:n, :size]
+        h = lo._pair_operator(lo._single_parts(m))
+        bright = lo._pair_operator(lo._bright_parts(m))
         assert h.shape == (size * (size + 1) // 2 + size,) * 2
+        assert bright.shape == (n * (n + 1) // 2 + n,) * 2
         square = size * size
-        for _ in range(5):
-            state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
-            full = _unpack(state, size)
-            assert np.max(np.abs(h @ state - _pack(_pair_stencil(p, size, full), size))) < 1e-14
-            # the bosonic norm counts each unordered pair once
-            assert lo._pair_weights(size) @ np.abs(state) ** 2 == pytest.approx(
-                0.5 * np.sum(np.abs(full[:square]) ** 2) + np.sum(np.abs(full[square:]) ** 2),
-                rel=1e-14,
-            )
+        for op, pack, unpack, sites in (
+            (h, _pack, _unpack, size),
+            (bright, lambda v, _: _bright_pack(v, even), lambda v, _: _bright_unpack(v, even), n),
+        ):
+            for _ in range(5):
+                state = rng.normal(size=op.shape[0]) + 1j * rng.normal(size=op.shape[0])
+                full = unpack(state, size)
+                image = _pair_stencil(p, size, full)
+                assert np.max(np.abs(op @ state - pack(image, size))) < 1e-14
+                # the image has no part off the operator's sector
+                assert np.max(np.abs(unpack(pack(image, size), size) - image)) < 1e-14
+                # the bosonic norm counts each unordered pair once
+                assert lo._pair_weights(sites) @ np.abs(state) ** 2 == pytest.approx(
+                    0.5 * np.sum(np.abs(full[:square]) ** 2) + np.sum(np.abs(full[square:]) ** 2),
+                    rel=1e-14,
+                )
     # at L = 7 the rows give the hand-derived band-plus-coupling discs, and
-    # the propagator's interval holds the spectrum well inside them
-    m = lo.LatticeModel(params=p, size=7)
+    # the propagator's interval holds the spectrum, the bright sector's
+    # among it, well inside them
     g_low, g_high = _pair_gershgorin(p)
     assert _gershgorin(_dense(h)) == pytest.approx((g_low, g_high), abs=1e-14)
     low, high = lo._spectral_interval(m, 2)
-    evals = _pair_spectrum(m)[1]
-    assert g_low < low <= evals[0] and evals[-1] <= high < g_high
+    for chain in (lo._single_parts(m), lo._bright_parts(m)):
+        evals = _pair_spectrum(chain)[1]
+        assert g_low < low <= evals[0] and evals[-1] <= high < g_high
 
 
 def test_pair_operator_build_peak_grows_with_the_chain_not_the_state():
     # the build lays out only the O(L) rows off the shift pattern and states
-    # the diagonal as a constant, so its peak, about 1.1 kB per site, stays
-    # under 0.6 complex state vectors at L = 281 and about doubles, not
-    # quadruples, with L
+    # the diagonal as a constant, so the bright chain's peak, about 1.4 kB
+    # per bright site, stays under 0.6 of the whole chain's complex pair
+    # state, which the run lays out at its end, at L = 281, and about
+    # doubles, not quadruples, with L
     peaks = {}
     for size in (141, 281):
         m = lo.LatticeModel(params=_t_params(), size=size)
-        peaks[size] = _traced_peak(lambda: lo._pair_operator(m))
+        peaks[size] = _traced_peak(lambda: lo._pair_operator(lo._bright_parts(m)))
     state_bytes = 16 * (281 * 282 // 2 + 281)
     assert peaks[281] <= 0.6 * state_bytes
     assert peaks[281] <= 2.2 * peaks[141]
@@ -828,7 +881,7 @@ def test_pair_operator_stores_no_index_array_for_its_shift_slots():
     # diagonal's deviations and the off-pattern rows, is O(L) against the
     # O(L^2) state
     m = lo.LatticeModel(params=_t_params(), size=281)
-    h = lo._pair_operator(m)
+    h = lo._pair_operator(lo._single_parts(m))
     assert not hasattr(h, "slots")
     assert sorted(shift[0].start - shift[1].start for shift in h.shifts) == [-280, -1, 1, 280]
     assert all(isinstance(s, slice) for shift in h.shifts for s in shift)
@@ -846,7 +899,7 @@ def test_packed_pair_evolution_matches_full_square():
     dim = size * size + size
     full = np.column_stack([_pair_stencil(p, size, e) for e in np.eye(dim)])
     rng = np.random.default_rng(17)
-    h = lo._pair_operator(lo.LatticeModel(params=p, size=size))
+    h = lo._pair_operator(lo._single_parts(lo.LatticeModel(params=p, size=size)))
     state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
     weights = lo._pair_weights(size)
     state /= np.sqrt(weights @ np.abs(state) ** 2)
@@ -855,6 +908,47 @@ def test_packed_pair_evolution_matches_full_square():
     packed, _ = lo._chebyshev_evolve(h, state, 6.3, (evals[0] - 0.1, evals[-1] + 0.1))
     assert np.max(np.abs(packed - _pack(exact, size))) < 1e-12
     assert weights @ np.abs(packed) ** 2 == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "params, size, carriers, centres, t",
+    [
+        # Omega != omega0 and k1 != k2
+        (TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7), 21,
+         (1.2, 1.9), (-5.0, -2.0), 6.3),
+        # one packet twice: the pair state's overlap term is as large as can be
+        (TCRAParams(omega_atom=0.0, omega_cavity=0.0, hopping=1.0, coupling=1.0), 23,
+         (np.pi / 2.0, np.pi / 2.0), (-5.0, -5.0), 5.0),
+        # overlapping packets with different carriers, Omega != omega0
+        (TCRAParams(omega_atom=-0.4, omega_cavity=0.2, hopping=1.1, coupling=0.5), 25,
+         (2.2, 1.0), (-4.0, -3.0), 7.0),
+    ],
+)
+def test_pair_evolution_matches_the_full_square_exponential(params, size, carriers, centres, t):
+    # the pair run rebuilt on the whole chain from its bright pair run and
+    # its single-photon run, against the full-square operator, column by
+    # column from the stencil, evolved exactly by a dense matrix exponential
+    model = lo.LatticeModel(params=params, size=size)
+    x = model.positions()
+    f, g = (np.exp(1j * k * x) * lo._gaussian(x, c, 1.5) for k, c in zip(carriers, centres))
+    bounds = lo._spectral_interval(model, 1)
+    state, free, _, propagated = lo._pair_evolution(model, f, g, t, bounds)
+    n = (size + 1) // 2
+    assert propagated == n * (n + 1) // 2 + n
+
+    dim = size * size + size
+    full = np.column_stack([_pair_stencil(params, size, e) for e in np.eye(dim)])
+    start = np.concatenate([(np.outer(f, g) + np.outer(g, f)).ravel(), np.zeros(size)])
+    start /= np.sqrt(0.5 * np.sum(np.abs(start) ** 2))
+    exact = _pack(expm(-1j * t * full) @ start, size)
+    assert np.max(np.abs(exact)) > 1e-2
+    assert np.max(np.abs(state - exact)) < 1e-12
+    assert lo._pair_weights(size) @ np.abs(state) ** 2 == pytest.approx(1.0, abs=1e-13)
+    # the free packets: the photon block alone, f as normalized with the pair
+    photons = _chain(params.omega_cavity, params.hopping, size)
+    norm = np.sqrt(np.vdot(f, f).real * np.vdot(g, g).real + abs(np.vdot(f, g)) ** 2)
+    moved = expm(-1j * t * photons) @ np.column_stack([f / norm, g])
+    assert np.max(np.abs(free - moved.T)) < 1e-12
 
 
 def _fock_pair_spectrum(h1):
@@ -885,19 +979,57 @@ def _fock_pair_spectrum(h1):
 )
 def test_pair_operator_matches_fock_space(params, size):
     # the derived packed operator against the two-boson operator built from
-    # the single-excitation matrix alone, for both kinds of model
+    # the single-excitation matrix alone: the bright chain's, the one the
+    # pair run propagates, for a T-type model, the whole chain's for an
+    # H-type one
     model = lo.LatticeModel(params=params, size=size)
-    h1 = _dense(lo.build_single_excitation(model))
+    chain = lo._bright_parts(model) if model.kind == "t" else lo._single_parts(model)
+    h1 = _dense(lo._single_operator(chain))
     reference = _fock_pair_spectrum(h1)
-    h_pair, packed = _pair_spectrum(model)
+    h_pair, packed = _pair_spectrum(chain)
     assert h_pair.shape[0] == len(reference) == len(h1) * (len(h1) + 1) // 2 - 1
     assert np.max(np.abs(packed - reference)) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "params, size",
+    [
+        (TCRAParams(omega_atom=0.3, omega_cavity=0.1, hopping=0.9, coupling=0.7), 7),
+        (TCRAParams(omega_atom=0.0, omega_cavity=0.0, hopping=1.0, coupling=1.0), 9),
+        (TCRAParams(omega_atom=-0.4, omega_cavity=0.2, hopping=1.1, coupling=2.0), 11),
+    ],
+)
+def test_pair_spectrum_splits_into_bright_and_odd_sectors(params, size):
+    # in the mirror basis the single-excitation matrix is the bright chain
+    # with the atom, as lo._bright_parts states it, beside a free odd chain;
+    # so the two-excitation levels are the bright pair operator's, a bright
+    # level plus an odd one, and two odd levels
+    model = lo.LatticeModel(params=params, size=size)
+    h1 = _dense(lo.build_single_excitation(model))
+    q = _mirror_basis(size)
+    rotated = q @ h1 @ q.T
+    nb = (size + 1) // 2 + 1
+    bright = _dense(lo._single_operator(lo._bright_parts(model)))
+    odd = _chain(params.omega_cavity, params.hopping, size - nb + 1)
+    assert np.max(np.abs(rotated[:nb, :nb] - bright)) <= 1e-15
+    assert np.max(np.abs(rotated[nb:, nb:] - odd)) <= 1e-15
+    assert np.max(np.abs(rotated[:nb, nb:])) <= 1e-15
+
+    e_bright, e_odd = np.linalg.eigvalsh(bright), np.linalg.eigvalsh(odd)
+    odd_pairs = np.add.outer(e_odd, e_odd)[np.triu_indices(len(e_odd))]
+    bright_pairs = _pair_spectrum(lo._bright_parts(model))[1]
+    union = np.concatenate([bright_pairs, np.add.outer(e_bright, e_odd).ravel(), odd_pairs])
+    reference = _fock_pair_spectrum(h1)
+    assert len(union) == len(reference)
+    assert np.max(np.abs(np.sort(union) - reference)) < 1e-12
+
+
 def test_free_reference_is_the_photon_block(monkeypatch):
-    # the pair run's two free packets evolve at once, under two uncoupled
-    # copies of the photon rows and columns of the single-excitation
-    # operator, entry for entry
+    # a pair run makes two propagations.  The single-photon one evolves
+    # four blocks at once: both packets under the single-excitation
+    # operator, and both freely, under copies of it with the atom uncoupled,
+    # whose photon rows and columns are the photon block, entry for entry.
+    # The other is the bright chain's pair run
     m = lo.LatticeModel(params=TCRAParams(0.3, 0.1, 0.9, 0.7), size=161)
     runs = []
     evolve = lo._chebyshev_evolve
@@ -907,17 +1039,18 @@ def test_free_reference_is_the_photon_block(monkeypatch):
         return evolve(h, state, t, bounds)
 
     monkeypatch.setattr(lo, "_chebyshev_evolve", spy)
-    lo.two_excitation_check(m, 1.2, 1.9, width=6.0, separation=15.0)
-    photons = _dense(lo.build_single_excitation(m))[: m.size, : m.size]
-    evals = np.linalg.eigvalsh(photons)
+    rep = lo.two_excitation_check(m, 1.2, 1.9, width=6.0, separation=15.0)
+    h1 = _dense(lo.build_single_excitation(m))
+    free = h1.copy()
+    free[: m.size, m.size] = free[m.size, : m.size] = 0.0
+    evals = np.linalg.eigvalsh(h1[: m.size, : m.size])
     assert len(runs) == 2
-    h_free, bounds = runs[1]
-    copies = np.zeros((2 * m.size, 2 * m.size))
-    copies[: m.size, : m.size] = copies[m.size :, m.size :] = photons
-    np.testing.assert_array_equal(_dense(h_free), copies)
+    h_single, bounds = runs[0]
+    np.testing.assert_array_equal(_dense(h_single), block_diag(h1, h1, free, free))
     # a principal submatrix, so the single-excitation interval holds it
     assert bounds == lo._spectral_interval(m, 1)
     assert bounds[0] <= evals[0] and evals[-1] <= bounds[1]
+    assert runs[1][0].shape[0] == rep.propagated_states == 81 * 82 // 2 + 81
 
 
 def test_oracle_runs_without_scipy():
@@ -964,6 +1097,8 @@ def test_resonant_pair_bunches():
     assert rep.coincidence_fraction > rep.free_coincidence_fraction
     assert rep.bunching_indicator > 2.0
     assert 0.0 <= rep.guard_mass <= lo._GUARD_MASS_LIMIT
+    # only the bright half-chain's 141 sites run as a pair state
+    assert rep.propagated_states == 141 * 142 // 2 + 141 == 10152
 
 
 def test_detuned_pair_stays_nearly_free():
