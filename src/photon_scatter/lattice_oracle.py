@@ -8,25 +8,30 @@ packed as a <= b, the pair state's norm weighted by :func:`_pair_weights`).
 The chain is stated once, by :func:`_single_parts`, as a chain
 description: the diagonal, the one hopping value over neighbour slots, the
 atom couplings and any bond that hops off the slots.  The
-single-excitation and pair operators are built from a description, and the
-spectral count and the bright chain (:func:`_bright_parts`) derive theirs
-from the chain's.  A pair run propagates as a pair state only the sector
-that meets the atom: the mirror-even pairs of the T-type chain, on its
-bright half chain.  Everything else is the product of single-photon runs
-(:func:`_pair_evolution`).  Every neighbour slot reads row + a fixed
-offset on all but O(n) rows: a chain's slots +-1, and a pair's legs +-1
-and +-(W - 1) once the pair triangle is folded into a rectangle of width W
-(the rectangular full packed format of Gustavson, Wasniewski, Dongarra &
-Langou, ACM TOMS 37, 18 (2010); see :func:`_pair_operator`).  So each slot
-is applied as one contiguous shifted-slice add, and the diagonal as its
-constant plus its few deviating rows.  One Chebyshev propagator, its
+single-excitation and pair operators are built from a description.  The
+part of the lattice that meets the atom is one Jacobi chain for either
+kind of model, the bright half-chain (:func:`_bright_parts`), whose
+description derives from the chain's: under the mirror x -> -x, and for
+the H-type model a rotation of the two chains' even modes, the lattice
+splits into that chain, the atom then e_0 ... e_h with a sqrt(2) u bond,
+and free chains.  A pair run propagates as a pair state only the bright
+pairs of the T-type chain; everything else is the product of
+single-photon runs (:func:`_pair_evolution`).  Every neighbour slot
+reads row + a fixed offset on all but O(n) rows: a chain's slots +-1, and
+a pair's legs +-1 and +-(W - 1) once the pair triangle is folded into a
+rectangle of width W (the rectangular full packed format of Gustavson,
+Wasniewski, Dongarra & Langou, ACM TOMS 37, 18 (2010); see
+:func:`_pair_operator`).  So each slot is applied as one contiguous
+shifted-slice add, and the diagonal as its constant plus its few deviating
+rows.  One Chebyshev propagator, its
 Bessel coefficients from Miller's backward recurrence, evolves both, and
 refuses an expansion order above ``_MAX_CHEBYSHEV_ORDER``.  The
-single-excitation operator is a tree rooted at the atom, so an LDL^T count
-of its eigenvalues below an energy has no fill (:class:`_Tree`).
-Bisection on that count brackets both extremes to one ulp, for either kind
-of model: they size every run (:func:`_spectral_interval`), and they are
-the bound states, whose decay and sign the settled half-chain pivot gives.
+bright chain holds both extremes of the whole single-excitation operator,
+and a Sturm count of its eigenvalues below an energy, the LDL^T pivots of
+a tridiagonal matrix, needs no fill (:class:`_Tree`).  Bisection on that
+count brackets both extremes to one ulp, for either kind of model: they
+size every run (:func:`_spectral_interval`), and they are the bound
+states, whose decay and sign the settled pivot gives.
 Each run keeps only its working set live: the propagator its recursion
 vectors (see :func:`_chebyshev_evolve`); the pair operator lays out only
 its O(n) rows off the shift pattern, the symmetrised pair state is written
@@ -224,21 +229,33 @@ def _single_parts(model: LatticeModel):
 
 
 def _bright_parts(model: LatticeModel):
-    """The T-type chain's bright half, as a chain description (see
-    :func:`_single_parts`): the mirror-even modes e_0 = |c>, e_j = (|c + j>
-    + |c - j>) / sqrt(2), j = 1 .. (L - 1) / 2, c the centre, then the atom,
-    which couples to e_0 alone.  The e_0 - e_1 bond is sqrt(2) u, u the
-    hopping value, the 2 u^2 of :class:`_Tree`'s centre pivot; the slots
-    give u and the bond the rest.  The mirror-odd modes (|c + j> - |c -
-    j>) / sqrt(2) have a node at the centre, so they form a free chain of
-    their own that never meets the atom (the even/odd split of Shen & Fan,
-    PRA 76, 062709 (2007)).
+    """The bright half-chain of either kind, as a chain description (see
+    :func:`_single_parts`): a Jacobi chain e_0, ..., e_h, h = (L - 1) / 2,
+    then the atom, which couples to e_0 alone.
+
+    Each chain's mirror-even modes are e_0 = |c>, e_j = (|c + j> + |c -
+    j>) / sqrt(2), c the centre; the mirror-odd modes (|c + j> - |c - j>) /
+    sqrt(2) have a node at the centre, so they form a free chain of their
+    own that never meets the atom (the even/odd split of Shen & Fan, PRA
+    76, 062709 (2007)).  The e_0 - e_1 bond is sqrt(2) u, u the hopping
+    value: the slots give u and the bond the rest.  The two H-type chains
+    share one J, so their even chains rotate into a bright one, (V_1 e_j^(1)
+    + V_2 e_j^(2)) / sqrt(V_1^2 + V_2^2), which meets the atom with
+    sqrt(V_1^2 + V_2^2), and a free dark one, V_s = vbar_s / sqrt(2).
+
+    The bright chain holds both extremes of the whole single-excitation
+    operator.  A free even chain is its photon block, a principal
+    submatrix, so by Cauchy interlacing its levels lie between them; a
+    free odd chain's levels, omega + 2 u cos(2 pi k / (L + 1)), lie
+    strictly inside the even chain's extremes, omega -+ 2 |u| cos(pi / (L +
+    1)).
     """
     diag, hopping, _, couplings, _ = _single_parts(model)
     n = (model.size + 1) // 2
     bright = np.append(diag[:n], diag[-1])
     bonds = [(0, 1, (np.sqrt(2.0) - 1.0) * hopping)]
-    return bright, hopping, _chain_slots(n + 1, np.arange(n)), [(0, couplings[0][1])], bonds
+    coupling = float(np.hypot.reduce([v for _, v in couplings]))
+    return bright, hopping, _chain_slots(n + 1, np.arange(n)), [(0, coupling)], bonds
 
 
 def _single_operator(*chains) -> SparseOperator:
@@ -352,45 +369,43 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
 
 
 class _Tree:
-    """The single-excitation operator as a tree rooted at the atom.
+    """Sturm count on the bright Jacobi chain of :func:`_bright_parts`.
 
-    Each chain is two half-chains of (L - 1) / 2 sites hanging off its
-    centre, which couples to the atom with its v.  An LDL^T factorisation
-    of h - e that eliminates leaves first has no fill, and its negative
-    pivots count the eigenvalues below e (Sylvester's law of inertia):
-    d_{i+1} = (omega - e) - u^2 / d_i inward from each far end, u the
-    hopping value, d_c = (omega - e) - 2 u^2 / d_half at every centre and
-    d_a = (Omega - e) - sum v^2 / d_c at the atom.  Once a half-chain pivot
-    repeats (outside the band) every later one equals it, so a count costs
-    the decay length there, not L.  Out from a centre an eigenvector's
-    amplitude is -u / d times its inner neighbour's, d the site's pivot, so
-    that settled pivot gives a bound state's decay and sign.  In floating
-    point the count is exact for a matrix within a few ulps of h (Kahan
-    1966; Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)).  A pivot
-    under ``pivmin`` in magnitude becomes -pivmin, as in LAPACK's dstebz:
-    every u^2 / d is finite.
+    ``chain`` is that description: photon sites e_0 .. e_h of one frequency
+    omega and hopping value u, the bond on e_0 - e_1, and the atom, the
+    last row, coupled to e_0 alone with v.  An LDL^T factorisation of h - e
+    from the far end inward has no fill, and its negative pivots count the
+    eigenvalues below e (Sylvester's law of inertia): d_{i+1} = (omega - e)
+    - u^2 / d_i from e_h to e_1, d_c = (omega - e) - b^2 / d_1 at e_0, b the
+    e_0 - e_1 hop, and d_a = (Omega - e) - v^2 / d_c at the atom.  Once a
+    pivot on e_h .. e_1 repeats (outside the band) every later one equals
+    it, so a count costs the decay length there, not L.  Out from the
+    centre a site's amplitude is -u / d times its inner neighbour's, d the
+    pivot of its mode, so that settled pivot gives a bound state's decay
+    and sign.  In floating point the count is exact for a matrix within a
+    few ulps of h (Kahan 1966; Barth, Martin & Wilkinson, Numer. Math. 9,
+    386 (1967)).  A pivot under ``pivmin`` in magnitude becomes -pivmin, as
+    in LAPACK's dstebz: every square over a pivot is finite.
     """
 
-    def __init__(self, model: LatticeModel):
-        diag, self.hopping, _, couplings, _ = _single_parts(model)
+    def __init__(self, chain):
+        diag, self.hopping, _, [(_, coupling)], [(_, _, bond)] = chain
         self.omega, self.omega_atom = float(diag[0]), float(diag[-1])
-        self.couplings = [v for _, v in couplings]
-        self.half, self.dimension = (model.size - 1) // 2, model.dimension
-        self.hop2, self.coupling2 = self.hopping**2, sum(v * v for v in self.couplings)
-        self.pivmin = sys.float_info.min * max([1.0, self.hop2] + [v * v for v in self.couplings])
-        # above ||h||: the chains' hopping has norm below 2 |u|, the atom's
-        # star sqrt(sum v^2)
-        self.norm = max(abs(self.omega), abs(self.omega_atom)) + 2.0 * abs(self.hopping)
-        self.norm += float(np.sqrt(self.coupling2))
+        self.half, self.dimension = len(diag) - 2, len(diag)
+        self.hop2, self.centre2 = self.hopping**2, (self.hopping + bond) ** 2
+        self.coupling2 = coupling**2
+        self.pivmin = sys.float_info.min * max(1.0, self.hop2, self.centre2, self.coupling2)
+        # above ||h||: the photon hopping is the even sector of a chain's,
+        # whose norm is below 2 |u|, and the atom's star has norm |v|
+        self.norm = float(np.max(np.abs(diag))) + 2.0 * abs(self.hopping) + abs(coupling)
 
     def _pivot(self, d: float) -> float:
         return d if abs(d) >= self.pivmin else -self.pivmin
 
     def pivots(self, e: float):
-        """The pivots of h - e: a half-chain's from its far end inward, up
-        to the first that repeats, then the centre's and the atom's.  The
-        last half-chain pivot is the repeated value, or the one next to the
-        centre when none repeats."""
+        """The pivots of h - e: e_h's to e_1's, up to the first that
+        repeats, then e_0's and the atom's.  The last of the first list is
+        the repeated value, or e_1's when none repeats."""
         a = self.omega - e
         d = self._pivot(a)
         half = [d]
@@ -399,15 +414,14 @@ class _Tree:
             if d == half[-1]:
                 break
             half.append(d)
-        centre = self._pivot(a - 2.0 * self.hop2 / d)
+        centre = self._pivot(a - self.centre2 / d)
         return half, centre, self._pivot(self.omega_atom - e - self.coupling2 / centre)
 
     def count(self, e: float) -> int:
         """The number of eigenvalues below e."""
         half, centre, atom = self.pivots(e)
         below = sum(d < 0.0 for d in half) + (self.half - len(half)) * (half[-1] < 0.0)
-        chains = len(self.couplings)
-        return 2 * chains * below + chains * (centre < 0.0) + (atom < 0.0)
+        return below + (centre < 0.0) + (atom < 0.0)
 
     def bracket(self, k: int):
         """Adjacent floats (lo, hi) with count(lo) < k <= count(hi): the
@@ -421,24 +435,19 @@ class _Tree:
         return lo, hi
 
 
-def _spectral_interval(model: LatticeModel, photons: int):
-    """[n e_min, n e_max], n = ``photons``: an interval holding every
-    eigenvalue of the n-excitation operator of ``model``, either kind.
+def _spectral_interval(model: LatticeModel):
+    """[e_min, e_max]: an interval holding every eigenvalue of the
+    single-excitation operator of ``model``, either kind.
 
-    e_min and e_max are the single-excitation extremes, bracketed by
-    :class:`_Tree` and padded outward by a few ulps of its norm bound.  The
-    two-boson operator has the sums of two single levels for its spectrum;
-    the hard-core pair operator (:func:`_pair_operator`) is its compression
-    with |2_atom> removed, and the bright chain's one a block of that, the
-    mirror-even sector, which it leaves invariant.  The free photon chain
-    of a pair run is a principal submatrix of the single operator and the
-    uncoupled atom beside it one of its diagonal entries, so all of them
-    stay inside.
+    e_min and e_max are the extremes of the bright Jacobi chain
+    (:func:`_bright_parts`), which are the whole operator's, bracketed by
+    :class:`_Tree`'s Sturm count and padded outward by a few ulps of its
+    norm bound.
     """
-    tree = _Tree(model)
+    tree = _Tree(_bright_parts(model))
     (low, _), (_, high) = tree.bracket(1), tree.bracket(tree.dimension)
     pad = 4.0 * sys.float_info.epsilon * tree.norm
-    return photons * (low - pad), photons * (high + pad)
+    return low - pad, high + pad
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +479,24 @@ class BoundStateReport:
 def bound_state_check(model: LatticeModel) -> BoundStateReport:
     """Compare out-of-band lattice eigenpairs with the analytic bound states.
 
-    The H-type bound states are the T-type ones with J = 1/2, omega0 =
-    Omega and V^2 = (vbar1^2 + vbar2^2) / 2: the count sees the chains only
-    through the sum of their couplings squared.  Decay and sign are read
-    off the last half-chain pivot (:meth:`_Tree.pivots`), which every chain
-    shares.
+    Both kinds are read off the bright Jacobi chain (:func:`_bright_parts`),
+    the only part of the lattice that meets the atom: its energies come
+    from :class:`_Tree`'s brackets, and the analytic side is the T-type
+    record of that chain, Omega and omega0 its atom and photon diagonal, J
+    = -u its hopping and V its atom coupling (for an H-type model J = 1/2,
+    omega0 = Omega and V^2 = (vbar1^2 + vbar2^2) / 2).  Decay and sign are
+    read off the settled pivot (:meth:`_Tree.pivots`).
     """
-    p = model.params
-    if model.kind == "h":
-        p = TCRAParams(p.omega_atom, p.omega_atom, 0.5, float(np.sqrt(0.5 * p.gamma_e)))
+    chain = _bright_parts(model)
+    diag, hopping, _, [(_, coupling)], _ = chain
+    p = TCRAParams(float(diag[-1]), float(diag[0]), -hopping, coupling)
     lower, upper = tcra.bound_state_energies(p)
     top, bottom = p.band.band_top, p.band.band_bottom
     edge = 1e-12 * max(1.0, abs(top), abs(bottom))
-    # the chains are a principal submatrix, so by Cauchy interlacing at most
-    # one level lies on each side of the band: the extreme is the only
+    # the photons are a principal submatrix, so by Cauchy interlacing at
+    # most one level lies on each side of the band: the extreme is the only
     # candidate
-    tree = _Tree(model)
+    tree = _Tree(chain)
     brackets = (tree.bracket(1), tree.bracket(tree.dimension))
     e_low, e_high = (0.5 * (lo + hi) for lo, hi in brackets)
     below = e_low < bottom - edge
@@ -612,7 +623,7 @@ def wavepacket_scatter(
     psi0 /= np.linalg.norm(psi0)
 
     h = build_single_excitation(model)
-    bounds = _spectral_interval(model, 1)
+    bounds = _spectral_interval(model)
     psi_t, order = _chebyshev_evolve(h, psi0, t_end, bounds)
     dens = np.abs(psi_t) ** 2
     atom = float(dens[-1])
@@ -795,16 +806,16 @@ def _symmetrized(f, g, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_evolution(model: LatticeModel, f, g, t: float, bounds):
+def _pair_evolution(model: LatticeModel, f, g, t: float):
     """Evolve the pair state of photon packets f and g on a T-type
     ``model``, and each packet alone without the atom, for time t.
 
     The pair state is sym(f x g) = f[a] g[b] + g[a] f[b], normalized.
-    ``bounds`` holds the single-excitation spectrum; the pair run takes it
-    doubled.  Returns (state, free, order, propagated): the evolved pair
+    Returns (state, free, order, propagated, bounds): the evolved pair
     state in the layout of :func:`_pair_operator` on the whole chain, pairs
     then chi; the packets evolved on the photon chain alone, as two rows;
-    the pair run's order; and its number of states.
+    the pair run's order, its number of states and the interval it was
+    sized by.
 
     In the mirror basis of :func:`_bright_parts` the single-excitation
     operator h is H_b + h_o, the bright chain with the atom and the free
@@ -817,6 +828,15 @@ def _pair_evolution(model: LatticeModel, f, g, t: float, bounds):
     share there, which the same formulas give from F's and G's even parts.
     One single-excitation run evolves f and g with the atom and, on two
     more blocks with the atom uncoupled, without it.
+
+    Both runs are sized by :func:`_spectral_interval`, the pair run by it
+    doubled.  The free photon chain is a principal submatrix of the single
+    operator and the uncoupled atom one of its diagonal entries, so their
+    levels lie inside it.  The two-boson operator has the sums of two
+    single levels for its spectrum; the hard-core pair operator
+    (:func:`_pair_operator`) is its compression with |2_atom> removed, and
+    the bright chain's one a block of that, the mirror-even sector, which
+    it leaves invariant, so its levels lie inside the doubled interval.
     """
     size, half = model.size, (model.size - 1) // 2
     n = half + 1
@@ -828,6 +848,7 @@ def _pair_evolution(model: LatticeModel, f, g, t: float, bounds):
     single = np.zeros((4, model.dimension), dtype=complex)
     single[:, :size] = f, g, f, g
     h_single = _single_operator(chain, chain, free, free)
+    bounds = _spectral_interval(model)
     single, _ = _chebyshev_evolve(h_single, single.ravel(), t, bounds)
     single = single.reshape(4, -1)
     photons, atom = single[:2, :size], single[:2, size]
@@ -841,7 +862,6 @@ def _pair_evolution(model: LatticeModel, f, g, t: float, bounds):
 
     nb = n * (n + 1) // 2
     bright = _symmetrized(even(f), even(g), np.zeros(nb + n, dtype=complex))
-    # the pair interval is the single one doubled, which rounds exactly
     pair_bounds = (2.0 * bounds[0], 2.0 * bounds[1])
     bright, order = _chebyshev_evolve(_pair_operator(_bright_parts(model)), bright, t, pair_bounds)
     # the pair run's share less the product's, laid on the sites
@@ -858,7 +878,7 @@ def _pair_evolution(model: LatticeModel, f, g, t: float, bounds):
     state[:npairs] += bright[_pair_index(ja, jb, n)]
     state[npairs:] = atom[0] * photons[1] + atom[1] * photons[0]
     state[npairs:] += bright[nb + np.abs(np.arange(size) - half)]
-    return state, single[2:, :size], order, nb + n
+    return state, single[2:, :size], order, nb + n, pair_bounds
 
 
 def two_excitation_check(
@@ -919,8 +939,7 @@ def two_excitation_check(
 
     phi_front = np.exp(1j * k1 * x) * _gaussian(x, c_front, width)
     phi_back = np.exp(1j * k2 * x) * _gaussian(x, c_back, width)
-    bounds = _spectral_interval(model, 1)
-    state_t, free, order, propagated = _pair_evolution(model, phi_front, phi_back, t_end, bounds)
+    state_t, free, order, propagated, bounds = _pair_evolution(model, phi_front, phi_back, t_end)
     npairs = size * (size + 1) // 2
     a, b = _pair_sites(np.arange(npairs), size)
     weights = _pair_weights(size)
@@ -961,7 +980,7 @@ def two_excitation_check(
         window=window,
         norm_drift=norm_drift,
         duration=t_end,
-        spectral_interval=(2.0 * bounds[0], 2.0 * bounds[1]),
+        spectral_interval=bounds,
         chebyshev_order=order,
         propagated_states=propagated,
         guard_mass=guard_mass,

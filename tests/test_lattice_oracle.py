@@ -17,7 +17,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, expm
+from scipy.linalg import block_diag, eigh_tridiagonal, eigvalsh_tridiagonal, expm
 from scipy.special import jv
 
 from photon_scatter import lattice_oracle as lo
@@ -213,6 +213,28 @@ def _gershgorin(matrix):
     return (np.diag(matrix) - radius).min(), (np.diag(matrix) + radius).max()
 
 
+def _jacobi(model):
+    """The bright Jacobi matrix, the atom then e_0 .. e_h, h = (L - 1) / 2,
+    as (diagonal, off-diagonal), written from the record's physical fields:
+    the atom meets e_0 with V, sqrt((vbar1^2 + vbar2^2) / 2) for an H-type
+    model, e_0 meets e_1 with sqrt(2) J and every later pair with J."""
+    p, half = model.params, (model.size - 1) // 2
+    if model.kind == "t":
+        omega, j, v = p.omega_cavity, p.hopping, p.coupling
+    else:
+        omega, j, v = p.omega_atom, 0.5, np.sqrt(0.5 * (p.vbar[0] ** 2 + p.vbar[1] ** 2))
+    diag = np.full(half + 2, float(omega))
+    diag[0] = p.omega_atom
+    off = np.full(half + 1, -float(j))
+    off[:2] = v, -np.sqrt(2.0) * j
+    return diag, off
+
+
+def _stebz(model):
+    """The bright chain's levels by LAPACK's bisection, dstebz."""
+    return eigvalsh_tridiagonal(*_jacobi(model), lapack_driver="stebz")
+
+
 def test_spectrum_respects_gershgorin_bounds():
     # the propagator's interval is the exact extremes, for either kind,
     # padded by a few ulps, and so strictly inside the Gershgorin discs
@@ -234,7 +256,7 @@ def test_spectrum_respects_gershgorin_bounds():
         evals = np.linalg.eigvalsh(h)
         assert evals.min() >= lo_bound - 1e-12
         assert evals.max() <= hi_bound + 1e-12
-        low, high = lo._spectral_interval(m, 1)
+        low, high = lo._spectral_interval(m)
         assert low <= evals.min() and evals.max() <= high
         assert (low, high) == pytest.approx((evals.min(), evals.max()), abs=1e-13)
         assert lo_bound < low and high < hi_bound
@@ -258,11 +280,12 @@ def test_bound_state_interval_holds_the_spectrum_inside_gershgorin(coupling, ome
     # the pair run's bright-chain operator, and the whole chain's it is a
     # block of
     pairs = [_pair_spectrum(chain) for chain in (lo._bright_parts(m), lo._single_parts(m))]
+    single = lo._spectral_interval(m)
     for photons, op, evals in (
         (1, h, np.linalg.eigvalsh(h)),
         *((2, _dense(h_pair), pair_evals) for h_pair, pair_evals in pairs),
     ):
-        low, high = lo._spectral_interval(m, photons)
+        low, high = (photons * e for e in single)
         assert low <= evals.min() and evals.max() <= high
         g_low, g_high = _gershgorin(op)
         assert g_low < low and high < g_high
@@ -275,7 +298,7 @@ def test_weak_coupling_spectral_interval(coupling):
     # subnormal and change no pivot, so the runs are the V = 0 runs
     m = lo.LatticeModel(params=_t_params(coupling), size=801)
     pair_model = lo.LatticeModel(params=m.params, size=161)
-    intervals = (lo._spectral_interval(m, 1), lo._spectral_interval(pair_model, 2))
+    intervals = (lo._spectral_interval(m), tuple(2.0 * e for e in lo._spectral_interval(pair_model)))
     evals = np.linalg.eigvalsh(_dense(lo.build_single_excitation(m)))
     assert intervals[0] == pytest.approx((evals[0], evals[-1]), abs=1e-13)
     assert intervals[0][0] <= evals[0] and evals[-1] <= intervals[0][1]
@@ -283,7 +306,7 @@ def test_weak_coupling_spectral_interval(coupling):
     assert -4.0 < intervals[1][0] and intervals[1][1] < 4.0
     if coupling == 1e-160:
         uncoupled = lo.LatticeModel(params=_t_params(0.0), size=801)
-        assert intervals[0] == lo._spectral_interval(uncoupled, 1)
+        assert intervals[0] == lo._spectral_interval(uncoupled)
 
     # the numbers of runs sized by these intervals, pinned from the runs
     # the Gershgorin discs sized: the propagator converges either way
@@ -307,12 +330,17 @@ def test_weak_coupling_spectral_interval(coupling):
 
 def test_h_type_runs_keep_gershgorin():
     # an H-type run is sized by the exact extremes of its own operator: the
-    # interval holds the spectrum and keeps strictly inside the Gershgorin discs
+    # interval holds the spectrum and keeps strictly inside the Gershgorin
+    # discs.  Containment is held against bisection on the bright chain,
+    # whose error is below the interval's pad; the dense solver's can pass
+    # it outward (by 2.7e-15 to 3.3e-15 at the top here, with one BLAS
+    # thread)
     m = lo.LatticeModel(params=_h_params((0.5, 0.6)), size=801)
     h = _dense(lo.build_single_excitation(m))
     evals = np.linalg.eigvalsh(h)
-    low, high = lo._spectral_interval(m, 1)
-    assert low <= evals[0] and evals[-1] <= high
+    low, high = lo._spectral_interval(m)
+    exact = _stebz(m)
+    assert low <= exact[0] and exact[-1] <= high
     assert (low, high) == pytest.approx((evals[0], evals[-1]), abs=1e-13)
     g_low, g_high = _gershgorin(h)
     assert g_low < low and high < g_high
@@ -381,16 +409,21 @@ def test_unresolved_weak_binding_reports_warning():
     "omega, vbar", [(0.0, (0.6, 0.8)), (0.3, (1.0, 1.0))], ids=["0-0.6-0.8", "0.3-1-1"]
 )
 def test_bound_check_runs_h_type(omega, vbar):
-    # the H-type bound states are the T-type ones at J = 1/2, omega0 =
-    # Omega and V^2 = (vbar1^2 + vbar2^2) / 2
+    # the H-type bound states are the T-type ones of the bright chain, at J
+    # = 1/2, omega0 = Omega and V^2 = (vbar1^2 + vbar2^2) / 2; the report
+    # takes V as the chain states it, within an ulp or two of the hand
+    # mapping
     m = lo.LatticeModel(params=HWGParams(omega_atom=omega, vbar=vbar), size=201)
     report = lo.bound_state_check(m)
     evals = np.linalg.eigvalsh(_dense(lo.build_single_excitation(m)))
+    [(_, coupling)] = lo._bright_parts(m)[3]
+    lower, upper = tcra.bound_state_energies(TCRAParams(omega, omega, 0.5, coupling))
     mapped = TCRAParams(omega, omega, 0.5, np.sqrt(0.5 * (vbar[0] ** 2 + vbar[1] ** 2)))
-    lower, upper = tcra.bound_state_energies(mapped)
+    hand = [state.energy for state in tcra.bound_state_energies(mapped)]
     assert report.warnings == ()
     assert report.energies == pytest.approx((evals[0], evals[-1]), abs=1e-14)
     assert report.analytic_energies == (lower.energy, upper.energy)
+    assert report.analytic_energies == pytest.approx(hand, rel=1e-15)
     assert max(report.energy_residuals) <= 1e-14
     assert max(report.slope_residuals) <= 1e-12
     assert report.upper_sign_alternating and report.lower_sign_uniform
@@ -408,7 +441,7 @@ def test_bound_check_reads_the_coupled_chain():
 
 def test_bound_check_rejects_zero_coupling_before_any_count(monkeypatch):
     # V = 0 has no bound state; the check refuses it before any count
-    def tree(model):
+    def tree(chain):
         raise AssertionError("the spectrum was counted for an uncoupled atom")
 
     monkeypatch.setattr(lo, "_Tree", tree)
@@ -469,10 +502,12 @@ _TREE_IDS = ["t", "t-centred", "h", "h-one-chain"]
 
 @pytest.mark.parametrize("params", _TREE_PARAMS, ids=_TREE_IDS)
 def test_tree_count_matches_dense_eigvalsh(params):
+    # the count on the bright chain against its levels by bisection
     for size in range(3, 42, 2):
         m = lo.LatticeModel(params=params, size=size)
-        tree = lo._Tree(m)
-        evals = np.linalg.eigvalsh(_dense(lo.build_single_excitation(m)))
+        tree = lo._Tree(lo._bright_parts(m))
+        evals = _stebz(m)
+        assert tree.dimension == len(evals)
         # between distinct levels the count is the exact index: a count off
         # by one fails here
         gaps = np.nonzero(np.diff(evals) > 1e-9)[0]
@@ -480,7 +515,7 @@ def test_tree_count_matches_dense_eigvalsh(params):
             assert tree.count(0.5 * (evals[i] + evals[i + 1])) == i + 1
         # on a level, and at omega0, where the first pivot is exactly 0, the
         # count is that of a matrix within a few ulps
-        omega0 = lo._single_parts(m)[0][0]
+        omega0 = _jacobi(m)[0][-1]
         assert tree.pivots(omega0)[0][0] < 0.0
         for e in [*evals, omega0]:
             count = tree.count(e)
@@ -489,36 +524,62 @@ def test_tree_count_matches_dense_eigvalsh(params):
 
 @pytest.mark.parametrize("params", _TREE_PARAMS, ids=_TREE_IDS)
 def test_tree_brackets_hold_the_dense_extremes(params):
-    for size in (3, 5, 21, 41):
+    # the brackets hold the bright chain's extremes to a few ulps, and those
+    # are the whole operator's: the free chains' levels lie between them
+    # (Cauchy interlacing, and the odd chains strictly inside).  dstebz's own
+    # error reaches 2 ulps here, against a 40-digit Sturm count
+    for size in range(3, 42, 2):
         m = lo.LatticeModel(params=params, size=size)
-        tree = lo._Tree(m)
+        tree = lo._Tree(lo._bright_parts(m))
+        bright = _stebz(m)
         evals = np.linalg.eigvalsh(_dense(lo.build_single_excitation(m)))
-        for k, exact in ((1, evals[0]), (m.dimension, evals[-1])):
+        for k, exact, dense in ((1, bright[0], evals[0]), (tree.dimension, bright[-1], evals[-1])):
             low, high = tree.bracket(k)
             assert np.nextafter(low, np.inf) == high
-            assert low - 1e-14 <= exact <= high + 1e-14
+            ulps = 4.0 * np.spacing(abs(exact))
+            assert low - ulps <= exact <= high + ulps
+            assert low - 1e-14 <= dense <= high + 1e-14
 
 
 @pytest.mark.parametrize("params", _TREE_PARAMS, ids=_TREE_IDS)
 def test_tree_pivots_give_the_dense_neighbour_ratio(params):
-    # out from a coupled centre, on either side, the dense extreme
-    # eigenvector's amplitude at site s is -u / d_s times that at s - 1, d_s
-    # the site's pivot.  d_1 is the last half-chain pivot, which the bound
-    # report reads, and once the pivots repeat every site shares it; at "t"
-    # the slow decay keeps them from repeating within L = 201, and d_10 is
-    # 5e-12 off d_1
+    # out from the centre the extreme eigenvector's amplitude at site s is
+    # -u / d_s times that at s - 1, d_s the pivot of e_s.  d_1 is the last
+    # pivot of the first list, which the bound report reads, and once the
+    # pivots repeat every site shares it; at "t" the slow decay keeps them
+    # from repeating within L = 201, and d_10 is 5e-12 off d_1.  Checked on
+    # the bright chain's eigenvectors by bisection and inverse iteration,
+    # read on the sites (e_j / sqrt(2) on c +- j), and out to ten sites on
+    # either side of a coupled centre of the whole operator's dense ones
+    def ratios(tree, k, sites):
+        energy = 0.5 * sum(tree.bracket(k))
+        half = tree.pivots(energy)[0]
+        steps = [-tree.hopping / half[min(tree.half - s, len(half) - 1)] for s in range(1, sites + 1)]
+        return energy, steps
+
+    for size in range(3, 42, 2):
+        m = lo.LatticeModel(params=params, size=size)
+        tree = lo._Tree(lo._bright_parts(m))
+        evals, evecs = eigh_tridiagonal(*_jacobi(m), lapack_driver="stebz")
+        sites = min(10, tree.half)
+        scale = np.full(sites + 1, np.sqrt(0.5))
+        scale[0] = 1.0
+        for k, j in ((1, 0), (tree.dimension, -1)):
+            energy, steps = ratios(tree, k, sites)
+            assert energy == pytest.approx(evals[j], abs=1e-14)
+            amps = evecs[1 : sites + 2, j] * scale
+            assert np.max(np.abs(amps[1:] / amps[:-1] - steps)) <= 1e-12
+
     m = lo.LatticeModel(params=params, size=201)
-    tree = lo._Tree(m)
+    tree = lo._Tree(lo._bright_parts(m))
     evals, evecs = np.linalg.eigh(_dense(lo.build_single_excitation(m)))
     centre = next(site for site, v in lo._single_parts(m)[3] if v != 0.0)
-    for k, j in ((1, 0), (m.dimension, -1)):
-        energy = 0.5 * sum(tree.bracket(k))
+    for k, j in ((1, 0), (tree.dimension, -1)):
+        energy, steps = ratios(tree, k, 10)
         assert energy == pytest.approx(evals[j], abs=1e-14)
-        half = tree.pivots(energy)[0]
-        ratios = [-tree.hopping / half[min(tree.half - s, len(half) - 1)] for s in range(1, 11)]
         for step in (1, -1):
             amps = evecs[centre : centre + 11 * step : step, j]
-            assert np.max(np.abs(amps[1:] / amps[:-1] - ratios)) <= 1e-12
+            assert np.max(np.abs(amps[1:] / amps[:-1] - steps)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +750,7 @@ def test_chebyshev_run_holds_at_most_six_state_vectors(t):
     m = lo.LatticeModel(params=_t_params(), size=281)
     h = lo._pair_operator(lo._single_parts(m))
     state = np.ones(h.shape[0], dtype=complex)
-    bounds = lo._spectral_interval(m, 2)
+    bounds = tuple(2.0 * e for e in lo._spectral_interval(m))
     peak = _traced_peak(lambda: lo._chebyshev_evolve(h, state, t, bounds))
     assert peak <= 5.25 * state.nbytes
 
@@ -854,7 +915,7 @@ def test_pair_operator_matches_stencil():
     # among it, well inside them
     g_low, g_high = _pair_gershgorin(p)
     assert _gershgorin(_dense(h)) == pytest.approx((g_low, g_high), abs=1e-14)
-    low, high = lo._spectral_interval(m, 2)
+    low, high = (2.0 * e for e in lo._spectral_interval(m))
     for chain in (lo._single_parts(m), lo._bright_parts(m)):
         evals = _pair_spectrum(chain)[1]
         assert g_low < low <= evals[0] and evals[-1] <= high < g_high
@@ -931,8 +992,8 @@ def test_pair_evolution_matches_the_full_square_exponential(params, size, carrie
     model = lo.LatticeModel(params=params, size=size)
     x = model.positions()
     f, g = (np.exp(1j * k * x) * lo._gaussian(x, c, 1.5) for k, c in zip(carriers, centres))
-    bounds = lo._spectral_interval(model, 1)
-    state, free, _, propagated = lo._pair_evolution(model, f, g, t, bounds)
+    state, free, _, propagated, bounds = lo._pair_evolution(model, f, g, t)
+    assert bounds == tuple(2.0 * e for e in lo._spectral_interval(model))
     n = (size + 1) // 2
     assert propagated == n * (n + 1) // 2 + n
 
@@ -1024,6 +1085,30 @@ def test_pair_spectrum_splits_into_bright_and_odd_sectors(params, size):
     assert np.max(np.abs(np.sort(union) - reference)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "omega, vbar",
+    [(0.0, (0.6, 0.8)), (0.9, (0.4, 0.7)), (-0.2, (1.1, 0.3))],
+    ids=["0-0.6-0.8", "0.9-0.4-0.7", "-0.2-1.1-0.3"],
+)
+def test_h_type_spectrum_splits_into_bright_dark_and_odd_chains(omega, vbar):
+    # under the mirror each chain splits into its even and odd modes, and
+    # the two even chains rotate into the bright chain, which meets the
+    # atom, as lo._bright_parts states it, and a free dark even chain with
+    # the same sqrt(2) J bond; the two odd chains are free.  So the
+    # single-excitation levels are the four chains' together
+    for size in range(3, 22, 2):
+        m = lo.LatticeModel(params=HWGParams(omega_atom=omega, vbar=vbar), size=size)
+        half = (size - 1) // 2
+        whole = np.linalg.eigvalsh(_dense(lo.build_single_excitation(m)))
+        bright = np.linalg.eigvalsh(_dense(lo._single_operator(lo._bright_parts(m))))
+        dark = _chain(omega, 0.5, half + 1)
+        dark[0, 1] = dark[1, 0] = -np.sqrt(0.5)
+        odd = np.linalg.eigvalsh(_chain(omega, 0.5, half))
+        union = np.concatenate([bright, np.linalg.eigvalsh(dark), odd, odd])
+        assert len(union) == len(whole)
+        assert np.max(np.abs(np.sort(union) - whole)) <= 1e-13
+
+
 def test_free_reference_is_the_photon_block(monkeypatch):
     # a pair run makes two propagations.  The single-photon one evolves
     # four blocks at once: both packets under the single-excitation
@@ -1048,7 +1133,7 @@ def test_free_reference_is_the_photon_block(monkeypatch):
     h_single, bounds = runs[0]
     np.testing.assert_array_equal(_dense(h_single), block_diag(h1, h1, free, free))
     # a principal submatrix, so the single-excitation interval holds it
-    assert bounds == lo._spectral_interval(m, 1)
+    assert bounds == lo._spectral_interval(m)
     assert bounds[0] <= evals[0] and evals[-1] <= bounds[1]
     assert runs[1][0].shape[0] == rep.propagated_states == 81 * 82 // 2 + 81
 
