@@ -170,7 +170,11 @@ class HWGParams:
     """Two linearized waveguides sharing one two-level atom.
 
     Both waveguides have unit group velocity, the package convention, so the
-    total decay rate is ``gamma_e = vbar1**2 + vbar2**2``.
+    total decay rate is ``gamma_e = vbar1**2 + vbar2**2``.  Only the bright
+    mode (vbar1 a1 + vbar2 a2) / sqrt(gamma_e) meets the atom, as the
+    single-channel waveguide does at gamma_t = gamma_e: ``bright`` is that
+    waveguide's record, and :mod:`photon_scatter.hwg` rotates its amplitudes
+    back onto the two waveguides.
 
     Parameters
     ----------
@@ -181,7 +185,8 @@ class HWGParams:
 
     The fields may be arrays that broadcast together, one parameter point
     per entry; every entry is checked, and a pair that vanishes at any one
-    entry is refused.  :func:`photon_scatter.hwg.channel_amplitudes`,
+    entry is refused, as is one whose gamma_e / 2 underflows to zero.
+    :func:`photon_scatter.hwg.channel_amplitudes`,
     ``ChannelAmplitudes.unitarity_defect``, ``hwg.two_photon_t_h`` and
     ``hwg.pair_wavefunction`` broadcast over them.
     """
@@ -198,14 +203,18 @@ class HWGParams:
             raise ValueError("couplings must be nonnegative")
         if np.any((v1 == 0.0) & (v2 == 0.0)):
             raise ValueError("at least one coupling must be nonzero")
+        # couplings below about 3e-162 give a gamma_e whose half is 0, and
+        # the bright waveguide a real pole; named here, not as gamma_t
+        if np.any(0.5 * self.gamma_e == 0.0):
+            raise ValueError("gamma_e / 2 underflows to zero")
 
     @property
     def gamma_e(self) -> float:
         return self.vbar[0] ** 2 + self.vbar[1] ** 2
 
     @property
-    def alpha_h(self) -> complex:
-        return self.omega_atom - 0.5j * self.gamma_e
+    def bright(self) -> TWGParams:
+        return TWGParams(self.omega_atom, self.gamma_e)
 
 
 # ---------------------------------------------------------------------------

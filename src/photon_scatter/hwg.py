@@ -2,10 +2,22 @@
 
 Single-photon channel amplitudes, the two-photon S-matrix elements for the
 cross-channel incident pair, spatial pair wavefunctions g_ij, and the
-second-order correlation.  One table, ``_channel_products``, states each
-outgoing channel's single-photon weights; the S-matrix and the pair
-wavefunctions both read it.  Both waveguides have unit group velocity, the
+second-order correlation.  Both waveguides have unit group velocity, the
 package convention, so momentum and energy coincide in each.
+
+Every quantity is the single-channel waveguide's, rotated.  The bright mode
+(vbar1 a1 + vbar2 a2) / sqrt(gamma_e) meets the atom as the waveguide of
+:mod:`photon_scatter.twg` does at gamma_t = gamma_e (``HWGParams.bright``),
+and the dark mode never meets it: the even/odd argument of Shen & Fan, PRA
+76, 062709 (2007).  With the weights w_i w_j = vbar_i vbar_j / gamma_e:
+
+- a photon from waveguide j leaves in waveguide i with t_ij = delta_ij +
+  w_i w_j r_k, r_k = t_k - 1 the bright mode's scattered part;
+- the connected pair T is w_i1 w_i2 w_j1 w_j2 times the bright T2, since
+  only bright photons meet the atom;
+- each delta pinning of a pair carries the product of t_ij over its two
+  legs, and the pair wavefunction's bound term the connected weight times
+  the bright pair term.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from photon_scatter.core import DeltaTerm, HWGParams, ScatteringAmplitudeSet
-from photon_scatter.twg import _pair_envelope, _pair_t
+from photon_scatter.twg import _pair_envelope, _scattered, two_photon_t
 
 __all__ = [
     "ChannelAmplitudes",
@@ -26,6 +38,9 @@ __all__ = [
     "pair_wavefunction",
     "second_order_correlation",
 ]
+
+# outgoing channel pairs of the (1, 2) incident pair, slot-ordered
+_PAIRS = ((1, 1), (1, 2), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -48,58 +63,54 @@ class ChannelAmplitudes:
         return float(np.max(np.abs(np.stack([d1, d2]))))
 
 
+def _weight(params: HWGParams, i: int, j: int):
+    # w_i w_j, entry by entry over an array record
+    return params.vbar[i - 1] * params.vbar[j - 1] / params.gamma_e
+
+
+def _amplitudes(params: HWGParams, k):
+    """t(i, j) at momentum k: from waveguide j into waveguide i."""
+    r = _scattered(params.bright, k)
+    return lambda i, j: float(i == j) + _weight(params, i, j) * r
+
+
 def channel_amplitudes(params: HWGParams, k) -> ChannelAmplitudes:
     """Evaluate t11, t21, t22 at momentum k (scalar or array, finite).
 
     k broadcasts with the fields of ``params``, which may be arrays too.
     """
-    k = np.asarray(k, dtype=float)
-    if not np.isfinite(k).all():
-        raise ValueError("momentum must be finite")
-    v1, v2 = params.vbar
-    pole = k - params.omega_atom + 0.5j * (v1**2 + v2**2)
-    t11 = (k - params.omega_atom + 0.5j * (v2**2 - v1**2)) / pole
-    t21 = -1j * v1 * v2 / pole
-    t22 = (k - params.omega_atom + 0.5j * (v1**2 - v2**2)) / pole
+    t = _amplitudes(params, k)
+    t11, t21, t22 = t(1, 1), t(2, 1), t(2, 2)
     if np.ndim(t11):
         return ChannelAmplitudes(t11, t21, t22)
     return ChannelAmplitudes(complex(t11), complex(t21), complex(t22))
-
-
-def _coupling(params: HWGParams, channels) -> float:
-    # entry by entry over an array record, not over all of its entries
-    return np.prod(np.broadcast_arrays(*(params.vbar[c - 1] for c in channels)), axis=0)
 
 
 def two_photon_t_h(params: HWGParams, channels, k1: float, k2: float, p1, p2):
     """Connected two-photon T density (with the leading i) between channels.
 
     ``channels = (i1, i2, j1, j2)``: incoming photons in waveguides i1, i2
-    and outgoing in j1, j2 (labels 1 or 2).  The channel dependence is the
-    coupling prefactor vbar_i1 vbar_i2 vbar_j1 vbar_j2; the pole structure
-    is channel-blind.
+    and outgoing in j1, j2 (labels 1 or 2).  The bright T2 weighted by
+    w_i1 w_i2 w_j1 w_j2; the pole structure is channel-blind.
     """
     if len(channels) != 4 or any(c not in (1, 2) for c in channels):
         raise ValueError("channels must be four waveguide labels 1 or 2")
-    return _pair_t(params.alpha_h, _coupling(params, channels), k1, k2, p1, p2)
+    i1, i2, j1, j2 = channels
+    weight = _weight(params, i1, i2) * _weight(params, j1, j2)
+    return weight * two_photon_t(params.bright, k1, k2, p1, p2)
 
 
-def _channel_products(params: HWGParams, k1: float, k2: float) -> dict:
-    """Single-photon products of the incident pair (k1 in wg 1, k2 in wg 2).
+def _pinnings(params: HWGParams, pair, k1: float, k2: float):
+    """(direct, exchange) weights of outgoing channel ``pair`` = (j1, j2).
 
-    Keyed by outgoing channel (j1, j2), slot-ordered; each value is the
-    (direct, exchange) pair of weights pinned at (p1, p2) = (k1, k2) and at
-    (k2, k1).  A same-guide channel carries one product on both pinnings;
-    the mixed one has both photons keep their waveguide (direct) or both
-    switch (exchange).
+    The incident pair has k1 in waveguide 1 and k2 in waveguide 2.  The
+    direct pinning (p1, p2) = (k1, k2) sends k1 into j1 and k2 into j2, the
+    exchange pinning (k2, k1) sends k1 into j2 and k2 into j1; each weight
+    is the product of t_ij over the two legs.
     """
-    c1 = channel_amplitudes(params, k1)
-    c2 = channel_amplitudes(params, k2)
-    return {
-        (1, 1): (c1.t11 * c2.t21, c1.t11 * c2.t21),
-        (1, 2): (c1.t11 * c2.t22, c1.t21 * c2.t21),
-        (2, 2): (c1.t21 * c2.t22, c1.t21 * c2.t22),
-    }
+    t1, t2 = _amplitudes(params, k1), _amplitudes(params, k2)
+    j1, j2 = pair
+    return t1(j1, 1) * t2(j2, 2), t1(j2, 1) * t2(j1, 2)
 
 
 def two_photon_s_h(params: HWGParams, k1: float, k2: float) -> dict:
@@ -108,14 +119,15 @@ def two_photon_s_h(params: HWGParams, k1: float, k2: float) -> dict:
     Returns the three outgoing-channel elements keyed by (1, 1), (1, 2) and
     (2, 2).  The (1, 2) key is slot-ordered: first momentum in waveguide 1.
     """
-    return {
-        pair: ScatteringAmplitudeSet(
+    table = {}
+    for pair in _PAIRS:
+        direct, exchange = _pinnings(params, pair, k1, k2)
+        table[pair] = ScatteringAmplitudeSet(
             total_energy=k1 + k2,
             disconnected=(DeltaTerm((k1, k2), direct), DeltaTerm((k2, k1), exchange)),
             connected=partial(two_photon_t_h, params, (1, 2, *pair), k1, k2),
         )
-        for pair, (direct, exchange) in _channel_products(params, k1, k2).items()
-    }
+    return table
 
 
 def pair_wavefunction(params: HWGParams, pair, k1: float, k2: float, x):
@@ -123,21 +135,20 @@ def pair_wavefunction(params: HWGParams, pair, k1: float, k2: float, x):
 
     Relative-coordinate pair wavefunction for the (1, 2) incident pair; it
     multiplies exp(i E x_c).  The shell transform of :func:`two_photon_s_h`'s
-    element: both delta pinnings as plane waves plus twice the pair bound
-    term, shared equally by the two slots of a same-guide channel.  The
-    same-channel functions are even in x, while g12 mixes direct and
-    exchange paths with different weights and is not parity symmetric.  All
-    bound terms share the decay constant Im(E/2 - alpha_h), which equals
-    gamma_e/2 on two-photon resonance.
+    element: both delta pinnings as plane waves plus twice the bright pair
+    bound term, weighted as the connected T, shared equally by the two slots
+    of a same-guide channel.  The same-channel functions are even in x,
+    while g12 mixes direct and exchange paths with different weights and is
+    not parity symmetric.  All bound terms decay in |x| at gamma_e/2, the
+    bright waveguide's rate.
     """
     pair = tuple(pair)
-    products = _channel_products(params, k1, k2)
-    if pair not in products:
+    if pair not in _PAIRS:
         raise ValueError("channel pair must be (1,1), (1,2) or (2,2)")
-    direct, exchange = products[pair]
+    direct, exchange = _pinnings(params, pair, k1, k2)
+    connected = _weight(params, 1, 2) * _weight(params, *pair)
     share = 0.5 if pair[0] == pair[1] else 1.0
-    couplings = [params.vbar[c - 1] for c in (1, 2, *pair)]
-    return share * _pair_envelope(params.alpha_h, couplings, k1, k2, direct, exchange, x)
+    return share * _pair_envelope(params.bright, k1, k2, direct, exchange, connected, x)
 
 
 def second_order_correlation(params: HWGParams, pair, k1: float, k2: float, x):

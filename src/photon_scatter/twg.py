@@ -55,6 +55,18 @@ def transmission_amplitude(params: TWGParams, k):
     return t if t.ndim else complex(t)
 
 
+def _scattered(params: TWGParams, k):
+    """The scattered part t_k - 1 = -i gamma_t / (k - alpha).
+
+    Formed directly: far off resonance t_k rounds near 1, and subtracting 1
+    from it would keep only the leading digits of this small part.
+    """
+    k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError("momentum must be finite")
+    return -1j * params.gamma_t / (k - params.alpha)
+
+
 def two_photon_t(params: TWGParams, k1: float, k2: float, p1, p2):
     """Connected two-photon T density (with the leading i) on the shell.
 
@@ -65,46 +77,34 @@ def two_photon_t(params: TWGParams, k1: float, k2: float, p1, p2):
 
     p1, p2 may be arrays (elementwise on shell with k1 + k2).
     """
-    return _pair_t(params.alpha, params.gamma_t**2, k1, k2, p1, p2)
-
-
-def _pair_t(alpha, coupling, k1: float, k2: float, p1, p2):
-    """The connected pair density of two_photon_t with gamma_t^2 -> coupling.
-
-    The pole structure is that of one atom with complex frequency alpha;
-    the H-type geometry shares it, with the product of the four channel
-    couplings as ``coupling``.
-    """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     e = k1 + k2
     _require_on_shell(e, p1 + p2)
-    a = alpha
-    out = 1j * coupling / np.pi * (e - 2.0 * a) / ((p2 - a) * (k1 - a) * (p1 - a) * (k2 - a))
+    a = params.alpha
+    poles = (p2 - a) * (k1 - a) * (p1 - a) * (k2 - a)
+    out = 1j * params.gamma_t**2 / np.pi * (e - 2.0 * a) / poles
     return out if out.ndim else complex(out)
 
 
-def _pair_bound(alpha, couplings, k1: float, k2: float, x):
+def _pair_bound(params: TWGParams, k1: float, k2: float, x):
     """Connected pair term of the out-state in the relative coordinate x.
 
-    c e^{i(E/2 - alpha)|x|} / ((k1 - alpha)(k2 - alpha)), c the product of
-    ``couplings`` in order, decaying at the rate -Im(alpha) in |x|.  The
-    Fourier transform of ``_pair_t`` over its shell, with c as its
-    coupling, is 2 e^{i E x_c} times this; the out-state envelope carries it
-    over 2 pi.  Each pole factor is brought into [1/2, 1) by a power of two,
-    which the first and the last coupling take up: the powers of two round
-    nothing, and neither c nor the pole product underflows at a linewidth
-    of 1e-200.
+    gamma_t^2 e^{i(E/2 - alpha)|x|} / ((k1 - alpha)(k2 - alpha)), decaying
+    at the rate gamma_t/2 in |x|.  The Fourier transform of
+    ``two_photon_t`` over its shell is 2 e^{i E x_c} times this; the
+    out-state envelope carries it over 2 pi.  Each pole factor is brought
+    into [1/2, 1) by a power of two, which one factor gamma_t each takes up:
+    the powers of two round nothing, and neither gamma_t^2 nor the pole
+    product underflows at a linewidth of 1e-200.
     """
+    alpha = params.alpha
     beta = 0.5 * (k1 + k2) - alpha
     phase = np.exp(1j * beta * np.abs(np.asarray(x, dtype=float)))
     poles = [k - alpha for k in (k1, k2)]
     scales = [np.ldexp(1.0, -np.frexp(abs(d))[1]) for d in poles]
-    coupling = couplings[0] * scales[0]
-    for c in couplings[1:-1]:
-        coupling *= c
-    coupling *= couplings[-1] * scales[1]
-    return coupling * phase / ((poles[0] * scales[0]) * (poles[1] * scales[1]))
+    gamma2 = (params.gamma_t * scales[0]) * (params.gamma_t * scales[1])
+    return gamma2 * phase / ((poles[0] * scales[0]) * (poles[1] * scales[1]))
 
 
 def two_photon_s(params: TWGParams, k1: float, k2: float) -> ScatteringAmplitudeSet:
@@ -121,19 +121,19 @@ def two_photon_s(params: TWGParams, k1: float, k2: float) -> ScatteringAmplitude
     )
 
 
-def _pair_envelope(alpha, couplings, k1: float, k2: float, direct, exchange, x):
+def _pair_envelope(params: TWGParams, k1: float, k2: float, direct, exchange, connected, x):
     """Relative-coordinate pair out-state of one outgoing channel.
 
     The shell transform of a pair S-matrix element, without its e^{i E x_c}:
     the delta pinning at (k1, k2) with weight ``direct`` and the one at
     (k2, k1) with weight ``exchange`` as plane waves e^{+-i dk x}, dk =
-    (k1 - k2)/2, plus twice the connected pair term ``_pair_bound``, all
-    over 2 pi.
+    (k1 - k2)/2, plus twice the connected pair term ``_pair_bound`` with
+    weight ``connected``, all over 2 pi.
     """
     x = np.asarray(x, dtype=float)
     dkx = 0.5 * (k1 - k2) * x
     plane = (direct + exchange) * np.cos(dkx) + 1j * (direct - exchange) * np.sin(dkx)
-    return (plane + 2.0 * _pair_bound(alpha, couplings, k1, k2, x)) / (2.0 * np.pi)
+    return (plane + 2.0 * connected * _pair_bound(params, k1, k2, x)) / (2.0 * np.pi)
 
 
 def two_photon_out_wavefunction(params: TWGParams, k1: float, k2: float, x_center, x_relative):
@@ -145,8 +145,7 @@ def two_photon_out_wavefunction(params: TWGParams, k1: float, k2: float, x_cente
     pinnings both carry t_k1 t_k2.
     """
     t12 = transmission_amplitude(params, k1) * transmission_amplitude(params, k2)
-    g = params.gamma_t
-    envelope = _pair_envelope(params.alpha, (g, g), k1, k2, t12, t12, x_relative)
+    envelope = _pair_envelope(params, k1, k2, t12, t12, 1.0, x_relative)
     return np.exp(1j * (k1 + k2) * np.asarray(x_center)) * (0.5 * envelope)
 
 
@@ -383,9 +382,7 @@ def three_photon_out_wavefunction(params: TWGParams, k, x):
         ka, kb = (k[m] for m in range(3) if m != i)
         for j in range(3):
             xa, xb = (x[m] for m in range(3) if m != j)
-            pair = np.exp(0.5j * (ka + kb) * (xa + xb)) * _pair_bound(
-                params.alpha, (params.gamma_t, params.gamma_t), ka, kb, xa - xb
-            )
+            pair = np.exp(0.5j * (ka + kb) * (xa + xb)) * _pair_bound(params, ka, kb, xa - xb)
             tier_b += 2.0 * t[i] * np.exp(1j * k[i] * x[j]) * pair
 
     out = (tier_a + tier_b + _connected_tier(params, k, x)) / (6.0 * (2.0 * np.pi) ** 1.5)

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import photon_scatter
-from photon_scatter import lattice_oracle, tcra
+from photon_scatter import cli, lattice_oracle, tcra
 from photon_scatter.cli import main
 
 
@@ -356,6 +358,9 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
          "--k3", "0", "--x3", "0", "--grid", "x:-1:1:2"],
         ["two-photon-wf", "--gamma", "5e-324", "--k1", "1", "--k2", "1", "--grid", "x:-1:1:2"],
         ["wg-transmit", "--gamma", "5e-324", "--grid", "k:-1:1:3"],
+        # and so would a gamma_e = vbar1^2 + vbar2^2 whose half underflows
+        ["h-single", "--vbar1", "1e-170", "--vbar2", "0", "--grid", "k:0:2:3"],
+        ["h-two-photon", "--vbar1", "1e-170", "--vbar2", "1e-170", "--k1", "1", "--k2", "1"],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):
@@ -589,6 +594,41 @@ def test_oracle_pair_json_reports_guard_mass(capsys):
     keys = list(obj)
     assert keys[keys.index("chebyshev_order") + 1] == "propagated_states"
     assert obj["propagated_states"] == 81 * 82 // 2 + 81
+
+
+def _null_paths(obj, path=()):
+    """The paths of every null in a decoded JSON value."""
+    if obj is None:
+        yield path
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _null_paths(value, (*path, key))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _null_paths(value, (*path, i))
+
+
+def test_readme_commands_run(capsys):
+    # every row of the README's command table runs: exit 0, every CSV cell a
+    # finite number, and JSON with no null but in the fields a wavepacket
+    # report leaves unset for the other lattice kind.  validate is left to
+    # test_acceptance
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [row.split() for row in re.findall(r"^\|.*\| `photon-scatter ([^`]*)`", text, re.M)]
+    rows = [argv for argv in rows if argv[0] != "validate"]
+    paths = [path for path, _, handler, _, _ in cli._COMMANDS if handler and path != ("validate",)]
+    assert all(any(argv[: len(path)] == list(path) for argv in rows) for path in paths)
+    unset = {"t": {("guide_probabilities",)}, "h": {("transmission",), ("reflection",)}}
+    for argv in rows:
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        if out.startswith("{"):
+            kind = argv[argv.index("--kind") + 1] if "--kind" in argv else "t"
+            allowed = unset[kind] if argv[:2] == ["oracle", "scatter"] else set()
+            assert set(_null_paths(json.loads(out))) <= allowed, argv
+        else:
+            _, table = _rows(out)
+            assert table and np.isfinite(table).all(), argv
 
 
 def test_validate_subset_report(capsys):

@@ -40,7 +40,7 @@ def test_derived_fields_random_draws():
         assert w.alpha.imag == -0.5 * w.gamma_t
         h = HWGParams(rng.uniform(0, 6), (rng.uniform(0.1, 3), rng.uniform(0.1, 3)))
         assert h.gamma_e == pytest.approx(h.vbar[0] ** 2 + h.vbar[1] ** 2, rel=1e-15)
-        assert h.alpha_h.imag == -0.5 * h.gamma_e
+        assert h.bright == TWGParams(h.omega_atom, h.gamma_e)
 
 
 def test_parameter_validation():
@@ -59,6 +59,10 @@ def test_parameter_validation():
          "at least one coupling must be nonzero"),
         (HWGParams, (1.0, (1.0, -2.0)), (1.0, (1.0, np.array([2.0, -2.0]))),
          "couplings must be nonnegative"),
+        # couplings that square to a gamma_e whose half underflows: named as
+        # gamma_e, not as the bright waveguide's gamma_t
+        (HWGParams, (1.0, (1e-170, 0.0)), (1.0, (np.array([1.0, 1e-170]), np.zeros(2))),
+         r"^gamma_e / 2 underflows"),
     ]
     for record, scalar, array, message in cases:
         for args in (scalar, array):

@@ -72,6 +72,38 @@ def test_channel_amplitudes_refuse_non_finite_momentum(k):
         channel_amplitudes(p, np.array([1.0, k]))
 
 
+def _hand_written(params, k):
+    """t11, t21, t22 written out over the common pole, an independent
+    reference: (k - Omega + i(vbar2^2 - vbar1^2)/2) / pole, -i vbar1 vbar2 /
+    pole and the mirror of the first, pole = k - Omega + i gamma_e / 2."""
+    v1, v2 = params.vbar
+    pole = k - params.omega_atom + 0.5j * (v1**2 + v2**2)
+    t11 = (k - params.omega_atom + 0.5j * (v2**2 - v1**2)) / pole
+    t21 = -1j * v1 * v2 / pole
+    t22 = (k - params.omega_atom + 0.5j * (v1**2 - v2**2)) / pole
+    return t11, t21, t22, pole
+
+
+def test_channel_amplitudes_far_off_resonance():
+    # from 1e2 to 1e9 linewidths off resonance the cross amplitude holds the
+    # hand-written form to 1e-15 relative: its scattered part r_k is formed
+    # directly, where t_k - 1 would keep only its leading digits.  t11 and
+    # t22 round near 1 there, so their scattered part 1 - t is held where it
+    # carries no rounding of 1, in its imaginary part, against i vbar^2 /
+    # pole, the hand-written form's (pole - numerator) / pole
+    rng = np.random.default_rng(24)
+    n = 200
+    p = HWGParams(rng.uniform(-2.0, 2.0, n), (rng.uniform(0.1, 3.0, n), rng.uniform(0.1, 3.0, n)))
+    k = p.omega_atom + rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(2.0, 9.0, n) * p.gamma_e
+    c = channel_amplitudes(p, k)
+    t11, t21, t22, pole = _hand_written(p, k)
+    for got, want in ((c.t11, t11), (c.t21, t21), (c.t22, t22)):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    for got, v in ((c.t11, p.vbar[0]), (c.t22, p.vbar[1])):
+        scattered = (1j * v**2 / pole).imag
+        assert np.max(np.abs((1.0 - got).imag - scattered) / np.abs(scattered)) <= 1e-15
+
+
 def test_balanced_resonance_full_switch():
     p = HWGParams(1.0, (1.3, 1.3))
     c = channel_amplitudes(p, 1.0)
@@ -112,9 +144,10 @@ def test_two_photon_t_h_channel_prefactors():
     k1, k2, q1 = 1.2, 0.9, 1.05
     q2 = k1 + k2 - q1
     base = two_photon_t_h(p, (1, 2, 1, 1), k1, k2, q1, q2)
-    # connected prefactor ratio between (1,1) and (2,2) outputs is (v1/v2)^2
+    # connected prefactor ratio between (1,1) and (2,2) outputs is (v2/v1)^2,
+    # here 4, a power of two, so the weights w2^2 = 4 w1^2 keep it exact
     other = two_photon_t_h(p, (1, 2, 2, 2), k1, k2, q1, q2)
-    assert other == pytest.approx(base * 4.0, rel=1e-14)
+    assert other == base * 4.0
     # exchange symmetry in the incoming pair
     assert two_photon_t_h(p, (2, 1, 1, 1), k2, k1, q1, q2) == pytest.approx(
         base, rel=1e-14
@@ -126,14 +159,13 @@ def test_two_photon_t_h_channel_prefactors():
 
 
 def test_two_photon_t_h_single_channel_limit():
-    # second guide decoupled: all-1 channels reduce to the single-channel T
+    # second guide decoupled: all-1 channels reduce to the single-channel T,
+    # exactly, since the weight w1^4 = (vbar1^2 / gamma_e)^2 is then 1
     p = HWGParams(1.0, (1.1, 0.0))
     w = TWGParams(1.0, 1.1**2)
     k1, k2, q1 = 1.3, 0.8, 1.0
     q2 = k1 + k2 - q1
-    assert two_photon_t_h(p, (1, 1, 1, 1), k1, k2, q1, q2) == pytest.approx(
-        two_photon_t(w, k1, k2, q1, q2), rel=1e-13
-    )
+    assert two_photon_t_h(p, (1, 1, 1, 1), k1, k2, q1, q2) == two_photon_t(w, k1, k2, q1, q2)
 
 
 def test_s_elements_structure():
@@ -143,21 +175,21 @@ def test_s_elements_structure():
     c2 = channel_amplitudes(p, k2)
     s = two_photon_s_h(p, k1, k2)
     assert set(s) == {(1, 1), (1, 2), (2, 2)}
+    # each pinning's weight is the product of the single-photon amplitudes
+    # of its two legs, formed by the same rule, so the products are exact
     d11 = s[(1, 1)].disconnected
-    assert all(t.weight == pytest.approx(c1.t11 * c2.t21, rel=1e-14) for t in d11)
+    assert all(t.weight == c1.t11 * c2.t21 for t in d11)
     assert {t.pinned for t in d11} == {(k1, k2), (k2, k1)}
     d12 = s[(1, 2)].disconnected
     assert d12[0].pinned == (k1, k2)
-    assert d12[0].weight == pytest.approx(c1.t11 * c2.t22, rel=1e-14)
+    assert d12[0].weight == c1.t11 * c2.t22
     assert d12[1].pinned == (k2, k1)
-    assert d12[1].weight == pytest.approx(c1.t21 * c2.t21, rel=1e-14)
+    assert d12[1].weight == c1.t21 * c2.t21
     d22 = s[(2, 2)].disconnected
-    assert all(t.weight == pytest.approx(c1.t21 * c2.t22, rel=1e-14) for t in d22)
+    assert all(t.weight == c1.t21 * c2.t22 for t in d22)
     q1 = 1.0
     q2 = k1 + k2 - q1
-    assert s[(1, 2)].connected(q1, q2) == pytest.approx(
-        two_photon_t_h(p, (1, 2, 1, 2), k1, k2, q1, q2), rel=1e-14
-    )
+    assert s[(1, 2)].connected(q1, q2) == two_photon_t_h(p, (1, 2, 1, 2), k1, k2, q1, q2)
 
 
 def test_pair_wavefunction_parity():
