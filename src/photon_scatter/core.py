@@ -185,7 +185,8 @@ class HWGParams:
 
     The fields may be arrays that broadcast together, one parameter point
     per entry; every entry is checked, and a pair that vanishes at any one
-    entry is refused, as is one whose gamma_e / 2 underflows to zero.
+    entry is refused, as is one whose gamma_e overflows to infinity or whose
+    gamma_e / 2 underflows to zero.
     :func:`photon_scatter.hwg.channel_amplitudes`,
     ``ChannelAmplitudes.unitarity_defect``, ``hwg.two_photon_t_h`` and
     ``hwg.pair_wavefunction`` broadcast over them.
@@ -203,14 +204,20 @@ class HWGParams:
             raise ValueError("couplings must be nonnegative")
         if np.any((v1 == 0.0) & (v2 == 0.0)):
             raise ValueError("at least one coupling must be nonzero")
-        # couplings below about 3e-162 give a gamma_e whose half is 0, and
-        # the bright waveguide a real pole; named here, not as gamma_t
-        if np.any(0.5 * self.gamma_e == 0.0):
-            raise ValueError("gamma_e / 2 underflows to zero")
+        # couplings above about 1.3e154 square to an infinite gamma_e, and
+        # those below about 3e-162 to one whose half is 0, giving the bright
+        # waveguide a real pole; both are named here, not as gamma_t.  numpy
+        # would also warn on an array entry's overflow, which this reports.
+        with np.errstate(over="ignore"):
+            half = 0.5 * self.gamma_e
+        if not np.all(np.isfinite(half) & (half > 0.0)):
+            raise ValueError("gamma_e overflows to infinity or its half underflows to zero")
 
     @property
     def gamma_e(self) -> float:
-        return self.vbar[0] ** 2 + self.vbar[1] ** 2
+        # products, not **, which raises for a Python float past the largest
+        # float; numpy squares an array's entries the same way
+        return self.vbar[0] * self.vbar[0] + self.vbar[1] * self.vbar[1]
 
     @property
     def bright(self) -> TWGParams:

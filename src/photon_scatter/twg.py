@@ -41,15 +41,22 @@ __all__ = [
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
 
+
+def _momentum(k):
+    """k as a float array; a nan or infinite entry raises ``ValueError``."""
+    k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError("momentum must be finite")
+    return k
+
+
 def transmission_amplitude(params: TWGParams, k):
     """Single-photon transmission phase t_k = (k - alpha*)/(k - alpha).
 
     Unimodular for every real k; equals -1 exactly on resonance.  A nan or
     infinite momentum raises ``ValueError``.
     """
-    k = np.asarray(k, dtype=float)
-    if not np.isfinite(k).all():
-        raise ValueError("momentum must be finite")
+    k = _momentum(k)
     a = params.alpha
     t = (k - np.conj(a)) / (k - a)
     return t if t.ndim else complex(t)
@@ -61,10 +68,7 @@ def _scattered(params: TWGParams, k):
     Formed directly: far off resonance t_k rounds near 1, and subtracting 1
     from it would keep only the leading digits of this small part.
     """
-    k = np.asarray(k, dtype=float)
-    if not np.isfinite(k).all():
-        raise ValueError("momentum must be finite")
-    return -1j * params.gamma_t / (k - params.alpha)
+    return -1j * params.gamma_t / (_momentum(k) - params.alpha)
 
 
 def two_photon_t(params: TWGParams, k1: float, k2: float, p1, p2):

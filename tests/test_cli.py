@@ -361,6 +361,9 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
         # and so would a gamma_e = vbar1^2 + vbar2^2 whose half underflows
         ["h-single", "--vbar1", "1e-170", "--vbar2", "0", "--grid", "k:0:2:3"],
         ["h-two-photon", "--vbar1", "1e-170", "--vbar2", "1e-170", "--k1", "1", "--k2", "1"],
+        # or one that overflows to infinity
+        ["h-single", "--vbar1", "1e155", "--vbar2", "0", "--grid", "k:0:2:3"],
+        ["h-two-photon", "--vbar1", "1e155", "--vbar2", "1", "--k1", "1", "--k2", "1"],
     ],
 )
 def test_config_errors_exit_2_with_json_record(capsys, tmp_path, argv):

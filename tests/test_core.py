@@ -62,7 +62,10 @@ def test_parameter_validation():
         # couplings that square to a gamma_e whose half underflows: named as
         # gamma_e, not as the bright waveguide's gamma_t
         (HWGParams, (1.0, (1e-170, 0.0)), (1.0, (np.array([1.0, 1e-170]), np.zeros(2))),
-         r"^gamma_e / 2 underflows"),
+         r"^gamma_e overflows to infinity or its half underflows"),
+        # and couplings that square to an infinite gamma_e
+        (HWGParams, (1.0, (1e155, 0.0)), (1.0, (np.array([1.0, 1e155]), np.zeros(2))),
+         r"^gamma_e overflows to infinity or its half underflows"),
     ]
     for record, scalar, array, message in cases:
         for args in (scalar, array):
