@@ -142,9 +142,10 @@ class TWGParams:
     """Linearized single-channel waveguide coupled to a two-level atom.
 
     ``gamma_t`` is the total atom decay rate into the even channel; the
-    complex pole of every amplitude sits at ``alpha = omega_atom - i gamma_t/2``.
-    Array fields are checked entry by entry, as in the other records, but
-    the functions of :mod:`photon_scatter.twg` are written for scalar fields;
+    complex pole of every amplitude sits at ``alpha = omega_atom - i gamma_t/2``,
+    and a linewidth for which 2 / gamma_t overflows is refused.  Array
+    fields are checked entry by entry, as in the other records, but the
+    functions of :mod:`photon_scatter.twg` are written for scalar fields;
     the three-photon T densities broadcast over the momenta instead.
     """
 
@@ -155,10 +156,12 @@ class TWGParams:
         _require_finite(self.omega_atom, self.gamma_t)
         if not np.all(self.gamma_t > 0.0):
             raise ValueError("gamma_t must be positive")
-        # half the least subnormal rounds to 0, leaving the pole alpha real:
-        # every amplitude then reads 0/0 at k = Omega
-        if np.any(0.5 * self.gamma_t == 0.0):
-            raise ValueError("gamma_t / 2 underflows to zero")
+        # below about 1.112e-308 the resonant pole k - alpha = i gamma_t / 2
+        # has no finite reciprocal: numpy's complex division overflows, and
+        # every amplitude reads inf or nan at k = Omega
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(np.divide(2.0, self.gamma_t))):
+                raise ValueError("gamma_t is so small that 2 / gamma_t overflows")
 
     @property
     def alpha(self) -> complex:
@@ -185,8 +188,8 @@ class HWGParams:
 
     The fields may be arrays that broadcast together, one parameter point
     per entry; every entry is checked, and a pair that vanishes at any one
-    entry is refused, as is one whose gamma_e overflows to infinity or whose
-    gamma_e / 2 underflows to zero.
+    entry is refused, as is one whose gamma_e overflows to infinity or for
+    which 2 / gamma_e overflows.
     :func:`photon_scatter.hwg.channel_amplitudes`,
     ``ChannelAmplitudes.unitarity_defect``, ``hwg.two_photon_t_h`` and
     ``hwg.pair_wavefunction`` broadcast over them.
@@ -205,13 +208,14 @@ class HWGParams:
         if np.any((v1 == 0.0) & (v2 == 0.0)):
             raise ValueError("at least one coupling must be nonzero")
         # couplings above about 1.3e154 square to an infinite gamma_e, and
-        # those below about 3e-162 to one whose half is 0, giving the bright
-        # waveguide a real pole; both are named here, not as gamma_t.  numpy
-        # would also warn on an array entry's overflow, which this reports.
-        with np.errstate(over="ignore"):
-            half = 0.5 * self.gamma_e
-        if not np.all(np.isfinite(half) & (half > 0.0)):
-            raise ValueError("gamma_e overflows to infinity or its half underflows to zero")
+        # those below about 1.05e-154 to one for which 2 / gamma_e overflows,
+        # which the bright waveguide refuses; both are named here, not as
+        # gamma_t.  numpy would also warn on an array entry's overflow, or
+        # on a gamma_e of 0, which this reports.
+        with np.errstate(over="ignore", divide="ignore"):
+            gamma = self.gamma_e
+            if not np.all(np.isfinite(gamma) & np.isfinite(np.divide(2.0, gamma))):
+                raise ValueError("gamma_e overflows to infinity or 2 / gamma_e overflows")
 
     @property
     def gamma_e(self) -> float:

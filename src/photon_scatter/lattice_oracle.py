@@ -42,11 +42,12 @@ Gaussian wavepacket runs measure transmission probabilities against the
 analytic amplitudes; two-packet runs probe photon-photon correlations;
 and quantized-momentum ring sums check the continuum delta conventions of the analytic S-matrices (a
 momentum delta maps to (L / 2 pi) times a Kronecker delta on the ring).
-Each ring sum snaps the incident momenta to the ring grid, builds the
-S-matrix with the library's own constructor (``twg.two_photon_s``,
-``twg.three_photon_s``, ``hwg.two_photon_s_h``), lays its tiers on one
-energy-shell grid and reduces, so a wrong slot or weight in the S-matrix
-shows in the unitarity sums.
+Both ring sums, the unitarity sum :func:`ring_norm` and the out-state
+image :func:`ring_wavefunction`, take a record and its incident momenta,
+snap them to the ring grid, build the S-matrix with the library's own
+constructor (``twg.two_photon_s``, ``twg.three_photon_s`` or
+``hwg.two_photon_s_h``) and lay its tiers on one energy-shell grid, so a
+wrong slot or weight in the S-matrix shows in them.
 
 H-type lattice realization: each chain uses hopping J = 1/2, so the
 band-center group velocity equals the unit waveguide velocity, and site
@@ -59,6 +60,7 @@ variable.
 from __future__ import annotations
 
 import copy
+import math
 import sys
 from dataclasses import dataclass
 
@@ -991,19 +993,14 @@ def two_excitation_check(
 # ring-quantized momentum sums
 
 
-# shell half-widths of the ring sums: the pair sums in units of the line
-# scale |E/2 - Omega| + width, the three-photon out-state in units of gamma_t;
-# the connected pair tail of an out-state decays slowly and needs the widest
-_PAIR_NORM_WINDOW = 25.0
-_PAIR_WF_WINDOW = 1500.0
-_PSI3_WINDOW = 32.0
-_PSI3_PAIR_WINDOW = 1000.0
-# shell momenta per block of a ring sum's plane waves
+# shell half-widths of the ring sums, in line scales |E/n - Omega| + the
+# linewidth: the unitarity sums', and the out-state images' by photon
+# number; the connected pair tail of an out-state decays slowly and needs
+# the widest
+_NORM_WINDOW = 25.0
+_IMAGE_WINDOWS = {2: 1500.0, 3: 32.0}
+# shell momenta per block of a plane-wave sum
 _RING_CHUNK = 2048
-
-
-def _snap(value: float, dk: float) -> float:
-    return round(value / dk) * dk
 
 
 def _shell(e: float, n: int, size: int, half_window: float):
@@ -1020,6 +1017,12 @@ def _shell(e: float, n: int, size: int, half_window: float):
     for q in p:
         last = last - q
     return [*p, last]
+
+
+def _scaled_shell(params, e: float, n: int, size: int, windows: float):
+    """The ring shell of :func:`_shell`, ``windows`` line scales wide."""
+    width = params.gamma_e if isinstance(params, HWGParams) else params.gamma_t
+    return _shell(e, n, size, windows * (abs(e / n - params.omega_atom) + width))
 
 
 def _ring_image(s, p, size: int) -> np.ndarray:
@@ -1047,119 +1050,108 @@ def _ring_image(s, p, size: int) -> np.ndarray:
     return m
 
 
-def _pair_shell(params, width: float, k1: float, k2: float, size: int, windows: float):
-    """Snapped incident pair and its ring shell, ``windows`` line scales wide."""
-    dk = 2.0 * np.pi / size
-    k1s, k2s = _snap(k1, dk), _snap(k2, dk)
-    e = k1s + k2s
-    scale = abs(0.5 * e - params.omega_atom) + width
-    return (k1s, k2s), _shell(e, 2, size, windows * scale)
+def _channels(params, k, size: int):
+    """Snapped incident momenta and the library's S-matrix for them.
 
-
-def ring_two_photon_wavefunction(params, k1: float, k2: float, x_center, x_relative, size: int):
-    """Quantized-momentum image of the analytic two-photon out-state.
-
-    Snaps the incident momenta to the ring grid, lays
-    :func:`photon_scatter.twg.two_photon_s` on the energy shell once and
-    sums its plane waves at every point (x_center, x_relative), which
-    broadcast; returns ``(snapped momenta, values)``, the values of their
-    broadcast shape.  Converges to
-    :func:`photon_scatter.twg.two_photon_out_wavefunction` as the ring
-    grows; the slowly decaying connected tail needs the wide shell.  The
-    plane waves are laid ``_RING_CHUNK`` shell momenta at a time, so the
-    sum holds no shell-length temporary.
+    The S-matrix comes keyed by the outgoing waveguide labels: the one
+    element of :func:`photon_scatter.twg.two_photon_s` or
+    :func:`photon_scatter.twg.three_photon_s` for a ``TWGParams`` record,
+    the three channels of :func:`photon_scatter.hwg.two_photon_s_h` (k1 in
+    waveguide 1, k2 in waveguide 2) for an ``HWGParams`` one.
     """
-    ks, p = _pair_shell(params, params.gamma_t, k1, k2, size, _PAIR_WF_WINDOW)
-    m = _ring_image(twg.two_photon_s(params, *ks), p, size)
-    xc, xr = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (x_center, x_relative)))
-    x1, x2 = (xc + 0.5 * xr).ravel(), (xc - 0.5 * xr).ravel()
-    total = np.zeros(len(x1), dtype=complex)
+    dk = 2.0 * np.pi / size
+    ks = tuple(round(v / dk) * dk for v in k)
+    if isinstance(params, HWGParams):
+        if len(ks) != 2:
+            raise ValueError(f"the H-type S-matrix takes a photon pair, got {len(ks)} momenta")
+        return ks, hwg.two_photon_s_h(params, *ks)
+    if len(ks) == 2:
+        return ks, {(1, 1): twg.two_photon_s(params, *ks)}
+    return ks, {(1, 1, 1): twg.three_photon_s(params, ks)}
+
+
+def _identical(labels) -> int:
+    """prod over the outgoing waveguide labels of (count of that label)!"""
+    return math.prod(math.factorial(labels.count(j)) for j in set(labels))
+
+
+def _plane_waves(m, p, x) -> np.ndarray:
+    """sum_q m_q exp(i p_q . x) at every point of the flat coordinates ``x``.
+
+    ``m`` and every slot of ``p`` run over the same shell momenta, read
+    flat; they are laid ``_RING_CHUNK`` momenta at a time, so the sum holds
+    no shell-length temporary.
+    """
+    m = m.ravel()
+    p = [q.ravel() for q in p]
+    total = np.zeros(len(x[0]), dtype=complex)
     for start in range(0, len(m), _RING_CHUNK):
         block = slice(start, start + _RING_CHUNK)
-        phase = np.multiply.outer(p[0][block], x1)
-        phase += np.multiply.outer(p[1][block], x2)
+        phase = np.multiply.outer(p[0][block], x[0])
+        for q, v in zip(p[1:], x[1:]):
+            phase += np.multiply.outer(q[block], v)
         wave = np.empty(phase.shape, dtype=complex)
         np.cos(phase, out=wave.real)
         np.sin(phase, out=wave.imag)
         total += m[block] @ wave
-    values = (total / (4.0 * np.pi)).reshape(xc.shape)
-    return ks, values if values.ndim else complex(values)
+    return total
 
 
-def ring_two_photon_norm(params, k1: float, k2: float, size: int):
-    """Out-state norm of the two-photon S-matrix on the ring (exact value 1)."""
-    ks, p = _pair_shell(params, params.gamma_t, k1, k2, size, _PAIR_NORM_WINDOW)
-    m = _ring_image(twg.two_photon_s(params, *ks), p, size)
-    return float(0.5 * np.sum(np.abs(m) ** 2))
+def ring_norm(params, k, size: int, half_window: float | None = None) -> float:
+    """Out-state norm of the library's S-matrix on the ring (exact value 1).
 
-
-def ring_three_photon_norm(params, k, size: int, half_window: float):
-    """Out-state norm of the three-photon S-matrix on the ring (exact value 1).
-
-    Sums |M|^2 / 6 over the square of half-width ``half_window`` on the
-    shell plane, M the ring image of :func:`photon_scatter.twg.three_photon_s`.
+    ``k`` holds the incident momenta: two or three photons on a
+    ``TWGParams`` record, a pair (k1 in waveguide 1, k2 in waveguide 2) on
+    an ``HWGParams`` one.  Snaps them to the ring grid and sums |M|^2 over
+    every outgoing channel, M the channel's ring image on one energy shell
+    of half-width ``half_window`` (by default 25 line scales), divided by
+    prod (count of each outgoing waveguide label)! for identical photons.
     """
-    dk = 2.0 * np.pi / size
-    ks = tuple(_snap(v, dk) for v in k)
-    m = _ring_image(twg.three_photon_s(params, ks), _shell(sum(ks), 3, size, half_window), size)
-    return float(np.sum(np.abs(m) ** 2) / 6.0)
-
-
-def ring_three_photon_wavefunction(params, k, x, size: int):
-    """Ring image of the three-photon spatial out-state.
-
-    Sums the tiers of :func:`photon_scatter.twg.three_photon_s` as quantized
-    plane waves: the pinned permutations directly, each pinned pair over its
-    own pair shell of half-width 1000 gamma_t, and the connected density
-    over the square of half-width 32 gamma_t on the shell plane, averaged
-    over the three choices of the slot that closes the shell.  Truncating
-    the connected sum leaves a relative deviation from the exact out-state
-    of up to about 1.5 gamma_t / 32 gamma_t.  Returns
-    ``(snapped momenta, value)``.
-    """
-    dk = 2.0 * np.pi / size
-    ks = tuple(_snap(v, dk) for v in k)
-    xs = [float(v) for v in x]
-    g = params.gamma_t
-    s = twg.three_photon_s(params, ks)
-
-    tier_a = 0.0j
-    for term in s.disconnected:
-        tier_a += term.weight * np.exp(1j * sum(q * v for q, v in zip(term.pinned, xs)))
-
-    tier_b = 0.0j
-    for term in s.pinned_pairs:
-        pa, pb = _shell(term.pair_energy, 2, size, _PSI3_PAIR_WINDOW * g)
-        xa, xb = (v for j, v in enumerate(xs) if j != term.slot)
-        kernel = dk * np.sum(term.density(pa, pb) * np.exp(1j * (pa * xa + pb * xb)))
-        tier_b += term.amplitude * np.exp(1j * term.value * xs[term.slot]) * kernel
-
-    # T3 is symmetric in p, so the density serves every choice of the
-    # closing slot; only the plane waves move
-    pa, pb, ps = _shell(sum(ks), 3, size, _PSI3_WINDOW * g)
-    dens = s.connected(pa, pb, ps)
-    tier_c = 0.0j
-    for j in range(3):
-        xa, xb = (v for i, v in enumerate(xs) if i != j)
-        tier_c += dk**2 * np.sum(dens * np.exp(1j * (pa * xa + pb * xb + ps * xs[j])))
-    tier_c /= 3.0
-
-    value = (tier_a + tier_b + tier_c) / (6.0 * (2.0 * np.pi) ** 1.5)
-    return ks, complex(value)
-
-
-def ring_h_pair_norm(params, k1: float, k2: float, size: int):
-    """Out-state norm of the H-type pair S-matrix on the ring (exact value 1).
-
-    Incident pair (k1 in waveguide 1, k2 in waveguide 2); sums the ring
-    images of the three outgoing channels of
-    :func:`photon_scatter.hwg.two_photon_s_h`, a same-guide channel with
-    weight 1/2 for its identical photons.
-    """
-    ks, p = _pair_shell(params, params.gamma_e, k1, k2, size, _PAIR_NORM_WINDOW)
+    ks, channels = _channels(params, k, size)
+    n, e = len(ks), sum(ks)
+    if half_window is None:
+        p = _scaled_shell(params, e, n, size, _NORM_WINDOW)
+    else:
+        p = _shell(e, n, size, half_window)
     return float(
         sum(
-            (0.5 if j1 == j2 else 1.0) * np.sum(np.abs(_ring_image(s, p, size)) ** 2)
-            for (j1, j2), s in hwg.two_photon_s_h(params, *ks).items()
+            np.sum(np.abs(_ring_image(s, p, size)) ** 2) / _identical(labels)
+            for labels, s in channels.items()
         )
     )
+
+
+def ring_wavefunction(params, k, x, size: int):
+    """Quantized-momentum image of the spatial out-state.
+
+    ``k`` is as for :func:`ring_norm`; ``x`` holds one coordinate per
+    photon, the coordinates broadcasting together.  Lays each outgoing
+    channel's S-matrix on one energy shell of ``_IMAGE_WINDOWS[n]`` line
+    scales and sums its plane waves at every point, divided by prod (count
+    of each outgoing waveguide label)! and (2 pi)^(n/2).  Returns
+    ``(snapped momenta, images)``, the images keyed by the outgoing
+    waveguide labels, each of the coordinates' broadcast shape.
+
+    Converges to :func:`photon_scatter.twg.two_photon_out_wavefunction`,
+    :func:`photon_scatter.twg.three_photon_out_wavefunction` and
+    :func:`photon_scatter.hwg.pair_wavefunction` as the ring grows.  The
+    three-photon shell, truncated at W = 32 line scales, leaves a deviation
+    from the exact out-state that falls as 1 / W and is largest at a triple
+    coincidence: below 4 (2 pi)^(-3/2) / W, (2 pi)^(-3/2) being the
+    in-state's largest modulus.  The largest measured, over momenta within
+    two linewidths of resonance, is 3.9 (2 pi)^(-3/2) / W, on resonance at
+    the origin.  Where |psi3| is small this bounds no relative deviation.
+    """
+    ks, channels = _channels(params, k, size)
+    n = len(ks)
+    xs = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in x))
+    if len(xs) != n:
+        raise ValueError(f"{n} photons need {n} coordinates, got {len(xs)}")
+    flat = [v.ravel() for v in xs]
+    p = _scaled_shell(params, sum(ks), n, size, _IMAGE_WINDOWS[n])
+    images = {}
+    for labels, s in channels.items():
+        values = _plane_waves(_ring_image(s, p, size), p, flat).reshape(xs[0].shape)
+        values = values / (_identical(labels) * (2.0 * np.pi) ** (0.5 * n))
+        images[labels] = values if values.ndim else complex(values)
+    return ks, images

@@ -165,11 +165,11 @@ def _criterion_two_photon_out_state():
     rng = np.random.default_rng(105)
     draws = np.array([(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 6.0)) for _ in range(10)])
     xc_r, xr_r = draws.T
-    (k1s, k2s), ring = lattice_oracle.ring_two_photon_wavefunction(
-        params, 0.15, 0.25, xc_r, xr_r, 601
+    (k1s, k2s), ring = lattice_oracle.ring_wavefunction(
+        params, (0.15, 0.25), (xc_r + 0.5 * xr_r, xc_r - 0.5 * xr_r), 601
     )
     ana = twg.two_photon_out_wavefunction(params, k1s, k2s, xc_r, xr_r)
-    dev_ring = float(np.max(np.abs(ring - ana)))
+    dev_ring = float(np.max(np.abs(ring[(1, 1)] - ana)))
 
     return [
         Check("evenness dev", dev_even, "1e-12"),
@@ -273,7 +273,7 @@ def _criterion_correlations():
         return hwg.pair_wavefunction(params, pair, 1.0, 1.0, x)
 
     # unitarity of the pair S-matrix these out-states come from, on the ring
-    ring_norm = lattice_oracle.ring_h_pair_norm(params, 1.0, 1.0, 601)
+    pair_norm = lattice_oracle.ring_norm(params, (1.0, 1.0), 601)
     dev_even = 0.0
     for pair in ((1, 1), (2, 2)):
         dev_even = max(dev_even, float(np.max(np.abs(g(pair, x) - g(pair, -x)))))
@@ -301,7 +301,7 @@ def _criterion_correlations():
     flat = indicator((1.0, 50.0))
 
     return [
-        Check("L=601 ring pair |norm - 1|", abs(ring_norm - 1.0), "1e-6"),
+        Check("L=601 ring pair |norm - 1|", abs(pair_norm - 1.0), "1e-6"),
         Check("evenness dev", dev_even, "1e-15"),
         Check("bound decay-rate dev", dev_decay, "1e-6"),
         _strictly("bunching indicator", bunching, ">", "1"),

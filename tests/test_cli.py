@@ -353,13 +353,18 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
         # packets are placed left to right, so a separation cannot be negative
         ["oracle", "pair", "--omega", "0", "--omega0", "0", "--k1", "1.5708",
          "--k2", "1.5708", "--separation", "-1000"],
-        # a linewidth whose half underflows would leave the pole on the real axis
+        # a linewidth for which 2 / gamma overflows leaves the resonant pole
+        # with no finite reciprocal
         ["three-photon-wf", "--omega", "0", "--gamma", "5e-324", "--k1", "0", "--k2", "0",
+         "--k3", "0", "--x3", "0", "--grid", "x:-1:1:2"],
+        ["three-photon-wf", "--omega", "0", "--gamma", "1e-323", "--k1", "0", "--k2", "0",
          "--k3", "0", "--x3", "0", "--grid", "x:-1:1:2"],
         ["two-photon-wf", "--gamma", "5e-324", "--k1", "1", "--k2", "1", "--grid", "x:-1:1:2"],
         ["wg-transmit", "--gamma", "5e-324", "--grid", "k:-1:1:3"],
-        # and so would a gamma_e = vbar1^2 + vbar2^2 whose half underflows
+        ["wg-transmit", "--omega", "0", "--gamma", "1e-308", "--grid", "k:-1:1:3"],
+        # and so would a gamma_e = vbar1^2 + vbar2^2 of 0 or just above
         ["h-single", "--vbar1", "1e-170", "--vbar2", "0", "--grid", "k:0:2:3"],
+        ["h-single", "--omega", "0", "--vbar1", "1e-158", "--vbar2", "0", "--grid", "k:-1:1:3"],
         ["h-two-photon", "--vbar1", "1e-170", "--vbar2", "1e-170", "--k1", "1", "--k2", "1"],
         # or one that overflows to infinity
         ["h-single", "--vbar1", "1e155", "--vbar2", "0", "--grid", "k:0:2:3"],

@@ -54,23 +54,33 @@ def test_parameter_validation():
         (CosineBand, (0.0, 0.0), (np.zeros(3), np.array([1.0, 0.0, 1.0])),
          "hopping must be positive"),
         (TWGParams, (1.0, 0.0), (np.ones(2), np.array([1.0, 0.0])), "gamma_t must be positive"),
-        (TWGParams, (1.0, 5e-324), (np.ones(2), np.array([1.0, 5e-324])), "gamma_t / 2 underflows"),
+        # linewidths for which 2 / gamma_t overflows: the least subnormal, and
+        # the largest double below 2 / (largest double) = 1.1125e-308
+        (TWGParams, (1.0, 5e-324), (np.ones(2), np.array([1.0, 5e-324])), "2 / gamma_t overflows"),
+        (TWGParams, (1.0, 1e-308), (np.ones(2), np.array([1.0, 1e-308])), "2 / gamma_t overflows"),
+        (TWGParams, (1.0, 1.112e-308), (np.ones(2), np.array([1.0, 1.112e-308])),
+         "2 / gamma_t overflows"),
         (HWGParams, (1.0, (0.0, 0.0)), (1.0, (np.array([1.0, 0.0]), np.zeros(2))),
          "at least one coupling must be nonzero"),
         (HWGParams, (1.0, (1.0, -2.0)), (1.0, (1.0, np.array([2.0, -2.0]))),
          "couplings must be nonnegative"),
-        # couplings that square to a gamma_e whose half underflows: named as
-        # gamma_e, not as the bright waveguide's gamma_t
+        # couplings that square to a gamma_e of 0 or one for which 2 / gamma_e
+        # overflows: named as gamma_e, not as the bright waveguide's gamma_t
         (HWGParams, (1.0, (1e-170, 0.0)), (1.0, (np.array([1.0, 1e-170]), np.zeros(2))),
-         r"^gamma_e overflows to infinity or its half underflows"),
+         r"^gamma_e overflows to infinity or 2 / gamma_e overflows"),
+        (HWGParams, (1.0, (1e-158, 0.0)), (1.0, (np.array([1.0, 1e-158]), np.zeros(2))),
+         r"^gamma_e overflows to infinity or 2 / gamma_e overflows"),
         # and couplings that square to an infinite gamma_e
         (HWGParams, (1.0, (1e155, 0.0)), (1.0, (np.array([1.0, 1e155]), np.zeros(2))),
-         r"^gamma_e overflows to infinity or its half underflows"),
+         r"^gamma_e overflows to infinity or 2 / gamma_e overflows"),
     ]
     for record, scalar, array, message in cases:
         for args in (scalar, array):
             with pytest.raises(ValueError, match=message):
                 record(*args)
+    # the least linewidths for which 2 / gamma stays finite are accepted
+    assert TWGParams(1.0, 1.113e-308).gamma_t == 1.113e-308
+    assert HWGParams(1.0, (1.06e-154, 0.0)).gamma_e > 0.0
     # a pair may vanish in one waveguide at each entry, only not in both
     h = HWGParams(1.0, (np.array([0.0, 1.0]), np.array([1.0, 0.0])))
     assert np.array_equal(h.gamma_e, [1.0, 1.0])
@@ -143,8 +153,9 @@ def test_exported_names_resolve(module):
 
 
 def test_exported_names_are_read_in_the_package():
-    # nothing is exported only to be tested: each public name of a physics
-    # module is loaded as a name or read as an attribute somewhere in src/
+    # nothing is exported only to be tested: each public name a physics or
+    # oracle module defines is loaded as a name or read as an attribute
+    # somewhere in src/
     read = set()
     for path in Path(photon_scatter.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -152,10 +163,14 @@ def test_exported_names_are_read_in_the_package():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    unread = [
-        f"{module}.{name}"
-        for module in ("core", "tcra", "twg", "hwg", "bethe")
-        for name in importlib.import_module(f"photon_scatter.{module}").__all__
-        if name not in read
-    ]
+    unread = []
+    for module in ("core", "tcra", "twg", "hwg", "bethe", "lattice_oracle"):
+        namespace = importlib.import_module(f"photon_scatter.{module}")
+        unread += [
+            f"{module}.{name}"
+            for name, value in vars(namespace).items()
+            if not name.startswith("_")
+            and getattr(value, "__module__", None) == namespace.__name__
+            and name not in read
+        ]
     assert unread == []

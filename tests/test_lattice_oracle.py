@@ -1292,26 +1292,34 @@ def test_pair_run_rejections():
 
 def test_ring_two_photon_norm_is_unit():
     params = TWGParams(omega_atom=0.2, gamma_t=0.3)
-    assert lo.ring_two_photon_norm(params, 0.15, 0.25, 601) == pytest.approx(
-        1.0, abs=1e-3
-    )
+    assert lo.ring_norm(params, (0.15, 0.25), 601) == pytest.approx(1.0, abs=1e-3)
+
+
+def _pair_points(xc, xr):
+    """(x1, x2) of centre and relative coordinates, x1 - x2 = xr."""
+    return xc + 0.5 * xr, xc - 0.5 * xr
 
 
 def test_ring_two_photon_wavefunction_matches_analytic():
     params = TWGParams(omega_atom=0.2, gamma_t=0.3)
     points = ((0.0, 1.0), (0.7, 3.0), (-1.2, 0.5), (2.0, 8.0))
     for xc, xr in points:
-        (k1s, k2s), value = lo.ring_two_photon_wavefunction(
-            params, 0.15, 0.25, xc, xr, 601
+        (k1s, k2s), images = lo.ring_wavefunction(
+            params, (0.15, 0.25), _pair_points(xc, xr), 601
         )
+        value = images[(1, 1)]
         assert isinstance(value, complex)
         reference = twg.two_photon_out_wavefunction(params, k1s, k2s, xc, xr)
         assert abs(value - reference) < 1e-5
     # one image serves every point of a broadcast call, in the points' shape
     xc, xr = np.array(points).T
-    _, values = lo.ring_two_photon_wavefunction(params, 0.15, 0.25, xc[:, None], xr, 601)
+    _, images = lo.ring_wavefunction(params, (0.15, 0.25), _pair_points(xc[:, None], xr), 601)
+    values = images[(1, 1)]
     assert values.shape == (4, 4)
-    singles = [lo.ring_two_photon_wavefunction(params, 0.15, 0.25, *x, 601)[1] for x in points]
+    singles = [
+        lo.ring_wavefunction(params, (0.15, 0.25), _pair_points(*x), 601)[1][(1, 1)]
+        for x in points
+    ]
     assert np.max(np.abs(np.diag(values) - singles)) <= 1e-15
 
 
@@ -1321,36 +1329,61 @@ def test_ring_two_photon_wavefunction_sums_with_two_temporaries():
     # S-matrix's own temporaries: at most 6.5 real shell-length vectors at
     # once, for one point or for ten
     params = TWGParams(omega_atom=0.2, gamma_t=0.3)
-    _, p = lo._pair_shell(params, params.gamma_t, 0.15, 0.25, 601, lo._PAIR_WF_WINDOW)
+    ks, _ = lo._channels(params, (0.15, 0.25), 601)
+    p = lo._scaled_shell(params, sum(ks), 2, 601, lo._IMAGE_WINDOWS[2])
     for xc, xr in ((0.7, 3.0), (np.linspace(-2.0, 2.0, 10), np.linspace(0.3, 6.0, 10))):
         peak = _traced_peak(
-            lambda: lo.ring_two_photon_wavefunction(params, 0.15, 0.25, xc, xr, 601)
+            lambda: lo.ring_wavefunction(params, (0.15, 0.25), _pair_points(xc, xr), 601)
         )
         assert peak <= 6.5 * p[0].nbytes
 
 
 def test_ring_three_photon_norm_is_unit():
     params = TWGParams(omega_atom=0.0, gamma_t=1.0)
-    norm = lo.ring_three_photon_norm(params, (-0.3, 0.1, 0.5), 201, half_window=10.0)
-    assert norm == pytest.approx(1.0, abs=2e-3)
+    norm = lo.ring_norm(params, (-0.3, 0.1, 0.5), 201, half_window=10.0)
+    assert norm == pytest.approx(1.0, abs=1e-4)
 
 
 def test_ring_three_photon_wavefunction_matches_analytic():
-    params = TWGParams(omega_atom=0.0, gamma_t=1.0)
-    momenta = (-0.3, 0.1, 0.5)
-    positions = (-1.2, 0.4, 1.7)
-    snapped, value = lo.ring_three_photon_wavefunction(params, momenta, positions, 61)
-    reference = twg.three_photon_out_wavefunction(params, snapped, positions)
-    # the ring truncates its connected sum at its window of 32
-    # gamma_t, which leaves a relative deviation of up to ~1.5 gamma_t / window
-    assert abs(value - reference) < 1.5 / 32.0 * abs(reference)
+    # a generic point, a coincident pair and the origin, a triple
+    # coincidence, where the truncated shell's deviation is largest; off
+    # and on resonance
+    x = np.array([(-1.2, 0.4, 1.7), (1.0, 1.0, -1.0), (0.0, 0.0, 0.0)]).T
+    # the bound the docstring states for the window of 32 line scales
+    bound = 4.0 / 32.0 / (2.0 * np.pi) ** 1.5
+    for omega, momenta in ((0.0, (-0.3, 0.1, 0.5)), (1.0, (1.0, 1.0, 1.0))):
+        params = TWGParams(omega_atom=omega, gamma_t=1.0)
+        snapped, images = lo.ring_wavefunction(params, momenta, x, 61)
+        reference = twg.three_photon_out_wavefunction(params, snapped, x)
+        assert np.all(np.abs(images[(1, 1, 1)] - reference) < bound)
+
+
+def test_ring_h_pair_wavefunction_matches_analytic():
+    # each outgoing channel's image is e^{i E x_c} g_{j1 j2}(x1 - x2), the
+    # (1, 2) channel slot-ordered with x1 in waveguide 1
+    params = _h_params((0.2, 0.4))
+    xc, xr = np.array([0.0, 0.7, -1.2, 2.0]), np.array([1.0, 3.0, 0.5, -8.0])
+    (k1s, k2s), images = lo.ring_wavefunction(params, (1.05, 0.95), _pair_points(xc, xr), 601)
+    assert sorted(images) == [(1, 1), (1, 2), (2, 2)]
+    for pair, values in images.items():
+        reference = np.exp(1j * (k1s + k2s) * xc) * hwg.pair_wavefunction(
+            params, pair, k1s, k2s, xr
+        )
+        assert np.max(np.abs(values - reference)) < 1e-6
+
+
+def test_ring_sums_refuse_a_wrong_photon_count():
+    with pytest.raises(ValueError, match="photon pair"):
+        lo.ring_norm(_h_params((0.2, 0.4)), (1.0, 1.0, 1.0), 61)
+    with pytest.raises(ValueError, match="3 entries"):
+        lo.ring_norm(TWGParams(omega_atom=0.0, gamma_t=1.0), (1.0,), 61)
+    with pytest.raises(ValueError, match="2 photons need 2 coordinates"):
+        lo.ring_wavefunction(TWGParams(omega_atom=0.0, gamma_t=1.0), (1.0, 1.0), (0.0,), 61)
 
 
 def test_ring_h_pair_norm_is_unit():
     params = _h_params((0.2, 0.4))
-    assert lo.ring_h_pair_norm(params, 1.05, 0.95, 601) == pytest.approx(
-        1.0, abs=1e-3
-    )
+    assert lo.ring_norm(params, (1.05, 0.95), 601) == pytest.approx(1.0, abs=1e-3)
 
 
 def _drop_first_pinned_pair(s):
@@ -1369,15 +1402,13 @@ def _double_mixed_channel(table):
     "module, constructor, damage, norm, tol",
     [
         (twg, "three_photon_s", _drop_first_pinned_pair,
-         lambda: lo.ring_three_photon_norm(
+         lambda: lo.ring_norm(
              TWGParams(omega_atom=0.0, gamma_t=1.0), (-0.3, 0.1, 0.5), 201, half_window=10.0
-         ), 2e-3),
+         ), 1e-4),
         (twg, "two_photon_s", _double_connected,
-         lambda: lo.ring_two_photon_norm(
-             TWGParams(omega_atom=0.2, gamma_t=0.3), 0.15, 0.25, 601
-         ), 1e-3),
+         lambda: lo.ring_norm(TWGParams(omega_atom=0.2, gamma_t=0.3), (0.15, 0.25), 601), 1e-3),
         (hwg, "two_photon_s_h", _double_mixed_channel,
-         lambda: lo.ring_h_pair_norm(_h_params((0.2, 0.4)), 1.05, 0.95, 601), 1e-3),
+         lambda: lo.ring_norm(_h_params((0.2, 0.4)), (1.05, 0.95), 601), 1e-3),
     ],
     ids=["three_photon_s", "two_photon_s", "two_photon_s_h"],
 )
