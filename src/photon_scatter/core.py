@@ -32,6 +32,13 @@ class ToleranceError(RuntimeError):
     """A numerical procedure failed to reach its requested tolerance."""
 
 
+# the double above 2 / (largest double), about 1.1125e-308: at or below
+# this linewidth gamma the resonant pole k - alpha = i gamma / 2 has no
+# finite reciprocal, and every amplitude reads inf or nan at k = Omega.
+# Below it 2 / gamma overflows; at it numpy's complex division still does.
+_LEAST_LINEWIDTH = np.nextafter(2.0 / np.finfo(float).max, 1.0)
+
+
 def _require_finite(*values) -> None:
     # nan makes every comparison false, so a range check alone lets it through;
     # the fields broadcast together, scalars and arrays alike
@@ -156,12 +163,8 @@ class TWGParams:
         _require_finite(self.omega_atom, self.gamma_t)
         if not np.all(self.gamma_t > 0.0):
             raise ValueError("gamma_t must be positive")
-        # below about 1.112e-308 the resonant pole k - alpha = i gamma_t / 2
-        # has no finite reciprocal: numpy's complex division overflows, and
-        # every amplitude reads inf or nan at k = Omega
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(np.divide(2.0, self.gamma_t))):
-                raise ValueError("gamma_t is so small that 2 / gamma_t overflows")
+        if np.any(self.gamma_t <= _LEAST_LINEWIDTH):
+            raise ValueError("gamma_t is so small that 2 / gamma_t overflows")
 
     @property
     def alpha(self) -> complex:
@@ -210,12 +213,12 @@ class HWGParams:
         # couplings above about 1.3e154 square to an infinite gamma_e, and
         # those below about 1.05e-154 to one for which 2 / gamma_e overflows,
         # which the bright waveguide refuses; both are named here, not as
-        # gamma_t.  numpy would also warn on an array entry's overflow, or
-        # on a gamma_e of 0, which this reports.
-        with np.errstate(over="ignore", divide="ignore"):
+        # gamma_t.  numpy would also warn on an array entry's overflow, which
+        # this reports.
+        with np.errstate(over="ignore"):
             gamma = self.gamma_e
-            if not np.all(np.isfinite(gamma) & np.isfinite(np.divide(2.0, gamma))):
-                raise ValueError("gamma_e overflows to infinity or 2 / gamma_e overflows")
+        if not np.all(np.isfinite(gamma) & (gamma > _LEAST_LINEWIDTH)):
+            raise ValueError("gamma_e overflows to infinity or 2 / gamma_e overflows")
 
     @property
     def gamma_e(self) -> float:

@@ -993,22 +993,26 @@ def two_excitation_check(
 # ring-quantized momentum sums
 
 
-# shell half-widths of the ring sums, in line scales |E/n - Omega| + the
-# linewidth: the unitarity sums', and the out-state images' by photon
-# number; the connected pair tail of an out-state decays slowly and needs
+# shell half-widths of the ring sums by photon number, in line scales
+# |E/n - Omega| + the linewidth: the unitarity sums' and the out-state
+# images'; the connected pair tail of an out-state decays slowly and needs
 # the widest
-_NORM_WINDOW = 25.0
-_IMAGE_WINDOWS = {2: 1500.0, 3: 32.0}
+_NORM_WINDOWS = {2: 25.0, 3: 9.0}
+_IMAGE_WINDOWS = {2: 1500.0, 3: 29.0}
 # shell momenta per block of a plane-wave sum
 _RING_CHUNK = 2048
 
 
-def _shell(e: float, n: int, size: int, half_window: float):
+def _shell(params, e: float, n: int, size: int, windows: float):
     """Ring momenta on the shell p_1 + ... + p_n = e.
 
-    The first n - 1 slots each run over the grid axis of half-width
-    ``half_window`` centred on e / n; the last slot closes the shell.
+    The first n - 1 slots each run over the grid axis centred on e / n, of
+    half-width ``windows`` line scales |e / n - Omega| + the linewidth
+    (gamma_t, or gamma_e for an ``HWGParams`` record); the last slot closes
+    the shell.
     """
+    width = params.gamma_e if isinstance(params, HWGParams) else params.gamma_t
+    half_window = windows * (abs(e / n - params.omega_atom) + width)
     dk = 2.0 * np.pi / size
     n0 = round((e / n) / dk)
     axis = np.arange(n0 - int(half_window / dk), n0 + int(half_window / dk) + 1) * dk
@@ -1017,12 +1021,6 @@ def _shell(e: float, n: int, size: int, half_window: float):
     for q in p:
         last = last - q
     return [*p, last]
-
-
-def _scaled_shell(params, e: float, n: int, size: int, windows: float):
-    """The ring shell of :func:`_shell`, ``windows`` line scales wide."""
-    width = params.gamma_e if isinstance(params, HWGParams) else params.gamma_t
-    return _shell(e, n, size, windows * (abs(e / n - params.omega_atom) + width))
 
 
 def _ring_image(s, p, size: int) -> np.ndarray:
@@ -1036,7 +1034,7 @@ def _ring_image(s, p, size: int) -> np.ndarray:
     dk = 2.0 * np.pi / size
 
     def at(q, value):
-        return np.isclose(q, value, atol=0.25 * dk)
+        return np.abs(q - value) < 0.25 * dk
 
     m = dk ** (len(p) - 1) * s.connected(*p)
     for term in s.pinned_pairs:
@@ -1097,22 +1095,18 @@ def _plane_waves(m, p, x) -> np.ndarray:
     return total
 
 
-def ring_norm(params, k, size: int, half_window: float | None = None) -> float:
+def ring_norm(params, k, size: int) -> float:
     """Out-state norm of the library's S-matrix on the ring (exact value 1).
 
     ``k`` holds the incident momenta: two or three photons on a
     ``TWGParams`` record, a pair (k1 in waveguide 1, k2 in waveguide 2) on
     an ``HWGParams`` one.  Snaps them to the ring grid and sums |M|^2 over
     every outgoing channel, M the channel's ring image on one energy shell
-    of half-width ``half_window`` (by default 25 line scales), divided by
-    prod (count of each outgoing waveguide label)! for identical photons.
+    of ``_NORM_WINDOWS[n]`` line scales, divided by prod (count of each
+    outgoing waveguide label)! for identical photons.
     """
     ks, channels = _channels(params, k, size)
-    n, e = len(ks), sum(ks)
-    if half_window is None:
-        p = _scaled_shell(params, e, n, size, _NORM_WINDOW)
-    else:
-        p = _shell(e, n, size, half_window)
+    p = _shell(params, sum(ks), len(ks), size, _NORM_WINDOWS[len(ks)])
     return float(
         sum(
             np.sum(np.abs(_ring_image(s, p, size)) ** 2) / _identical(labels)
@@ -1135,12 +1129,13 @@ def ring_wavefunction(params, k, x, size: int):
     Converges to :func:`photon_scatter.twg.two_photon_out_wavefunction`,
     :func:`photon_scatter.twg.three_photon_out_wavefunction` and
     :func:`photon_scatter.hwg.pair_wavefunction` as the ring grows.  The
-    three-photon shell, truncated at W = 32 line scales, leaves a deviation
+    three-photon shell, truncated at W = 29 line scales, leaves a deviation
     from the exact out-state that falls as 1 / W and is largest at a triple
     coincidence: below 4 (2 pi)^(-3/2) / W, (2 pi)^(-3/2) being the
     in-state's largest modulus.  The largest measured, over momenta within
-    two linewidths of resonance, is 3.9 (2 pi)^(-3/2) / W, on resonance at
-    the origin.  Where |psi3| is small this bounds no relative deviation.
+    two linewidths of resonance, is 3.86 (2 pi)^(-3/2) / W, at a triple
+    coincidence with k = Omega.  Where |psi3| is small this bounds no
+    relative deviation.
     """
     ks, channels = _channels(params, k, size)
     n = len(ks)
@@ -1148,7 +1143,7 @@ def ring_wavefunction(params, k, x, size: int):
     if len(xs) != n:
         raise ValueError(f"{n} photons need {n} coordinates, got {len(xs)}")
     flat = [v.ravel() for v in xs]
-    p = _scaled_shell(params, sum(ks), n, size, _IMAGE_WINDOWS[n])
+    p = _shell(params, sum(ks), n, size, _IMAGE_WINDOWS[n])
     images = {}
     for labels, s in channels.items():
         values = _plane_waves(_ring_image(s, p, size), p, flat).reshape(xs[0].shape)

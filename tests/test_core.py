@@ -43,6 +43,9 @@ def test_derived_fields_random_draws():
         assert h.bright == TWGParams(h.omega_atom, h.gamma_e)
 
 
+_LEAST = float(np.nextafter(2.0 / np.finfo(float).max, 1.0))
+
+
 def test_parameter_validation():
     # each range check holds for every entry of an array field and gives the
     # scalar case's error; the array cases are bad at one entry only
@@ -54,12 +57,15 @@ def test_parameter_validation():
         (CosineBand, (0.0, 0.0), (np.zeros(3), np.array([1.0, 0.0, 1.0])),
          "hopping must be positive"),
         (TWGParams, (1.0, 0.0), (np.ones(2), np.array([1.0, 0.0])), "gamma_t must be positive"),
-        # linewidths for which 2 / gamma_t overflows: the least subnormal, and
-        # the largest double below 2 / (largest double) = 1.1125e-308
+        # linewidths for which 2 / gamma_t overflows: the least subnormal up to
+        # 1.112e-308, just below 2 / (largest double) = 1.1125e-308
         (TWGParams, (1.0, 5e-324), (np.ones(2), np.array([1.0, 5e-324])), "2 / gamma_t overflows"),
         (TWGParams, (1.0, 1e-308), (np.ones(2), np.array([1.0, 1e-308])), "2 / gamma_t overflows"),
         (TWGParams, (1.0, 1.112e-308), (np.ones(2), np.array([1.0, 1.112e-308])),
          "2 / gamma_t overflows"),
+        # one double above 2 / (largest double), 2 / gamma_t is finite but
+        # the resonant pole's complex reciprocal still overflows
+        (TWGParams, (1.0, _LEAST), (np.ones(2), np.array([1.0, _LEAST])), "2 / gamma_t overflows"),
         (HWGParams, (1.0, (0.0, 0.0)), (1.0, (np.array([1.0, 0.0]), np.zeros(2))),
          "at least one coupling must be nonzero"),
         (HWGParams, (1.0, (1.0, -2.0)), (1.0, (1.0, np.array([2.0, -2.0]))),
@@ -78,7 +84,10 @@ def test_parameter_validation():
         for args in (scalar, array):
             with pytest.raises(ValueError, match=message):
                 record(*args)
-    # the least linewidths for which 2 / gamma stays finite are accepted
+    # the least linewidths whose resonant pole has a finite reciprocal are
+    # accepted, and give t = -1 there
+    least = float(np.nextafter(_LEAST, 1.0))
+    assert twg.transmission_amplitude(TWGParams(0.0, least), 0.0) == -1.0
     assert TWGParams(1.0, 1.113e-308).gamma_t == 1.113e-308
     assert HWGParams(1.0, (1.06e-154, 0.0)).gamma_e > 0.0
     # a pair may vanish in one waveguide at each entry, only not in both
@@ -153,9 +162,9 @@ def test_exported_names_resolve(module):
 
 
 def test_exported_names_are_read_in_the_package():
-    # nothing is exported only to be tested: each public name a physics or
-    # oracle module defines is loaded as a name or read as an attribute
-    # somewhere in src/
+    # nothing is exported only to be tested: each name a physics or oracle
+    # module exports in __all__ or defines as public is loaded as a name or
+    # read as an attribute somewhere in src/
     read = set()
     for path in Path(photon_scatter.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -166,11 +175,11 @@ def test_exported_names_are_read_in_the_package():
     unread = []
     for module in ("core", "tcra", "twg", "hwg", "bethe", "lattice_oracle"):
         namespace = importlib.import_module(f"photon_scatter.{module}")
-        unread += [
-            f"{module}.{name}"
+        public = set(getattr(namespace, "__all__", ())) | {
+            name
             for name, value in vars(namespace).items()
             if not name.startswith("_")
             and getattr(value, "__module__", None) == namespace.__name__
-            and name not in read
-        ]
+        }
+        unread += [f"{module}.{name}" for name in sorted(public - read)]
     assert unread == []
