@@ -7,10 +7,9 @@ together with finite-lattice and Bethe-ansatz cross-checks.
 
 from photon_scatter.core import (
     CosineBand,
-    DeltaTerm,
     HWGParams,
-    ScatteringAmplitudeSet,
     TCRAParams,
+    Term,
     TWGParams,
 )
 
@@ -18,10 +17,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CosineBand",
-    "DeltaTerm",
     "HWGParams",
-    "ScatteringAmplitudeSet",
     "TCRAParams",
+    "Term",
     "TWGParams",
     "__version__",
 ]

@@ -330,20 +330,18 @@ def _cmd_h_single(args) -> int:
 
 
 def _cmd_h_two_photon(args) -> int:
-    params = _hwg_params(args)
-    table = hwg.two_photon_s_h(params, args.k1, args.k2)
-    channels = {}
-    for pair, amp_set in table.items():
-        channels[f"{pair[0]}{pair[1]}"] = {
+    params, k1, k2 = _hwg_params(args), args.k1, args.k2
+    channels = {
+        f"{j1}{j2}": {
             "disconnected": [
-                {"pinned": list(term.pinned), "weight": term.weight}
-                for term in amp_set.disconnected
+                {"pinned": [v for _, v in term.pinned], "weight": term.weight}
+                for term in terms if term.density is None
             ],
-            "connected_at_incident": amp_set.connected(args.k1, args.k2),
+            "connected_at_incident": hwg.two_photon_t_h(params, (1, 2, j1, j2), k1, k2, k1, k2),
         }
-    return _emit_json(
-        args, {"total_energy": args.k1 + args.k2, "channels": channels}
-    )
+        for (j1, j2), terms in hwg.two_photon_s_h(params, k1, k2).items()
+    }
+    return _emit_json(args, {"total_energy": k1 + k2, "channels": channels})
 
 
 def _cmd_correlation(args) -> int:

@@ -3,15 +3,21 @@
 Conventions used throughout the package: the lattice spacing is 1, hbar = 1,
 and in the linearized waveguide modules the group velocity is 1, a
 convention and not a parameter, so that momentum and energy coincide for a
-right-moving photon.  Dirac deltas are never sampled on a grid; scattering
-matrices are returned as a structured split into delta-supported
-(disconnected) terms and a smooth connected density, see
-:class:`ScatteringAmplitudeSet`.
+right-moving photon.  Dirac deltas are never sampled on a grid: an S-matrix
+element is returned as its cluster sum, a tuple of :class:`Term` s, each
+some outgoing slots pinned by momentum deltas times a smooth density over
+the others.  One rule assembles every such sum, :func:`_cluster_terms`:
+each incoming photon either leaves alone, a delta-pinned single-photon
+amplitude, or joins the one connected cluster, whose T density carries
+the rest (the LSZ cluster decomposition, exact up to three photons).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+import operator
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,9 +27,7 @@ __all__ = [
     "TCRAParams",
     "TWGParams",
     "HWGParams",
-    "DeltaTerm",
-    "PinnedPairTerm",
-    "ScatteringAmplitudeSet",
+    "Term",
     "ToleranceError",
 ]
 
@@ -251,48 +255,51 @@ def _require_on_shell(e_in, e_out) -> None:
 
 
 @dataclass(frozen=True)
-class DeltaTerm:
-    """One fully pinned outgoing configuration with a complex weight.
+class Term:
+    """One term of an S-matrix element's cluster sum.
 
-    ``pinned`` lists the outgoing momentum forced into each slot; the term
-    stands for ``weight * prod_i delta(p_i - pinned_i)`` in continuum
+    ``pinned`` holds slot-ordered (slot, momentum) pairs, each standing for
+    delta(p_slot - momentum).  ``density`` is a function of the momenta of
+    the other slots, in slot order, and multiplies the energy delta of
+    those slots; it is ``None`` when every slot is pinned.  The term is
+    ``weight`` times the deltas times the density, in continuum
     normalization.
     """
 
-    pinned: tuple[float, ...]
+    pinned: tuple[tuple[int, float], ...]
     weight: complex
+    density: Callable[..., complex] | None
 
 
-@dataclass(frozen=True)
-class PinnedPairTerm:
-    """One outgoing slot pinned, the remaining pair carried by a density.
+def _cluster_terms(k, single, connected) -> tuple[Term, ...]:
+    """The cluster sum of an S-matrix element with incoming momenta ``k``.
 
-    Represents ``amplitude * delta(p_slot - value) * density(pa, pb) *
-    delta(pa + pb - pair_energy)`` where (pa, pb) are the two outgoing
-    momenta not in ``slot``.  Used by the three-photon assembly.
+    Sums over every split of the incoming legs into singletons plus at most
+    one cluster, and over every injective map of the singletons onto
+    outgoing slots.  A singleton i sent to slot s is pinned there with the
+    weight ``single(i, s)``; the cluster, with incoming legs ``legs`` and
+    the remaining outgoing slots ``slots``, contributes ``connected(legs,
+    slots)``, a (weight, density) pair.  A term's weight is the product of
+    its singletons' weights, in leg order, and its cluster's.
+
+    Every split has at most one cluster only up to three photons, so four
+    or more raise ``ValueError``.  The fully connected term comes first,
+    then the terms of ever smaller clusters, the fully pinned ones last.
     """
-
-    slot: int
-    value: float
-    amplitude: complex
-    pair_energy: float
-    density: Callable[..., complex]
-
-
-@dataclass(frozen=True)
-class ScatteringAmplitudeSet:
-    """S-matrix element split by connectedness.
-
-    ``disconnected`` carries products of single-photon amplitudes on fully
-    delta-pinned configurations; ``pinned_pairs`` (three photons only)
-    carries one pinned leg times a two-photon connected density; ``connected``
-    is the smooth fully connected density multiplying the single overall
-    energy delta ``delta(total_energy - sum p)``.  No Dirac delta is ever
-    materialized numerically.
-    """
-
-    total_energy: float
-    disconnected: tuple[DeltaTerm, ...]
-    connected: Callable[..., complex]
-    pinned_pairs: tuple[PinnedPairTerm, ...] = ()
-
+    n = len(k)
+    if n > 3:
+        raise ValueError(f"the cluster sum holds up to 3 photons, got {n}")
+    terms = []
+    # cluster sizes, largest first; a cluster of one photon is a singleton
+    for size in (c for c in range(n, -1, -1) if c != 1):
+        for singles in itertools.combinations(range(n), n - size):
+            legs = tuple(i for i in range(n) if i not in singles)
+            for to in itertools.permutations(range(n), n - size):
+                factors = [single(i, s) for i, s in zip(singles, to)]
+                density = None
+                if legs:
+                    weight, density = connected(legs, tuple(s for s in range(n) if s not in to))
+                    factors.append(weight)
+                pinned = tuple(sorted(zip(to, (k[i] for i in singles))))
+                terms.append(Term(pinned, functools.reduce(operator.mul, factors), density))
+    return tuple(terms)

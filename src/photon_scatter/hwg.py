@@ -15,9 +15,11 @@ and the dark mode never meets it: the even/odd argument of Shen & Fan, PRA
   w_i w_j r_k, r_k = t_k - 1 the bright mode's scattered part;
 - the connected pair T is w_i1 w_i2 w_j1 w_j2 times the bright T2, since
   only bright photons meet the atom;
-- each delta pinning of a pair carries the product of t_ij over its two
-  legs, and the pair wavefunction's bound term the connected weight times
-  the bright pair term.
+- the S-matrix of each outgoing channel is the cluster sum of
+  :func:`photon_scatter.core._cluster_terms`: each delta pinning of a pair
+  carries the product of t_ij over its two legs, the cluster term the
+  product of w over its four legs times the bright T2, and the pair
+  wavefunction's bound term that weight times the bright pair term.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from photon_scatter.core import DeltaTerm, HWGParams, ScatteringAmplitudeSet
+from photon_scatter.core import HWGParams, Term, _cluster_terms
 from photon_scatter.twg import _pair_envelope, _scattered, two_photon_t
 
 __all__ = [
@@ -86,6 +88,11 @@ def channel_amplitudes(params: HWGParams, k) -> ChannelAmplitudes:
     return ChannelAmplitudes(complex(t11), complex(t21), complex(t22))
 
 
+def _cluster_weight(params: HWGParams, incoming, outgoing):
+    # the product of w over a pair cluster's incoming and outgoing legs
+    return _weight(params, *incoming) * _weight(params, *outgoing)
+
+
 def two_photon_t_h(params: HWGParams, channels, k1: float, k2: float, p1, p2):
     """Connected two-photon T density (with the leading i) between channels.
 
@@ -95,39 +102,39 @@ def two_photon_t_h(params: HWGParams, channels, k1: float, k2: float, p1, p2):
     """
     if len(channels) != 4 or any(c not in (1, 2) for c in channels):
         raise ValueError("channels must be four waveguide labels 1 or 2")
-    i1, i2, j1, j2 = channels
-    weight = _weight(params, i1, i2) * _weight(params, j1, j2)
+    weight = _cluster_weight(params, channels[:2], channels[2:])
     return weight * two_photon_t(params.bright, k1, k2, p1, p2)
 
 
-def _pinnings(params: HWGParams, pair, k1: float, k2: float):
-    """(direct, exchange) weights of outgoing channel ``pair`` = (j1, j2).
+def _channel_s(params: HWGParams, pair, k1: float, k2: float) -> tuple[Term, ...]:
+    """The cluster sum of outgoing channel ``pair`` = (j1, j2).
 
-    The incident pair has k1 in waveguide 1 and k2 in waveguide 2.  The
-    direct pinning (p1, p2) = (k1, k2) sends k1 into j1 and k2 into j2, the
-    exchange pinning (k2, k1) sends k1 into j2 and k2 into j1; each weight
-    is the product of t_ij over the two legs.
+    The incident pair has k1 in waveguide 1 and k2 in waveguide 2.  A
+    photon sent to slot s carries t_{j_s c} of its waveguide c, and the
+    pair cluster w_1 w_2 w_j1 w_j2 times the channel-blind bright T2.  So
+    the direct pinning (p1, p2) = (k1, k2) weighs t_{j1 1}(k1) t_{j2 2}(k2)
+    and the exchange pinning (k2, k1) t_{j2 1}(k1) t_{j1 2}(k2).
     """
-    t1, t2 = _amplitudes(params, k1), _amplitudes(params, k2)
-    j1, j2 = pair
-    return t1(j1, 1) * t2(j2, 2), t1(j2, 1) * t2(j1, 2)
+    t = [_amplitudes(params, k1), _amplitudes(params, k2)]
+    density = partial(two_photon_t, params.bright, k1, k2)
+    return _cluster_terms(
+        (k1, k2),
+        lambda i, s: t[i](pair[s], i + 1),
+        lambda legs, slots: (
+            _cluster_weight(params, [i + 1 for i in legs], [pair[s] for s in slots]),
+            density,
+        ),
+    )
 
 
 def two_photon_s_h(params: HWGParams, k1: float, k2: float) -> dict:
     """S-matrix elements for the incident pair (k1 in wg 1, k2 in wg 2).
 
-    Returns the three outgoing-channel elements keyed by (1, 1), (1, 2) and
+    Returns the cluster sums of the three outgoing channels, in the order
+    of :func:`photon_scatter.twg.two_photon_s`, keyed by (1, 1), (1, 2) and
     (2, 2).  The (1, 2) key is slot-ordered: first momentum in waveguide 1.
     """
-    table = {}
-    for pair in _PAIRS:
-        direct, exchange = _pinnings(params, pair, k1, k2)
-        table[pair] = ScatteringAmplitudeSet(
-            total_energy=k1 + k2,
-            disconnected=(DeltaTerm((k1, k2), direct), DeltaTerm((k2, k1), exchange)),
-            connected=partial(two_photon_t_h, params, (1, 2, *pair), k1, k2),
-        )
-    return table
+    return {pair: _channel_s(params, pair, k1, k2) for pair in _PAIRS}
 
 
 def pair_wavefunction(params: HWGParams, pair, k1: float, k2: float, x):
@@ -145,10 +152,8 @@ def pair_wavefunction(params: HWGParams, pair, k1: float, k2: float, x):
     pair = tuple(pair)
     if pair not in _PAIRS:
         raise ValueError("channel pair must be (1,1), (1,2) or (2,2)")
-    direct, exchange = _pinnings(params, pair, k1, k2)
-    connected = _weight(params, 1, 2) * _weight(params, *pair)
     share = 0.5 if pair[0] == pair[1] else 1.0
-    return share * _pair_envelope(params.bright, k1, k2, direct, exchange, connected, x)
+    return share * _pair_envelope(params.bright, _channel_s(params, pair, k1, k2), x)
 
 
 def second_order_correlation(params: HWGParams, pair, k1: float, k2: float, x):

@@ -46,8 +46,8 @@ Both ring sums, the unitarity sum :func:`ring_norm` and the out-state
 image :func:`ring_wavefunction`, take a record and its incident momenta,
 snap them to the ring grid, build the S-matrix with the library's own
 constructor (``twg.two_photon_s``, ``twg.three_photon_s`` or
-``hwg.two_photon_s_h``) and lay its tiers on one energy-shell grid, so a
-wrong slot or weight in the S-matrix shows in them.
+``hwg.two_photon_s_h``) and lay every term of its cluster sum on one
+energy-shell grid, so a wrong slot or weight in the S-matrix shows in them.
 
 H-type lattice realization: each chain uses hopping J = 1/2, so the
 band-center group velocity equals the unit waveguide velocity, and site
@@ -1023,28 +1023,29 @@ def _shell(params, e: float, n: int, size: int, windows: float):
     return [*p, last]
 
 
-def _ring_image(s, p, size: int) -> np.ndarray:
-    """Lay the S-matrix element ``s`` on the shell momenta ``p`` of :func:`_shell`.
+def _ring_image(terms, p, size: int) -> np.ndarray:
+    """Lay the S-matrix element ``terms`` on the shell momenta ``p`` of :func:`_shell`.
 
     A momentum delta is (L / 2 pi) times a Kronecker delta on the ring, so
-    the connected density carries (2 pi / L)^(n - 1), a pinned pair
-    (2 pi / L) and a fully pinned term its bare weight.  The shell fixes
-    the last slot, so a fully pinned term matches on the others alone.
+    a term with a density over m free slots carries (2 pi / L)^(m - 1) and
+    a fully pinned term its bare weight.  The shell fixes the last slot, so
+    a fully pinned term matches on the others alone.  The fully connected
+    term, first in every cluster sum, is laid on the whole shell in place.
     """
     dk = 2.0 * np.pi / size
-
-    def at(q, value):
-        return np.abs(q - value) < 0.25 * dk
-
-    m = dk ** (len(p) - 1) * s.connected(*p)
-    for term in s.pinned_pairs:
-        match = at(p[term.slot], term.value)
-        if not match.any():
-            continue
-        pa, pb = (q[match] for j, q in enumerate(p) if j != term.slot)
-        m[match] += term.amplitude * dk * term.density(pa, pb)
-    for term in s.disconnected:
-        m[np.logical_and.reduce([at(q, v) for q, v in zip(p[:-1], term.pinned)])] += term.weight
+    first, *rest = terms
+    m = first.density(*p)
+    m *= first.weight
+    m *= dk ** (len(p) - 1)
+    for term in rest:
+        pins = term.pinned[:-1] if term.density is None else term.pinned
+        match = np.logical_and.reduce([np.abs(p[s] - v) < 0.25 * dk for s, v in pins])
+        if term.density is None:
+            m[match] += term.weight
+        elif match.any():
+            slots = [s for s, _ in term.pinned]
+            free = [q[match] for s, q in enumerate(p) if s not in slots]
+            m[match] += term.weight * dk ** (len(free) - 1) * term.density(*free)
     return m
 
 
@@ -1109,8 +1110,8 @@ def ring_norm(params, k, size: int) -> float:
     p = _shell(params, sum(ks), len(ks), size, _NORM_WINDOWS[len(ks)])
     return float(
         sum(
-            np.sum(np.abs(_ring_image(s, p, size)) ** 2) / _identical(labels)
-            for labels, s in channels.items()
+            np.sum(np.abs(_ring_image(terms, p, size)) ** 2) / _identical(labels)
+            for labels, terms in channels.items()
         )
     )
 
@@ -1145,8 +1146,8 @@ def ring_wavefunction(params, k, x, size: int):
     flat = [v.ravel() for v in xs]
     p = _shell(params, sum(ks), n, size, _IMAGE_WINDOWS[n])
     images = {}
-    for labels, s in channels.items():
-        values = _plane_waves(_ring_image(s, p, size), p, flat).reshape(xs[0].shape)
+    for labels, terms in channels.items():
+        values = _plane_waves(_ring_image(terms, p, size), p, flat).reshape(xs[0].shape)
         values = values / (_identical(labels) * (2.0 * np.pi) ** (0.5 * n))
         images[labels] = values if values.ndim else complex(values)
     return ks, images

@@ -7,24 +7,23 @@ out-state wavefunctions.
 
 All connected densities returned here carry the leading factor i, i.e.
 they are the quantities added to the disconnected part when assembling
-``S = 1 + iT`` matrix elements; Dirac deltas are handled structurally
-through :class:`~photon_scatter.core.ScatteringAmplitudeSet`.
+``S = 1 + iT`` matrix elements.  The S-matrices are cluster sums, tuples of
+:class:`~photon_scatter.core.Term`, assembled by
+:func:`~photon_scatter.core._cluster_terms` from t_k and the connected T
+densities: for N photons the fully connected term first, then (N = 3) the
+nine terms with one transmitted photon pinned into one outgoing slot and
+T2 on the other two, then the N! fully pinned permutations.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 
-from photon_scatter.core import (
-    DeltaTerm,
-    PinnedPairTerm,
-    ScatteringAmplitudeSet,
-    TWGParams,
-    _require_on_shell,
-)
+from photon_scatter.core import Term, TWGParams, _cluster_terms, _require_on_shell
 
 __all__ = [
     "transmission_amplitude",
@@ -80,14 +79,25 @@ def two_photon_t(params: TWGParams, k1: float, k2: float, p1, p2):
             [(p2 - alpha)(k1 - alpha)(p1 - alpha)(k2 - alpha)]
 
     p1, p2 may be arrays (elementwise on shell with k1 + k2).
+
+    At resonance the pole product is (gamma_t/2)^4, which underflows from
+    about gamma_t = 2^-254 down.  So each k pole factor is brought into
+    [1/2, 1) by a power of two, which the numerator takes up, and the p
+    pole factors and gamma_t are multiplied by 2^-n, n = min(0,
+    exponent(gamma_t) + 256), as in ``_connected_tier``.  Powers of two
+    round nothing, and above gamma_t = 2^-256 n = 0, so the scaling changes
+    no bit of the result there; below it the resonant value -16/(pi
+    gamma_t) keeps full precision.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     e = k1 + k2
     _require_on_shell(e, p1 + p2)
     a = params.alpha
-    poles = (p2 - a) * (k1 - a) * (p1 - a) * (k2 - a)
-    out = 1j * params.gamma_t**2 / np.pi * (e - 2.0 * a) / poles
+    up = np.ldexp(1.0, np.maximum(0, -256 - np.frexp(params.gamma_t)[1]))
+    s1, s2 = np.ldexp(1.0, -np.frexp(np.abs((k1 - a, k2 - a)))[1])
+    poles = (p2 - a) * up * ((k1 - a) * s1) * ((p1 - a) * up) * ((k2 - a) * s2)
+    out = 1j * (params.gamma_t * up) ** 2 / np.pi * s1 * (e - 2.0 * a) * s2 / poles
     return out if out.ndim else complex(out)
 
 
@@ -111,29 +121,43 @@ def _pair_bound(params: TWGParams, k1: float, k2: float, x):
     return gamma2 * phase / ((poles[0] * scales[0]) * (poles[1] * scales[1]))
 
 
-def two_photon_s(params: TWGParams, k1: float, k2: float) -> ScatteringAmplitudeSet:
-    """Two-photon S-matrix: both delta pairings plus the connected density."""
-    t12 = transmission_amplitude(params, k1) * transmission_amplitude(params, k2)
+def _cluster_s(params: TWGParams, k) -> tuple[Term, ...]:
+    """The cluster sum of the S-matrix for incoming momenta ``k``.
 
-    def density(p1, p2):
-        return two_photon_t(params, k1, k2, p1, p2)
+    Every singleton carries its t_k, every cluster of two the pair's T2 and
+    one of three T3, each with weight 1.
+    """
+    t = [transmission_amplitude(params, v) for v in k]
 
-    return ScatteringAmplitudeSet(
-        total_energy=k1 + k2,
-        disconnected=(DeltaTerm((k1, k2), t12), DeltaTerm((k2, k1), t12)),
-        connected=density,
-    )
+    def connected(legs, slots):
+        if len(legs) == 2:
+            return 1.0, partial(two_photon_t, params, *(k[i] for i in legs))
+        return 1.0, lambda *p: three_photon_t(params, k, p)
+
+    return _cluster_terms(k, lambda i, s: t[i], connected)
 
 
-def _pair_envelope(params: TWGParams, k1: float, k2: float, direct, exchange, connected, x):
+def two_photon_s(params: TWGParams, k1: float, k2: float) -> tuple[Term, ...]:
+    """Two-photon S-matrix: the connected T2 term, then both delta pairings.
+
+    The pairings pin (p1, p2) at (k1, k2) and at (k2, k1), each with weight
+    t_k1 t_k2.
+    """
+    return _cluster_s(params, (k1, k2))
+
+
+def _pair_envelope(params: TWGParams, terms, x):
     """Relative-coordinate pair out-state of one outgoing channel.
 
-    The shell transform of a pair S-matrix element, without its e^{i E x_c}:
-    the delta pinning at (k1, k2) with weight ``direct`` and the one at
-    (k2, k1) with weight ``exchange`` as plane waves e^{+-i dk x}, dk =
-    (k1 - k2)/2, plus twice the connected pair term ``_pair_bound`` with
-    weight ``connected``, all over 2 pi.
+    The shell transform of the pair S-matrix element ``terms``, in the
+    order of :func:`two_photon_s`, without its e^{i E x_c}: the delta
+    pinning at (k1, k2) with weight ``direct`` and the one at (k2, k1) with
+    weight ``exchange`` as plane waves e^{+-i dk x}, dk = (k1 - k2)/2, plus
+    twice the connected pair term ``_pair_bound`` with the connected
+    term's weight, all over 2 pi.
     """
+    connected, direct, exchange = (term.weight for term in terms)
+    (_, k1), (_, k2) = terms[1].pinned
     x = np.asarray(x, dtype=float)
     dkx = 0.5 * (k1 - k2) * x
     plane = (direct + exchange) * np.cos(dkx) + 1j * (direct - exchange) * np.sin(dkx)
@@ -148,8 +172,7 @@ def two_photon_out_wavefunction(params: TWGParams, k1: float, k2: float, x_cente
     envelope is half the pair envelope of :func:`two_photon_s`, whose two
     pinnings both carry t_k1 t_k2.
     """
-    t12 = transmission_amplitude(params, k1) * transmission_amplitude(params, k2)
-    envelope = _pair_envelope(params, k1, k2, t12, t12, 1.0, x_relative)
+    envelope = _pair_envelope(params, two_photon_s(params, k1, k2), x_relative)
     return np.exp(1j * (k1 + k2) * np.asarray(x_center)) * (0.5 * envelope)
 
 
@@ -251,50 +274,15 @@ def three_photon_t_reference(params: TWGParams, k, p):
     return out if out.ndim else complex(out)
 
 
-def three_photon_s(params: TWGParams, k) -> ScatteringAmplitudeSet:
-    """Three-photon S-matrix in three connectedness tiers.
+def three_photon_s(params: TWGParams, k) -> tuple[Term, ...]:
+    """Three-photon S-matrix as its 16-term cluster sum.
 
-    Tier (a): six fully pinned permutations weighted t_{k1} t_{k2} t_{k3};
-    tier (b): nine terms with one transmitted leg pinned into one outgoing
-    slot and a connected two-photon density on the remaining pair;
-    tier (c): the fully connected three-photon density.
+    The fully connected T3 term; nine terms with one transmitted photon
+    pinned into one outgoing slot, weighted by its t_k, and the connected
+    T2 of the other two photons on the other two slots; six fully pinned
+    permutations weighted t_k1 t_k2 t_k3.
     """
-    k = [float(v) for v in _three(k, "k")]
-    e = sum(k)
-    t = [complex(transmission_amplitude(params, v)) for v in k]
-    tprod = t[0] * t[1] * t[2]
-
-    disconnected = tuple(
-        DeltaTerm((k[q[0]], k[q[1]], k[q[2]]), tprod) for q in _PERMS3
-    )
-
-    pinned = []
-    for i in range(3):
-        ka, kb = (k[m] for m in range(3) if m != i)
-
-        def pair_density(pa, pb, ka=ka, kb=kb):
-            return two_photon_t(params, ka, kb, pa, pb)
-
-        for j in range(3):
-            pinned.append(
-                PinnedPairTerm(
-                    slot=j,
-                    value=k[i],
-                    amplitude=t[i],
-                    pair_energy=e - k[i],
-                    density=pair_density,
-                )
-            )
-
-    def connected(p1, p2, p3):
-        return three_photon_t(params, k, (p1, p2, p3))
-
-    return ScatteringAmplitudeSet(
-        total_energy=e,
-        disconnected=disconnected,
-        pinned_pairs=tuple(pinned),
-        connected=connected,
-    )
+    return _cluster_s(params, [float(v) for v in _three(k, "k")])
 
 
 def three_photon_fluorescence(params: TWGParams, k, p1, p2):

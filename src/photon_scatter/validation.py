@@ -342,9 +342,9 @@ def _criterion_bethe_cross_checks():
         k1 = params.omega_atom + float(rng.uniform(-2.0, 2.0)) * gamma
         k2 = k1 + float(rng.uniform(0.1, 2.0))
         crossed = bethe.single_phase(params, k1) * bethe.single_phase(params, k2)
-        disc = twg.two_photon_s(params, k1, k2).disconnected
+        disc = [term for term in twg.two_photon_s(params, k1, k2) if term.density is None]
         for term, pinned in zip(disc, ((k1, k2), (k2, k1)), strict=True):
-            dev_pin = max(abs(q - v) for q, v in zip(term.pinned, pinned, strict=True))
+            dev_pin = max(abs(q - v) for (_, q), v in zip(term.pinned, pinned, strict=True))
             dev_coeff = max(dev_coeff, abs(term.weight - crossed), dev_pin)
 
     return [

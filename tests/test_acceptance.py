@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from photon_scatter import hwg, lattice_oracle, tcra, twg, validation
-from photon_scatter.core import DeltaTerm
+from photon_scatter.core import Term
 
 _TIME_BUDGET = 30.0
 
@@ -166,24 +166,21 @@ def test_criterion_10_bethe_cross_checks():
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda params, k1, k2, first: DeltaTerm(
-            first.pinned, twg.transmission_amplitude(params, k1) ** 2
+        lambda params, k1, k2, first: Term(
+            first.pinned, twg.transmission_amplitude(params, k1) ** 2, None
         ),
-        lambda params, k1, k2, first: DeltaTerm((k1, k1), first.weight),
+        lambda params, k1, k2, first: Term(((0, k1), (1, k1)), first.weight, None),
     ],
     ids=["weight", "pinning"],
 )
 def test_criterion_10_reads_the_disconnected_s_matrix(monkeypatch, damage):
-    # the N = 2 clause compares the library's disconnected tier with the
-    # Bethe phases, so a damaged first term must fail the criterion
+    # the N = 2 clause compares the library's fully pinned terms with the
+    # Bethe phases, so a damaged first one must fail the criterion
     build = twg.two_photon_s
 
     def damaged(params, k1, k2):
-        s = build(params, k1, k2)
-        first, *rest = s.disconnected
-        return dataclasses.replace(
-            s, disconnected=(damage(params, k1, k2, first), *rest)
-        )
+        connected, first, *rest = build(params, k1, k2)
+        return (connected, damage(params, k1, k2, first), *rest)
 
     monkeypatch.setattr(twg, "two_photon_s", damaged)
     assert not validation.run([10])[0].passed

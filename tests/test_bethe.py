@@ -47,8 +47,8 @@ def test_two_photon_disconnected_terms_are_the_crossed_bethe_coefficient():
         k2 = k1 + rng.uniform(0.15, 1.8)
         params = TWGParams(omega_atom=omega, gamma_t=gamma)
         crossed = single_phase(params, k1) * single_phase(params, k2)
-        direct, exchange = two_photon_s(params, k1, k2).disconnected
-        assert direct.pinned == (k1, k2) and exchange.pinned == (k2, k1)
+        _, direct, exchange = two_photon_s(params, k1, k2)
+        assert direct.pinned == ((0, k1), (1, k2)) and exchange.pinned == ((0, k2), (1, k1))
         assert direct.weight == pytest.approx(crossed, abs=1e-15)
         assert exchange.weight == pytest.approx(crossed, abs=1e-15)
 

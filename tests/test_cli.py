@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,20 @@ def test_h_two_photon_table_structure(capsys):
         assert set(table["connected_at_incident"]) == {"re", "im"}
     direct, exchange = obj["channels"]["12"]["disconnected"]
     assert direct["weight"] != exchange["weight"]
+
+
+def test_fluorescence2_at_a_vanishing_linewidth(capsys):
+    # the resonant pole product underflows at gamma 1e-100; the row at
+    # p1 = Omega must still read |T2|^2 = (16 / pi gamma)^2, with no warning
+    argv = ["fluorescence2", "--omega", "1", "--gamma", "1e-100", "--k1", "1", "--k2", "1",
+            "--grid", "p1:0:2:3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    _, rows = _rows(out)
+    assert np.isfinite(rows).all()
+    assert rows[1][2] == pytest.approx((16.0 / (np.pi * 1e-100)) ** 2, rel=1e-11)
 
 
 def test_csv_file_output_deterministic(tmp_path, capsys):

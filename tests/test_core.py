@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import photon_scatter
-from photon_scatter import tcra, twg
-from photon_scatter.core import CosineBand, HWGParams, TCRAParams, TWGParams
+from photon_scatter import hwg, tcra, twg
+from photon_scatter.core import CosineBand, HWGParams, TCRAParams, TWGParams, _cluster_terms
 
 
 def test_cosine_band_values():
@@ -183,3 +183,50 @@ def test_exported_names_are_read_in_the_package():
         }
         unread += [f"{module}.{name}" for name in sorted(public - read)]
     assert unread == []
+
+
+def _arity_is(density, free):
+    """Whether ``density`` takes exactly the on-shell momenta ``free``."""
+    if not np.isfinite(density(*free)):
+        return False
+    try:
+        density(*free, free[0])
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
+def test_cluster_sums_hold_every_split_once():
+    # one term per split of the N incoming legs into singletons and at most
+    # one cluster, times the injective maps of the singletons onto outgoing
+    # slots: 1 + 2 terms for N = 2 and 1 + 9 + 6 for N = 3, the fully
+    # connected term first
+    h_type = hwg.two_photon_s_h(HWGParams(1.0, (1.0, 2.0)), 1.4, 0.7)
+    sums = [
+        ((1.2, 0.7), twg.two_photon_s(TWGParams(1.0, 1.0), 1.2, 0.7)),
+        ((1.3, 0.9, 0.8), twg.three_photon_s(TWGParams(1.0, 1.0), (1.3, 0.9, 0.8))),
+        *(((1.4, 0.7), terms) for terms in h_type.values()),
+    ]
+    # terms by number of pinned slots
+    counts = {2: [1, 0, 2], 3: [1, 9, 0, 6]}
+    for k, terms in sums:
+        n = len(k)
+        assert len(terms) == {2: 3, 3: 16}[n]
+        assert [sum(len(t.pinned) == r for t in terms) for r in range(n + 1)] == counts[n]
+        assert terms[0].pinned == ()
+        for term in terms:
+            slots = [s for s, _ in term.pinned]
+            assert slots == sorted(set(slots))
+            free = list(k)
+            for _, v in term.pinned:
+                free.remove(v)
+            # the pinned slots and the density's arguments make up N
+            assert (term.density is None) == (free == [])
+            if free:
+                assert _arity_is(term.density, free)
+
+
+def test_cluster_sum_refuses_four_photons():
+    # {12}{34} would need two clusters, which the sum does not hold
+    with pytest.raises(ValueError, match="up to 3 photons"):
+        _cluster_terms((0.1, 0.2, 0.3, 0.4), lambda i, s: 1.0, lambda legs, slots: (1.0, None))

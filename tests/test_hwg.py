@@ -177,19 +177,23 @@ def test_s_elements_structure():
     assert set(s) == {(1, 1), (1, 2), (2, 2)}
     # each pinning's weight is the product of the single-photon amplitudes
     # of its two legs, formed by the same rule, so the products are exact
-    d11 = s[(1, 1)].disconnected
+    d11 = s[(1, 1)][1:]
     assert all(t.weight == c1.t11 * c2.t21 for t in d11)
-    assert {t.pinned for t in d11} == {(k1, k2), (k2, k1)}
-    d12 = s[(1, 2)].disconnected
-    assert d12[0].pinned == (k1, k2)
+    assert {t.pinned for t in d11} == {((0, k1), (1, k2)), ((0, k2), (1, k1))}
+    d12 = s[(1, 2)][1:]
+    assert d12[0].pinned == ((0, k1), (1, k2))
     assert d12[0].weight == c1.t11 * c2.t22
-    assert d12[1].pinned == (k2, k1)
+    assert d12[1].pinned == ((0, k2), (1, k1))
     assert d12[1].weight == c1.t21 * c2.t21
-    d22 = s[(2, 2)].disconnected
+    d22 = s[(2, 2)][1:]
     assert all(t.weight == c1.t21 * c2.t22 for t in d22)
     q1 = 1.0
     q2 = k1 + k2 - q1
-    assert s[(1, 2)].connected(q1, q2) == two_photon_t_h(p, (1, 2, 1, 2), k1, k2, q1, q2)
+    connected = s[(1, 2)][0]
+    assert connected.pinned == ()
+    assert connected.weight * connected.density(q1, q2) == two_photon_t_h(
+        p, (1, 2, 1, 2), k1, k2, q1, q2
+    )
 
 
 def test_pair_wavefunction_parity():

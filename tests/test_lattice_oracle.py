@@ -1394,29 +1394,51 @@ def test_ring_h_pair_norm_is_unit():
     assert lo.ring_norm(params, (1.05, 0.95), 601) == pytest.approx(1.0, abs=1e-3)
 
 
-def _drop_first_pinned_pair(s):
-    return dataclasses.replace(s, pinned_pairs=s.pinned_pairs[1:])
+def _drop_first(terms, kind):
+    """``terms`` without the first term for which ``kind(term)`` holds."""
+    i = next(i for i, term in enumerate(terms) if kind(term))
+    return terms[:i] + terms[i + 1:]
 
 
-def _double_connected(s):
-    return dataclasses.replace(s, connected=lambda *p: 2.0 * s.connected(*p))
+def _drop_first_pinned_pair(terms):
+    return _drop_first(terms, lambda term: len(term.pinned) == 1)
 
 
-def _double_mixed_channel(table):
-    return {**table, (1, 2): _double_connected(table[(1, 2)])}
+def _drop_first_full_pinning(terms):
+    return _drop_first(terms, lambda term: term.density is None)
+
+
+def _double_connected(terms):
+    first, *rest = terms
+    return (dataclasses.replace(first, weight=2.0 * first.weight), *rest)
+
+
+def _mixed_channel(damage):
+    return lambda table: {**table, (1, 2): damage(table[(1, 2)])}
+
+
+def _norm_3():
+    return lo.ring_norm(TWGParams(omega_atom=0.0, gamma_t=1.0), (-0.3, 0.1, 0.5), 201)
+
+
+def _norm_h():
+    return lo.ring_norm(_h_params((0.2, 0.4)), (1.05, 0.95), 601)
 
 
 @pytest.mark.parametrize(
     "module, constructor, damage, norm, tol",
     [
-        (twg, "three_photon_s", _drop_first_pinned_pair,
-         lambda: lo.ring_norm(TWGParams(omega_atom=0.0, gamma_t=1.0), (-0.3, 0.1, 0.5), 201), 1e-4),
+        (twg, "three_photon_s", _drop_first_pinned_pair, _norm_3, 1e-4),
         (twg, "two_photon_s", _double_connected,
          lambda: lo.ring_norm(TWGParams(omega_atom=0.2, gamma_t=0.3), (0.15, 0.25), 601), 1e-3),
-        (hwg, "two_photon_s_h", _double_mixed_channel,
-         lambda: lo.ring_norm(_h_params((0.2, 0.4)), (1.05, 0.95), 601), 1e-3),
+        (hwg, "two_photon_s_h", _mixed_channel(_double_connected), _norm_h, 1e-3),
+        (twg, "three_photon_s", _drop_first_full_pinning, _norm_3, 1e-4),
+        (hwg, "two_photon_s_h", _mixed_channel(_drop_first_full_pinning), _norm_h, 1e-3),
     ],
-    ids=["three_photon_s", "two_photon_s", "two_photon_s_h"],
+    ids=[
+        "three_photon_s", "two_photon_s", "two_photon_s_h",
+        "three_photon_s-full_pinning", "two_photon_s_h-full_pinning",
+    ],
 )
 def test_ring_norms_read_the_library_s_matrix(monkeypatch, module, constructor, damage, norm, tol):
     # the unitarity sums are built from the S-matrix constructors, so a

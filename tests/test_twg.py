@@ -95,15 +95,61 @@ def test_two_photon_t_weak_coupling():
     assert abs(val) < 1e-9
 
 
+@pytest.mark.parametrize("gamma", [1e-80, 1e-100, 1e-300])
+def test_two_photon_t_at_a_vanishing_linewidth(gamma):
+    # at k = p = Omega the pole product (gamma_t / 2)^4 underflows from about
+    # gamma_t = 1e-77 on; with the pole factors scaled by powers of two T2
+    # still reads -16 / (pi gamma_t)
+    with np.errstate(all="raise"):
+        val = two_photon_t(_params(gamma_t=gamma), 1.0, 1.0, 1.0, 1.0)
+    exact = -16.0 / (np.pi * gamma)
+    assert abs(val - exact) <= 1e-15 * abs(exact)
+
+
+def _two_photon_t_unscaled(params, k1, k2, p1, p2):
+    """T2 as formed before its pole factors were scaled."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    a = params.alpha
+    poles = (p2 - a) * (k1 - a) * (p1 - a) * (k2 - a)
+    return 1j * params.gamma_t**2 / np.pi * (k1 + k2 - 2.0 * a) / poles
+
+
+def test_two_photon_t_scaling_changes_no_bit():
+    # powers of two round nothing, so wherever the unscaled product neither
+    # underflows nor overflows the scaled T2 is the same double.  Half the
+    # linewidths are ones whose gamma * gamma differs from gamma ** 2, where
+    # squaring a scaled gamma_t would move the result
+    rng = np.random.default_rng(36)
+    gammas = [float(g) for g in 10.0 ** rng.uniform(-6.0, 1.0, 20000)]
+    hard = [g for g in gammas if g * g != g**2][:1000]
+    assert len(hard) >= 10
+    for gamma in hard + gammas[: len(hard)]:
+        omega = rng.uniform(-3.0, 3.0)
+        k1, k2 = omega + rng.uniform(-5.0, 5.0, 2) * gamma * rng.choice([1.0, 10.0, 100.0])
+        p1 = 0.5 * (k1 + k2) + rng.uniform(-5.0, 5.0)
+        p2 = k1 + k2 - p1
+        params = _params(float(omega), float(gamma))
+        args = (float(k1), float(k2), float(p1), float(p2))
+        assert two_photon_t(params, *args) == _two_photon_t_unscaled(params, *args)
+    params = _params(0.3, 0.7)
+    p1 = np.linspace(-3.0, 3.0, 1001)
+    assert np.array_equal(
+        two_photon_t(params, 0.1, 0.9, p1, 1.0 - p1),
+        _two_photon_t_unscaled(params, 0.1, 0.9, p1, 1.0 - p1),
+    )
+
+
 def test_two_photon_s_structure():
     p = _params()
-    s = two_photon_s(p, 1.2, 0.7)
+    connected, *pinned = two_photon_s(p, 1.2, 0.7)
     t12 = transmission_amplitude(p, 1.2) * transmission_amplitude(p, 0.7)
-    assert s.total_energy == pytest.approx(1.9)
-    assert {d.pinned for d in s.disconnected} == {(1.2, 0.7), (0.7, 1.2)}
-    for d in s.disconnected:
+    assert {d.pinned for d in pinned} == {((0, 1.2), (1, 0.7)), ((0, 0.7), (1, 1.2))}
+    for d in pinned:
+        assert d.density is None
         assert d.weight == pytest.approx(t12, rel=1e-15)
-    assert s.connected(1.0, 0.9) == pytest.approx(
+    assert (connected.pinned, connected.weight) == ((), 1.0)
+    assert connected.density(1.0, 0.9) == pytest.approx(
         two_photon_t(p, 1.2, 0.7, 1.0, 0.9), rel=1e-15
     )
 

@@ -243,25 +243,28 @@ def test_weak_coupling_cubic():
 
 def test_s_matrix_tiers():
     k = (1.3, 0.9, 0.8)
-    s = three_photon_s(P, k)
-    assert len(s.disconnected) == 6
-    assert len(s.pinned_pairs) == 9
+    connected, *rest = three_photon_s(P, k)
+    pinned_pairs = [t for t in rest if len(t.pinned) == 1]
+    disconnected = [t for t in rest if t.density is None]
+    assert len(pinned_pairs) == 9
+    assert len(disconnected) == 6
     tprod = np.prod([transmission_amplitude(P, v) for v in k])
-    for d in s.disconnected:
-        assert sorted(d.pinned) == sorted(k)
+    for d in disconnected:
+        assert [s for s, _ in d.pinned] == [0, 1, 2]
+        assert sorted(v for _, v in d.pinned) == sorted(k)
         assert d.weight == pytest.approx(tprod, rel=1e-14)
     # each pinned term: transmitted leg amplitude and the pair density of
     # the complementary incoming pair
-    term = next(t for t in s.pinned_pairs if t.value == 0.9 and t.slot == 2)
-    assert term.amplitude == pytest.approx(transmission_amplitude(P, 0.9), rel=1e-14)
-    assert term.pair_energy == pytest.approx(1.3 + 0.8)
-    pa = 1.05
-    assert term.density(pa, term.pair_energy - pa) == pytest.approx(
-        two_photon_t(P, 1.3, 0.8, pa, term.pair_energy - pa), rel=1e-14
+    term = next(t for t in pinned_pairs if t.pinned == ((2, 0.9),))
+    assert term.weight == pytest.approx(transmission_amplitude(P, 0.9), rel=1e-14)
+    pa, pair_energy = 1.05, 1.3 + 0.8
+    assert term.density(pa, pair_energy - pa) == pytest.approx(
+        two_photon_t(P, 1.3, 0.8, pa, pair_energy - pa), rel=1e-14
     )
     # connected tier is the optimized density
     p_out = (1.05, 1.15, 0.8)
-    assert s.connected(*p_out) == pytest.approx(
+    assert (connected.pinned, connected.weight) == ((), 1.0)
+    assert connected.density(*p_out) == pytest.approx(
         three_photon_t(P, k, p_out), rel=1e-14
     )
 
