@@ -230,8 +230,11 @@ class HWGParams:
         # float; numpy squares an array's entries the same way
         return self.vbar[0] * self.vbar[0] + self.vbar[1] * self.vbar[1]
 
-    @property
+    @functools.cached_property
     def bright(self) -> TWGParams:
+        # built and checked once per record: the H-type paths read it several
+        # times a call.  The cache is the instance's __dict__, which a frozen
+        # dataclass without slots keeps and its equality and hash ignore
         return TWGParams(self.omega_atom, self.gamma_e)
 
 

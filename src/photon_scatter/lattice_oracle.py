@@ -126,9 +126,9 @@ class SparseOperator:
     contiguous shifted-slice add per slot, one scaling by u and one
     scatter-add of C, and the operator holds no array longer than C.
 
-    :meth:`apply` writes a product into a caller-owned vector, so a loop of
-    products allocates no state-length vector; ``h @ x`` is its allocating
-    wrapper.
+    :meth:`apply` writes a product into a caller-owned vector and gathers
+    C's columns into a caller-owned scratch vector, so a loop of products
+    allocates nothing; ``h @ x`` is its allocating wrapper.
     """
 
     def __init__(self, size: int, constant: float, hopping: float = 0.0, couplings=(), shifts=()):
@@ -162,13 +162,16 @@ class SparseOperator:
         out.vals = scale * self.vals
         return out
 
-    def apply(self, x: np.ndarray, out: np.ndarray, minus=None) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray, minus=None, scratch=None) -> np.ndarray:
         """Write h x, less ``minus`` if given, into ``out`` and return it.
 
         ``out`` has the shape and dtype of ``x`` and shares no memory with
         it or with ``minus``.  The product is formed as u (c / u + A) x + C x,
-        so it needs no scratch vector.  Where c / u would pass 1e300 the
-        hopping is below the rounding of c x, and A is left out.
+        so it needs no state-length scratch.  Where c / u would pass 1e300
+        the hopping is below the rounding of c x, and A is left out.  C's
+        columns of x are gathered into ``scratch`` if given, a vector of
+        x's dtype at least as long as C whose contents the product
+        overwrites, else into a new one.
         """
         if abs(self.constant) < 1e300 * abs(self.hopping):
             np.multiply(x, self.constant / self.hopping, out=out)
@@ -177,8 +180,13 @@ class SparseOperator:
             out *= self.hopping
         else:
             np.multiply(x, self.constant, out=out)
-        terms = x[self.cols]
-        terms *= self.vals
+        # every column is in range; a checked take would buffer its output
+        gather = None if scratch is None else scratch[: len(self.cols)]
+        terms = np.take(x, self.cols, out=gather, mode="clip")
+        # C's values scale each real part in turn: a complex product with
+        # them would cast them into a temporary
+        for part in (terms.real, terms.imag) if np.iscomplexobj(terms) else (terms,):
+            part *= self.vals
         np.add.at(out, self.rows, terms)
         if minus is not None:
             out -= minus
@@ -327,10 +335,10 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
 
     A run keeps five state-length complex vectors live, whatever its order:
     the three recursion vectors, which rotate, the accumulator, which is
-    returned, and a scratch vector, which takes each weighted term.  X
-    shares ``h``'s slots and scales only the values of its C, so it holds
-    no state-length array of its own, and no product allocates a
-    state-length vector.
+    returned, and a scratch vector, which takes each weighted term and,
+    during a product, C's gathered columns.  X shares ``h``'s slots and
+    scales only the values of its C, so it holds no state-length array of
+    its own, and no product allocates.
     """
     emin, emax = bounds
     if not emax > emin:
@@ -359,11 +367,13 @@ def _chebyshev_evolve(h: SparseOperator, state: np.ndarray, t: float, bounds):
     t0 = np.array(state, dtype=complex)
     t1, t2, buf = np.empty_like(t0), np.empty_like(t0), np.empty_like(t0)
     acc = np.multiply(t0, coef[0])
-    x.apply(t0, t1)
+    # buf is idle while a product runs, so it takes C's gather too
+    scratch = buf if len(x.cols) <= len(buf) else None
+    x.apply(t0, t1, scratch=scratch)
     t1 *= 0.5
     acc += np.multiply(t1, coef[1], out=buf)
     for k in range(2, order + 1):
-        x.apply(t1, t2, minus=t0)
+        x.apply(t1, t2, minus=t0, scratch=scratch)
         acc += np.multiply(t2, coef[k], out=buf)
         t0, t1, t2 = t1, t2, t0
     acc *= np.exp(-1j * b * t)
@@ -404,33 +414,39 @@ class _Tree:
     def _pivot(self, d: float) -> float:
         return d if abs(d) >= self.pivmin else -self.pivmin
 
-    def pivots(self, e: float):
-        """The pivots of h - e: e_h's to e_1's, up to the first that
-        repeats, then e_0's and the atom's.  The last of the first list is
-        the repeated value, or e_1's when none repeats."""
-        a = self.omega - e
-        d = self._pivot(a)
-        half = [d]
-        while len(half) < self.half:
-            d = self._pivot(a - self.hop2 / d)
-            if d == half[-1]:
-                break
-            half.append(d)
-        centre = self._pivot(a - self.centre2 / d)
-        return half, centre, self._pivot(self.omega_atom - e - self.coupling2 / centre)
+    def walk(self, e: float):
+        """The number of eigenvalues below e, and the settled pivot: the
+        first of e_h's to e_1's pivots that repeats, or e_1's when none
+        does.
 
-    def count(self, e: float) -> int:
-        """The number of eigenvalues below e."""
-        half, centre, atom = self.pivots(e)
-        below = sum(d < 0.0 for d in half) + (self.half - len(half)) * (half[-1] < 0.0)
-        return below + (centre < 0.0) + (atom < 0.0)
+        One pass from e_h inward keeps a running count of the negative
+        pivots and stops at the first repeat, whose sign every site left
+        shares; it holds no pivot but the last.
+        """
+        a = self.omega - e
+        pivmin = self.pivmin
+        d = self._pivot(a)
+        below = int(d < 0.0)
+        for site in range(1, self.half):
+            step = a - self.hop2 / d
+            if abs(step) < pivmin:
+                step = -pivmin
+            if step == d:
+                below += (self.half - site) * (d < 0.0)
+                break
+            d = step
+            below += d < 0.0
+        centre = self._pivot(a - self.centre2 / d)
+        atom = self._pivot(self.omega_atom - e - self.coupling2 / centre)
+        return below + (centre < 0.0) + (atom < 0.0), d
 
     def bracket(self, k: int):
-        """Adjacent floats (lo, hi) with count(lo) < k <= count(hi): the
-        k-th lowest eigenvalue lies between them."""
+        """Adjacent floats (lo, hi) whose counts (:meth:`walk`) satisfy
+        count(lo) < k <= count(hi): the k-th lowest eigenvalue lies between
+        them."""
         lo, hi = -self.norm, self.norm
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if self.count(mid) >= k:
+            if self.walk(mid)[0] >= k:
                 hi = mid
             else:
                 lo = mid
@@ -487,7 +503,7 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
     record of that chain, Omega and omega0 its atom and photon diagonal, J
     = -u its hopping and V its atom coupling (for an H-type model J = 1/2,
     omega0 = Omega and V^2 = (vbar1^2 + vbar2^2) / 2).  Decay and sign are
-    read off the settled pivot (:meth:`_Tree.pivots`).
+    read off the settled pivot (:meth:`_Tree.walk`).
     """
     chain = _bright_parts(model)
     diag, hopping, _, [(_, coupling)], _ = chain
@@ -514,7 +530,7 @@ def bound_state_check(model: LatticeModel) -> BoundStateReport:
     found = ((e_low, below), (e_high, above))
     energies = tuple(e if ok else np.nan for e, ok in found)
     # the neighbour ratio -u / d out from a centre
-    ratios = [-tree.hopping / tree.pivots(e)[0][-1] if ok else np.nan for e, ok in found]
+    ratios = [-tree.hopping / tree.walk(e)[1] if ok else np.nan for e, ok in found]
     slopes = tuple(float(np.log(abs(r))) for r in ratios)
 
     analytic_e = (lower.energy, upper.energy)
@@ -696,10 +712,20 @@ class TwoExcitationReport:
 
 def _pair_index(a, b, size: int):
     """Position of the unordered pair {a, b} of ``size`` sites in the folded
-    triangle (see :func:`_pair_operator`)."""
+    triangle (see :func:`_pair_operator`).
+
+    Rectangle row r < h holds triangle row r forward, at r W + (b - r); the
+    rows from h on hold the triangle's last rows backward, at 2 h W - 1
+    less that same formula.  The position is formed in place, so the map
+    holds three arrays of the pairs' length at once.
+    """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     width, rows = size | 1, (size + 1) // 2
-    return np.where(lo < rows, lo * width + (hi - lo), (2 * rows - lo) * width - 1 - (hi - lo))
+    index = np.asarray(lo * width)
+    index += hi
+    index -= lo
+    np.subtract(2 * rows * width - 1, index, out=index, where=lo >= rows)
+    return index
 
 
 def _pair_sites(index, size: int):
@@ -813,11 +839,12 @@ def _pair_evolution(model: LatticeModel, f, g, t: float):
     ``model``, and each packet alone without the atom, for time t.
 
     The pair state is sym(f x g) = f[a] g[b] + g[a] f[b], normalized.
-    Returns (state, free, order, propagated, bounds): the evolved pair
-    state in the layout of :func:`_pair_operator` on the whole chain, pairs
-    then chi; the packets evolved on the photon chain alone, as two rows;
-    the pair run's order, its number of states and the interval it was
-    sized by.
+    Returns (state, free, order, propagated, bounds, sites): the evolved
+    pair state in the layout of :func:`_pair_operator` on the whole chain,
+    pairs then chi; the packets evolved on the photon chain alone, as two
+    rows; the pair run's order, its number of states and the interval it
+    was sized by; and the whole chain's pair sites (a, b) of
+    :func:`_pair_sites`, which the state's rebuild reads.
 
     In the mirror basis of :func:`_bright_parts` the single-excitation
     operator h is H_b + h_o, the bright chain with the atom and the free
@@ -876,11 +903,11 @@ def _pair_evolution(model: LatticeModel, f, g, t: float):
 
     npairs = size * (size + 1) // 2
     state = _symmetrized(photons[0], photons[1], np.empty(npairs + size, dtype=complex))
-    ja, jb = (np.abs(j - half) for j in _pair_sites(np.arange(npairs), size))
-    state[:npairs] += bright[_pair_index(ja, jb, n)]
+    sites = _pair_sites(np.arange(npairs), size)
+    state[:npairs] += bright[_pair_index(*(np.abs(j - half) for j in sites), n)]
     state[npairs:] = atom[0] * photons[1] + atom[1] * photons[0]
     state[npairs:] += bright[nb + np.abs(np.arange(size) - half)]
-    return state, single[2:, :size], order, nb + n, pair_bounds
+    return state, single[2:, :size], order, nb + n, pair_bounds, sites
 
 
 def two_excitation_check(
@@ -941,9 +968,10 @@ def two_excitation_check(
 
     phi_front = np.exp(1j * k1 * x) * _gaussian(x, c_front, width)
     phi_back = np.exp(1j * k2 * x) * _gaussian(x, c_back, width)
-    state_t, free, order, propagated, bounds = _pair_evolution(model, phi_front, phi_back, t_end)
+    state_t, free, order, propagated, bounds, (a, b) = _pair_evolution(
+        model, phi_front, phi_back, t_end
+    )
     npairs = size * (size + 1) // 2
-    a, b = _pair_sites(np.arange(npairs), size)
     weights = _pair_weights(size)
     dens = weights * np.abs(state_t) ** 2
     norm_drift = float(abs(dens.sum() - 1.0))
@@ -999,8 +1027,6 @@ def two_excitation_check(
 # the widest
 _NORM_WINDOWS = {2: 25.0, 3: 9.0}
 _IMAGE_WINDOWS = {2: 1500.0, 3: 29.0}
-# shell momenta per block of a plane-wave sum
-_RING_CHUNK = 2048
 
 
 def _shell(params, e: float, n: int, size: int, windows: float):
@@ -1074,26 +1100,58 @@ def _identical(labels) -> int:
     return math.prod(math.factorial(labels.count(j)) for j in set(labels))
 
 
-def _plane_waves(m, p, x) -> np.ndarray:
-    """sum_q m_q exp(i p_q . x) at every point of the flat coordinates ``x``.
+def _plane_waves(m, e: float, first: float, x, size: int) -> np.ndarray:
+    """sum_q m_q exp(i p_q . x) over the shell of :func:`_shell`, at every
+    point of the flat coordinates ``x``.
 
-    ``m`` and every slot of ``p`` run over the same shell momenta, read
-    flat; they are laid ``_RING_CHUNK`` momenta at a time, so the sum holds
-    no shell-length temporary.
+    ``m`` has one axis per free slot, each over the same odd-length grid
+    axis, which starts at ``first``; the last slot closes the shell at total
+    momentum ``e``.  With c the axis' centre, p_s = c + o_s dk, dk = 2 pi /
+    L, the phase is c sum_s x_s + (e - (n - 1) c) x_n, common to every
+    momentum, plus sum_s o_s dk (x_s - x_n).  Each free axis factorises in
+    turn: with o = J B + b, |b| <= B / 2 and B near the square root of the
+    axis length N, exp(i o dk y) = exp(i J B dk y) exp(i b dk y), so a point
+    needs about 2 sqrt(N) phases per axis, not N.  The last free axis is
+    summed as one matrix product of ``m``'s whole blocks with the (B,
+    points) table of inner phases, then a row sum weighted by the outer
+    ones, plus the axis' two ragged ends; every other free axis against its
+    whole phase table, built from the same factors.  No temporary is as
+    long as the shell.
+
+    The blocks are centred on c, so the momenta near it, where the
+    S-matrix's weight lies, take small phases.  The common phase is formed
+    in numpy's widest float: a rounding of it, or of c, which it multiplies
+    by x_s - x_n, would shift every momentum's phase alike.
     """
-    m = m.ravel()
-    p = [q.ravel() for q in p]
-    total = np.zeros(len(x[0]), dtype=complex)
-    for start in range(0, len(m), _RING_CHUNK):
-        block = slice(start, start + _RING_CHUNK)
-        phase = np.multiply.outer(p[0][block], x[0])
-        for q, v in zip(p[1:], x[1:]):
-            phase += np.multiply.outer(q[block], v)
-        wave = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=wave.real)
-        np.sin(phase, out=wave.imag)
-        total += m[block] @ wave
-    return total
+    dk = 2.0 * np.pi / size
+    *free, last = x
+    count = m.shape[-1]
+    centre = (count - 1) // 2
+    half = math.isqrt(count) // 2
+    block = 2 * half + 1
+    reach = -(-(centre - half) // block)
+    # m's first entry sits this far into the grid of 2 reach + 1 whole blocks
+    lead = reach * block + half - centre
+
+    def factors(y):
+        outer = np.exp(1j * np.multiply.outer(np.arange(-reach, reach + 1) * block * dk, y))
+        return outer, np.exp(1j * np.multiply.outer(np.arange(-half, half + 1) * dk, y))
+
+    outer, inner = factors(free[-1] - last)
+    lo, hi = -(-lead // block), (lead + count) // block
+    body = m[..., lo * block - lead : hi * block - lead].reshape(*m.shape[:-1], hi - lo, block)
+    sums = np.einsum("...jx,jx->...x", body @ inner, outer[lo:hi])
+    ends = np.r_[: lo * block - lead, hi * block - lead : count]
+    sums += m[..., ends] @ (outer[(ends + lead) // block] * inner[(ends + lead) % block])
+    for y in free[-2::-1]:
+        outer, inner = factors(y - last)
+        table = (outer[:, None] * inner).reshape(-1, len(y))[lead : lead + count]
+        sums = np.einsum("...jx,jx->...x", sums, table)
+    # the index off the first momentum, not dk off a difference of two,
+    # which carries the axis' rounding into every phase
+    c = (round(first / dk) + centre) * np.longdouble(dk)
+    common = sum(c * v for v in free) + (e - len(free) * c) * last
+    return np.exp(1j * common).astype(complex) * sums
 
 
 def ring_norm(params, k, size: int) -> float:
@@ -1122,8 +1180,9 @@ def ring_wavefunction(params, k, x, size: int):
     ``k`` is as for :func:`ring_norm`; ``x`` holds one coordinate per
     photon, the coordinates broadcasting together.  Lays each outgoing
     channel's S-matrix on one energy shell of ``_IMAGE_WINDOWS[n]`` line
-    scales and sums its plane waves at every point, divided by prod (count
-    of each outgoing waveguide label)! and (2 pi)^(n/2).  Returns
+    scales and sums its plane waves at every point, factorised over the
+    shell grid (:func:`_plane_waves`), divided by prod (count of each
+    outgoing waveguide label)! and (2 pi)^(n/2).  Returns
     ``(snapped momenta, images)``, the images keyed by the outgoing
     waveguide labels, each of the coordinates' broadcast shape.
 
@@ -1144,10 +1203,12 @@ def ring_wavefunction(params, k, x, size: int):
     if len(xs) != n:
         raise ValueError(f"{n} photons need {n} coordinates, got {len(xs)}")
     flat = [v.ravel() for v in xs]
-    p = _shell(params, sum(ks), n, size, _IMAGE_WINDOWS[n])
+    e = sum(ks)
+    p = _shell(params, e, n, size, _IMAGE_WINDOWS[n])
     images = {}
     for labels, terms in channels.items():
-        values = _plane_waves(_ring_image(terms, p, size), p, flat).reshape(xs[0].shape)
+        values = _plane_waves(_ring_image(terms, p, size), e, p[0].flat[0], flat, size)
+        values = values.reshape(xs[0].shape)
         values = values / (_identical(labels) * (2.0 * np.pi) ** (0.5 * n))
         images[labels] = values if values.ndim else complex(values)
     return ks, images

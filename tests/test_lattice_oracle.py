@@ -505,6 +505,65 @@ _TREE_PARAMS = [
 _TREE_IDS = ["t", "t-centred", "h", "h-one-chain"]
 
 
+def _listed_pivots(tree, e):
+    """The pivots of h - e as a list walk keeps them: e_h's to e_1's, up to
+    the first that repeats, then e_0's and the atom's; the reference the
+    tree's one-pass walk must reproduce bit for bit."""
+
+    def pivot(d):
+        return d if abs(d) >= tree.pivmin else -tree.pivmin
+
+    a = tree.omega - e
+    half = [pivot(a)]
+    while len(half) < tree.half:
+        d = pivot(a - tree.hop2 / half[-1])
+        if d == half[-1]:
+            break
+        half.append(d)
+    centre = pivot(a - tree.centre2 / half[-1])
+    return half, centre, pivot(tree.omega_atom - e - tree.coupling2 / centre)
+
+
+def _listed_count(tree, e):
+    half, centre, atom = _listed_pivots(tree, e)
+    below = sum(d < 0.0 for d in half) + (tree.half - len(half)) * (half[-1] < 0.0)
+    return below + (centre < 0.0) + (atom < 0.0)
+
+
+def _listed_bracket(tree, k):
+    lo_, hi = -tree.norm, tree.norm
+    while lo_ < (mid := 0.5 * (lo_ + hi)) < hi:
+        if _listed_count(tree, mid) >= k:
+            hi = mid
+        else:
+            lo_ = mid
+    return lo_, hi
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        *_TREE_PARAMS,
+        TCRAParams(omega_atom=0.0, omega_cavity=0.0, hopping=1.0, coupling=0.05),
+        TCRAParams(omega_atom=0.2, omega_cavity=0.0, hopping=1.0, coupling=1e-160),
+        HWGParams(omega_atom=1.0, vbar=(0.05, 0.02)),
+    ],
+    ids=[*_TREE_IDS, "t-weak", "t-vanishing", "h-weak"],
+)
+def test_tree_walk_is_the_listed_walk_bit_for_bit(params):
+    # the one-pass walk keeps a running count and the last pivot only; its
+    # counts, settled pivots and brackets are those of the list walk, down to
+    # the last bit, from L = 3 to weak binding at L = 2001
+    for size in (3, 5, 21, 201, 2001):
+        tree = lo._Tree(lo._bright_parts(lo.LatticeModel(params=params, size=size)))
+        brackets = [tree.bracket(k) for k in (1, tree.dimension)]
+        assert brackets == [_listed_bracket(tree, k) for k in (1, tree.dimension)]
+        grid = np.linspace(-tree.norm, tree.norm, 41)
+        for e in [*grid, tree.omega, tree.omega_atom, *np.ravel(brackets)]:
+            half = _listed_pivots(tree, e)[0]
+            assert tree.walk(e) == (_listed_count(tree, e), half[-1])
+
+
 @pytest.mark.parametrize("params", _TREE_PARAMS, ids=_TREE_IDS)
 def test_tree_count_matches_dense_eigvalsh(params):
     # the count on the bright chain against its levels by bisection
@@ -517,13 +576,13 @@ def test_tree_count_matches_dense_eigvalsh(params):
         # by one fails here
         gaps = np.nonzero(np.diff(evals) > 1e-9)[0]
         for i in gaps:
-            assert tree.count(0.5 * (evals[i] + evals[i + 1])) == i + 1
+            assert tree.walk(0.5 * (evals[i] + evals[i + 1]))[0] == i + 1
         # on a level, and at omega0, where the first pivot is exactly 0, the
         # count is that of a matrix within a few ulps
         omega0 = _jacobi(m)[0][-1]
-        assert tree.pivots(omega0)[0][0] < 0.0
+        assert _listed_pivots(tree, omega0)[0][0] < 0.0
         for e in [*evals, omega0]:
-            count = tree.count(e)
+            count = tree.walk(e)[0]
             assert np.sum(evals < e - 1e-13) <= count <= np.sum(evals <= e + 1e-13)
 
 
@@ -550,15 +609,17 @@ def test_tree_brackets_hold_the_dense_extremes(params):
 def test_tree_pivots_give_the_dense_neighbour_ratio(params):
     # out from the centre the extreme eigenvector's amplitude at site s is
     # -u / d_s times that at s - 1, d_s the pivot of e_s.  d_1 is the last
-    # pivot of the first list, which the bound report reads, and once the
-    # pivots repeat every site shares it; at "t" the slow decay keeps them
-    # from repeating within L = 201, and d_10 is 5e-12 off d_1.  Checked on
-    # the bright chain's eigenvectors by bisection and inverse iteration,
-    # read on the sites (e_j / sqrt(2) on c +- j), and out to ten sites on
-    # either side of a coupled centre of the whole operator's dense ones
+    # pivot of the listed walk, the settled pivot the tree's walk returns
+    # and the bound report reads, and once the pivots repeat every site
+    # shares it; at "t" the slow decay keeps them from repeating within L =
+    # 201, and d_10 is 5e-12 off d_1.  Checked on the bright chain's
+    # eigenvectors by bisection and inverse iteration, read on the sites
+    # (e_j / sqrt(2) on c +- j), and out to ten sites on either side of a
+    # coupled centre of the whole operator's dense ones
     def ratios(tree, k, sites):
         energy = 0.5 * sum(tree.bracket(k))
-        half = tree.pivots(energy)[0]
+        half = _listed_pivots(tree, energy)[0]
+        assert tree.walk(energy)[1] == half[-1]
         steps = [-tree.hopping / half[min(tree.half - s, len(half) - 1)] for s in range(1, sites + 1)]
         return energy, steps
 
@@ -750,14 +811,18 @@ def test_chebyshev_short_time_is_the_identity():
 def test_chebyshev_run_holds_at_most_six_state_vectors(t):
     # the recursion vectors rotate and no product allocates, so the peak
     # does not grow with the order; the state itself is the caller's.  The
-    # scaled operator holds no diagonal, so past the five vectors only the
-    # small temporaries of C's scatter-add and the coefficients remain
+    # scaled operator holds no diagonal and gathers C's columns into the
+    # run's idle scratch vector, so past the five vectors only its scaled
+    # values, the scatter-add's own few kilobytes and the coefficients
+    # remain.  On the bright half-chain's operator C weighs most against
+    # the state: 1692 entries on 10152 states at L = 281
     m = lo.LatticeModel(params=_t_params(), size=281)
-    h = lo._pair_operator(lo._single_parts(m))
-    state = np.ones(h.shape[0], dtype=complex)
     bounds = tuple(2.0 * e for e in lo._spectral_interval(m))
-    peak = _traced_peak(lambda: lo._chebyshev_evolve(h, state, t, bounds))
-    assert peak <= 5.25 * state.nbytes
+    for chain in (lo._single_parts(m), lo._bright_parts(m)):
+        h = lo._pair_operator(chain)
+        state = np.ones(h.shape[0], dtype=complex)
+        peak = _traced_peak(lambda: lo._chebyshev_evolve(h, state, t, bounds))
+        assert peak <= 5.25 * state.nbytes
 
 
 def _pair_stencil(params, size, buf):
@@ -997,10 +1062,14 @@ def test_pair_evolution_matches_the_full_square_exponential(params, size, carrie
     model = lo.LatticeModel(params=params, size=size)
     x = model.positions()
     f, g = (np.exp(1j * k * x) * lo._gaussian(x, c, 1.5) for k, c in zip(carriers, centres))
-    state, free, _, propagated, bounds = lo._pair_evolution(model, f, g, t)
+    state, free, _, propagated, bounds, sites = lo._pair_evolution(model, f, g, t)
     assert bounds == tuple(2.0 * e for e in lo._spectral_interval(model))
     n = (size + 1) // 2
     assert propagated == n * (n + 1) // 2 + n
+    # the whole chain's pair sites, each pair once, in the state's layout
+    a, b = sites
+    assert np.array_equal(lo._pair_index(a, b, size), np.arange(size * (size + 1) // 2))
+    assert np.all(a <= b)
 
     dim = size * size + size
     full = np.column_stack([_pair_stencil(params, size, e) for e in np.eye(dim)])
@@ -1323,9 +1392,55 @@ def test_ring_two_photon_wavefunction_matches_analytic():
     assert np.max(np.abs(np.diag(values) - singles)) <= 1e-15
 
 
-def test_ring_two_photon_wavefunction_sums_with_two_temporaries():
-    # the plane waves take one phase and one wave block of _RING_CHUNK shell
-    # momenta at a time, so the peak is the shell, the ring image and the
+def _direct_plane_waves(m, p, e, x, size):
+    """sum_q m_q exp(i p_q . x), term by term in numpy's widest float: the
+    free slots on the exact grid, integer times dk, and the last closing
+    the shell at e."""
+    wide = np.longdouble
+    dk = wide(2.0 * np.pi / size)
+    free = [np.rint(q / float(dk)) * dk for q in p[:-1]]
+    last = wide(e) - sum(free)
+    total = []
+    for point in zip(*x):
+        phase = sum(q * wide(v) for q, v in zip([*free, last], point))
+        total.append(np.sum(m * (np.cos(phase) + 1j * np.sin(phase))))
+    return np.array(total, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "params, k, size, points",
+    [
+        (TWGParams(omega_atom=0.2, gamma_t=0.3), (0.15, 0.25), 601,
+         [(5000.0, 4100.0), (-4200.0, -3000.0), (3000.5, 2500.25)]),
+        (_h_params((0.2, 0.4)), (1.05, 0.95), 601,
+         [(900.0, 850.5), (-700.25, -1200.0), (1500.0, -300.0), (2500.0, 1000.0)]),
+        (TWGParams(omega_atom=0.0, gamma_t=1.0), (-0.3, 0.1, 0.5), 61,
+         [(-2000.0, 3000.0, 2000.0), (0.0, 0.0, 2100.0), (-3000.0, 2000.0, 300.0)]),
+    ],
+    ids=["t-pair", "h-pair", "t-three"],
+)
+def test_factorised_plane_waves_match_the_direct_sum(params, k, size, points):
+    # the sum factorised over the shell grid against the direct sum of every
+    # shell momentum's plane wave, at points where the incident momenta's
+    # phase k . x passes 1e3, so a phase laid on the wrong grid step, or a
+    # rounding shared by every momentum, shows: every channel within 1e-13
+    # of sum |m|.  The largest reading is 5.5e-15, at the three-photon
+    # shell's first point; the direct sum in doubles reads up to 7e-14 here
+    ks, channels = lo._channels(params, k, size)
+    e = sum(ks)
+    p = lo._shell(params, e, len(ks), size, lo._IMAGE_WINDOWS[len(ks)])
+    x = [np.array(v) for v in zip(*points)]
+    assert np.all(np.abs(sum(q * v for q, v in zip(ks, x))) >= 1e3)
+    for terms in channels.values():
+        m = lo._ring_image(terms, p, size)
+        direct = _direct_plane_waves(m, p, e, x, size)
+        factorised = lo._plane_waves(m, e, p[0].flat[0], x, size)
+        assert np.max(np.abs(factorised - direct)) <= 1e-13 * np.sum(np.abs(m))
+
+
+def test_ring_two_photon_wavefunction_factorises_with_no_shell_length_temporary():
+    # the plane-wave sum holds its phases per grid block, about 2 sqrt(N)
+    # per point, so the peak is the shell, the ring image and the
     # S-matrix's own temporaries: at most 6.5 real shell-length vectors at
     # once, for one point or for ten
     params = TWGParams(omega_atom=0.2, gamma_t=0.3)
