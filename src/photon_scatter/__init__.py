@@ -6,7 +6,6 @@ together with finite-lattice and Bethe-ansatz cross-checks.
 """
 
 from photon_scatter.core import (
-    CosineBand,
     HWGParams,
     TCRAParams,
     Term,
@@ -16,7 +15,6 @@ from photon_scatter.core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CosineBand",
     "HWGParams",
     "TCRAParams",
     "Term",

@@ -1,4 +1,4 @@
-"""Shared parameter records, dispersions, kinematics, and amplitude containers.
+"""Shared parameter records, kinematics, and amplitude containers.
 
 Conventions used throughout the package: the lattice spacing is 1, hbar = 1,
 and in the linearized waveguide modules the group velocity is 1, a
@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "CosineBand",
     "TCRAParams",
     "TWGParams",
     "HWGParams",
@@ -51,60 +50,13 @@ def _require_finite(*values) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dispersion relations
-
-
-@dataclass(frozen=True)
-class CosineBand:
-    """Tight-binding cosine band eps_k = omega_cavity - 2 J cos k.
-
-    Parameters
-    ----------
-    omega_cavity : float or ndarray
-        Bare resonator frequency (band center).
-    hopping : float or ndarray
-        Nearest-neighbor hopping J > 0.
-
-    Fields may be arrays that broadcast together; every entry is checked,
-    and ``energy`` and ``group_velocity`` broadcast over them and k.
-    """
-
-    omega_cavity: float
-    hopping: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self.omega_cavity, self.hopping)
-        if not np.all(self.hopping > 0.0):
-            raise ValueError("hopping must be positive")
-
-    @property
-    def band_bottom(self) -> float:
-        return self.omega_cavity - 2.0 * self.hopping
-
-    @property
-    def band_top(self) -> float:
-        return self.omega_cavity + 2.0 * self.hopping
-
-    def energy(self, k):
-        """Band energy at momentum k, defined for k in (-pi, pi]."""
-        k = np.asarray(k, dtype=float)
-        if not np.all((k > -np.pi) & (k <= np.pi)):
-            raise ValueError("momentum outside the first Brillouin zone (-pi, pi]")
-        return self.omega_cavity - 2.0 * self.hopping * np.cos(k)
-
-    def group_velocity(self, k):
-        """d eps / d k = 2 J sin k."""
-        k = np.asarray(k, dtype=float)
-        return 2.0 * self.hopping * np.sin(k)
-
-
-# ---------------------------------------------------------------------------
 # parameter records
 
 
 @dataclass(frozen=True)
 class TCRAParams:
-    """Atom-coupled resonator chain with the full cosine band.
+    """Atom-coupled resonator chain with the full cosine band
+    eps_k = omega_cavity - 2 J cos k, which ``band_energy`` gives.
 
     Parameters
     ----------
@@ -121,8 +73,9 @@ class TCRAParams:
     -----
     The single-photon decay scale is ``gamma = coupling**2``.  Fields may be
     arrays that broadcast together, one parameter point per entry; every
-    entry is checked.  :func:`photon_scatter.tcra.reflection_amplitude`
-    broadcasts over them, while the bound states, the self-energy and the
+    entry is checked.  ``band_energy``, ``group_velocity`` and
+    :func:`photon_scatter.tcra.reflection_amplitude` broadcast over them
+    and k, while the bound states, the self-energy and the
     lattice oracle take scalar fields and raise on an array of several
     entries.
     """
@@ -144,8 +97,24 @@ class TCRAParams:
         return self.coupling**2
 
     @property
-    def band(self) -> CosineBand:
-        return CosineBand(self.omega_cavity, self.hopping)
+    def band_bottom(self) -> float:
+        return self.omega_cavity - 2.0 * self.hopping
+
+    @property
+    def band_top(self) -> float:
+        return self.omega_cavity + 2.0 * self.hopping
+
+    def band_energy(self, k):
+        """Band energy eps_k = omega_cavity - 2 J cos k, for k in (-pi, pi]."""
+        k = np.asarray(k, dtype=float)
+        if not np.all((k > -np.pi) & (k <= np.pi)):
+            raise ValueError("momentum outside the first Brillouin zone (-pi, pi]")
+        return self.omega_cavity - 2.0 * self.hopping * np.cos(k)
+
+    def group_velocity(self, k):
+        """d eps / d k = 2 J sin k."""
+        k = np.asarray(k, dtype=float)
+        return 2.0 * self.hopping * np.sin(k)
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,11 @@ def reflection_amplitude(params: TCRAParams, k):
         The transmission amplitude is ``1 + r_k``.
     """
     k = np.asarray(k, dtype=float)
-    band = params.band
     # the zone check comes first: it refuses nan and inf as well
-    detune = band.energy(k) - params.omega_atom
+    detune = params.band_energy(k) - params.omega_atom
     if np.any(np.abs(np.sin(k)) < BAND_EDGE_SIN):
         raise ValueError("momentum at a band edge; reflection amplitude undefined")
-    vg = band.group_velocity(k)
+    vg = params.group_velocity(k)
     r = -1j * params.gamma / (vg * detune + 1j * params.gamma)
     return r if r.ndim else complex(r)
 

@@ -1,4 +1,4 @@
-"""Parameter records and dispersions."""
+"""Parameter records, their band, and the cluster sum."""
 
 import ast
 import importlib
@@ -9,23 +9,23 @@ import pytest
 
 import photon_scatter
 from photon_scatter import hwg, tcra, twg
-from photon_scatter.core import CosineBand, HWGParams, TCRAParams, TWGParams, _cluster_terms
+from photon_scatter.core import HWGParams, TCRAParams, TWGParams, _cluster_terms
 
 
 def test_cosine_band_values():
-    band = CosineBand(omega_cavity=np.pi, hopping=1.0)
-    assert band.energy(np.pi / 2) == pytest.approx(np.pi, abs=0)
-    assert band.energy(0.0) == pytest.approx(np.pi - 2.0)
+    band = TCRAParams(omega_atom=0.0, omega_cavity=np.pi, hopping=1.0, coupling=1.0)
+    assert band.band_energy(np.pi / 2) == pytest.approx(np.pi, abs=0)
+    assert band.band_energy(0.0) == pytest.approx(np.pi - 2.0)
     assert band.band_bottom == pytest.approx(np.pi - 2.0)
     assert band.band_top == pytest.approx(np.pi + 2.0)
 
 
 def test_cosine_band_bz_domain():
-    band = CosineBand(np.pi, 1.0)
-    with pytest.raises(ValueError):
-        band.energy(3.5)
+    band = TCRAParams(0.0, np.pi, 1.0, 1.0)
+    with pytest.raises(ValueError, match="Brillouin zone"):
+        band.band_energy(3.5)
     k = np.linspace(-np.pi + 1e-6, np.pi, 101)
-    e = band.energy(k)
+    e = band.band_energy(k)
     assert np.all(e >= band.band_bottom - 1e-12)
     assert np.all(e <= band.band_top + 1e-12)
 
@@ -54,7 +54,7 @@ def test_parameter_validation():
          "hopping must be positive"),
         (TCRAParams, (1.0, 1.0, 1.0, -1.0), (1.0, 1.0, 1.0, np.array([0.0, 1.0, -1.0])),
          "coupling must be nonnegative"),
-        (CosineBand, (0.0, 0.0), (np.zeros(3), np.array([1.0, 0.0, 1.0])),
+        (TCRAParams, (1.0, 0.0, 0.0, 1.0), (1.0, np.zeros(3), np.array([1.0, 0.0, 1.0]), 1.0),
          "hopping must be positive"),
         (TWGParams, (1.0, 0.0), (np.ones(2), np.array([1.0, 0.0])), "gamma_t must be positive"),
         # linewidths for which 2 / gamma_t overflows: the least subnormal up to
@@ -66,6 +66,7 @@ def test_parameter_validation():
         # one double above 2 / (largest double), 2 / gamma_t is finite but
         # the resonant pole's complex reciprocal still overflows
         (TWGParams, (1.0, _LEAST), (np.ones(2), np.array([1.0, _LEAST])), "2 / gamma_t overflows"),
+        (HWGParams, (1.0, (1.0, 1.0, 1.0)), (np.ones(2), (np.ones(2),) * 3), "vbar must be a pair"),
         (HWGParams, (1.0, (0.0, 0.0)), (1.0, (np.array([1.0, 0.0]), np.zeros(2))),
          "at least one coupling must be nonzero"),
         (HWGParams, (1.0, (1.0, -2.0)), (1.0, (1.0, np.array([2.0, -2.0]))),
@@ -98,8 +99,7 @@ def test_parameter_validation():
 @pytest.mark.parametrize(
     "record, args",
     [
-        (CosineBand, (np.nan, 1.0)),
-        (CosineBand, (0.0, np.inf)),
+        (TCRAParams, (0.0, np.nan, 1.0, 1.0)),
         (TCRAParams, (0.0, 0.0, 1.0, np.nan)),
         (TCRAParams, (0.0, 0.0, 1.0, np.inf)),
         (TCRAParams, (np.nan, 0.0, 1.0, 1.0)),
@@ -111,7 +111,7 @@ def test_parameter_validation():
         (HWGParams, (np.nan, (1.0, 1.0))),
         (HWGParams, (0.0, (np.inf, 1.0))),
         # array fields with one bad entry
-        (CosineBand, (np.array([0.0, np.nan]), 1.0)),
+        (TCRAParams, (0.0, np.array([0.0, np.nan]), 1.0, 1.0)),
         (TCRAParams, (0.0, 0.0, 1.0, np.array([1.0, np.inf, 0.5]))),
         (TCRAParams, (np.array([0.0, 1.0]), 0.0, np.array([np.nan, 1.0]), 1.0)),
         (TWGParams, (0.0, np.array([1.0, -np.inf]))),
@@ -144,10 +144,10 @@ def test_lattice_to_waveguide_mapping():
         w0, omega, j, v = rng.uniform((-2, -2, 0.2, 0.1), (2, 2, 3, 3))
         p = TCRAParams(omega, w0, j, v)
         k = rng.uniform(0.1, np.pi - 0.1)
-        v_g = float(p.band.group_velocity(k))
+        v_g = float(p.group_velocity(k))
         w = TWGParams(p.omega_atom, 2.0 * p.coupling**2 / v_g)
         even = 1.0 + 2.0 * tcra.reflection_amplitude(p, k)
-        assert abs(even - twg.transmission_amplitude(w, float(p.band.energy(k)))) <= 1e-14
+        assert abs(even - twg.transmission_amplitude(w, float(p.band_energy(k)))) <= 1e-14
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,9 @@ def test_two_photon_t_h_channel_prefactors():
         two_photon_t_h(p, (1, 2, 1, 1), k1, k2, q1, q2 + 0.1)
     with pytest.raises(ValueError):
         two_photon_t_h(p, (1, 2, 3, 1), k1, k2, q1, q2)
+    # the out-state names an outgoing channel pair in order, j1 <= j2
+    with pytest.raises(ValueError, match="channel pair must be"):
+        pair_wavefunction(p, (2, 1), k1, k2, 0.0)
 
 
 def test_two_photon_t_h_single_channel_limit():

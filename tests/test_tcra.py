@@ -234,7 +234,7 @@ def test_bound_states_match_high_precision_roots(omega_atom, omega_cavity, hoppi
         assert state.amplitude == pytest.approx(float(amplitude), rel=1e-14, abs=0)
         assert state.residual <= 1e-14
     lower, upper = states
-    assert lower.energy <= p.band.band_bottom and upper.energy >= p.band.band_top
+    assert lower.energy <= p.band_bottom and upper.energy >= p.band_top
 
 
 def test_bound_states_refuse_unrepresentable_couplings():

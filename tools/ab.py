@@ -6,7 +6,9 @@ and once on checkout B, each a fresh interpreter importing that checkout's
 to pair.  Every run prints its wall time and its child's peak resident set
 (``ru_maxrss``, read through ``os.wait4``).  The summary gives each side's
 median and quartiles of the wall time and of the peak, and the pairs B won
-(ties count for neither side).
+(ties count for neither side).  It ends with the verdict on a wall-time
+gain of B: a gain holds only when B wins at least nine tenths of the pairs
+run and A's median exceeds B's by more than A's quartile distance.
 
 Usage: python3 tools/ab.py A_DIR B_DIR [--pairs N] -- ARGV...
 
@@ -84,6 +86,15 @@ def main(argv=None) -> int:
             + " MB"
         )
     print(f"B faster in {wins} of {args.pairs} pairs, slower in {losses}")
+    need = (9 * args.pairs + 9) // 10
+    q1, median_a, q3 = quartiles([wall for wall, _ in runs["A"]])
+    gap = median_a - quartiles([wall for wall, _ in runs["B"]])[1]
+    held = wins >= need and gap > q3 - q1
+    print(
+        f"gain claim: {wins} wins against {need} of {args.pairs} needed, median gap"
+        f" {gap:.4f} s against A's quartile distance {q3 - q1:.4f} s:"
+        f" {'holds' if held else 'not met'}"
+    )
     return 0
 
 
