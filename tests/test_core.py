@@ -114,6 +114,7 @@ def test_parameter_validation():
         (TCRAParams, (0.0, np.array([0.0, np.nan]), 1.0, 1.0)),
         (TCRAParams, (0.0, 0.0, 1.0, np.array([1.0, np.inf, 0.5]))),
         (TCRAParams, (np.array([0.0, 1.0]), 0.0, np.array([np.nan, 1.0]), 1.0)),
+        (TCRAParams, (0.0, 0.0, np.array([1.0, np.inf]), 1.0)),
         (TWGParams, (0.0, np.array([1.0, -np.inf]))),
         (HWGParams, (np.array([np.nan, 0.0]), (1.0, 1.0))),
         (HWGParams, (0.0, (np.ones(3), np.array([1.0, 1.0, np.inf])))),
